@@ -186,10 +186,6 @@ def covering_count(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                    M: int, *, counter: RectCounter | None = None) -> int:
     """Pattern count on the Bowen window W(M, N)."""
     window = bowen_window(action, N, M, spec.norm)
-    rect = window.as_rect()
-    if rect is not None:
-        rc = counter if counter is not None else RectCounter(sft)
-        return rc.count(rect.ncols, rect.nrows)
     return count_locally_admissible(sft, window, counter=counter)
 
 
@@ -384,8 +380,9 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float, Mmax: int, *
     """Check eps^delta * log2 #(X, d, eps) along eps_M = alpha^-(M-1).
 
     Uses the static metric (no dynamics): the window at resolution M is
-    the radius-(M-1) norm ball.  Verdict "consistent" when the tail of
-    the sequence is nonincreasing.
+    the radius-(M-1) norm ball, for the sup norm the (2M-1) x (2M-1)
+    square.  Verdict "consistent" when the tail of the sequence is
+    nonincreasing.
     """
     if sft.dimension != 2:
         raise ValueError("tame_growth_check reads 2D window counts; got a 1D spec")
@@ -396,12 +393,10 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float, Mmax: int, *
     rc = counter if counter is not None else RectCounter(sft)
     rows = []
     for M in range(1, Mmax + 1):
-        window = norm_ball(M - 1, spec.norm)
-        rect = window.as_rect()
-        if rect is not None:
-            c = rc.count(rect.ncols, rect.nrows)
+        if spec.norm == "linf":
+            c = rc.count(2 * M - 1, 2 * M - 1)
         else:
-            c = count_locally_admissible(sft, window)
+            c = count_locally_admissible(sft, norm_ball(M - 1, spec.norm), counter=rc)
         rows.append((M, spec.epsilon_at(M) ** delta * _log2_count(c)))
     tail = max(2, Mmax // 4)
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
@@ -468,16 +463,3 @@ def hausdorff_bracket_1d(sft: SftSpec, measure: MeasureSpec, spec: MetricSpec,
         row = LatticeSet((m, 0) for m in range(Mp))
         lowers.append(-max_cylinder_log2_prob(measure, row) / (Mp * spec.log2_alpha))
     return min(lowers), min(uppers)
-
-
-# ---------------------------------------------------------------------------
-# skew-window density cross-check
-# ---------------------------------------------------------------------------
-
-
-def skew_window_matches_lambda(action: ActionSpec, N: int, M: int) -> bool:
-    """The sup-norm Bowen window of the skew action equals the swept
-    window Lambda_{a,b}(M,N) as a point set."""
-    from .lattice import lambda_set
-
-    return bowen_window(action, N, M, "linf") == lambda_set(action.a, action.b, M, N)

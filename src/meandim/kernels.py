@@ -8,9 +8,6 @@ active path is chosen once at import time from the environment:
     MEANDIM_BACKEND=numpy   force the fallback path
     unset / auto            numba if importable, else fallback
 
-``MEANDIM_WORKERS`` sets the worker count for splittable counts
-(speed only, results are bit-identical for any value).
-
 Exact big-integer transfer-matrix counting does NOT live here: its
 accumulators are arbitrary-precision and cannot be JIT-compiled, so it
 stays in pure Python (see subshift.py).
@@ -39,16 +36,6 @@ if _ENV_BACKEND != "numpy":
 USE_NUMBA = HAVE_NUMBA and _ENV_BACKEND in ("auto", "", "numba")
 
 
-def worker_count() -> int:
-    """Configured worker count for splittable counting (default 1)."""
-    raw = os.environ.get("MEANDIM_WORKERS", "1").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # Backtracking pattern counter.
 #
@@ -62,28 +49,19 @@ def worker_count() -> int:
 #   grp_indptr[i]..grp_indptr[i+1]   placements completing at cell i
 #   pl_indptr[p]..pl_indptr[p+1]     constraint slots of placement p
 #   pl_cell[s], pl_sym[s]            cell index / required symbol of slot s
-#
-# first_symbol >= 0 restricts the root cell to that one symbol, which lets a
-# caller split the search across workers and sum the partial counts.
 # ---------------------------------------------------------------------------
 
 
-def _backtrack_count_impl(n_cells, n_symbols, grp_indptr, pl_indptr, pl_cell, pl_sym,
-                          first_symbol):
+def _backtrack_count_impl(n_cells, n_symbols, grp_indptr, pl_indptr, pl_cell, pl_sym):
     if n_cells == 0:
         return 1
     assign = np.zeros(n_cells, np.int64)
     trial = np.zeros(n_cells, np.int64)
-    if first_symbol >= 0:
-        trial[0] = first_symbol
     count = 0
     level = 0
     while level >= 0:
         s = trial[level]
-        exhausted = s >= n_symbols
-        if level == 0 and first_symbol >= 0 and s > first_symbol:
-            exhausted = True
-        if exhausted:
+        if s >= n_symbols:
             level -= 1
             if level >= 0:
                 trial[level] += 1
@@ -115,14 +93,13 @@ if HAVE_NUMBA:
     _backtrack_count_nb = njit(cache=True)(_backtrack_count_impl)
 
 
-def backtrack_count(n_cells, n_symbols, grp_indptr, pl_indptr, pl_cell, pl_sym,
-                    first_symbol=-1) -> int:
+def backtrack_count(n_cells, n_symbols, grp_indptr, pl_indptr, pl_cell, pl_sym) -> int:
     """Count admissible assignments; dispatches on the active backend."""
     if USE_NUMBA:
         return int(_backtrack_count_nb(n_cells, n_symbols, grp_indptr, pl_indptr,
-                                       pl_cell, pl_sym, first_symbol))
+                                       pl_cell, pl_sym))
     return int(_backtrack_count_py(n_cells, n_symbols, grp_indptr, pl_indptr,
-                                   pl_cell, pl_sym, first_symbol))
+                                   pl_cell, pl_sym))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ builds the exactly tractable fixture families used as ground truth:
 full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
 Counts are arbitrary-precision integers.  Rectangle supports go through
-a strip-by-strip transfer DP over column states whenever every relevant
-forbidden pattern fits in a two-column window; everything else goes
-through backtracking with pruning at the moment a forbidden pattern
-completes.  The two paths are tested to agree on overlapping inputs.
+one transfer sweep that adds a cell at a time (the transfer-matrix count
+of Calkin and Wilf for the hard-square model), for forbidden patterns
+of any shape; its state is the symbols of the last L cells, and
+``max_states`` bounds the profile q^L.  Other supports, and rectangles
+whose profile exceeds the guard in both orientations, go through
+backtracking with pruning at the moment a forbidden pattern completes
+(at most ``max_free_cells`` cells).  The two paths are tested to agree
+on random small specs.
 """
 
 from __future__ import annotations
@@ -318,43 +322,26 @@ def _placement_csr(groups):
             np.asarray(pl_sym, np.int64))
 
 
-def _count_branch(args):
-    n_cells, q, grp_indptr, pl_indptr, pl_cell, pl_sym, sym = args
-    return kernels.backtrack_count(n_cells, q, grp_indptr, pl_indptr, pl_cell,
-                                   pl_sym, sym)
-
-
-def _backtrack_count_support(sft: SftSpec, points: tuple[Point, ...],
-                             workers: int | None = None) -> int:
-    groups = _placement_groups(sft, points)
-    csr = _placement_csr(groups)
-    q = sft.nsymbols
-    n = len(points)
-    workers = kernels.worker_count() if workers is None else workers
-    if workers > 1 and q > 1 and n >= 12:
-        # Split the search on the first cell's symbol; partial counts merge
-        # by addition in symbol order, so the result is worker-independent.
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(n, q, *csr, s) for s in range(q)]
-        with ProcessPoolExecutor(max_workers=min(workers, q)) as pool:
-            parts = list(pool.map(_count_branch, jobs))
-        return sum(parts)
-    return kernels.backtrack_count(n, q, *csr, -1)
+def _backtrack_count_support(sft: SftSpec, points: tuple[Point, ...]) -> int:
+    csr = _placement_csr(_placement_groups(sft, points))
+    return kernels.backtrack_count(len(points), sft.nsymbols, *csr)
 
 
 # ---------------------------------------------------------------------------
-# transfer DP over column states, with per-height sweep caching
+# cell-by-cell transfer sweep over rectangles, cached per height
 # ---------------------------------------------------------------------------
 
 
 class RectCounter:
     """Exact locally-admissible counts on rectangle supports for one SFT.
 
-    Counts depend only on the rectangle's column/row numbers, so sweeps
-    over widths are cached per height: asking for (W, H) after (W', H)
-    with W' > W is free.  Accumulation is arbitrary-precision integer
-    arithmetic; only the 0/1 transition tables are numpy.
+    Counts depend only on the rectangle's column/row numbers.  A rectangle
+    is swept cell by cell along whichever side gives the smaller profile
+    q^L (see ``_CellSweep``); ``max_states`` bounds that profile, and a
+    rectangle no orientation fits falls back to backtracking when it has
+    at most ``max_free_cells`` cells.  Sweeps are cached per orientation
+    and height with a total per column, so asking for (W, H) after
+    (W', H) with W' > W is free.  Accumulation is arbitrary-precision.
     """
 
     def __init__(self, sft: SftSpec, *, max_states: int = DEFAULT_MAX_STATES,
@@ -364,17 +351,15 @@ class RectCounter:
         self.sft = sft
         self.max_states = max_states
         self.max_free_cells = max_free_cells
-        self._tables: dict[tuple[bool, int], object] = {}
-        self._sweeps: dict[tuple[bool, int], dict] = {}
-        self._transposed: SftSpec | None = None
+        self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
     def count(self, ncols: int, nrows: int) -> int:
         out = self.try_count(ncols, nrows)
         if out is None:
             raise ResourceGuardError(
-                f"no transfer orientation applies to a {ncols}x{nrows} rectangle "
-                f"(state guard {self.max_states}) and {ncols * nrows} cells exceed "
-                f"the backtracking guard {self.max_free_cells}")
+                f"the transfer profile of a {ncols}x{nrows} rectangle exceeds the "
+                f"state guard {self.max_states} in both orientations and "
+                f"{ncols * nrows} cells exceed the backtracking guard {self.max_free_cells}")
         return out
 
     def try_count(self, ncols: int, nrows: int) -> int | None:
@@ -384,144 +369,107 @@ class RectCounter:
                    if f.ncols_extent <= ncols and f.nrows_extent <= nrows]
         if not fitting:
             return self.sft.nsymbols ** (ncols * nrows)
-        if self._dp_ok(False, ncols, nrows):
-            return self._sweep_total(False, nrows, ncols)
-        if self._dp_ok(True, nrows, ncols):
-            return self._sweep_total(True, ncols, nrows)
+        # ties keep the column sweep, min() returning the first minimum
+        sweep, width = min((self._sweep(False, nrows), ncols),
+                           (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
+        if self.sft.nsymbols ** sweep.span <= self.max_states:
+            return sweep.total(width)
         if ncols * nrows <= self.max_free_cells:
             rect = IntRect(0, ncols - 1, 0, nrows - 1)
             return _backtrack_count_support(self.sft, LatticeSet.from_rect(rect).points)
         return None
 
-    # -- internals ---------------------------------------------------------
-
-    def _spec(self, transposed: bool) -> SftSpec:
-        if not transposed:
-            return self.sft
-        if self._transposed is None:
-            pats = tuple(
-                Pattern(tuple(((n, m), sym) for (m, n), sym in f.cells))
-                for f in self.sft.forbidden)
-            self._transposed = SftSpec(2, self.sft.alphabet, pats)
-        return self._transposed
-
-    def _dp_ok(self, transposed: bool, ncols: int, nrows: int) -> bool:
-        """Can the (possibly transposed) sweep at height ``nrows`` serve a
-        width-``ncols`` count?  Needs every forbidden pattern that could fit
-        to span at most two columns."""
-        spec = self._spec(transposed)
-        if spec.nsymbols ** nrows > self.max_states:
-            return False
-        for f in spec.forbidden:
-            if f.nrows_extent <= nrows and f.ncols_extent > 2 and f.ncols_extent <= ncols:
-                return False
-        return True
-
-    def _get_tables(self, transposed: bool, height: int):
+    def _sweep(self, transposed: bool, height: int) -> "_CellSweep":
         key = (transposed, height)
-        if key not in self._tables:
-            self._tables[key] = _column_tables(self._spec(transposed), height)
-        return self._tables[key]
-
-    def _sweep_total(self, transposed: bool, height: int, width: int) -> int:
-        key = (transposed, height)
-        sweep = self._sweeps.get(key)
-        if sweep is None:
-            mode, valid_count, direct, complement = self._get_tables(transposed, height)
-            sweep = {
-                "mode": mode,
-                "direct": direct,
-                "complement": complement,
-                "vec": [1] * valid_count,
-                "totals": [0, valid_count],
-            }
-            self._sweeps[key] = sweep
-        totals = sweep["totals"]
-        vec = sweep["vec"]
-        while len(totals) - 1 < width:
-            if not vec:
-                totals.append(0)
-                continue
-            if sweep["mode"] == "direct":
-                preds = sweep["direct"]
-                new = [0] * len(vec)
-                for t, plist in enumerate(preds):
-                    acc = 0
-                    for s in plist:
-                        acc += vec[s]
-                    new[t] = acc
-            else:
-                banned = sweep["complement"]
-                tot = sum(vec)
-                new = [0] * len(vec)
-                for t, blist in enumerate(banned):
-                    acc = 0
-                    for s in blist:
-                        acc += vec[s]
-                    new[t] = tot - acc
-            vec = new
-            sweep["vec"] = vec
-            totals.append(sum(vec))
-        return totals[width]
+        if key not in self._sweeps:
+            self._sweeps[key] = _CellSweep(self.sft, height, transposed)
+        return self._sweeps[key]
 
 
-def _column_tables(sft: SftSpec, height: int):
-    """Valid column states and the allowed-transition lists at one height.
+class _CellSweep:
+    """Transfer sweep adding one cell at a time to columns of one height.
 
-    Returns (mode, n_valid, direct_pred_lists, banned_pred_lists) where the
-    unused list is None.  ``direct`` mode stores, for each target column,
-    the valid predecessor columns; ``complement`` mode stores the banned
-    ones (chosen when transitions are dense, e.g. sparse constraints).
+    Cells are visited in column-major order, in the transposed picture
+    when ``transposed`` (columns are then the rectangle's rows).  The
+    state is the symbols of the last L cells, indexed in base q with the
+    oldest cell as the lowest digit.  L is the larger of the height and
+    the longest span of a forbidden pattern that fits the height (its
+    last cell's index minus its first's).  Since the profile q^L never
+    drops below one column's q^height, a state guard accepts the same
+    rectangles as a transfer over column states for every pattern whose
+    span is at most the height.  Adding a cell repeats the vector once
+    per new symbol, zeroes the states in which a forbidden placement
+    completes at that cell, and sums out the oldest cell.  Construction
+    only computes offsets, so callers can check q^L before anything is
+    allocated; vectors and index lists are built by the first ``total``.
     """
-    q = sft.nsymbols
-    S = q ** height
-    digits = (np.arange(S)[:, None] // (q ** np.arange(height))[None, :]) % q
-    digits = digits.astype(np.int16)
 
-    def norm_cells(f):
-        anc = f.anchored()
-        return [((m, n), sft.alphabet.index(sym)) for (m, n), sym in anc.cells]
+    def __init__(self, sft: SftSpec, height: int, transposed: bool):
+        self.q = sft.nsymbols
+        self.height = height
+        # per fitting pattern: its row extent, the row of its last cell and
+        # (age, symbol) per cell, where age counts cells back from the last
+        self.patterns = []
+        for f in sft.forbidden:
+            rows = f.ncols_extent if transposed else f.nrows_extent
+            if rows > height:
+                continue
+            cells = sorted(((n * height + m, m) if transposed else (m * height + n, n))
+                           + (sft.alphabet.index(sym),)
+                           for (m, n), sym in f.anchored().cells)
+            last, last_row, _ = cells[-1]
+            self.patterns.append((rows, last_row,
+                                  tuple((last - off, s) for off, _, s in cells)))
+        self.span = max([height] + [cells[0][0] for _, _, cells in self.patterns])
+        self.vec = None
+        self.first = self.steady = None
+        self.cell = 0
+        self.totals = [1]
 
-    relevant = [f for f in sft.forbidden if f.nrows_extent <= height]
-    valid = np.ones(S, bool)
-    for f in relevant:
-        if f.ncols_extent != 1:
-            continue
-        cells = norm_cells(f)
-        h = f.nrows_extent
-        for off in range(height - h + 1):
-            hit = np.ones(S, bool)
-            for (_, dn), sidx in cells:
-                hit &= digits[:, off + dn] == sidx
-            valid &= ~hit
-    vstates = np.nonzero(valid)[0]
-    nV = len(vstates)
-    if nV == 0:
-        return ("direct", 0, [], None)
-    dv = digits[vstates]
+    def _hits(self, i: int) -> np.ndarray:
+        """States, after cell ``i`` is appended, in which a forbidden
+        placement completes at cell ``i``.  Placements reaching before
+        cell 0, hence before column 0, are skipped."""
+        q = self.q
+        ndigits = min(i, self.span) + 1
+        row = i % self.height
+        states = np.arange(q ** ndigits)
+        hit = np.zeros(states.size, bool)
+        for rows, last_row, cells in self.patterns:
+            if cells[0][0] > i or not 0 <= row - last_row <= self.height - rows:
+                continue
+            match = np.ones(states.size, bool)
+            for age, sym in cells:
+                match &= states // q ** (ndigits - 1 - age) % q == sym
+            hit |= match
+        return np.flatnonzero(hit)
 
-    allowed = np.ones((nV, nV), bool)
-    for f in relevant:
-        if f.ncols_extent != 2:
-            continue
-        cells = norm_cells(f)
-        h = f.nrows_extent
-        for off in range(height - h + 1):
-            m0 = np.ones(nV, bool)
-            m1 = np.ones(nV, bool)
-            for (dm, dn), sidx in cells:
-                if dm == 0:
-                    m0 &= dv[:, off + dn] == sidx
+    def total(self, width: int) -> int:
+        """Count on the ``width`` x height rectangle of this orientation."""
+        if self.vec is None:
+            self.vec = np.ones(1, dtype=object)
+            # one list per cell until the state is full, then one per row,
+            # each built from a cell index past the first L in that row
+            self.first = [self._hits(i) for i in range(self.span)]
+            self.steady = [self._hits(self.span + (r - self.span) % self.height)
+                           for r in range(self.height)]
+        q = self.q
+        while len(self.totals) <= width:
+            for _ in range(self.height):
+                i = self.cell
+                grown = np.tile(self.vec, q)
+                if i < self.span:
+                    grown[self.first[i]] = 0
+                    self.vec = grown
                 else:
-                    m1 &= dv[:, off + dn] == sidx
-            allowed &= ~(m0[:, None] & m1[None, :])
-
-    n_allowed = int(allowed.sum())
-    if 2 * n_allowed <= nV * nV:
-        direct = [np.nonzero(allowed[:, t])[0].tolist() for t in range(nV)]
-        return ("direct", nV, direct, None)
-    banned = [np.nonzero(~allowed[:, t])[0].tolist() for t in range(nV)]
-    return ("complement", nV, None, banned)
+                    grown[self.steady[i % self.height]] = 0
+                    vec = grown[0::q]
+                    for s in range(1, q):
+                        vec = vec + grown[s::q]
+                    self.vec = vec
+                self.cell = i + 1
+            self.totals.append(int(self.vec.sum()))
+        return self.totals[width]
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +480,14 @@ def _column_tables(sft: SftSpec, height: int):
 def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto",
                              max_free_cells: int = DEFAULT_MAX_FREE_CELLS,
                              max_states: int = DEFAULT_MAX_STATES,
-                             workers: int | None = None,
                              counter: RectCounter | None = None) -> int:
     """Number of patterns on ``support`` with no forbidden translate inside it.
 
     Equals |A|^|support| for the full shift and upper-bounds the number of
     restrictions of genuine subshift points; the two coincide for the
-    certified fixture families.  ``algorithm`` forces "dp" (rectangle
-    transfer) or "backtracking"; "auto" picks the transfer DP when the
-    support is a rectangle the DP applies to.
+    certified fixture families.  ``algorithm`` forces "dp" (the rectangle
+    transfer sweep of ``RectCounter``) or "backtracking"; "auto" uses the
+    sweep for 2D rectangles and the block transfer graph for 1D intervals.
     """
     pts = _support_points(support)
     if len(pts) == 0:
@@ -570,8 +517,8 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto",
             return out
         if algorithm == "dp":
             raise ResourceGuardError(
-                f"transfer DP does not apply to this rectangle "
-                f"({rect.ncols}x{rect.nrows}, state guard {max_states})")
+                f"the transfer profile of this {rect.ncols}x{rect.nrows} rectangle "
+                f"exceeds the state guard {rc.max_states}")
     elif algorithm == "dp":
         raise ValueError("algorithm='dp' needs a 2D rectangle support")
 
@@ -579,7 +526,7 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto",
         raise ResourceGuardError(
             f"support has {len(pts)} cells, above the backtracking guard "
             f"{max_free_cells}; raise max_free_cells to override")
-    return _backtrack_count_support(sft, pts.points, workers)
+    return _backtrack_count_support(sft, pts.points)
 
 
 def enumerate_locally_admissible(sft: SftSpec, support, *,

@@ -339,6 +339,17 @@ class TestTameGrowth:
         assert md.tame_growth_check(full2, spec2, 0.1, 64).verdict == "consistent"
         assert md.tame_growth_check(full2, spec2, 1.0, 16).verdict == "consistent"
 
+    def test_square_route_matches_point_sets(self, full2, goldenrow, threedot):
+        # sup-norm balls are counted as squares; l2 balls are not rectangles
+        # and go to backtracking, which visits every golden-row pattern
+        for sft in (full2, goldenrow, threedot):
+            for norm, Mmax in (("linf", 6), ("l2", 3)):
+                spec = md.MetricSpec(2.0, norm)
+                res = md.tame_growth_check(sft, spec, 0.1, Mmax)
+                for M, v in res.table:
+                    c = md.count_locally_admissible(sft, md.norm_ball(M - 1, norm))
+                    assert v == spec.epsilon_at(M) ** 0.1 * math.log2(c)
+
     def test_single_symbol_all_zero(self, spec2):
         res = md.tame_growth_check(md.full_shift(("0",)), spec2, 0.5, 8)
         assert all(v == 0.0 for _, v in res.table)

@@ -1,14 +1,13 @@
 import math
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import meandim as md
 from meandim import IntRect, LatticeSet, Pattern
 from meandim.errors import EmptyLanguageError, ResourceGuardError
-from meandim.subshift import (RectCounter, _backtrack_count_support,
-                              _one_d_extendable, base_of_row_lift,
-                              transfer_graph_1d)
+from meandim.subshift import (RectCounter, _CellSweep, _one_d_extendable,
+                              base_of_row_lift, transfer_graph_1d)
 
 from conftest import LOG2_PHI
 
@@ -19,6 +18,21 @@ def fib_count(n):
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+@st.composite
+def small_specs(draw):
+    """2D SFTs on at most 3 symbols whose forbidden patterns fit inside a
+    2x2, 1x3 or 3x1 box, so spans cover diagonals and three columns."""
+    q = draw(st.integers(1, 3))
+    pats = []
+    for _ in range(draw(st.integers(1, 3))):
+        bw, bh = draw(st.sampled_from([(2, 2), (1, 3), (3, 1)]))
+        cells = draw(st.lists(st.tuples(st.integers(0, bw - 1), st.integers(0, bh - 1)),
+                              min_size=1, max_size=3, unique=True))
+        pats.append(Pattern.from_dict(
+            {pt: str(draw(st.integers(0, q - 1))) for pt in cells}))
+    return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
 
 
 class TestPatterns:
@@ -76,22 +90,23 @@ class TestCounts:
                     bt = md.count_locally_admissible(sft, rect, algorithm="backtracking")
                     assert dp == bt, (sft.certified, w, h)
 
-    def test_dp_and_backtracking_agree_random_specs(self):
-        rng = np.random.default_rng(99)
-        alph = md.alphabet("0", "1")
-        for _ in range(25):
-            pats = []
-            for _ in range(int(rng.integers(1, 4))):
-                cells = {}
-                for _ in range(int(rng.integers(1, 4))):
-                    cells[(int(rng.integers(0, 2)), int(rng.integers(0, 3)))] = \
-                        str(int(rng.integers(0, 2)))
-                pats.append(Pattern.from_dict(cells))
-            sft = md.SftSpec(2, alph, tuple(pats))
-            w, h = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            rect = IntRect(0, w - 1, 0, h - 1)
-            assert (md.count_locally_admissible(sft, rect, algorithm="dp")
-                    == md.count_locally_admissible(sft, rect, algorithm="backtracking"))
+    @settings(max_examples=400, deadline=None)
+    @given(small_specs(), st.integers(1, 5), st.integers(1, 5))
+    def test_dp_and_backtracking_agree_random_specs(self, sft, w, h):
+        assume(sft.nsymbols ** (w * h) <= 4096)
+        rect = IntRect(0, w - 1, 0, h - 1)
+        # no backtracking fallback, so every count below is a transfer sweep
+        dp = md.count_locally_admissible(sft, rect, algorithm="dp", max_free_cells=0)
+        bt = md.count_locally_admissible(sft, rect, algorithm="backtracking")
+        assert dp == bt == len(list(md.enumerate_locally_admissible(sft, rect)))
+        assert _CellSweep(sft, h, False).total(w) == _CellSweep(sft, w, True).total(h) == dp
+        flipped = md.SftSpec(2, sft.alphabet, tuple(
+            Pattern(tuple(((n, m), sym) for (m, n), sym in f.cells)) for f in sft.forbidden))
+        assert RectCounter(flipped, max_free_cells=0).count(h, w) == dp
+        rc = RectCounter(sft, max_free_cells=0)
+        assert rc.count(w, h) == dp
+        for narrower in range(1, w):
+            assert rc.count(narrower, h) == RectCounter(sft, max_free_cells=0).count(narrower, h)
 
     def test_counts_on_translated_supports_match(self, goldenrow):
         a = md.count_locally_admissible(goldenrow, IntRect(0, 3, 0, 2))
@@ -134,12 +149,6 @@ class TestCounts:
         with pytest.raises(ResourceGuardError):
             md.count_locally_admissible(goldenrow, md.lambda_set(1, 1, 3, 30),
                                         max_free_cells=64)
-
-    def test_worker_split_is_bit_identical(self, threedot):
-        pts = LatticeSet.from_rect(IntRect(0, 3, 0, 3)).points
-        one = _backtrack_count_support(threedot, pts, workers=1)
-        two = _backtrack_count_support(threedot, pts, workers=2)
-        assert one == two == 2 ** 7
 
 
 class TestEnumeration:
@@ -288,14 +297,3 @@ class TestTransferGraph:
         nodes, T = transfer_graph_1d(golden1d)
         assert nodes == [("0",), ("1",)]
         assert T.tolist() == [[1, 1], [1, 0]]
-
-    def test_dense_transitions_use_complement_lists(self, goldenrow):
-        # short columns leave most transitions allowed, so the sweep stores
-        # the banned predecessors instead; counts must agree either way
-        from meandim.subshift import _column_tables
-        mode2, *_ = _column_tables(goldenrow, 2)
-        mode3, *_ = _column_tables(goldenrow, 3)
-        assert mode2 == "complement" and mode3 == "direct"
-        rc = md.RectCounter(goldenrow)
-        assert rc.count(6, 2) == md.count_locally_admissible(
-            goldenrow, IntRect(0, 5, 0, 1), algorithm="backtracking")
