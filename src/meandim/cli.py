@@ -167,6 +167,22 @@ def _write_csv(path: str, tables: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_report(report: dict, fh) -> None:
+    """Write a report as indented JSON.  Exact counts can exceed Python's
+    int-to-str digit limit, so the limit is lifted for the encoding only."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        text = json.dumps(report, sort_keys=True, indent=2)
+    else:
+        limit = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    fh.write(text + "\n")
+
+
 def run_command(argv) -> tuple[int, dict]:
     """Run one subcommand; returns (exit code, JSON-ready report)."""
     parser = build_parser()
@@ -188,8 +204,7 @@ def run_command(argv) -> tuple[int, dict]:
     out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            _write_report(report, fh)
         report["_written_to"] = out_path
     return code, report
 
@@ -203,8 +218,7 @@ def main(argv=None) -> int:
     if written:
         print(f"report written to {written}")
     else:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        _write_report(report, sys.stdout)
     return code
 
 

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import EmptyLanguageError, ResourceGuardError
+from .errors import EmptyLanguageError, MeandimError, ResourceGuardError
 from .lattice import IntRect, LatticeSet, Point
 
 DEFAULT_MAX_FREE_CELLS = 64
@@ -304,27 +304,9 @@ def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
     return [sorted(g) for g in groups]
 
 
-def _placement_csr(groups):
-    grp_indptr = np.zeros(len(groups) + 1, np.int64)
-    pl_indptr = [0]
-    pl_cell: list[int] = []
-    pl_sym: list[int] = []
-    for i, g in enumerate(groups):
-        grp_indptr[i + 1] = grp_indptr[i] + len(g)
-        for placement in g:
-            for cell, sym in placement:
-                pl_cell.append(cell)
-                pl_sym.append(sym)
-            pl_indptr.append(len(pl_cell))
-    return (grp_indptr,
-            np.asarray(pl_indptr, np.int64),
-            np.asarray(pl_cell, np.int64),
-            np.asarray(pl_sym, np.int64))
-
-
 def _backtrack_count_support(sft: SftSpec, points: tuple[Point, ...]) -> int:
-    csr = _placement_csr(_placement_groups(sft, points))
-    return kernels.backtrack_count(len(points), sft.nsymbols, *csr)
+    return kernels.backtrack_count(len(points), sft.nsymbols,
+                                   _placement_groups(sft, points))
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +649,30 @@ def transfer_matrix_entropy_1d(sft: SftSpec) -> float:
     return math.log2(rho)
 
 
-def perron_eigendata(T: np.ndarray, iterations: int = 300):
-    """Perron root with right and left positive eigenvectors.
+def perron_eigendata(T: np.ndarray):
+    """Perron root with right and left positive eigenvectors, each summing to 1.
 
-    Shifted power iteration on T + I, which is primitive whenever T is
-    irreducible, so periodic transition graphs converge too.
+    A dense eigensolve of the (small) irreducible matrix T; the Perron root
+    is the eigenvalue of largest real part, which for a periodic graph
+    singles it out among the eigenvalues of the same modulus.  Raises
+    MeandimError when an eigenvector is not positive or leaves a residual
+    ||Tv - lam v|| above 1e-9 lam.
     """
-    n = T.shape[0]
     Tf = T.astype(float)
-    v = np.full(n, 1.0 / n)
-    u = np.full(n, 1.0 / n)
-    for _ in range(iterations):
-        w = Tf @ v + v
-        if w.sum() == 0:
+    vecs = []
+    for M in (Tf, Tf.T):
+        w, V = np.linalg.eig(M)
+        k = int(np.argmax(w.real))
+        lam = float(w[k].real)
+        if lam <= 0:
             raise EmptyLanguageError("transition graph has no Perron direction")
-        v = w / w.sum()
-        z = Tf.T @ u + u
-        u = z / z.sum()
-    lam = float((Tf @ v).sum() / v.sum())
-    return lam, v, u
+        v = (V[:, k] / V[:, k].sum()).real
+        if v.min() <= 0 or np.linalg.norm(M @ v - lam * v) > 1e-9 * lam * np.linalg.norm(v):
+            raise MeandimError(
+                f"Perron eigenvector of the {T.shape[0]}x{T.shape[0]} transition "
+                f"matrix is not positive or leaves a large residual")
+        vecs.append(v)
+    return lam, vecs[0], vecs[1]
 
 
 def strongly_connected(T: np.ndarray) -> bool:
@@ -693,9 +680,12 @@ def strongly_connected(T: np.ndarray) -> bool:
     if n == 0:
         return False
     reach = (T > 0) | np.eye(n, dtype=bool)
-    for _ in range(n):
-        reach = reach | (reach @ reach)
-    return bool(reach.all())
+    while True:
+        # reach holds paths of length <= k; squaring doubles k
+        wider = reach @ reach
+        if (wider == reach).all():
+            return bool(reach.all())
+        reach = wider
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,6 @@ def criterion(capfd):
     return emit
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT-compile both kernels once so per-criterion timings measure the
-    # algorithms, not compiler startup.
-    md.count_locally_admissible(md.three_dot(), IntRect(0, 1, 0, 1),
-                                algorithm="backtracking")
-    md.blahut_arimoto(md.binary_hamming_problem(), 2.0, tol=1e-6)
-
-
 def test_criterion_1_full_shift_metric_mean_dimension(criterion):
     t0 = time.perf_counter()
     full2 = md.full_shift(("0", "1"))

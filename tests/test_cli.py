@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 import meandim as md
 from meandim import run_command
+from meandim.cli import main
 from meandim.errors import ParseError
 from meandim.files import (parse_measure_text, parse_sft_text, write_measure,
                            write_sft)
@@ -277,3 +279,30 @@ class TestReportContract:
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["command"] == "lambda-density"
+
+    @pytest.mark.parametrize("value", ["numba", "bogus"])
+    def test_former_backend_variable_is_ignored(self, fixtures_dir, value):
+        # the variable once picked a kernel backend and raised at import
+        proc = subprocess.run(
+            [sys.executable, "-m", "meandim.cli", "count",
+             "--sft", fx(fixtures_dir, "goldenrow.sft"), "--box", "3"],
+            capture_output=True, text=True, env={**os.environ, "MEANDIM_BACKEND": value})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["count"] == 5 ** 3
+
+    def test_count_above_int_digit_limit(self, fixtures_dir, tmp_path, capsys):
+        # about 6,270 digits, past Python's default 4,300-digit int-to-str limit
+        argv = ["count", "--sft", fx(fixtures_dir, "goldenmean1d.sft"), "--length", "30000"]
+        out = tmp_path / "count.json"
+        limit = sys.get_int_max_str_digits()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        want = md.word_count_1d(md.golden_mean_1d(), 30000)
+        sys.set_int_max_str_digits(0)
+        try:
+            for text in (printed, out.read_text()):
+                assert json.loads(text)["results"]["count"] == want
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 import meandim as md
 from meandim import FiniteDistribution, IntRect, JointDistribution, MeasureSpec
+from meandim.errors import MeandimError
+from meandim.subshift import perron_eigendata
 
 from conftest import LOG2_PHI
 
@@ -126,14 +128,35 @@ class TestMeasures:
             md.parry_measure(sft)
 
     def test_parry_on_periodic_graph(self):
-        # the alternating shift has a period-2 transition graph; the shifted
-        # power iteration must still converge to its (zero-entropy) measure
+        # the alternating shift has a period-2 transition graph, whose two
+        # eigenvalues of modulus 1 must not hide its (zero-entropy) measure
         bad = (md.Pattern.from_dict({(0, 0): "0", (1, 0): "0"}),
                md.Pattern.from_dict({(0, 0): "1", (1, 0): "1"}))
         alt = md.SftSpec(1, md.alphabet("0", "1"), bad)
         pm = md.parry_measure(alt)
         assert pm.stationary == (0.5, 0.5)
         assert md.ks_entropy(pm) == 0.0
+
+    def test_parry_on_long_cycle_with_self_loop(self):
+        # a 12-cycle plus one self-loop: irreducible, aperiodic, and slow for
+        # power iteration, which left rows off 1 by 3e-10 after 300 steps
+        q = 12
+        syms = tuple(str(i) for i in range(q))
+        allowed = {(i, (i + 1) % q) for i in range(q)} | {(0, 0)}
+        bad = tuple(md.Pattern.from_dict({(0, 0): syms[i], (1, 0): syms[j]})
+                    for i in range(q) for j in range(q) if (i, j) not in allowed)
+        pm = md.parry_measure(md.SftSpec(1, md.alphabet(*syms), bad))
+        P, pi = pm.P(), pm.pi()
+        assert np.abs(P.sum(axis=1) - 1).max() < 1e-12
+        assert np.abs(pi @ P - pi).max() < 1e-12
+        # the entropy is log2 of the Perron root of x^12 = x^11 + 1
+        lam = max(r.real for r in np.roots([1, -1] + [0] * 10 + [-1]) if abs(r.imag) < 1e-9)
+        assert abs(md.ks_entropy(pm) - math.log2(lam)) < 1e-12
+
+    def test_perron_check_refuses_non_positive_vector(self):
+        # a Jordan block has no positive eigenvector; the self-check says so
+        with pytest.raises(MeandimError):
+            perron_eigendata(np.array([[1, 1], [0, 1]]))
 
     def test_check_support(self, goldenrow, threedot, parry, bern_half):
         md.check_support(parry, goldenrow)  # fine

@@ -4,7 +4,6 @@ import pytest
 import meandim as md
 from meandim import FiniteDistribution, RdProblem
 from meandim.errors import NonConvergenceError
-from meandim.kernels import HAVE_NUMBA, _ba_numpy, ba_solve
 
 
 class TestBlahutArimoto:
@@ -105,26 +104,3 @@ class TestProcessLevelProblem:
         pt = md.blahut_arimoto(prob, slope=8.0, tol=1e-10)
         assert 0.0 <= pt.rate <= 1.0
 
-
-class TestBackendAgreement:
-    def test_numpy_and_active_backend_agree(self):
-        rng = np.random.default_rng(8)
-        p = rng.random(5)
-        p /= p.sum()
-        rho = rng.random((5, 4)) * 3
-        ref = _ba_numpy(p, rho, 2.5, 1e-10, 50_000)
-        got = ba_solve(p, rho, 2.5, 1e-10, 50_000)
-        assert abs(ref[0] - got[0]) < 1e-9
-        assert abs(ref[1] - got[1]) < 1e-9
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_jit_path_matches_numpy_path(self):
-        from meandim.kernels import _ba_loops_nb
-
-        rng = np.random.default_rng(9)
-        p = rng.random(4)
-        p /= p.sum()
-        rho = rng.random((4, 6)) * 2
-        a = _ba_numpy(p, rho, 1.3, 1e-10, 50_000)
-        b = _ba_loops_nb(p, rho, 1.3, 1e-10, 50_000)
-        assert abs(a[0] - b[0]) < 1e-9 and abs(a[1] - b[1]) < 1e-9

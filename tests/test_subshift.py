@@ -21,18 +21,20 @@ def fib_count(n):
 
 
 @st.composite
-def small_specs(draw):
-    """2D SFTs on at most 3 symbols whose forbidden patterns fit inside a
-    2x2, 1x3 or 3x1 box, so spans cover diagonals and three columns."""
+def small_specs(draw, dimension=2):
+    """SFTs on at most 3 symbols whose forbidden patterns fit inside a 2x2,
+    1x3 or 3x1 box (2D), so spans cover diagonals and three columns, or
+    inside a word of width 3 (1D)."""
     q = draw(st.integers(1, 3))
+    boxes = [(2, 2), (1, 3), (3, 1)] if dimension == 2 else [(3, 1)]
     pats = []
     for _ in range(draw(st.integers(1, 3))):
-        bw, bh = draw(st.sampled_from([(2, 2), (1, 3), (3, 1)]))
+        bw, bh = draw(st.sampled_from(boxes))
         cells = draw(st.lists(st.tuples(st.integers(0, bw - 1), st.integers(0, bh - 1)),
                               min_size=1, max_size=3, unique=True))
         pats.append(Pattern.from_dict(
             {pt: str(draw(st.integers(0, q - 1))) for pt in cells}))
-    return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
+    return md.SftSpec(dimension, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
 
 
 class TestPatterns:
@@ -107,6 +109,23 @@ class TestCounts:
         assert rc.count(w, h) == dp
         for narrower in range(1, w):
             assert rc.count(narrower, h) == RectCounter(sft, max_free_cells=0).count(narrower, h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_specs(), st.one_of(
+        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(md.bowen_window,
+                  st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
+                  st.integers(1, 3), st.integers(1, 2))))
+    def test_backtracking_matches_enumeration_off_rectangles(self, sft, support):
+        assume(sft.nsymbols ** len(support) <= 2 ** 13)
+        bt = md.count_locally_admissible(sft, support, algorithm="backtracking")
+        assert bt == len(list(md.enumerate_locally_admissible(sft, support)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_specs(dimension=1), st.integers(1, 9))
+    def test_word_count_1d_matches_backtracking(self, sft, length):
+        assert md.word_count_1d(sft, length) == md.count_locally_admissible(
+            sft, md.row_interval(length), algorithm="backtracking")
 
     def test_counts_on_translated_supports_match(self, goldenrow):
         a = md.count_locally_admissible(goldenrow, IntRect(0, 3, 0, 2))
