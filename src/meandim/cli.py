@@ -25,9 +25,9 @@ from .information import (MeasureSpec, default_rdim_schedule, ks_entropy,
                           parry_measure, rdim_bounds)
 from .lattice import (IntRect, LatticeSet, greedy_disjoint_subcover,
                       lambda_density, rect_triple)
-from .subshift import (RectCounter, SftSpec, base_of_row_lift,
+from .subshift import (SftSpec, base_of_row_lift,
                        box_entropy_estimate, count_locally_admissible,
-                       row_interval, transfer_matrix_entropy_1d)
+                       transfer_matrix_entropy_1d)
 
 SCHEMA = 1
 
@@ -253,22 +253,24 @@ def _cmd_count(args) -> dict:
     if args.length is not None:
         if sft.dimension != 1:
             raise CliError("--length applies to 1D subshifts")
-        support = row_interval(args.length)
+        if args.length < 1:
+            raise CliError("--length must be positive")
+        support = IntRect(0, args.length - 1, 0, 0)
         desc = f"[0,{args.length})x{{0}}"
     elif args.box is not None:
-        support = LatticeSet.from_rect(IntRect(0, args.box - 1, 0, args.box - 1))
+        support = IntRect(0, args.box - 1, 0, args.box - 1)
         desc = f"[0,{args.box - 1}]^2"
     else:
         if len(args.rect) != 4:
             raise CliError("--rect expects a,b,c,d")
-        support = LatticeSet.from_rect(IntRect(*args.rect))
+        support = IntRect(*args.rect)
         desc = f"[{args.rect[0]},{args.rect[1]}]x[{args.rect[2]},{args.rect[3]}]"
     c = count_locally_admissible(sft, support, algorithm=args.algorithm)
     return {
         "command": "count",
         "inputs": {"sft": args.sft, "support": desc, "algorithm": args.algorithm},
         "results": {"count": c, "log2_count": math.log2(c) if c else None,
-                    "cells": len(support)},
+                    "cells": support.cardinality()},
     }
 
 
@@ -490,10 +492,8 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             "the search guards)")
 
     sched = list(Mschedule) if Mschedule else list(DEFAULT_M_SCHEDULE)
-    counter = RectCounter(sft)
-    mm = mmdim_estimate(sft, spec, action, sched, Nfactor, counter=counter)
-    lower, upper = mhdim_bounds(sft, measure, spec, action, sched, Nfactor,
-                                counter=counter)
+    mm = mmdim_estimate(sft, spec, action, sched, Nfactor)
+    lower, upper = mhdim_bounds(sft, measure, spec, action, sched, Nfactor)
     results["mmdim"] = _estimate_dict(mm)
     results["mhdim_upper"] = _estimate_dict(upper)
     results["mhdim_lower"] = _estimate_dict(lower)

@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyLanguageError
+from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, fit_limit
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
 from .lattice import IntRect, LatticeSet, norm_ball
-from .subshift import Pattern, RectCounter, SftSpec, count_locally_admissible, word_count_1d
+from .subshift import Pattern, SftSpec, count_locally_admissible, word_count_1d
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> Latt
 
 
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
-                    epsilon: float, *, counter: RectCounter | None = None) -> int:
+                    epsilon: float) -> int:
     """Minimum number of sets of d_N-diameter below epsilon covering X.
 
     Computed as the locally admissible pattern count on the Bowen window:
@@ -179,14 +179,14 @@ def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
     if epsilon > 1:
         return 1
     M = resolution_index(spec, epsilon).M
-    return covering_count(sft, spec, action, N, M, counter=counter)
+    return covering_count(sft, spec, action, N, M)
 
 
 def covering_count(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
-                   M: int, *, counter: RectCounter | None = None) -> int:
+                   M: int) -> int:
     """Pattern count on the Bowen window W(M, N)."""
     window = bowen_window(action, N, M, spec.norm)
-    return count_locally_admissible(sft, window, counter=counter)
+    return count_locally_admissible(sft, window)
 
 
 class EntropySlope(NamedTuple):
@@ -196,8 +196,7 @@ class EntropySlope(NamedTuple):
 
 
 def entropy_at_resolution(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
-                          epsilon: float, Nschedule: Sequence[int], *,
-                          counter: RectCounter | None = None) -> EntropySlope:
+                          epsilon: float, Nschedule: Sequence[int]) -> EntropySlope:
     """Growth rate of log2 covering numbers per iterate at one resolution.
 
     The slope between the two largest scheduled N values, plus the full
@@ -208,8 +207,7 @@ def entropy_at_resolution(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
     if len(Ns) < 2:
         raise ValueError("entropy_at_resolution needs at least two N values")
     M = resolution_index(spec, epsilon).M
-    rc = counter if counter is not None else RectCounter(sft)
-    table = tuple((N, _log2_count(covering_count(sft, spec, action, N, M, counter=rc)))
+    table = tuple((N, _log2_count(covering_count(sft, spec, action, N, M)))
                   for N in Ns)
     (N1, l1), (N2, l2) = table[-2], table[-1]
     return EntropySlope((l2 - l1) / (N2 - N1), M, table)
@@ -229,8 +227,8 @@ def _n_pair(M: int, Nfactor: int) -> tuple[int, int]:
 
 
 def mmdim_estimate(sft: SftSpec, spec: MetricSpec, action: ActionSpec = ActionSpec(),
-                   Mschedule: Sequence[int] = DEFAULT_M_SCHEDULE, Nfactor: int = 16,
-                   *, counter: RectCounter | None = None) -> DimensionEstimate:
+                   Mschedule: Sequence[int] = DEFAULT_M_SCHEDULE,
+                   Nfactor: int = 16) -> DimensionEstimate:
     """Metric mean dimension estimate.
 
     Per scheduled M the ratio v_M = S(eps_M) / log2(1/eps_M) with
@@ -242,13 +240,11 @@ def mmdim_estimate(sft: SftSpec, spec: MetricSpec, action: ActionSpec = ActionSp
         raise ValueError("mmdim_estimate wants at least three M values")
     if Ms[0] < 2:
         raise ValueError("the M schedule must start at 2 (log(1/eps) vanishes at M=1)")
-    rc = counter if counter is not None else RectCounter(sft)
     seq = []
     sched = []
     for M in Ms:
         lo, hi = _n_pair(M, Nfactor)
-        slope = entropy_at_resolution(sft, spec, action, spec.epsilon_at(M),
-                                      (lo, hi), counter=rc)
+        slope = entropy_at_resolution(sft, spec, action, spec.epsilon_at(M), (lo, hi))
         seq.append(slope.value / ((M - 1) * spec.log2_alpha))
         sched.append((M, hi))
     v_inf, c = fit_limit([1.0 / (M - 1) for M in Ms], seq)
@@ -258,8 +254,7 @@ def mmdim_estimate(sft: SftSpec, spec: MetricSpec, action: ActionSpec = ActionSp
 
 
 def hausdorff_upper_at_scale(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
-                             N: int, M: int, Mcap: int, *,
-                             counter: RectCounter | None = None) -> float:
+                             N: int, M: int, Mcap: int) -> float:
     """Upper bound on the Hausdorff exponent of d_N at scale eps_M.
 
     The uniform depth-M' cylinder cover has covering_count(M', N) members
@@ -269,9 +264,8 @@ def hausdorff_upper_at_scale(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
     """
     if M > Mcap:
         raise ValueError("M must not exceed Mcap")
-    rc = counter if counter is not None else RectCounter(sft)
     return min(
-        _log2_count(covering_count(sft, spec, action, N, Mp, counter=rc))
+        _log2_count(covering_count(sft, spec, action, N, Mp))
         / (Mp * spec.log2_alpha)
         for Mp in range(M, Mcap + 1))
 
@@ -301,7 +295,6 @@ def hausdorff_lower_at_scale(sft: SftSpec, measure: MeasureSpec, spec: MetricSpe
 def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
                  action: ActionSpec = ActionSpec(),
                  Mschedule: Sequence[int] = DEFAULT_M_SCHEDULE, Nfactor: int = 16,
-                 *, counter: RectCounter | None = None
                  ) -> tuple[DimensionEstimate | None, DimensionEstimate]:
     """Mean Hausdorff dimension bracket (lower needs a measure).
 
@@ -317,7 +310,6 @@ def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     if Ms[0] < 1:
         raise ValueError("M schedule must be positive")
     Mcap = Ms[-1]
-    rc = counter if counter is not None else RectCounter(sft)
     if measure is not None:
         check_support(measure, sft)
 
@@ -330,8 +322,7 @@ def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     lower_ratio = {}
     for Mp in range(Ms[0], Mcap + 1):
         lo, hi = _n_pair(Mp, Nfactor)
-        slope = entropy_at_resolution(sft, spec, action, spec.epsilon_at(Mp),
-                                      (lo, hi), counter=rc)
+        slope = entropy_at_resolution(sft, spec, action, spec.epsilon_at(Mp), (lo, hi))
         upper_ratio[Mp] = slope.value / (Mp * spec.log2_alpha)
         if measure is not None:
             g_lo = -max_cylinder_log2_prob(measure, bowen_window(action, lo, Mp, spec.norm))
@@ -364,10 +355,15 @@ def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
         lower = DimensionEstimate(l_inf, "lower-bound", sched, tuple(l_seq),
                                   "v = v_inf + c/M", (l_inf, lc))
         if lower.value > upper.value + 1e-9:
-            raise AssertionError(
+            raise InvertedBoundsError(
                 f"mass-distribution lower bound {lower.value} exceeds the "
                 f"uniform-cover upper bound {upper.value}")
     return lower, upper
+
+
+# largest Mmax of tame_growth_check; the full shift's count at depth M is
+# q^((2M-1)^2), whose size makes run time grow about as M^4
+MAX_TAME_M = 256
 
 
 class TameGrowthResult(NamedTuple):
@@ -375,8 +371,8 @@ class TameGrowthResult(NamedTuple):
     verdict: str  # "consistent" | "inconclusive"
 
 
-def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float, Mmax: int, *,
-                      counter: RectCounter | None = None) -> TameGrowthResult:
+def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
+                      Mmax: int) -> TameGrowthResult:
     """Check eps^delta * log2 #(X, d, eps) along eps_M = alpha^-(M-1).
 
     Uses the static metric (no dynamics): the window at resolution M is
@@ -390,13 +386,17 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float, Mmax: int, *
         raise ValueError("delta must be positive")
     if Mmax < 2:
         raise ValueError("Mmax must be at least 2")
-    rc = counter if counter is not None else RectCounter(sft)
+    if Mmax > MAX_TAME_M:
+        raise ResourceGuardError(
+            f"Mmax {Mmax} is above the tame-check guard {MAX_TAME_M}; the window at "
+            f"depth M has (2M-1)^2 cells, and the full shift counts q^((2M-1)^2) on it")
     rows = []
     for M in range(1, Mmax + 1):
         if spec.norm == "linf":
-            c = rc.count(2 * M - 1, 2 * M - 1)
+            window = IntRect(1 - M, M - 1, 1 - M, M - 1)
         else:
-            c = count_locally_admissible(sft, norm_ball(M - 1, spec.norm), counter=rc)
+            window = norm_ball(M - 1, spec.norm)
+        c = count_locally_admissible(sft, window)
         rows.append((M, spec.epsilon_at(M) ** delta * _log2_count(c)))
     tail = max(2, Mmax // 4)
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]

@@ -9,12 +9,16 @@ class ResourceGuardError(MeandimError):
     """A computation would exceed its configured resource guard.
 
     Raised instead of silently truncating; the message says which guard
-    fired and which knob raises it.
+    fired.
     """
 
 
 class EmptyLanguageError(MeandimError):
     """The subshift admits no bi-infinite point."""
+
+
+class InvertedBoundsError(MeandimError):
+    """A lower bound came out above the matching upper bound."""
 
 
 class NotTotallyOrderedError(MeandimError):

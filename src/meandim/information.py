@@ -91,12 +91,6 @@ class JointDistribution:
     def matrix_array(self) -> np.ndarray:
         return np.asarray(self.matrix, float)
 
-    def marginal_x(self) -> np.ndarray:
-        return self.matrix_array().sum(axis=1)
-
-    def marginal_y(self) -> np.ndarray:
-        return self.matrix_array().sum(axis=0)
-
 
 def mutual_information(joint: JointDistribution) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y), in bits."""

@@ -56,9 +56,6 @@ class IntRect:
             for n in range(self.c, self.d + 1):
                 yield (m, n)
 
-    def contains_point(self, u: Point) -> bool:
-        return self.a <= u[0] <= self.b and self.c <= u[1] <= self.d
-
     def contains(self, other: "IntRect") -> bool:
         return (self.a <= other.a and other.b <= self.b
                 and self.c <= other.c and other.d <= self.d)

@@ -7,15 +7,15 @@ computes 1D topological entropy through the transfer-matrix method, and
 builds the exactly tractable fixture families used as ground truth:
 full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
-Counts are arbitrary-precision integers.  Rectangle supports go through
-one transfer sweep that adds a cell at a time (the transfer-matrix count
-of Calkin and Wilf for the hard-square model), for forbidden patterns
-of any shape; its state is the symbols of the last L cells, and
-``max_states`` bounds the profile q^L.  Other supports, and rectangles
-whose profile exceeds the guard in both orientations, go through
-backtracking with pruning at the moment a forbidden pattern completes
-(at most ``max_free_cells`` cells).  The two paths are tested to agree
-on random small specs.
+Counts are arbitrary-precision integers, and ``count_locally_admissible``
+is the one place that chooses how to count: the closed form q^cells when
+no forbidden pattern fits, the block transfer graph for 1D intervals, a
+transfer sweep for 2D rectangles that adds a cell at a time (the
+transfer-matrix count of Calkin and Wilf for the hard-square model),
+whose state is the symbols of the last L cells and whose profile q^L is
+bounded by ``MAX_STATES``, and otherwise backtracking with pruning at the
+moment a forbidden pattern completes, on at most ``MAX_FREE_CELLS``
+cells.  The paths are tested to agree on random small specs.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from . import kernels
 from .errors import EmptyLanguageError, MeandimError, ResourceGuardError
 from .lattice import IntRect, LatticeSet, Point
 
-DEFAULT_MAX_FREE_CELLS = 64
-DEFAULT_MAX_STATES = 4096
+MAX_FREE_CELLS = 64
+MAX_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -315,57 +315,41 @@ def _backtrack_count_support(sft: SftSpec, points: tuple[Point, ...]) -> int:
 
 
 class RectCounter:
-    """Exact locally-admissible counts on rectangle supports for one SFT.
+    """Transfer-sweep cache of one 2D spec for rectangle counts.
 
     Counts depend only on the rectangle's column/row numbers.  A rectangle
     is swept cell by cell along whichever side gives the smaller profile
-    q^L (see ``_CellSweep``); ``max_states`` bounds that profile, and a
-    rectangle no orientation fits falls back to backtracking when it has
-    at most ``max_free_cells`` cells.  Sweeps are cached per orientation
-    and height with a total per column, so asking for (W, H) after
-    (W', H) with W' > W is free.  Accumulation is arbitrary-precision.
+    q^L (see ``_CellSweep``), provided q^L is at most ``MAX_STATES``.
+    Sweeps are cached per orientation and height with a total per column,
+    so asking for (W, H) after (W', H) with W' > W is free.  Accumulation
+    is arbitrary-precision.  ``count_locally_admissible`` keeps one per
+    spec in ``_sweep_cache`` for the life of the process.
     """
 
-    def __init__(self, sft: SftSpec, *, max_states: int = DEFAULT_MAX_STATES,
-                 max_free_cells: int = DEFAULT_MAX_FREE_CELLS):
+    def __init__(self, sft: SftSpec):
         if sft.dimension != 2:
             raise ValueError("RectCounter works on 2D specs")
         self.sft = sft
-        self.max_states = max_states
-        self.max_free_cells = max_free_cells
         self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
-    def count(self, ncols: int, nrows: int) -> int:
-        out = self.try_count(ncols, nrows)
-        if out is None:
-            raise ResourceGuardError(
-                f"the transfer profile of a {ncols}x{nrows} rectangle exceeds the "
-                f"state guard {self.max_states} in both orientations and "
-                f"{ncols * nrows} cells exceed the backtracking guard {self.max_free_cells}")
-        return out
-
     def try_count(self, ncols: int, nrows: int) -> int | None:
-        if ncols < 1 or nrows < 1:
-            raise ValueError("rectangle must have positive extent")
-        fitting = [f for f in self.sft.forbidden
-                   if f.ncols_extent <= ncols and f.nrows_extent <= nrows]
-        if not fitting:
-            return self.sft.nsymbols ** (ncols * nrows)
+        """The sweep count on an ncols x nrows rectangle, or None when its
+        profile exceeds ``MAX_STATES`` in both orientations."""
         # ties keep the column sweep, min() returning the first minimum
         sweep, width = min((self._sweep(False, nrows), ncols),
                            (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
-        if self.sft.nsymbols ** sweep.span <= self.max_states:
-            return sweep.total(width)
-        if ncols * nrows <= self.max_free_cells:
-            rect = IntRect(0, ncols - 1, 0, nrows - 1)
-            return _backtrack_count_support(self.sft, LatticeSet.from_rect(rect).points)
-        return None
+        if self.sft.nsymbols ** sweep.span > MAX_STATES:
+            return None
+        return sweep.total(width)
 
     def _sweep(self, transposed: bool, height: int) -> "_CellSweep":
         key = (transposed, height)
         if key not in self._sweeps:
             self._sweeps[key] = _CellSweep(self.sft, height, transposed)
         return self._sweeps[key]
+
+
+_sweep_cache: dict[SftSpec, RectCounter] = {}
 
 
 class _CellSweep:
@@ -459,61 +443,66 @@ class _CellSweep:
 # ---------------------------------------------------------------------------
 
 
-def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto",
-                             max_free_cells: int = DEFAULT_MAX_FREE_CELLS,
-                             max_states: int = DEFAULT_MAX_STATES,
-                             counter: RectCounter | None = None) -> int:
+def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") -> int:
     """Number of patterns on ``support`` with no forbidden translate inside it.
 
     Equals |A|^|support| for the full shift and upper-bounds the number of
     restrictions of genuine subshift points; the two coincide for the
-    certified fixture families.  ``algorithm`` forces "dp" (the rectangle
-    transfer sweep of ``RectCounter``) or "backtracking"; "auto" uses the
-    sweep for 2D rectangles and the block transfer graph for 1D intervals.
+    certified fixture families.  ``support`` is an ``IntRect`` (counted
+    without building its points), a ``LatticeSet`` or an iterable of
+    points.  In order: an empty support counts 1; a support into which no
+    forbidden pattern fits counts q^cells; under "auto" a 1D interval goes
+    to ``word_count_1d`` and a 2D rectangle to the transfer sweep; anything
+    left is backtracked on at most ``MAX_FREE_CELLS`` cells.  "dp" means
+    the sweep or a ``ResourceGuardError``, never backtracking;
+    "backtracking" skips the transfer paths.
     """
-    pts = _support_points(support)
-    if len(pts) == 0:
-        return 1
-    if sft.dimension == 1:
-        for (_, n) in pts:
-            if n != 0:
-                raise ValueError("1D supports must lie on the horizontal axis")
     if algorithm not in ("auto", "dp", "backtracking"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not sft.forbidden:
-        return sft.nsymbols ** len(pts)
-
-    rect = pts.as_rect()
-    if (algorithm == "auto" and sft.dimension == 1 and rect is not None):
-        # contiguous 1D interval: the block transfer graph counts in time
-        # linear in the length instead of enumerating every word
-        try:
-            return word_count_1d(sft, rect.ncols)
-        except ResourceGuardError:
-            pass  # block alphabet too large; fall through to backtracking
-    if algorithm in ("auto", "dp") and rect is not None and sft.dimension == 2:
-        rc = counter if counter is not None else RectCounter(
-            sft, max_states=max_states, max_free_cells=max_free_cells)
-        out = rc.try_count(rect.ncols, rect.nrows)
-        if out is not None:
-            return out
-        if algorithm == "dp":
-            raise ResourceGuardError(
-                f"the transfer profile of this {rect.ncols}x{rect.nrows} rectangle "
-                f"exceeds the state guard {rc.max_states}")
-    elif algorithm == "dp":
+    if isinstance(support, IntRect):
+        pts, rect, cells = None, support, support.cardinality()
+    else:
+        pts = _support_points(support)
+        rect, cells = pts.as_rect(), len(pts)
+    if cells == 0:
+        return 1
+    box = rect if rect is not None else pts.bounding_box()
+    if sft.dimension == 1 and (box.c, box.d) != (0, 0):
+        raise ValueError("1D supports must lie on the horizontal axis")
+    if not any(f.ncols_extent <= box.ncols and f.nrows_extent <= box.nrows
+               for f in sft.forbidden):
+        return sft.nsymbols ** cells
+    if algorithm == "dp" and (rect is None or sft.dimension != 2):
         raise ValueError("algorithm='dp' needs a 2D rectangle support")
 
-    if len(pts) > max_free_cells:
+    if algorithm != "backtracking" and rect is not None:
+        if sft.dimension == 1:
+            # the block transfer graph counts in time linear in the length
+            # instead of enumerating every word
+            try:
+                return word_count_1d(sft, rect.ncols)
+            except ResourceGuardError:
+                pass  # block alphabet too large; fall through to backtracking
+        else:
+            if sft not in _sweep_cache:
+                _sweep_cache[sft] = RectCounter(sft)
+            out = _sweep_cache[sft].try_count(rect.ncols, rect.nrows)
+            if out is not None:
+                return out
+            if algorithm == "dp":
+                raise ResourceGuardError(
+                    f"the transfer profile of this {rect.ncols}x{rect.nrows} rectangle "
+                    f"exceeds the state guard {MAX_STATES} in both orientations")
+
+    if cells > MAX_FREE_CELLS:
         raise ResourceGuardError(
-            f"support has {len(pts)} cells, above the backtracking guard "
-            f"{max_free_cells}; raise max_free_cells to override")
+            f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
+    if pts is None:
+        pts = LatticeSet.from_rect(rect)
     return _backtrack_count_support(sft, pts.points)
 
 
-def enumerate_locally_admissible(sft: SftSpec, support, *,
-                                 max_free_cells: int = DEFAULT_MAX_FREE_CELLS
-                                 ) -> Iterator[Pattern]:
+def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
     """Yield every locally admissible pattern on ``support`` exactly once.
 
     Cells are assigned in canonical (lexicographic) order and symbols in
@@ -522,10 +511,9 @@ def enumerate_locally_admissible(sft: SftSpec, support, *,
     pts = _support_points(support)
     points = pts.points
     n = len(points)
-    if n > max_free_cells:
+    if n > MAX_FREE_CELLS:
         raise ResourceGuardError(
-            f"support has {n} cells, above the enumeration guard "
-            f"{max_free_cells}; raise max_free_cells to override")
+            f"support has {n} cells, above the enumeration guard {MAX_FREE_CELLS}")
     if n == 0:
         yield Pattern(())
         return
@@ -560,13 +548,13 @@ def enumerate_locally_admissible(sft: SftSpec, support, *,
 _graph_cache: dict[SftSpec, tuple] = {}
 
 
-def transfer_graph_1d(sft: SftSpec, max_nodes: int = DEFAULT_MAX_STATES):
+def transfer_graph_1d(sft: SftSpec):
     """Higher-block presentation of a 1D SFT.
 
     Recodes forbidden words of width up to k into a nearest-neighbour
     system on (k-1)-blocks.  Returns (nodes, T) with nodes the admissible
     (k-1)-letter words in lexicographic order and T the 0/1 transition
-    matrix between overlapping words.
+    matrix between overlapping words, one edge per admissible k-word.
     """
     if sft.dimension != 1:
         raise ValueError("transfer_graph_1d expects a 1D spec")
@@ -575,34 +563,22 @@ def transfer_graph_1d(sft: SftSpec, max_nodes: int = DEFAULT_MAX_STATES):
     width = max((f.ncols_extent for f in sft.forbidden), default=1)
     k = max(2, width)
     q = sft.nsymbols
-    if q ** (k - 1) > max_nodes:
+    if q ** (k - 1) > MAX_STATES:
         raise ResourceGuardError(
-            f"1D block recoding needs {q}^{k - 1} nodes, above the guard {max_nodes}")
-    nodes = [tuple(p[pt] for pt in sorted(p.as_dict()))
-             for p in enumerate_locally_admissible(sft, row_interval(k - 1))]
+            f"1D block recoding needs {q}^{k - 1} nodes, above the guard {MAX_STATES}")
+    nodes = _words(sft, k - 1)
     pos = {w: i for i, w in enumerate(nodes)}
     T = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
-    for w in nodes:
-        for sym in sft.alphabet:
-            word = w + (sym,)
-            if not _word_admissible(sft, word):
-                continue
-            w2 = word[1:]
-            if w2 in pos:
-                T[pos[w], pos[w2]] = 1
+    for word in _words(sft, k):
+        T[pos[word[:-1]], pos[word[1:]]] = 1
     _graph_cache[sft] = (nodes, T)
     return nodes, T
 
 
-def _word_admissible(sft: SftSpec, word: tuple[str, ...]) -> bool:
-    n = len(word)
-    for f in sft.forbidden:
-        cells = [(m, sym) for (m, _), sym in f.anchored().cells]
-        w = max(m for m, _ in cells) + 1
-        for off in range(n - w + 1):
-            if all(word[off + m] == sym for m, sym in cells):
-                return False
-    return True
+def _words(sft: SftSpec, length: int) -> list[tuple[str, ...]]:
+    """Locally admissible words of a 1D spec in lexicographic order."""
+    return [tuple(sym for _, sym in p.cells)
+            for p in enumerate_locally_admissible(sft, row_interval(length))]
 
 
 def word_count_1d(sft: SftSpec, length: int) -> int:
@@ -611,10 +587,6 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
         raise ValueError("word_count_1d expects a 1D spec")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        return 1
-    if not sft.forbidden:
-        return sft.nsymbols ** length
     nodes, T = transfer_graph_1d(sft)
     k1 = len(nodes[0]) if nodes else 1
     if length < k1 or not nodes:
@@ -693,8 +665,7 @@ def strongly_connected(T: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def box_entropy_estimate(sft: SftSpec, Nmax: int, *,
-                         counter: RectCounter | None = None) -> list[tuple[int, float]]:
+def box_entropy_estimate(sft: SftSpec, Nmax: int) -> list[tuple[int, float]]:
     """log2(count on the N x N box)/N^2 for N = 1..Nmax.
 
     The sequence upper-bounds the Z^2 topological entropy; for certified
@@ -704,10 +675,9 @@ def box_entropy_estimate(sft: SftSpec, Nmax: int, *,
         raise ValueError("box_entropy_estimate expects a 2D spec")
     if Nmax < 1:
         raise ValueError("Nmax must be positive")
-    rc = counter if counter is not None else RectCounter(sft)
     out = []
     for N in range(1, Nmax + 1):
-        c = rc.count(N, N)
+        c = count_locally_admissible(sft, IntRect(0, N - 1, 0, N - 1))
         out.append((N, math.log2(c) / (N * N)))
     return out
 
@@ -731,8 +701,7 @@ def _one_d_extendable(base: SftSpec) -> bool:
         return False
     k1 = len(nodes[0])
     for ell in range(1, k1):
-        for p in enumerate_locally_admissible(base, row_interval(ell)):
-            word = tuple(p[pt] for pt in sorted(p.as_dict()))
+        for word in _words(base, ell):
             if not any(w[i:i + ell] == word for w in nodes for i in range(k1 - ell + 1)):
                 return False
     return True

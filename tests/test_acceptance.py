@@ -49,13 +49,11 @@ def test_criterion_2_golden_row_lift(criterion):
     gm = md.golden_mean_1d()
     rl = md.row_lift(gm)
     spec = MetricSpec(2.0)
-    counter = md.RectCounter(rl)
     h = md.transfer_matrix_entropy_1d(gm)
     assert abs(h - LOG2_PHI) <= 1e-5
-    mm = md.mmdim_estimate(rl, spec, ACT, (2, 3, 4, 5, 6), 16, counter=counter)
+    mm = md.mmdim_estimate(rl, spec, ACT, (2, 3, 4, 5, 6), 16)
     assert abs(mm.value - 2 * LOG2_PHI) <= 0.01
-    _, upper = md.mhdim_bounds(rl, None, spec, ACT, (2, 3, 4, 5, 6), 16,
-                               counter=counter)
+    _, upper = md.mhdim_bounds(rl, None, spec, ACT, (2, 3, 4, 5, 6), 16)
     assert abs(upper.value - 2 * LOG2_PHI) <= 0.01
     dt = time.perf_counter() - t0
     assert dt < 60

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,9 @@ class TestRunCommand:
     def test_count_needs_one_support(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft")])
         assert code == 1 and "error" in rep
+        code, rep = run_command(["count", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
+                                 "--length", "0"])
+        assert code == 1 and "positive" in rep["error"]
 
     def test_entropy_transfer_on_row_lift(self, fixtures_dir):
         code, rep = run_command(["entropy", "--sft", fx(fixtures_dir, "goldenrow.sft"),
@@ -147,6 +151,25 @@ class TestRunCommand:
         code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "fullshift2.sft"),
                                  "--delta", "0.1", "--Mmax", "64"])
         assert code == 0 and rep["results"]["verdict"] == "consistent"
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--Mmax", "96"])
+        assert code == 0 and len(rep["tables"]["tame"]["rows"]) == 96
+        # refused before any counting
+        t0 = time.perf_counter()
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--Mmax", "100000"])
+        assert code == 1 and "guard" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_inverted_mhdim_bounds_is_error(self, fixtures_dir, monkeypatch):
+        # a cylinder mass falling fast enough in N lifts the lower bound
+        # above the upper one
+        monkeypatch.setattr("meandim.dimensions.max_cylinder_log2_prob",
+                            lambda measure, window: -100.0 * len(window))
+        code, rep = run_command(["mhdim", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--measure", fx(fixtures_dir, "parry_golden.measure"),
+                                 "--M-schedule", "2,3,4"])
+        assert code == 1 and "exceeds the uniform-cover upper bound" in rep["error"]
 
     def test_mmdim_report(self, fixtures_dir):
         code, rep = run_command(["mmdim", "--sft", fx(fixtures_dir, "fullshift2.sft")])
@@ -273,10 +296,10 @@ class TestReportContract:
 
     def test_console_entry_point(self, fixtures_dir):
         proc = subprocess.run(
-            [sys.executable, "-m", "meandim.cli", "lambda-density",
+            [sys.executable, "-m", "meandim", "lambda-density",
              "--a", "1", "--b", "0", "--M", "8", "--N", "512"],
             capture_output=True, text=True)
-        assert proc.returncode == 0
+        assert proc.returncode == 0 and proc.stderr == ""
         rep = json.loads(proc.stdout)
         assert rep["command"] == "lambda-density"
 
@@ -284,10 +307,10 @@ class TestReportContract:
     def test_former_backend_variable_is_ignored(self, fixtures_dir, value):
         # the variable once picked a kernel backend and raised at import
         proc = subprocess.run(
-            [sys.executable, "-m", "meandim.cli", "count",
+            [sys.executable, "-m", "meandim", "count",
              "--sft", fx(fixtures_dir, "goldenrow.sft"), "--box", "3"],
             capture_output=True, text=True, env={**os.environ, "MEANDIM_BACKEND": value})
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert json.loads(proc.stdout)["results"]["count"] == 5 ** 3
 
     def test_count_above_int_digit_limit(self, fixtures_dir, tmp_path, capsys):

@@ -153,13 +153,10 @@ class TestCoveringNumbers:
         assert md.covering_number(threedot, spec2, act10, 7, 1.25) == 1
 
     def test_monotone_in_eps_and_N(self, goldenrow, spec2, act10):
-        rc = md.RectCounter(goldenrow)
         eps = [1.0, 0.5, 0.25, 0.125]
-        covers = [md.covering_number(goldenrow, spec2, act10, 4, e, counter=rc)
-                  for e in eps]
+        covers = [md.covering_number(goldenrow, spec2, act10, 4, e) for e in eps]
         assert covers == sorted(covers)
-        byN = [md.covering_number(goldenrow, spec2, act10, N, 0.5, counter=rc)
-               for N in (1, 2, 4, 8)]
+        byN = [md.covering_number(goldenrow, spec2, act10, N, 0.5) for N in (1, 2, 4, 8)]
         assert byN == sorted(byN)
 
 
@@ -272,9 +269,8 @@ class TestMhdim:
         assert abs(upper.value) < 1e-12
 
     def test_upper_below_mmdim_pointwise(self, goldenrow, spec2):
-        rc = md.RectCounter(goldenrow)
-        mm = md.mmdim_estimate(goldenrow, spec2, counter=rc)
-        _, up = md.mhdim_bounds(goldenrow, None, spec2, counter=rc)
+        mm = md.mmdim_estimate(goldenrow, spec2)
+        _, up = md.mhdim_bounds(goldenrow, None, spec2)
         assert all(u <= v + 1e-12 for u, v in zip(up.sequence, mm.sequence))
         assert up.value <= mm.value + 1e-9
 
@@ -320,12 +316,10 @@ class TestSkewAndEuclidean:
 class TestEstimatorChain:
     def test_at_scale_upper_below_single_depth(self, goldenrow, spec2, act10):
         # the Mcap-minimised exponent never exceeds the depth-M element
-        rc = md.RectCounter(goldenrow)
         for M in (2, 3):
-            chain = md.hausdorff_upper_at_scale(goldenrow, spec2, act10, 8, M, 5,
-                                                counter=rc)
+            chain = md.hausdorff_upper_at_scale(goldenrow, spec2, act10, 8, M, 5)
             single = math.log2(md.covering_number(
-                goldenrow, spec2, act10, 8, spec2.epsilon_at(M), counter=rc)) / M
+                goldenrow, spec2, act10, 8, spec2.epsilon_at(M))) / M
             assert chain <= single + 1e-12
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -79,6 +80,7 @@ class TestCounts:
     def test_row_lift_product_identity(self, golden1d, goldenrow):
         for N in range(1, 7):
             row = md.count_locally_admissible(golden1d, md.row_interval(N))
+            assert md.count_locally_admissible(golden1d, IntRect(0, N - 1, 0, 0)) == row
             for M in range(1, 7):
                 box = md.count_locally_admissible(goldenrow, IntRect(0, N - 1, 0, M - 1))
                 assert box == row ** M
@@ -97,18 +99,21 @@ class TestCounts:
     def test_dp_and_backtracking_agree_random_specs(self, sft, w, h):
         assume(sft.nsymbols ** (w * h) <= 4096)
         rect = IntRect(0, w - 1, 0, h - 1)
-        # no backtracking fallback, so every count below is a transfer sweep
-        dp = md.count_locally_admissible(sft, rect, algorithm="dp", max_free_cells=0)
+        # "dp" never falls back to backtracking, so every count below is a sweep
+        dp = md.count_locally_admissible(sft, rect, algorithm="dp")
         bt = md.count_locally_admissible(sft, rect, algorithm="backtracking")
         assert dp == bt == len(list(md.enumerate_locally_admissible(sft, rect)))
+        # a rectangle is routed without its points, like its materialised set
+        assert md.count_locally_admissible(sft, rect) == dp == \
+            md.count_locally_admissible(sft, LatticeSet.from_rect(rect))
         assert _CellSweep(sft, h, False).total(w) == _CellSweep(sft, w, True).total(h) == dp
         flipped = md.SftSpec(2, sft.alphabet, tuple(
             Pattern(tuple(((n, m), sym) for (m, n), sym in f.cells)) for f in sft.forbidden))
-        assert RectCounter(flipped, max_free_cells=0).count(h, w) == dp
-        rc = RectCounter(sft, max_free_cells=0)
-        assert rc.count(w, h) == dp
+        assert RectCounter(flipped).try_count(h, w) == dp
+        rc = RectCounter(sft)
+        assert rc.try_count(w, h) == dp
         for narrower in range(1, w):
-            assert rc.count(narrower, h) == RectCounter(sft, max_free_cells=0).count(narrower, h)
+            assert rc.try_count(narrower, h) == RectCounter(sft).try_count(narrower, h)
 
     @settings(max_examples=300, deadline=None)
     @given(small_specs(), st.one_of(
@@ -125,7 +130,8 @@ class TestCounts:
     @given(small_specs(dimension=1), st.integers(1, 9))
     def test_word_count_1d_matches_backtracking(self, sft, length):
         assert md.word_count_1d(sft, length) == md.count_locally_admissible(
-            sft, md.row_interval(length), algorithm="backtracking")
+            sft, md.row_interval(length), algorithm="backtracking") == \
+            md.count_locally_admissible(sft, IntRect(0, length - 1, 0, 0))
 
     def test_counts_on_translated_supports_match(self, goldenrow):
         a = md.count_locally_admissible(goldenrow, IntRect(0, 3, 0, 2))
@@ -166,8 +172,7 @@ class TestCounts:
 
     def test_backtracking_guard(self, goldenrow):
         with pytest.raises(ResourceGuardError):
-            md.count_locally_admissible(goldenrow, md.lambda_set(1, 1, 3, 30),
-                                        max_free_cells=64)
+            md.count_locally_admissible(goldenrow, md.lambda_set(1, 1, 3, 30))
 
 
 class TestEnumeration:
@@ -285,8 +290,8 @@ class TestRowLift:
 class TestRectCounter:
     def test_sweep_cache_consistency(self, goldenrow):
         rc = RectCounter(goldenrow)
-        a = rc.count(12, 3)
-        b = rc.count(5, 3)  # shorter width served from the same sweep
+        a = rc.try_count(12, 3)
+        b = rc.try_count(5, 3)  # shorter width served from the same sweep
         assert b == md.count_locally_admissible(goldenrow, IntRect(0, 4, 0, 2))
         assert a == fib_count(12) ** 3
 
@@ -294,14 +299,21 @@ class TestRectCounter:
         # vertical dominoes: tall window forces the transposed sweep
         bad = Pattern.from_dict({(0, 0): "1", (0, 1): "1"})
         sft = md.SftSpec(2, md.alphabet("0", "1"), (bad,))
-        rc = RectCounter(sft, max_states=16)
-        got = rc.count(3, 30)
+        got = RectCounter(sft).try_count(3, 30)
         assert got == fib_count(30) ** 3
 
     def test_state_guard_fires(self, goldenrow):
-        rc = RectCounter(goldenrow, max_states=4, max_free_cells=10)
+        assert RectCounter(goldenrow).try_count(50, 50) is None
         with pytest.raises(ResourceGuardError):
-            rc.count(50, 50)
+            md.count_locally_admissible(goldenrow, IntRect(0, 49, 0, 49))
+        # the profile is at least 3^8 states in both orientations, above the
+        # guard; "dp" refuses at once where "auto" would backtrack 54 cells
+        bad = Pattern.from_dict({(0, 0): "2", (1, 2): "2"})
+        ternary = md.SftSpec(2, md.alphabet("0", "1", "2"), (bad,))
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceGuardError):
+            md.count_locally_admissible(ternary, IntRect(0, 8, 0, 5), algorithm="dp")
+        assert time.perf_counter() - t0 < 1.0
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
