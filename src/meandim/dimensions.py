@@ -396,7 +396,12 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
             window = IntRect(1 - M, M - 1, 1 - M, M - 1)
         else:
             window = norm_ball(M - 1, spec.norm)
-        c = count_locally_admissible(sft, window)
+        try:
+            c = count_locally_admissible(sft, window)
+        except ResourceGuardError as err:
+            raise ResourceGuardError(
+                f"tame-check cannot count the window at depth M = {M} ({err}); "
+                f"the largest Mmax it can count on this subshift is {M - 1}") from err
         rows.append((M, spec.epsilon_at(M) ** delta * _log2_count(c)))
     tail = max(2, Mmax // 4)
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]

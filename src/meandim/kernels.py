@@ -67,6 +67,19 @@ def ba_solve(p, rho, beta, tol, max_iter):
     bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the current free energy
     exceeds the optimum by at most max_y log2 c(y).
 
+    Reproductions the source does not use lose mass geometrically, and
+    their q(y) would sink into subnormal doubles, where every product
+    and sum costs many times the normal rate.  Each renormalised entry
+    below the smallest normal double is therefore set to exactly 0.  Such
+    an entry times K(x, y) <= 1 is below half an ulp of Z(x) >= min_y
+    K(x, y) unless beta * rho exceeds about 960 along a whole row, so Z,
+    c, the gap, the normal entries of q and the stopping iteration are
+    the same bits as without the flush.  The one difference: a flushed
+    entry stays 0, where a subnormal one grows back if c(y) later
+    exceeds 1 by more than its rounding step (1/(2n) for n subnormal
+    units); that needs c(y) to turn upwards after the long decay, and no
+    problem in the tests or the benchmark does it.
+
     Returns (rate_bits, distortion, iterations, gap, converged).
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
@@ -74,16 +87,21 @@ def ba_solve(p, rho, beta, tol, max_iter):
     ny = rho.shape[1]
     K = np.exp2(-beta * rho)
     q = np.full(ny, 1.0 / ny)
+    Z = np.empty(p.shape[0])
+    c = np.empty(ny)
+    tiny = np.finfo(np.float64).tiny
     gap = np.inf
     it = 0
     converged = False
     while it < max_iter:
         it += 1
-        Z = K @ q
-        c = (p / Z) @ K
+        np.dot(K, q, out=Z)
+        np.divide(p, Z, out=Z)
+        np.dot(Z, K, out=c)
         gap = float(np.log2(np.max(c)))
-        q = q * c
+        q *= c
         q /= q.sum()
+        q[q < tiny] = 0.0
         if gap < tol:
             converged = True
             break

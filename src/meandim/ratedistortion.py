@@ -80,8 +80,8 @@ def blahut_arimoto(problem: RdProblem, slope: float, tol: float = 1e-9,
                                                          float(tol), int(max_iter))
     if not converged:
         raise NonConvergenceError(
-            f"Blahut-Arimoto gap {gap:.3e} still above tol {tol:.1e} "
-            f"after {iters} iterations", gap)
+            f"Blahut-Arimoto at slope {slope:g}: gap {gap:.3e} still above tol "
+            f"{tol:.1e} after {iters} iterations", gap)
     return RdPoint(max(rate, 0.0), dist, float(slope), iters)
 
 

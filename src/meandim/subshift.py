@@ -560,8 +560,7 @@ def transfer_graph_1d(sft: SftSpec):
         raise ValueError("transfer_graph_1d expects a 1D spec")
     if sft in _graph_cache:
         return _graph_cache[sft]
-    width = max((f.ncols_extent for f in sft.forbidden), default=1)
-    k = max(2, width)
+    k = _recoding_width(sft)
     q = sft.nsymbols
     if q ** (k - 1) > MAX_STATES:
         raise ResourceGuardError(
@@ -573,6 +572,11 @@ def transfer_graph_1d(sft: SftSpec):
         T[pos[word[:-1]], pos[word[1:]]] = 1
     _graph_cache[sft] = (nodes, T)
     return nodes, T
+
+
+def _recoding_width(sft: SftSpec) -> int:
+    """The k of the (k-1)-block recoding: the widest forbidden word, at least 2."""
+    return max(2, max((f.ncols_extent for f in sft.forbidden), default=1))
 
 
 def _words(sft: SftSpec, length: int) -> list[tuple[str, ...]]:
@@ -588,10 +592,12 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
     if length < 0:
         raise ValueError("length must be nonnegative")
     nodes, T = transfer_graph_1d(sft)
-    k1 = len(nodes[0]) if nodes else 1
-    if length < k1 or not nodes:
+    k1 = _recoding_width(sft) - 1
+    if length < k1:
         return count_locally_admissible(sft, row_interval(length),
                                         algorithm="backtracking")
+    if not nodes:
+        return 0  # every word this long contains a (k-1)-block, none admissible
     preds = [np.nonzero(T[:, j])[0].tolist() for j in range(len(nodes))]
     vec = [1] * len(nodes)
     for _ in range(length - k1):

@@ -24,6 +24,14 @@ forbidden:
 """
 
 
+def meandim_env(**extra) -> dict:
+    """The environment for a ``python -m meandim`` child: it imports the
+    meandim this test run imported, whether or not PYTHONPATH names it."""
+    src = os.path.dirname(os.path.dirname(md.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestSftFiles:
     def test_golden_row_file(self):
         sft = parse_sft_text(GOLDEN_ROW_TEXT)
@@ -160,6 +168,15 @@ class TestRunCommand:
                                  "--Mmax", "100000"])
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 1.0
+        # the default Mmax 24 outgrows the counting guards on the golden row:
+        # the message names the depth that failed and the largest Mmax that counts
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "goldenrow.sft")])
+        assert code == 1
+        assert "depth M = 7" in rep["error"] and "largest Mmax" in rep["error"]
+        assert rep["error"].endswith(" 6")
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--Mmax", "6"])
+        assert code == 0 and len(rep["tables"]["tame"]["rows"]) == 6
 
     def test_inverted_mhdim_bounds_is_error(self, fixtures_dir, monkeypatch):
         # a cylinder mass falling fast enough in N lifts the lower bound
@@ -298,7 +315,7 @@ class TestReportContract:
         proc = subprocess.run(
             [sys.executable, "-m", "meandim", "lambda-density",
              "--a", "1", "--b", "0", "--M", "8", "--N", "512"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=meandim_env())
         assert proc.returncode == 0 and proc.stderr == ""
         rep = json.loads(proc.stdout)
         assert rep["command"] == "lambda-density"
@@ -309,7 +326,7 @@ class TestReportContract:
         proc = subprocess.run(
             [sys.executable, "-m", "meandim", "count",
              "--sft", fx(fixtures_dir, "goldenrow.sft"), "--box", "3"],
-            capture_output=True, text=True, env={**os.environ, "MEANDIM_BACKEND": value})
+            capture_output=True, text=True, env=meandim_env(MEANDIM_BACKEND=value))
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert json.loads(proc.stdout)["results"]["count"] == 5 ** 3
 

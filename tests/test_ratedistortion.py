@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import meandim as md
-from meandim import FiniteDistribution, RdProblem
+from meandim import FiniteDistribution, RdProblem, kernels
 from meandim.errors import NonConvergenceError
 
 
@@ -52,6 +52,10 @@ class TestBlahutArimoto:
         with pytest.raises(NonConvergenceError) as ei:
             md.blahut_arimoto(prob, slope=2.0, tol=1e-13, max_iter=2)
         assert ei.value.gap > 0
+        assert "slope 2" in str(ei.value) and "still above tol" in str(ei.value)
+        # a sweep names the slope that failed
+        with pytest.raises(NonConvergenceError, match="slope 1.5: .* still above tol"):
+            md.rd_curve(prob, [3.0, 1.5], max_iter=100)
 
     def test_deterministic(self):
         src = FiniteDistribution(("a", "b", "c"), (0.6, 0.3, 0.1))
@@ -77,6 +81,54 @@ class TestBlahutArimoto:
         prob = RdProblem.build(src, ("a", "b"), [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             md.blahut_arimoto(prob, slope=-1.0)
+
+
+def textbook_ba(p, rho, beta, tol, max_iter):
+    """Blahut-Arimoto as written before the subnormal flush; also returns q."""
+    K = np.exp2(-beta * rho)
+    q = np.full(rho.shape[1], 1.0 / rho.shape[1])
+    gap, it, converged = np.inf, 0, False
+    while it < max_iter and not converged:
+        it += 1
+        Z = K @ q
+        c = (p / Z) @ K
+        gap = float(np.log2(np.max(c)))
+        q = q * c
+        q /= q.sum()
+        converged = gap < tol
+    Z = K @ q
+    cond = K * q[None, :] / Z[:, None]
+    qbar = p @ cond
+    ratio = np.divide(cond, qbar[None, :], out=np.ones_like(cond),
+                      where=(cond > 0) & (qbar[None, :] > 0))
+    rate = float(np.sum(p[:, None] * cond * np.log2(ratio)))
+    dist = float(np.sum(p[:, None] * cond * rho))
+    return (rate, dist, it, gap, converged), q
+
+
+class TestSubnormalFlush:
+    def test_matches_textbook_loop_where_q_underflows(self):
+        tiny = np.finfo(np.float64).tiny
+        flushed = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            p = rng.random(30)
+            p /= p.sum()
+            rho = rng.uniform(0.0, 3.0, (30, 60))
+            beta = float(rng.uniform(8.0, 40.0))
+            want, q = textbook_ba(p, rho, beta, 1e-9, 20000)
+            assert kernels.ba_solve(p, rho, beta, 1e-9, 20000) == want
+            flushed += bool(((q > 0) & (q < tiny)).any())
+        # the reference ends with subnormal reproduction mass on most seeds
+        assert flushed >= 6
+
+    def test_golden_window_point_pinned(self, fixtures_dir):
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        prob = md.rd_problem_from_measure(measure, 2, M=2)
+        pt = md.blahut_arimoto(prob, 8.0)
+        assert pt.rate == pytest.approx(0.6151819001716224, rel=1e-12, abs=0)
+        assert pt.distortion == pytest.approx(0.5026095208094385, rel=1e-12, abs=0)
+        assert pt.iterations == 8504
 
 
 class TestProcessLevelProblem:

@@ -245,6 +245,22 @@ class TestTransferEntropy:
         assert md.count_locally_admissible(golden1d, md.row_interval(90)) == \
             fib_count(90)
 
+    def test_empty_block_graph_counts_zero(self):
+        # forbid 0, 11 and 0?1: no 2-block is admissible, so the block graph
+        # has no nodes and every word of length >= 2 counts 0
+        bad = (Pattern.from_dict({(0, 0): "0"}),
+               Pattern.from_dict({(0, 0): "1", (1, 0): "1"}),
+               Pattern.from_dict({(0, 0): "0", (2, 0): "1"}))
+        sft = md.SftSpec(1, md.alphabet("0", "1"), bad)
+        assert transfer_graph_1d(sft)[0] == []
+        for n in range(1, 6):
+            assert md.word_count_1d(sft, n) == md.count_locally_admissible(
+                sft, md.row_interval(n), algorithm="backtracking")
+        # past the 64-cell backtracking guard
+        for n in (65, 100):
+            assert md.word_count_1d(sft, n) == 0
+            assert md.count_locally_admissible(sft, IntRect(0, n - 1, 0, 0)) == 0
+
     def test_empty_language_reported(self):
         bad = tuple(Pattern.from_dict({(0, 0): s}) for s in ("0", "1"))
         sft = md.SftSpec(1, md.alphabet("0", "1"), bad)
