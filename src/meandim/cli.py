@@ -485,11 +485,12 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             "PASS/FAIL verdict under --strict (drop --strict for bounds only)")
 
     skew = (action.a, action.b) != (1, 0)
-    if skew and sft.certified != "full":
+    if skew and sft.certified not in ("full", "row-lift"):
         raise MeandimError(
-            "skew-action verification is supported for full shifts only "
-            "(window counts for constrained systems on swept windows exceed "
-            "the search guards)")
+            "skew-action verification is supported for full shifts and row-lifts "
+            "only: skew Bowen windows are not rectangles in general, and for "
+            "forbidden patterns that span rows they are counted by backtracking, "
+            "which exceeds the search guards")
 
     sched = list(Mschedule) if Mschedule else list(DEFAULT_M_SCHEDULE)
     mm = mmdim_estimate(sft, spec, action, sched, Nfactor)

@@ -85,7 +85,10 @@ def ba_solve(p, rho, beta, tol, max_iter):
     p = np.ascontiguousarray(p, dtype=np.float64)
     rho = np.ascontiguousarray(rho, dtype=np.float64)
     ny = rho.shape[1]
-    K = np.exp2(-beta * rho)
+    # the two matrix-vector products per iteration run about a fifth
+    # faster on a cache-line-aligned K; malloc alone does not promise it
+    K = _aligned_empty(rho.shape)
+    np.exp2(-beta * rho, out=K)
     q = np.full(ny, 1.0 / ny)
     Z = np.empty(p.shape[0])
     c = np.empty(ny)
@@ -113,3 +116,11 @@ def ba_solve(p, rho, beta, tol, max_iter):
     rate = float(np.sum(p[:, None] * cond * np.log2(ratio)))
     dist = float(np.sum(p[:, None] * cond * rho))
     return rate, dist, it, float(gap), converged
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array whose data starts on a 64-byte boundary."""
+    nbytes = 8 * int(np.prod(shape))
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start:start + nbytes].view(np.float64).reshape(shape)

@@ -20,16 +20,23 @@ from .information import FiniteDistribution, MeasureSpec, window_marginal
 from .lattice import norm_ball
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdProblem:
-    """A finite source, a reproduction alphabet and a distortion matrix."""
+    """A finite source, a reproduction alphabet and a distortion matrix.
+
+    ``distortion`` is kept as a read-only float64 array, copied from the
+    given one.  Two problems are equal when their sources, reproductions
+    and distortion values are; the hash leaves the array out.
+    """
 
     source: FiniteDistribution
     reproductions: tuple
-    distortion: tuple[tuple[float, ...], ...]
+    distortion: np.ndarray
 
     def __post_init__(self):
-        d = self.distortion_array()
+        d = np.array(self.distortion, dtype=np.float64)
+        d.setflags(write=False)
+        object.__setattr__(self, "distortion", d)
         if d.shape != (len(self.source.outcomes), len(self.reproductions)):
             raise ValueError("distortion matrix shape does not match the alphabets")
         if not np.isfinite(d).all() or (d < 0).any():
@@ -37,11 +44,20 @@ class RdProblem:
 
     @classmethod
     def build(cls, source: FiniteDistribution, reproductions, distortion) -> "RdProblem":
-        d = np.asarray(distortion, float)
-        return cls(source, tuple(reproductions), tuple(tuple(row) for row in d))
+        return cls(source, tuple(reproductions), distortion)
 
     def distortion_array(self) -> np.ndarray:
-        return np.asarray(self.distortion, float)
+        """The stored read-only array itself, not a copy."""
+        return self.distortion
+
+    def __eq__(self, other):
+        if not isinstance(other, RdProblem):
+            return NotImplemented
+        return (self.source == other.source and self.reproductions == other.reproductions
+                and np.array_equal(self.distortion, other.distortion))
+
+    def __hash__(self):
+        return hash((self.source, self.reproductions))
 
 
 @dataclass(frozen=True)

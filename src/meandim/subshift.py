@@ -8,12 +8,17 @@ builds the exactly tractable fixture families used as ground truth:
 full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
 Counts are arbitrary-precision integers, and ``count_locally_admissible``
-is the one place that chooses how to count: the closed form q^cells when
-no forbidden pattern fits, the block transfer graph for 1D intervals, a
-transfer sweep for 2D rectangles that adds a cell at a time (the
+is the one place that chooses how to count, in this order: the closed
+form q^cells when no forbidden pattern fits; for a 1D interval, the word
+count of the block transfer graph, by repeated squaring of the transfer
+matrix when its n nodes make n^3 log2(L) products cheaper than stepping a
+vector L times over its edges; for a 2D spec whose forbidden patterns
+each lie in one row, on a support whose every row is one interval, the
+product over rows of the 1D base's word count at that row's length; for
+a 2D rectangle, a transfer sweep that adds a cell at a time (the
 transfer-matrix count of Calkin and Wilf for the hard-square model),
 whose state is the symbols of the last L cells and whose profile q^L is
-bounded by ``MAX_STATES``, and otherwise backtracking with pruning at the
+bounded by ``MAX_STATES``; and otherwise backtracking with pruning at the
 moment a forbidden pattern completes, on at most ``MAX_FREE_CELLS``
 cells.  The paths are tested to agree on random small specs.
 """
@@ -21,6 +26,7 @@ cells.  The paths are tested to agree on random small specs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -452,7 +458,10 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     without building its points), a ``LatticeSet`` or an iterable of
     points.  In order: an empty support counts 1; a support into which no
     forbidden pattern fits counts q^cells; under "auto" a 1D interval goes
-    to ``word_count_1d`` and a 2D rectangle to the transfer sweep; anything
+    to ``word_count_1d`` (squaring or iteration by its cost rule), a 2D
+    spec whose forbidden patterns each lie in one row is counted as a
+    product of ``word_count_1d`` over the support's rows when every row is
+    one interval, and a 2D rectangle goes to the transfer sweep; anything
     left is backtracked on at most ``MAX_FREE_CELLS`` cells.  "dp" means
     the sweep or a ``ResourceGuardError``, never backtracking;
     "backtracking" skips the transfer paths.
@@ -475,10 +484,13 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     if algorithm == "dp" and (rect is None or sft.dimension != 2):
         raise ValueError("algorithm='dp' needs a 2D rectangle support")
 
+    if algorithm == "auto" and sft.dimension == 2:
+        out = _row_product(sft, rect, pts)
+        if out is not None:
+            return out
     if algorithm != "backtracking" and rect is not None:
         if sft.dimension == 1:
-            # the block transfer graph counts in time linear in the length
-            # instead of enumerating every word
+            # the block transfer graph counts without enumerating any word
             try:
                 return word_count_1d(sft, rect.ncols)
             except ResourceGuardError:
@@ -500,6 +512,40 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     if pts is None:
         pts = LatticeSet.from_rect(rect)
     return _backtrack_count_support(sft, pts.points)
+
+
+_base_cache: dict[SftSpec, SftSpec | None] = {}
+
+
+def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> int | None:
+    """The count of a 2D spec whose forbidden patterns each lie in one row,
+    as the product over the support's rows of the 1D base's word count at
+    that row's length.  None when a pattern spans two rows, a row of the
+    support is not one interval, or the base's block graph is over its
+    guard.  The base is built once per spec and kept in ``_base_cache``.
+    """
+    if sft not in _base_cache:
+        single_rows = all(f.nrows_extent == 1 for f in sft.forbidden)
+        _base_cache[sft] = base_of_row_lift(sft) if single_rows else None
+    base = _base_cache[sft]
+    if base is None:
+        return None
+    if rect is not None:
+        lengths = {rect.ncols: rect.nrows}
+    else:
+        first: dict[int, int] = {}
+        size: dict[int, int] = {}
+        for m, n in pts:  # columns ascend, so each row arrives left to right
+            if first.setdefault(n, m) + size.get(n, 0) != m:
+                # two runs of one row are not independent: a pattern with a
+                # hole, such as (0,0)=1 (2,0)=1, links cells across the gap
+                return None
+            size[n] = size.get(n, 0) + 1
+        lengths = Counter(size.values())
+    try:
+        return math.prod(word_count_1d(base, length) ** k for length, k in lengths.items())
+    except ResourceGuardError:
+        return None
 
 
 def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
@@ -586,7 +632,12 @@ def _words(sft: SftSpec, length: int) -> list[tuple[str, ...]]:
 
 
 def word_count_1d(sft: SftSpec, length: int) -> int:
-    """Exact number of locally admissible words of the given length."""
+    """Exact number of locally admissible words of the given length.
+
+    From length k-1 on this is 1^T T^(length-k+1) 1 over the block graph
+    (see ``transfer_graph_1d``), computed in Python ints by repeated
+    squaring when ``_squaring_pays`` and by stepping a vector otherwise.
+    """
     if sft.dimension != 1:
         raise ValueError("word_count_1d expects a 1D spec")
     if length < 0:
@@ -598,9 +649,37 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
                                         algorithm="backtracking")
     if not nodes:
         return 0  # every word this long contains a (k-1)-block, none admissible
-    preds = [np.nonzero(T[:, j])[0].tolist() for j in range(len(nodes))]
-    vec = [1] * len(nodes)
-    for _ in range(length - k1):
+    steps = length - k1
+    if _squaring_pays(len(nodes), int(T.sum()), steps):
+        return _walks_by_squaring(T, steps)
+    return _walks_by_iteration(T, steps)
+
+
+def _squaring_pays(nodes: int, edges: int, steps: int) -> bool:
+    """The cost rule of ``word_count_1d``: squaring takes about
+    nodes^3 log2(steps) big-int products, iteration steps * edges sums."""
+    return nodes ** 3 * steps.bit_length() < steps * edges
+
+
+def _walks_by_squaring(T: np.ndarray, steps: int) -> int:
+    """1^T T^steps 1: the row vector takes T^(2^i) for each set bit i."""
+    vec, power = [1] * T.shape[0], T.tolist()
+    while steps:
+        if steps & 1:
+            vec = [sum(v * p for v, p in zip(vec, col)) for col in zip(*power)]
+        steps >>= 1
+        if steps:
+            cols = list(zip(*power))
+            power = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+                     for row in power]
+    return sum(vec)
+
+
+def _walks_by_iteration(T: np.ndarray, steps: int) -> int:
+    """1^T T^steps 1, one vector step per edge sum."""
+    preds = [np.nonzero(T[:, j])[0].tolist() for j in range(T.shape[0])]
+    vec = [1] * T.shape[0]
+    for _ in range(steps):
         vec = [sum(vec[i] for i in plist) for plist in preds]
     return sum(vec)
 

@@ -168,15 +168,19 @@ class TestRunCommand:
                                  "--Mmax", "100000"])
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 1.0
-        # the default Mmax 24 outgrows the counting guards on the golden row:
-        # the message names the depth that failed and the largest Mmax that counts
-        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "goldenrow.sft")])
+        # the default Mmax 24 outgrows the counting guards on three-dot: the
+        # message names the depth that failed and the largest Mmax that counts
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "threedot.sft")])
         assert code == 1
         assert "depth M = 7" in rep["error"] and "largest Mmax" in rep["error"]
         assert rep["error"].endswith(" 6")
-        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "threedot.sft"),
                                  "--Mmax", "6"])
         assert code == 0 and len(rep["tables"]["tame"]["rows"]) == 6
+        # the golden row's squares are products of independent rows
+        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--Mmax", "24"])
+        assert code == 0 and len(rep["tables"]["tame"]["rows"]) == 24
 
     def test_inverted_mhdim_bounds_is_error(self, fixtures_dir, monkeypatch):
         # a cylinder mass falling fast enough in N lifts the lower bound
@@ -251,11 +255,19 @@ class TestVerifyTheorem:
             assert rep["rhs"] == target
             assert abs(rep["results"]["mmdim"]["value"] - target) < 1e-9
 
-    def test_skew_action_constrained_system_refused(self, fixtures_dir):
+    def test_skew_action_row_lift(self, fixtures_dir):
+        # skew Bowen windows of a row-lift are counted row by row
         code, rep = run_command([
             "verify-theorem", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+            "--action", "1,1", "--alpha", "2"])
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert rep["results"]["action_factor"] == 4
+
+    def test_skew_action_constrained_system_refused(self, fixtures_dir):
+        code, rep = run_command([
+            "verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
             "--action", "1,1"])
-        assert code == 1 and "full shifts only" in rep["error"]
+        assert code == 1 and "full shifts and row-lifts only" in rep["error"]
 
     def test_wrong_tolerance_fails_with_exit_2(self, fixtures_dir):
         code, rep = run_command([

@@ -122,6 +122,12 @@ class TestSubnormalFlush:
         # the reference ends with subnormal reproduction mass on most seeds
         assert flushed >= 6
 
+    def test_kernel_buffer_is_cache_line_aligned(self):
+        for shape in ((1, 1), (3, 5), (125, 512)):
+            K = kernels._aligned_empty(shape)
+            assert K.shape == shape and K.dtype == np.float64
+            assert K.ctypes.data % 64 == 0 and K.flags.c_contiguous and K.flags.writeable
+
     def test_golden_window_point_pinned(self, fixtures_dir):
         measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
         prob = md.rd_problem_from_measure(measure, 2, M=2)
@@ -141,6 +147,18 @@ class TestProcessLevelProblem:
         # truncated self-distortion: agreement on the window reads alpha^-M
         assert np.allclose(np.diag(d), 2.0 ** -2)
         assert d.max() == 1.0  # somewhere two patterns disagree at the origin
+
+    def test_distortion_is_a_read_only_array(self, bern_half):
+        prob = md.rd_problem_from_measure(bern_half, 2.0, 1)
+        d = prob.distortion_array()
+        assert d is prob.distortion and d.dtype == np.float64
+        with pytest.raises(ValueError):
+            d[0, 0] = 5.0
+        # equality compares values, and equal problems hash equal
+        same = RdProblem.build(prob.source, prob.reproductions, d.tolist())
+        assert same == prob and hash(same) == hash(prob) and len({same, prob}) == 1
+        other = RdProblem.build(prob.source, prob.reproductions, d * 2)
+        assert other != prob
 
     def test_window_problem_rate_bounds(self, bern_half):
         prob = md.rd_problem_from_measure(bern_half, 2.0, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -8,6 +9,8 @@ import meandim as md
 from meandim import IntRect, LatticeSet, Pattern
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (RectCounter, _CellSweep, _one_d_extendable,
+                              _recoding_width, _row_product, _squaring_pays,
+                              _walks_by_iteration, _walks_by_squaring,
                               base_of_row_lift, transfer_graph_1d)
 
 from conftest import LOG2_PHI
@@ -36,6 +39,20 @@ def small_specs(draw, dimension=2):
         pats.append(Pattern.from_dict(
             {pt: str(draw(st.integers(0, q - 1))) for pt in cells}))
     return md.SftSpec(dimension, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
+
+
+@st.composite
+def row_specs(draw):
+    """2D SFTs on at most 3 symbols whose forbidden patterns each lie in
+    one row (any of rows 0-2) and within three columns, holes allowed."""
+    q = draw(st.integers(1, 3))
+    pats = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, 2))
+        cols = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        pats.append(Pattern.from_dict(
+            {(m, row): str(draw(st.integers(0, q - 1))) for m in cols}))
+    return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
 
 
 class TestPatterns:
@@ -170,9 +187,47 @@ class TestCounts:
             if exact:
                 assert cb == c1 * c2
 
-    def test_backtracking_guard(self, goldenrow):
+    def test_backtracking_guard(self, threedot):
         with pytest.raises(ResourceGuardError):
-            md.count_locally_admissible(goldenrow, md.lambda_set(1, 1, 3, 30))
+            md.count_locally_admissible(threedot, md.lambda_set(1, 1, 3, 30))
+
+    def test_row_product_counts_past_the_guards(self, goldenrow):
+        # the 50x50 square is over both sweep orientations' state guard and
+        # the backtracking guard; rows of the golden row are independent
+        assert md.count_locally_admissible(goldenrow, IntRect(0, 49, 0, 49)) == \
+            fib_count(50) ** 50
+        # the 29-cell l2 ball, whose backtracking visits every pattern
+        assert md.count_locally_admissible(goldenrow, md.norm_ball(3, "l2")) == 3884296
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_specs(), st.one_of(
+        st.builds(IntRect, st.just(0), st.integers(0, 4), st.just(0), st.integers(0, 4)),
+        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(md.bowen_window,
+                  st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
+                  st.integers(1, 3), st.integers(1, 2))))
+    def test_row_product_matches_sweep_and_backtracking(self, sft, support):
+        pts = support if isinstance(support, LatticeSet) else LatticeSet.from_rect(support)
+        assume(sft.nsymbols ** len(pts) <= 2 ** 13)
+        # every row of these supports is one interval
+        product = _row_product(sft, pts.as_rect(), pts)
+        assert product is not None
+        bt = md.count_locally_admissible(sft, pts, algorithm="backtracking")
+        assert md.count_locally_admissible(sft, support) == product == bt == \
+            len(list(md.enumerate_locally_admissible(sft, pts)))
+        if pts.as_rect() is not None:
+            assert md.count_locally_admissible(sft, support, algorithm="dp") == product
+
+    def test_holed_pattern_on_gapped_row_falls_through(self):
+        # (0,0)=1 (2,0)=1 links the two runs of the row {0, 2}, so the row
+        # is not a product of its runs: 3 patterns, not 2 * 2; the full row
+        # below has 6
+        bad = Pattern.from_dict({(0, 0): "1", (2, 0): "1"})
+        sft = md.SftSpec(2, md.alphabet("0", "1"), (bad,))
+        gapped = LatticeSet([(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
+        assert _row_product(sft, None, gapped) is None
+        assert md.count_locally_admissible(sft, gapped) == 3 * 6 == \
+            len(list(md.enumerate_locally_admissible(sft, gapped)))
 
 
 class TestEnumeration:
@@ -226,6 +281,29 @@ class TestTransferEntropy:
         assert abs(h - slope) < 1e-6
         counts = [md.word_count_1d(sft, n) for n in range(1, 10)]
         assert counts[:4] == [2, 4, 7, 13]
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_specs(dimension=1), st.integers(1, 9), st.integers(-1, 0))
+    def test_squaring_matches_iteration_and_backtracking(self, sft, length, side):
+        nodes, T = transfer_graph_1d(sft)
+        edges = int(T.sum())
+        assume(edges > 0)
+        k1 = _recoding_width(sft) - 1
+        bt = md.count_locally_admissible(sft, md.row_interval(length),
+                                         algorithm="backtracking")
+        if length >= k1:
+            assert _walks_by_squaring(T, length - k1) == bt
+            assert _walks_by_iteration(T, length - k1) == bt
+        # the first step count at which the cost rule picks squaring, and
+        # the one before, where it picks iteration
+        cross = next(s for s in itertools.count(1) if _squaring_pays(len(nodes), edges, s))
+        steps = cross + side
+        assert _squaring_pays(len(nodes), edges, steps) == (side == 0)
+        want = _walks_by_iteration(T, steps)
+        assert _walks_by_squaring(T, steps) == want == md.word_count_1d(sft, steps + k1)
+        if steps + k1 <= 12:
+            assert want == md.count_locally_admissible(sft, md.row_interval(steps + k1),
+                                                       algorithm="backtracking")
 
     def test_gapped_forbidden_pattern(self):
         # forbid 1?1: occupied cells two apart, middle free
@@ -318,10 +396,10 @@ class TestRectCounter:
         got = RectCounter(sft).try_count(3, 30)
         assert got == fib_count(30) ** 3
 
-    def test_state_guard_fires(self, goldenrow):
-        assert RectCounter(goldenrow).try_count(50, 50) is None
+    def test_state_guard_fires(self, threedot):
+        assert RectCounter(threedot).try_count(50, 50) is None
         with pytest.raises(ResourceGuardError):
-            md.count_locally_admissible(goldenrow, IntRect(0, 49, 0, 49))
+            md.count_locally_admissible(threedot, IntRect(0, 49, 0, 49))
         # the profile is at least 3^8 states in both orientations, above the
         # guard; "dp" refuses at once where "auto" would backtrack 54 cells
         bad = Pattern.from_dict({(0, 0): "2", (1, 2): "2"})
