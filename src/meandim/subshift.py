@@ -11,14 +11,16 @@ Counts are arbitrary-precision integers, and ``count_locally_admissible``
 is the one place that chooses how to count, in this order: the closed
 form q^cells when no forbidden pattern fits; for a 1D interval, the word
 count of the block transfer graph, by repeated squaring of the transfer
-matrix when its n nodes make n^3 log2(L) products cheaper than stepping a
-vector L times over its edges; for a 2D spec whose forbidden patterns
-each lie in one row, on a support whose every row is one interval, the
-product over rows of the 1D base's word count at that row's length; for
-a 2D rectangle, a transfer sweep that adds a cell at a time (the
-transfer-matrix count of Calkin and Wilf for the hard-square model),
-whose state is the symbols of the last L cells and whose profile q^L is
-bounded by ``MAX_STATES``; and otherwise backtracking with pruning at the
+matrix when its n nodes make about n^3 log2(L) products, Karatsuba-costed
+at the last doublings, cheaper than stepping a vector L times over its
+edges; for a 2D spec whose forbidden patterns each lie in one row, on a
+support whose rows are intervals or runs at least as far apart as the
+widest pattern, the product over runs of the 1D base's word count at
+each run's length, refused above ``MAX_COUNT_BITS``; for a 2D rectangle,
+a transfer sweep that adds a cell at a time (the transfer-matrix count
+of Calkin and Wilf for the hard-square model), whose state is the
+symbols of the last L cells and whose profile q^L is bounded by
+``MAX_STATES``; and otherwise backtracking with pruning at the
 moment a forbidden pattern completes, on at most ``MAX_FREE_CELLS``
 cells.  The paths are tested to agree on random small specs.
 """
@@ -38,6 +40,7 @@ from .lattice import IntRect, LatticeSet, Point
 
 MAX_FREE_CELLS = 64
 MAX_STATES = 4096
+MAX_COUNT_BITS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -460,9 +463,10 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     forbidden pattern fits counts q^cells; under "auto" a 1D interval goes
     to ``word_count_1d`` (squaring or iteration by its cost rule), a 2D
     spec whose forbidden patterns each lie in one row is counted as a
-    product of ``word_count_1d`` over the support's rows when every row is
-    one interval, and a 2D rectangle goes to the transfer sweep; anything
-    left is backtracked on at most ``MAX_FREE_CELLS`` cells.  "dp" means
+    product of ``word_count_1d`` over the runs of the support's rows when
+    no two runs of a row are closer than the widest pattern (see
+    ``_row_product``), and a 2D rectangle goes to the transfer sweep;
+    anything left is backtracked on at most ``MAX_FREE_CELLS`` cells.  "dp" means
     the sweep or a ``ResourceGuardError``, never backtracking;
     "backtracking" skips the transfer paths.
     """
@@ -514,38 +518,48 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     return _backtrack_count_support(sft, pts.points)
 
 
-_base_cache: dict[SftSpec, SftSpec | None] = {}
-
-
 def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> int | None:
     """The count of a 2D spec whose forbidden patterns each lie in one row,
-    as the product over the support's rows of the 1D base's word count at
-    that row's length.  None when a pattern spans two rows, a row of the
-    support is not one interval, or the base's block graph is over its
-    guard.  The base is built once per spec and kept in ``_base_cache``.
+    as the product over the runs of the support's rows of the 1D base's
+    word count at each run's length.  None when a pattern spans two rows,
+    two runs of a row are closer than the widest pattern, or the base's
+    block graph is over its guard.  Raises ``ResourceGuardError`` when the
+    count would have more than ``MAX_COUNT_BITS`` bits.
     """
-    if sft not in _base_cache:
-        single_rows = all(f.nrows_extent == 1 for f in sft.forbidden)
-        _base_cache[sft] = base_of_row_lift(sft) if single_rows else None
-    base = _base_cache[sft]
-    if base is None:
+    if any(f.nrows_extent > 1 for f in sft.forbidden):
         return None
+    base = base_of_row_lift(sft)
     if rect is not None:
-        lengths = {rect.ncols: rect.nrows}
+        lengths = Counter({rect.ncols: rect.nrows})
     else:
-        first: dict[int, int] = {}
-        size: dict[int, int] = {}
+        wide = max(f.ncols_extent for f in sft.forbidden)
+        lengths = Counter()
+        last: dict[int, int] = {}
+        run: dict[int, int] = {}
         for m, n in pts:  # columns ascend, so each row arrives left to right
-            if first.setdefault(n, m) + size.get(n, 0) != m:
-                # two runs of one row are not independent: a pattern with a
-                # hole, such as (0,0)=1 (2,0)=1, links cells across the gap
-                return None
-            size[n] = size.get(n, 0) + 1
-        lengths = Counter(size.values())
-    try:
-        return math.prod(word_count_1d(base, length) ** k for length, k in lengths.items())
-    except ResourceGuardError:
-        return None
+            if n in last and m > last[n] + 1:
+                if m - last[n] < wide:
+                    # a pattern that fits across the gap links its runs:
+                    # (0,0)=1 (2,0)=1 across the one-cell gap of row {0, 2}
+                    return None
+                lengths[run.pop(n)] += 1
+            run[n] = run.get(n, 0) + 1
+            last[n] = m
+        lengths.update(run.values())
+    counts = {}
+    for length in lengths:
+        if length * math.log2(base.nsymbols) > MAX_COUNT_BITS:
+            raise ResourceGuardError(
+                f"a row of {length} cells may count above the guard of {MAX_COUNT_BITS} bits")
+        try:
+            counts[length] = word_count_1d(base, length)
+        except ResourceGuardError:
+            return None
+    bits = sum(k * counts[length].bit_length() for length, k in lengths.items())
+    if bits > MAX_COUNT_BITS:
+        raise ResourceGuardError(
+            f"the count has about {bits} bits, above the guard of {MAX_COUNT_BITS} bits")
+    return math.prod(counts[length] ** k for length, k in lengths.items())
 
 
 def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
@@ -650,15 +664,23 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
     if not nodes:
         return 0  # every word this long contains a (k-1)-block, none admissible
     steps = length - k1
-    if _squaring_pays(len(nodes), int(T.sum()), steps):
+    if _squaring_pays(len(nodes), int(T.sum()), int(T.sum(axis=1).max()), steps):
         return _walks_by_squaring(T, steps)
     return _walks_by_iteration(T, steps)
 
 
-def _squaring_pays(nodes: int, edges: int, steps: int) -> bool:
-    """The cost rule of ``word_count_1d``: squaring takes about
-    nodes^3 log2(steps) big-int products, iteration steps * edges sums."""
-    return nodes ** 3 * steps.bit_length() < steps * edges
+def _squaring_pays(nodes: int, edges: int, degree: int, steps: int) -> bool:
+    """The cost rule of ``word_count_1d``, in units of one small big-int
+    product.  Squaring makes about nodes^3 log2(steps) products, and its
+    last doublings multiply numbers of about ``bits`` bits (Karatsuba, so
+    bits^1.585); iteration makes steps * edges sums of numbers of up to
+    ``bits`` bits, each about twice a small product.  ``bits`` is steps *
+    log2(largest out-degree), which bounds the count's growth.  The
+    constants are fitted to timings of both methods on 1D specs with 2 to
+    64 block nodes at 3 to 10^5 steps."""
+    bits = steps * math.log2(max(degree, 1))
+    return nodes ** 3 * (steps.bit_length() + bits ** 1.585 / 10 ** 4) < \
+        steps * edges * (2 + bits / 4000)
 
 
 def _walks_by_squaring(T: np.ndarray, steps: int) -> int:

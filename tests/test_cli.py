@@ -124,6 +124,15 @@ class TestRunCommand:
         assert code == 0
         assert rep["results"]["count"] == 128
 
+    def test_count_over_the_bit_guard_refused(self, fixtures_dir):
+        # the golden row's 100000^2 box is a product of rows whose count
+        # would have about 7e9 bits: refused before it is formed
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--box", "100000"])
+        assert code == 1 and "guard" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+
     def test_count_needs_one_support(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft")])
         assert code == 1 and "error" in rep

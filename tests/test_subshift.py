@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 import meandim as md
 from meandim import IntRect, LatticeSet, Pattern
 from meandim.errors import EmptyLanguageError, ResourceGuardError
-from meandim.subshift import (RectCounter, _CellSweep, _one_d_extendable,
-                              _recoding_width, _row_product, _squaring_pays,
-                              _walks_by_iteration, _walks_by_squaring,
+from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep,
+                              _one_d_extendable, _recoding_width, _row_product,
+                              _squaring_pays, _walks_by_iteration, _walks_by_squaring,
                               base_of_row_lift, transfer_graph_1d)
 
 from conftest import LOG2_PHI
@@ -204,16 +204,20 @@ class TestCounts:
         st.builds(IntRect, st.just(0), st.integers(0, 4), st.just(0), st.integers(0, 4)),
         st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
         st.builds(md.bowen_window,
-                  st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
+                  st.builds(md.ActionSpec, st.integers(-5, 5), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2))))
     def test_row_product_matches_sweep_and_backtracking(self, sft, support):
         pts = support if isinstance(support, LatticeSet) else LatticeSet.from_rect(support)
         assume(sft.nsymbols ** len(pts) <= 2 ** 13)
-        # every row of these supports is one interval
         product = _row_product(sft, pts.as_rect(), pts)
-        assert product is not None
+        rows: dict[int, list[int]] = {}
+        for m, n in pts:
+            rows.setdefault(n, []).append(m)
+        if all(cols[-1] - cols[0] == len(cols) - 1 for cols in rows.values()):
+            assert product is not None
         bt = md.count_locally_admissible(sft, pts, algorithm="backtracking")
-        assert md.count_locally_admissible(sft, support) == product == bt == \
+        assert product in (None, bt)
+        assert md.count_locally_admissible(sft, support) == bt == \
             len(list(md.enumerate_locally_admissible(sft, pts)))
         if pts.as_rect() is not None:
             assert md.count_locally_admissible(sft, support, algorithm="dp") == product
@@ -228,6 +232,26 @@ class TestCounts:
         assert _row_product(sft, None, gapped) is None
         assert md.count_locally_admissible(sft, gapped) == 3 * 6 == \
             len(list(md.enumerate_locally_admissible(sft, gapped)))
+
+    def test_runs_as_far_apart_as_the_widest_pattern_factor(self, goldenrow):
+        # at M = 2 the Bowen window of the action (4, 1) leaves one-cell
+        # gaps in its rows; a golden-row pattern is 2 wide, so no pattern
+        # fits across a gap and each run counts on its own
+        window = md.bowen_window(md.ActionSpec(4, 1), 2, 2)
+        assert window.as_rect() is None
+        assert _row_product(goldenrow, None, window) == 15625 == \
+            md.count_locally_admissible(goldenrow, window, algorithm="backtracking")
+
+    def test_count_bit_guard(self, goldenrow):
+        # a row longer than the guard is refused before its 1D count is
+        # formed; the 100000^2 box is refused through the CLI in test_cli
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="guard"):
+            md.count_locally_admissible(goldenrow, IntRect(0, MAX_COUNT_BITS, 0, 0))
+        assert time.perf_counter() - t0 < 1.0
+        # tame-check's largest golden-row window, 513x513, is under the guard
+        assert md.count_locally_admissible(goldenrow, IntRect(0, 512, 0, 512)) == \
+            fib_count(513) ** 513
 
 
 class TestEnumeration:
@@ -286,7 +310,7 @@ class TestTransferEntropy:
     @given(small_specs(dimension=1), st.integers(1, 9), st.integers(-1, 0))
     def test_squaring_matches_iteration_and_backtracking(self, sft, length, side):
         nodes, T = transfer_graph_1d(sft)
-        edges = int(T.sum())
+        edges, degree = int(T.sum()), int(T.sum(axis=1).max(initial=0))
         assume(edges > 0)
         k1 = _recoding_width(sft) - 1
         bt = md.count_locally_admissible(sft, md.row_interval(length),
@@ -296,9 +320,10 @@ class TestTransferEntropy:
             assert _walks_by_iteration(T, length - k1) == bt
         # the first step count at which the cost rule picks squaring, and
         # the one before, where it picks iteration
-        cross = next(s for s in itertools.count(1) if _squaring_pays(len(nodes), edges, s))
+        cross = next(s for s in itertools.count(1)
+                     if _squaring_pays(len(nodes), edges, degree, s))
         steps = cross + side
-        assert _squaring_pays(len(nodes), edges, steps) == (side == 0)
+        assert _squaring_pays(len(nodes), edges, degree, steps) == (side == 0)
         want = _walks_by_iteration(T, steps)
         assert _walks_by_squaring(T, steps) == want == md.word_count_1d(sft, steps + k1)
         if steps + k1 <= 12:
