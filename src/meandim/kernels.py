@@ -59,13 +59,37 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
     return count
 
 
-def ba_solve(p, rho, beta, tol, max_iter):
+# bytes of kernel matrices one stacked Blahut-Arimoto run may hold; a
+# longer slope schedule is run in chunks of at most this much
+BATCH_BYTES = 1 << 23
+
+
+def ba_solve(p, rho, beta, tol, max_iter, q0=None):
     """One rate-distortion point at Lagrange slope ``beta`` (bits).
+
+    ``ba_sweep`` at the one slope; returns (rate_bits, distortion,
+    iterations, gap, converged).
+    """
+    return ba_sweep(p, rho, [beta], tol, max_iter, q0)[0]
+
+
+def ba_sweep(p, rho, betas, tol, max_iter, q0=None):
+    """Rate-distortion points at the Lagrange slopes ``betas`` (bits).
 
     Alternates the reproduction marginal q and the optimal conditional for
     the kernel K = 2^(-beta * rho).  The stopping rule is the Csiszar
     bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the current free energy
-    exceeds the optimum by at most max_y log2 c(y).
+    exceeds the optimum by at most max_y log2 c(y).  q starts at ``q0``,
+    or uniform when it is None.
+
+    All slopes iterate together as one stack of kernels, and a slope
+    leaves the stack on the iteration its gap falls below ``tol``.  Each
+    slope's kernel, marginal and work vectors start on a 64-byte boundary
+    (the matrix-vector products run about a fifth faster on an aligned
+    K), and the stacked products call the same BLAS matrix-vector routine
+    per slope as a lone product would, so every slope follows the same
+    iterates, bit for bit, whatever else is in the stack.  The caller
+    bounds the stack's size (see ``BATCH_BYTES``).
 
     Reproductions the source does not use lose mass geometrically, and
     their q(y) would sink into subnormal doubles, where every product
@@ -80,34 +104,66 @@ def ba_solve(p, rho, beta, tol, max_iter):
     units); that needs c(y) to turn upwards after the long decay, and no
     problem in the tests or the benchmark does it.
 
-    Returns (rate_bits, distortion, iterations, gap, converged).
+    Returns one (rate_bits, distortion, iterations, gap, converged) per
+    slope, in the order of ``betas``.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     rho = np.ascontiguousarray(rho, dtype=np.float64)
-    ny = rho.shape[1]
-    # the two matrix-vector products per iteration run about a fifth
-    # faster on a cache-line-aligned K; malloc alone does not promise it
-    K = _aligned_empty(rho.shape)
-    np.exp2(-beta * rho, out=K)
-    q = np.full(ny, 1.0 / ny)
-    Z = np.empty(p.shape[0])
-    c = np.empty(ny)
+    nx, ny = rho.shape
+    n = len(betas)
+    K = _aligned_stack(n, (nx, ny))
+    for k, beta in enumerate(betas):
+        np.exp2(-beta * rho, out=K[k])
+    q = _aligned_stack(n, (ny,))
+    q[:] = 1.0 / ny if q0 is None else q0
+    c = _aligned_stack(n, (ny,))
+    Z = _aligned_stack(n, (nx,))
+    gap = np.full(n, np.inf)
+    mass = np.empty(n)
     tiny = np.finfo(np.float64).tiny
-    gap = np.inf
+    slot = list(range(n))  # the index in betas of each stacked slope
+    out = [None] * n
     it = 0
-    converged = False
-    while it < max_iter:
-        it += 1
-        np.dot(K, q, out=Z)
-        np.divide(p, Z, out=Z)
-        np.dot(Z, K, out=c)
-        gap = float(np.log2(np.max(c)))
-        q *= c
-        q /= q.sum()
-        q[q < tiny] = 0.0
-        if gap < tol:
-            converged = True
-            break
+    while slot and it < max_iter:
+        n = len(slot)
+        Kv, qv, cv, Zv, gv, sv = K[:n], q[:n], c[:n], Z[:n], gap[:n], mass[:n]
+        q3, c3, Z3, W3 = qv[:, :, None], cv[:, None, :], Zv[:, :, None], Zv[:, None, :]
+        s2 = sv[:, None]
+        # ufunc reductions, since np.max and np.sum add about 1 us per call
+        while it < max_iter:
+            it += 1
+            np.matmul(Kv, q3, out=Z3)
+            np.divide(p, Zv, out=Zv)
+            np.matmul(W3, Kv, out=c3)
+            np.maximum.reduce(cv, axis=1, out=gv)
+            np.log2(gv, out=gv)
+            qv *= cv
+            np.add.reduce(qv, axis=1, out=sv)
+            qv /= s2
+            qv[qv < tiny] = 0.0
+            if np.minimum.reduce(gv) < tol:
+                break
+        keep = []
+        for r in range(n):
+            if gv[r] < tol:
+                out[slot[r]] = _ba_point(p, rho, K[r], q[r], it, float(gv[r]), True)
+            else:
+                keep.append(r)
+        # move the slopes still running to the front, slice by slice, so
+        # that every slice keeps its alignment
+        for dst, src in enumerate(keep):
+            if dst != src:
+                K[dst] = K[src]
+                q[dst] = q[src]
+                gap[dst] = gap[src]
+        slot = [slot[r] for r in keep]
+    for r, k in enumerate(slot):
+        out[k] = _ba_point(p, rho, K[r], q[r], it, float(gap[r]), False)
+    return out
+
+
+def _ba_point(p, rho, K, q, it, gap, converged):
+    """Rate and distortion of the optimal conditional for marginal q."""
     Z = K @ q
     cond = K * q[None, :] / Z[:, None]
     qbar = p @ cond
@@ -115,12 +171,15 @@ def ba_solve(p, rho, beta, tol, max_iter):
                       where=(cond > 0) & (qbar[None, :] > 0))
     rate = float(np.sum(p[:, None] * cond * np.log2(ratio)))
     dist = float(np.sum(p[:, None] * cond * rho))
-    return rate, dist, it, float(gap), converged
+    return rate, dist, it, gap, converged
 
 
-def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialised float64 array whose data starts on a 64-byte boundary."""
-    nbytes = 8 * int(np.prod(shape))
-    buf = np.empty(nbytes + 64, dtype=np.uint8)
+def _aligned_stack(n, shape) -> np.ndarray:
+    """An uninitialised float64 array of shape (n, *shape) whose n slices
+    are C-contiguous and each start on a 64-byte boundary."""
+    size = int(np.prod(shape))
+    stride = -(-size // 8) * 8
+    buf = np.empty(8 * (n * stride + 8), dtype=np.uint8)
     start = -buf.ctypes.data % 64
-    return buf[start:start + nbytes].view(np.float64).reshape(shape)
+    flat = buf[start:start + 8 * n * stride].view(np.float64)
+    return flat.reshape(n, stride)[:, :size].reshape((n, *shape))

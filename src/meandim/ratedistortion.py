@@ -1,15 +1,19 @@
 """Blahut-Arimoto computation of finite rate-distortion problems.
 
-The curve is traced parametrically by the Lagrange slope: each call
+The curve is traced parametrically by the Lagrange slope: each run
 alternates the reproduction marginal and the optimal conditional for the
 kernel 2^(-slope * distortion) until the standard Csiszar gap drops
-below tolerance.  Initialisation is uniform and zero-probability source
-outcomes are dropped first, so the output is deterministic.
+below tolerance.  Initialisation is uniform, zero-probability source
+outcomes are dropped and equal distortion columns are lumped first, so
+the output is deterministic.  A sweep runs its slopes as one stacked
+iteration, each slope on the same iterates as a run of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +54,41 @@ class RdProblem:
         """The stored read-only array itself, not a copy."""
         return self.distortion
 
+    @cached_property
+    def lumped(self):
+        """(p, rho, q0): the problem Blahut-Arimoto runs, computed once.
+
+        Source outcomes of probability 0 are dropped.  Reproductions whose
+        distortion columns are then equal get equal c(y), hence equal
+        mass, on every iteration, so each group of equal columns is kept
+        once, in first-occurrence order, and ``q0`` starts it at its
+        multiplicity over the reproduction count.  The lumped iteration
+        follows the summed mass of each group, and rate and distortion
+        come out the same.  Without equal columns q0 is None and the
+        arrays are the dense ones.
+        """
+        p = self.source.prob_array()
+        keep = p > 0
+        if not keep.any():
+            raise ValueError("source has no outcome with positive probability")
+        p = p[keep]
+        rho = self.distortion if keep.all() else self.distortion[keep, :]
+        ny = rho.shape[1]
+        # one byte string per column; + 0.0 maps -0.0 to 0.0
+        cols = np.add(rho.T, 0.0, order="C")
+        keys = cols.view(np.dtype((np.void, 8 * cols.shape[1]))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        q0 = None
+        if len(first) < ny:
+            order = np.argsort(first)
+            rho = np.ascontiguousarray(rho[:, first[order]])
+            q0 = counts[order] / ny
+        # every caller gets these same arrays
+        for a in (p, rho, q0):
+            if a is not None:
+                a.setflags(write=False)
+        return p, rho, q0
+
     def __eq__(self, other):
         if not isinstance(other, RdProblem):
             return NotImplemented
@@ -81,30 +120,51 @@ def blahut_arimoto(problem: RdProblem, slope: float, tol: float = 1e-9,
     Raises NonConvergenceError (carrying the residual gap) if the Csiszar
     gap does not fall below ``tol`` within ``max_iter`` iterations.
     """
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    p = problem.source.prob_array()
-    rho = problem.distortion_array()
-    keep = p > 0
-    p = p[keep]
-    rho = rho[keep, :]
-    if p.size == 0:
-        raise ValueError("source has no outcome with positive probability")
-    rate, dist, iters, gap, converged = kernels.ba_solve(p, rho, float(slope),
-                                                         float(tol), int(max_iter))
+    _check_run(slope, tol, max_iter)
+    p, rho, q0 = problem.lumped
+    rate, dist, iters, gap, converged = kernels.ba_solve(p, rho, float(slope), float(tol),
+                                                         int(max_iter), q0=q0)
+    return _point(slope, tol, rate, dist, iters, gap, converged)
+
+
+def rd_curve(problem: RdProblem, slopes: Sequence[float], tol: float = 1e-9,
+             max_iter: int = 20000) -> list[RdPoint]:
+    """Sweep the curve over a slope schedule, one point per slope in order.
+
+    The slopes run as one stacked Blahut-Arimoto iteration, in chunks of
+    consecutive slopes whose kernels fit ``kernels.BATCH_BYTES``; each
+    point is the one ``blahut_arimoto`` returns at its slope.  The first
+    slope in schedule order that does not converge raises its
+    NonConvergenceError, and later chunks are not run.
+    """
+    slopes = [float(s) for s in slopes]
+    for s in slopes:
+        _check_run(s, tol, max_iter)
+    p, rho, q0 = problem.lumped
+    chunk = max(1, kernels.BATCH_BYTES // (8 * rho.size))
+    points = []
+    for i in range(0, len(slopes), chunk):
+        part = slopes[i:i + chunk]
+        runs = kernels.ba_sweep(p, rho, part, float(tol), int(max_iter), q0)
+        points += [_point(s, tol, *run) for s, run in zip(part, runs)]
+    return points
+
+
+def _check_run(slope, tol, max_iter) -> None:
+    if not math.isfinite(slope) or slope <= 0:
+        raise ValueError(f"slope must be positive and finite, got {slope}")
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
+def _point(slope, tol, rate, dist, iters, gap, converged) -> RdPoint:
     if not converged:
         raise NonConvergenceError(
             f"Blahut-Arimoto at slope {slope:g}: gap {gap:.3e} still above tol "
             f"{tol:.1e} after {iters} iterations", gap)
     return RdPoint(max(rate, 0.0), dist, float(slope), iters)
-
-
-def rd_curve(problem: RdProblem, slopes: Sequence[float], tol: float = 1e-9,
-             max_iter: int = 20000) -> list[RdPoint]:
-    """Sweep the curve over a slope schedule (one independent run each)."""
-    return [blahut_arimoto(problem, s, tol, max_iter) for s in slopes]
 
 
 def binary_hamming_problem(p0: float = 0.5) -> RdProblem:
@@ -131,8 +191,10 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
     window.  The truncation upper-bounds the true distortion, so rates
     computed from it stay valid upper bounds.
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    if not math.isfinite(alpha) or alpha <= 1:
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
+    if M < 1:
+        raise ValueError(f"window depth M must be at least 1, got {M}")
     window = norm_ball(M - 1, norm)
     source = window_marginal(measure, window, max_outcomes=max_outcomes)
     pats = source.outcomes
@@ -140,12 +202,21 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
     norms = np.array([max(abs(m), abs(n)) if norm == "linf" else np.hypot(m, n)
                       for (m, n) in pts])
     arrays = np.array([[measure.alphabet.index(pat[pt]) for pt in pts] for pat in pats])
-    n = len(pats)
-    dist = np.empty((n, n))
-    for i in range(n):
-        neq = arrays != arrays[i]
-        masked = np.where(neq, norms[None, :], np.inf)
-        expo = masked.min(axis=1)
-        expo = np.where(np.isinf(expo), float(M), expo)
-        dist[i] = alpha ** (-expo)
+    levels = sorted(set(norms.tolist()))
+    # codes[k]: each pattern's restriction to the cells of norm <= levels[k]
+    # as a radix number, below len(pats) = q^cells
+    codes = []
+    code = np.zeros(len(pats), dtype=np.int64)
+    for level in levels:
+        for cell in np.flatnonzero(norms == level):
+            code = code * len(measure.alphabet) + arrays[:, cell]
+        codes.append(code)
+    # alpha^-M where the whole window agrees, then, from the largest level
+    # down, alpha^-level where the restrictions to that level differ
+    table = alpha ** -np.array(levels + [M], dtype=np.float64)
+    dist = np.full((len(pats), len(pats)), table[-1])
+    differ = np.empty(dist.shape, dtype=bool)
+    for k in reversed(range(len(levels))):
+        np.not_equal(codes[k][:, None], codes[k][None, :], out=differ)
+        np.copyto(dist, table[k], where=differ)
     return RdProblem.build(source, pats, dist)
