@@ -209,7 +209,7 @@ class TestLumping:
             assert np.array_equal(lrho, rho[p > 0][:, sorted(firsts.values())])
             assert q0.sum() == pytest.approx(1.0, abs=1e-15)
             beta = float(np.random.default_rng(seed).uniform(0.5, 6.0))
-            for tol, max_iter in ((1e-10, 20000), (1e-14, 40)):
+            for tol, max_iter in ((1e-14, 40), (1e-10, 20000)):
                 want, _ = textbook_ba(p[p > 0], rho[p > 0], beta, tol, max_iter)
                 got = kernels.ba_solve(lp, lrho, beta, tol, max_iter, q0=q0)
                 assert got[2:5:2] == want[2:5:2]  # iterations and converged
@@ -217,7 +217,6 @@ class TestLumping:
                 assert got[1] == pytest.approx(want[1], abs=1e-12)
                 assert got[3] == pytest.approx(want[3], abs=1e-12)
             pt = md.blahut_arimoto(prob, beta, tol=1e-10)
-            want, _ = textbook_ba(p[p > 0], rho[p > 0], beta, 1e-10, 20000)
             assert want[4] and pt.iterations == want[2]
             assert pt.rate == pytest.approx(max(want[0], 0.0), abs=1e-12)
             assert pt.distortion == pytest.approx(want[1], abs=1e-12)
