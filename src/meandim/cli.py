@@ -16,8 +16,8 @@ import time
 from . import __version__
 from .dimensions import (ActionSpec, MetricSpec, hausdorff_bracket_1d,
                          mhdim_bounds, minkowski_estimate_1d, mmdim_estimate,
-                         covering_number, tame_growth_check,
-                         DEFAULT_M_SCHEDULE, DEFAULT_M_SCHEDULE_1D)
+                         covering_number, m_schedule, tame_growth_check,
+                         DEFAULT_M_SCHEDULE_1D)
 from .errors import MeandimError
 from .estimates import DimensionEstimate
 from .files import parse_measure, parse_rects, parse_sft
@@ -232,12 +232,8 @@ def _load_measure(args) -> MeasureSpec | None:
     return None
 
 
-def _schedule(args, sft: SftSpec | None = None) -> list[int]:
-    if args.M_schedule:
-        return args.M_schedule
-    if sft is not None and sft.dimension == 1:
-        return list(DEFAULT_M_SCHEDULE_1D)
-    return list(DEFAULT_M_SCHEDULE)
+def _schedule(args) -> list[int]:
+    return m_schedule(args.action, args.M_schedule or None)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +488,7 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             "forbidden patterns that span rows they are counted by backtracking, "
             "which exceeds the search guards")
 
-    sched = list(Mschedule) if Mschedule else list(DEFAULT_M_SCHEDULE)
+    sched = m_schedule(action, Mschedule or None)
     mm = mmdim_estimate(sft, spec, action, sched, Nfactor)
     lower, upper = mhdim_bounds(sft, measure, spec, action, sched, Nfactor)
     results["mmdim"] = _estimate_dict(mm)

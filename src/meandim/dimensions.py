@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, fit_limit
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
-from .lattice import IntRect, LatticeSet, norm_ball
+from .lattice import IntRect, LatticeSet, lambda_set, norm_ball
 from .subshift import Pattern, SftSpec, count_locally_admissible, word_count_1d
 
 
@@ -150,20 +150,12 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> Latt
     """Determining window of the N-step Bowen metric at resolution M.
 
     The union of the radius-(M-1) norm ball translated along
-    (na, nb) for 0 <= n < N: two points are closer than any epsilon with
-    resolution index M iff they agree on this set.  For the horizontal
-    action and the sup norm this is the rectangle
+    (na, nb) for 0 <= n < N, i.e. ``lambda_set``: two points are closer
+    than any epsilon with resolution index M iff they agree on this set.
+    For the horizontal action and the sup norm this is the rectangle
     [-(M-1), N+M-2] x [-(M-1), M-1].
     """
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be positive")
-    ball = norm_ball(M - 1, norm)
-    pts = set()
-    for n in range(N):
-        cm, cn = action.a * n, action.b * n
-        for (x, y) in ball:
-            pts.add((cm + x, cn + y))
-    return LatticeSet(pts)
+    return lambda_set(action.a, action.b, M, N, norm)
 
 
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
@@ -213,7 +205,28 @@ def entropy_at_resolution(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
     return EntropySlope((l2 - l1) / (N2 - N1), M, table)
 
 
-DEFAULT_M_SCHEDULE = (2, 3, 4, 5, 6)
+def m_schedule(action: ActionSpec, Mschedule: Sequence[int] | None = None) -> list[int]:
+    """The sorted depths of a Bowen-window estimator along ``action``.
+
+    Below M0, the smallest M with 2M-1 >= max(|a|, |b|), the balls of a
+    window are narrower than the step between them, so the window skips
+    whole columns or rows between consecutive balls; the counts stay
+    exact, but the per-depth ratios do not follow the extrapolation
+    model, so an explicit schedule starting below M0 is refused.  The
+    default is five depths from max(2, M0): 2 to 6 for steps of at most 3.
+    """
+    M0 = (max(abs(action.a), abs(action.b)) + 2) // 2
+    if Mschedule is None:
+        start = max(2, M0)
+        return list(range(start, start + 5))
+    Ms = sorted(set(int(M) for M in Mschedule))
+    if Ms and Ms[0] < 1:
+        raise ValueError("M schedule must be positive")
+    if Ms and Ms[0] < M0:
+        raise ValueError(
+            f"the windows along ({action.a},{action.b}) skip columns or rows below "
+            f"M = {M0}; start the M schedule at {M0} or deeper")
+    return Ms
 
 
 def _n_pair(M: int, Nfactor: int) -> tuple[int, int]:
@@ -227,15 +240,16 @@ def _n_pair(M: int, Nfactor: int) -> tuple[int, int]:
 
 
 def mmdim_estimate(sft: SftSpec, spec: MetricSpec, action: ActionSpec = ActionSpec(),
-                   Mschedule: Sequence[int] = DEFAULT_M_SCHEDULE,
+                   Mschedule: Sequence[int] | None = None,
                    Nfactor: int = 16) -> DimensionEstimate:
     """Metric mean dimension estimate.
 
     Per scheduled M the ratio v_M = S(eps_M) / log2(1/eps_M) with
     eps_M = alpha^-(M-1); the limit is extrapolated by a straight line in
-    1/(M-1), which is exact on the fixture families.
+    1/(M-1), which is exact on the fixture families.  The schedule is
+    checked, or defaulted, by ``m_schedule``.
     """
-    Ms = sorted(set(int(M) for M in Mschedule))
+    Ms = m_schedule(action, Mschedule)
     if len(Ms) < 3:
         raise ValueError("mmdim_estimate wants at least three M values")
     if Ms[0] < 2:
@@ -294,7 +308,7 @@ def hausdorff_lower_at_scale(sft: SftSpec, measure: MeasureSpec, spec: MetricSpe
 
 def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
                  action: ActionSpec = ActionSpec(),
-                 Mschedule: Sequence[int] = DEFAULT_M_SCHEDULE, Nfactor: int = 16,
+                 Mschedule: Sequence[int] | None = None, Nfactor: int = 16,
                  ) -> tuple[DimensionEstimate | None, DimensionEstimate]:
     """Mean Hausdorff dimension bracket (lower needs a measure).
 
@@ -302,13 +316,12 @@ def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     of the depth-M' exponents, then minimised over M' >= M; both sequences
     extrapolate linearly in 1/M (exact on fixtures).  Returns
     (lower or None, upper); the upper sequence sits below the matching
-    metric-mean-dimension sequence pointwise.
+    metric-mean-dimension sequence pointwise.  The schedule is checked,
+    or defaulted, by ``m_schedule``.
     """
-    Ms = sorted(set(int(M) for M in Mschedule))
+    Ms = m_schedule(action, Mschedule)
     if len(Ms) < 3:
         raise ValueError("mhdim_bounds wants at least three M values")
-    if Ms[0] < 1:
-        raise ValueError("M schedule must be positive")
     Mcap = Ms[-1]
     if measure is not None:
         check_support(measure, sft)

@@ -2,15 +2,19 @@
 finite-scale rate-distortion bounds.
 
 Measures come in two generator families, both invariant under the full
-Z^2 shift action: ``bernoulli`` (iid sites) and ``markov-row`` (rows are
-independent copies of one stationary 1D Markov chain).  Window marginals
-and entropies have exact closed forms for both; the rate-distortion
-bounds combine them with a resolution bracket and the binary-entropy
-penalty term.  All information quantities are in bits.
+Z^2 shift action: ``markov-row`` (rows are independent copies of one
+stationary 1D Markov chain) and Bernoulli (iid sites), which is the
+rank-one row chain whose transition rows all equal its weights.  Every
+computation reads a measure only through ``P()`` and ``pi()``, so both
+families share one code path: window marginals are outer products of
+per-row chain laws, and entropies follow from the chain rule.  The
+rate-distortion bounds combine them with a resolution bracket and the
+binary-entropy penalty term.  All information quantities are in bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -125,6 +129,10 @@ class MeasureSpec:
     kind "markov-row": each row an independent stationary Markov chain
     with transition matrix ``transition`` and stationary vector
     ``stationary`` (rows are iid copies).
+
+    ``P()`` and ``pi()`` give the row chain of either kind; a bernoulli
+    measure is the chain whose transition rows all equal its weights.
+    The kind is a label for validation and the file format only.
     """
 
     kind: str
@@ -175,13 +183,14 @@ class MeasureSpec:
                    stationary=tuple(float(x) for x in np.asarray(stationary, float)))
 
     def P(self) -> np.ndarray:
+        if self.kind == "bernoulli":
+            return np.tile(self.pi(), (len(self.alphabet), 1))
         return np.asarray(self.transition, float)
 
     def pi(self) -> np.ndarray:
+        if self.kind == "bernoulli":
+            return np.asarray(self.weights, float)
         return np.asarray(self.stationary, float)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, float)
 
 
 def parry_measure(sft: SftSpec) -> MeasureSpec:
@@ -241,14 +250,6 @@ def pattern_log2_prob(measure: MeasureSpec, pattern: Pattern) -> float:
     for (m, n), sym in pattern.cells:
         rows.setdefault(n, []).append((m, measure.alphabet.index(sym)))
     total = 0.0
-    if measure.kind == "bernoulli":
-        w = measure.weight_array()
-        for cells in rows.values():
-            for _, sidx in cells:
-                if w[sidx] <= 0:
-                    return float("-inf")
-                total += math.log2(w[sidx])
-        return total
     P = measure.P()
     pi = measure.pi()
     for cells in rows.values():
@@ -283,9 +284,11 @@ def window_marginal(measure: MeasureSpec, support, *,
                     max_outcomes: int = 1 << 20) -> FiniteDistribution:
     """Exact marginal law of the pattern seen on a finite support.
 
-    Outcomes are Patterns in canonical enumeration order.  Product law
-    for bernoulli; independent stationary chain marginals per row for
-    markov-row (gaps bridged by matrix powers).
+    Outcomes are Patterns in canonical enumeration order.  Rows are
+    independent copies of the stationary row chain, so the law is the
+    outer product of the per-row laws pi(s0) P^g1(s0, s1) ..., gaps g
+    bridged by matrix powers; for a Bernoulli measure's rank-one chain
+    this is the product law.
     """
     rows = _rows_of(support)
     cells = sorted((m, n) for n, xs in rows.items() for m in xs)
@@ -296,79 +299,34 @@ def window_marginal(measure: MeasureSpec, support, *,
             f"window marginal would have {n_out} outcomes, above the guard "
             f"{max_outcomes}")
 
-    per_row: list[tuple[int, list[int], np.ndarray]] = []
-    for n, xs in sorted(rows.items()):
-        per_row.append((n, xs, _row_marginal_probs(measure, xs)))
-
-    outcomes = []
-    probs = []
-    syms = measure.alphabet.symbols
-    ncells = len(cells)
-    for code in range(n_out):
-        digits = []
-        c = code
-        for _ in range(ncells):
-            digits.append(c % q)
-            c //= q
-        digits.reverse()  # cells in canonical order, most significant first
-        assign = dict(zip(cells, digits))
-        p = 1.0
-        for n, xs, table in per_row:
-            idx = 0
-            for x in xs:
-                idx = idx * q + assign[(x, n)]
-            p *= table[idx]
-        outcomes.append(Pattern(tuple(((m, n), syms[assign[(m, n)]]) for (m, n) in cells)))
-        probs.append(p)
-    total = sum(probs)
-    if total > 0:
-        probs = [p / total for p in probs]
-    return FiniteDistribution(tuple(outcomes), tuple(probs))
-
-
-def _row_marginal_probs(measure: MeasureSpec, xs: list[int]) -> np.ndarray:
-    """Joint law of one row's cells at positions xs, flattened in base-q
-    (first position most significant)."""
-    q = len(measure.alphabet)
-    k = len(xs)
-    out = np.zeros(q ** k)
-    if measure.kind == "bernoulli":
-        w = measure.weight_array()
-        for code in range(q ** k):
-            p = 1.0
-            c = code
-            for _ in range(k):
-                p *= w[c % q]
-                c //= q
-            out[code] = p
-        return out
     P = measure.P()
-    pi = measure.pi()
-    powers = [np.linalg.matrix_power(P, xs[i + 1] - xs[i]) for i in range(k - 1)]
-    for code in range(q ** k):
-        digits = []
-        c = code
-        for _ in range(k):
-            digits.append(c % q)
-            c //= q
-        digits.reverse()
-        p = pi[digits[0]]
-        for i in range(k - 1):
-            p *= powers[i][digits[i], digits[i + 1]]
-        out[code] = p
-    return out
+    law = np.ones(())
+    row_cells = []
+    for n, xs in sorted(rows.items()):
+        row = measure.pi()
+        for i in range(len(xs) - 1):
+            row = row[..., :, None] * np.linalg.matrix_power(P, xs[i + 1] - xs[i])
+        law = np.multiply.outer(law, row)
+        row_cells += [(m, n) for m in xs]
+    # one axis per cell in row order; canonical order puts the first cell
+    # most significant
+    axis = {cell: i for i, cell in enumerate(row_cells)}
+    probs = law.transpose([axis[cell] for cell in cells]).ravel()
+    total = sum(probs.tolist())
+    if total > 0:
+        probs = probs / total
+    outcomes = tuple(Pattern(tuple(zip(cells, syms)))
+                     for syms in itertools.product(measure.alphabet.symbols,
+                                                   repeat=len(cells)))
+    return FiniteDistribution(outcomes, tuple(probs.tolist()))
 
 
 def window_entropy(measure: MeasureSpec, support) -> float:
-    """Exact entropy in bits of the window marginal, via the chain rule.
-
-    bernoulli: |support| * H(weights).  markov-row: per row,
-    H(pi) plus one conditional-entropy term per gap between visible cells.
+    """Exact entropy in bits of the window marginal, via the chain rule:
+    per row, H(pi) plus one conditional-entropy term per gap between
+    visible cells (for a Bernoulli measure each term is H(weights)).
     """
     rows = _rows_of(support)
-    ncells = sum(len(xs) for xs in rows.values())
-    if measure.kind == "bernoulli":
-        return ncells * entropy_bits(measure.weight_array())
     P = measure.P()
     pi = measure.pi()
     total = 0.0
@@ -389,10 +347,8 @@ def window_entropy(measure: MeasureSpec, support) -> float:
 
 
 def ks_entropy(measure: MeasureSpec) -> float:
-    """Entropy per site in bits: H(weights) for bernoulli, the Markov
-    entropy rate -sum_i pi_i sum_j P_ij log2 P_ij for markov-row."""
-    if measure.kind == "bernoulli":
-        return entropy_bits(measure.weight_array())
+    """Entropy per site in bits: the entropy rate of the row chain,
+    -sum_i pi_i sum_j P_ij log2 P_ij (H(weights) for a Bernoulli measure)."""
     P = measure.P()
     pi = measure.pi()
     return float(sum(pi[i] * entropy_bits(P[i]) for i in range(len(pi))))
@@ -401,16 +357,9 @@ def ks_entropy(measure: MeasureSpec) -> float:
 def max_cylinder_log2_prob(measure: MeasureSpec, support) -> float:
     """log2 of the largest cylinder mass over patterns on ``support``.
 
-    Per-row max-product dynamic programming for markov-row measures;
-    |support| * log2(max weight) for bernoulli.
+    Per-row max-product dynamic programming over the row chain.
     """
     rows = _rows_of(support)
-    ncells = sum(len(xs) for xs in rows.values())
-    if ncells == 0:
-        return 0.0
-    if measure.kind == "bernoulli":
-        w = measure.weight_array()
-        return ncells * math.log2(w.max())
     P = measure.P()
     pi = measure.pi()
     with np.errstate(divide="ignore"):
@@ -424,8 +373,8 @@ def max_cylinder_log2_prob(measure: MeasureSpec, support) -> float:
             vec = logpi.copy()
             for g in gaps:
                 step = logP if g == 1 else _log2_matrix_power(P, g)
-                vec = np.max(vec[:, None] + step, axis=0)
-            best_cache[gaps] = float(vec.max())
+                vec = np.maximum.reduce(vec[:, None] + step)
+            best_cache[gaps] = float(np.maximum.reduce(vec))
         total += best_cache[gaps]
     return total
 

@@ -3,13 +3,14 @@
 Rectangles in Z^2 with the triple dilation and the width/height
 pre-order, finite point sets with window boundaries and interiors, the
 greedy disjoint-subfamily covering algorithm, and the swept-window sets
-Lambda_{a,b}(M,N) obtained by translating a square along a lattice
+Lambda_{a,b}(M,N) obtained by translating a norm ball along a lattice
 direction.  Everything here is exact integer arithmetic; all functions
 are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -245,28 +246,47 @@ def norm_ball(radius: int, norm: str = "linf") -> LatticeSet:
     return LatticeSet(pts)
 
 
-def lambda_set(a: int, b: int, M: int, N: int, *, max_points: int = 5_000_000) -> LatticeSet:
-    """The window swept along direction (a, b): points (an+x, bn+y) with
-    0 <= n < N and |(x,y)|_inf < M, materialised as a LatticeSet.
+# largest point set lambda_set builds
+MAX_LAMBDA_POINTS = 5_000_000
 
-    For density computations at large M, N use lambda_count / lambda_density,
-    which evaluate the cardinality without enumeration.
+
+def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet:
+    """The window swept along direction (a, b): points (an, bn) + u with
+    0 <= n < N and u in the radius-(M-1) norm ball, materialised as a
+    LatticeSet.
+
+    Refused before any point is built when it could hold more than
+    ``MAX_LAMBDA_POINTS`` points: lambda_count of them for the sup norm,
+    N balls' worth for the Euclidean one.  For density computations at
+    large M, N use lambda_count / lambda_density, which evaluate the
+    cardinality without enumeration.
     """
     if (a, b) == (0, 0):
         raise ValueError("direction (a, b) must be nonzero")
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
-    if lambda_count(a, b, M, N) > max_points:
+    if norm == "linf":
+        size = lambda_count(a, b, M, N)
+    elif norm == "l2":
+        # the disc holds the square of half-side isqrt(r^2 / 2), so the
+        # exact count below runs only for radii of a few thousand
+        r2 = (M - 1) ** 2
+        size = N * (2 * math.isqrt(r2 // 2) + 1) ** 2
+        if size <= MAX_LAMBDA_POINTS:
+            size = N * sum(2 * math.isqrt(r2 - m * m) + 1 for m in range(1 - M, M))
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
+    if size > MAX_LAMBDA_POINTS:
         raise ResourceGuardError(
-            f"lambda_set would hold more than {max_points} points; "
-            "use lambda_count/lambda_density for cardinalities at this size"
-        )
+            f"lambda_set would hold up to {size} points, above the guard "
+            f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
+            "cardinalities at this size")
+    ball = norm_ball(M - 1, norm)
     pts = set()
     for n in range(N):
         cm, cn = a * n, b * n
-        for x in range(-(M - 1), M):
-            for y in range(-(M - 1), M):
-                pts.add((cm + x, cn + y))
+        for (x, y) in ball:
+            pts.add((cm + x, cn + y))
     return LatticeSet(pts)
 
 

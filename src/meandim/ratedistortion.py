@@ -74,15 +74,15 @@ class RdProblem:
         p = p[keep]
         rho = self.distortion if keep.all() else self.distortion[keep, :]
         ny = rho.shape[1]
-        # one byte string per column; + 0.0 maps -0.0 to 0.0
-        cols = np.add(rho.T, 0.0, order="C")
-        keys = cols.view(np.dtype((np.void, 8 * cols.shape[1]))).ravel()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        # columns grouped by their bytes, in first-occurrence order; + 0.0
+        # maps -0.0 to 0.0
+        groups: dict[bytes, list[int]] = {}
+        for j, col in enumerate(np.add(rho.T, 0.0, order="C")):
+            groups.setdefault(col.tobytes(), []).append(j)
         q0 = None
-        if len(first) < ny:
-            order = np.argsort(first)
-            rho = np.ascontiguousarray(rho[:, first[order]])
-            q0 = counts[order] / ny
+        if len(groups) < ny:
+            rho = np.ascontiguousarray(rho[:, [g[0] for g in groups.values()]])
+            q0 = np.array([len(g) for g in groups.values()]) / ny
         # every caller gets these same arrays
         for a in (p, rho, q0):
             if a is not None:

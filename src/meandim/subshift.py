@@ -9,7 +9,8 @@ full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
 Counts are arbitrary-precision integers, and ``count_locally_admissible``
 is the one place that chooses how to count, in this order: the closed
-form q^cells when no forbidden pattern fits; for a 1D interval, the word
+form q^cells when no forbidden pattern fits, refused above
+``MAX_COUNT_BITS``; for a 1D interval, the word
 count of the block transfer graph, by repeated squaring of the transfer
 matrix when its n nodes make about n^3 log2(L) products, Karatsuba-costed
 at the last doublings, cheaper than stepping a vector L times over its
@@ -460,7 +461,8 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     certified fixture families.  ``support`` is an ``IntRect`` (counted
     without building its points), a ``LatticeSet`` or an iterable of
     points.  In order: an empty support counts 1; a support into which no
-    forbidden pattern fits counts q^cells; under "auto" a 1D interval goes
+    forbidden pattern fits counts q^cells (refused above
+    ``MAX_COUNT_BITS`` bits); under "auto" a 1D interval goes
     to ``word_count_1d`` (squaring or iteration by its cost rule), a 2D
     spec whose forbidden patterns each lie in one row is counted as a
     product of ``word_count_1d`` over the runs of the support's rows when
@@ -484,6 +486,10 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
         raise ValueError("1D supports must lie on the horizontal axis")
     if not any(f.ncols_extent <= box.ncols and f.nrows_extent <= box.nrows
                for f in sft.forbidden):
+        if cells * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
+            raise ResourceGuardError(
+                f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
+                f"{MAX_COUNT_BITS}")
         return sft.nsymbols ** cells
     if algorithm == "dp" and (rect is None or sft.dimension != 2):
         raise ValueError("algorithm='dp' needs a 2D rectangle support")

@@ -133,6 +133,27 @@ class TestRunCommand:
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 1.0
 
+    def test_full_shift_box_over_the_bit_guard_refused(self, fixtures_dir):
+        # q^cells is refused before it is formed; 512^2 cells is the last
+        # full-shift box under the guard
+        full = fx(fixtures_dir, "fullshift2.sft")
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", full, "--box", "100000"])
+        assert code == 1 and "guard" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+        code, rep = run_command(["count", "--sft", full, "--box", "513"])
+        assert code == 1 and "guard" in rep["error"]
+        code, rep = run_command(["count", "--sft", full, "--box", "512"])
+        assert code == 0 and rep["results"]["log2_count"] == 512 ** 2
+
+    def test_covering_window_guard(self, fixtures_dir):
+        # the 3e8-point Bowen window is refused before a point is built
+        t0 = time.perf_counter()
+        code, rep = run_command(["covering", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--N", "100000000", "--eps", "0.5"])
+        assert code == 1 and "guard" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+
     def test_count_needs_one_support(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft")])
         assert code == 1 and "error" in rep
@@ -271,6 +292,19 @@ class TestVerifyTheorem:
             "--action", "1,1", "--alpha", "2"])
         assert code == 0 and rep["verdict"] == "PASS"
         assert rep["results"]["action_factor"] == 4
+
+    def test_wide_step_schedule_starts_without_gaps(self, fixtures_dir):
+        # along (4,1) the M = 2 windows have gaps in their rows; the default
+        # schedule starts at M = 3, and an explicit one below it is refused
+        for name, action in (("fullshift2.sft", "4,1"), ("goldenrow.sft", "4,1"),
+                             ("fullshift2.sft", "1,4")):
+            argv = ["verify-theorem", "--sft", fx(fixtures_dir, name),
+                    "--action", action, "--alpha", "2"]
+            code, rep = run_command(argv)
+            assert code == 0 and rep["verdict"] == "PASS"
+            assert [M for M, _ in rep["results"]["mmdim"]["schedule"]] == [3, 4, 5, 6, 7]
+            code, rep = run_command(argv + ["--M-schedule", "2,3,4"])
+            assert code == 1 and "M = 3" in rep["error"]
 
     def test_skew_action_constrained_system_refused(self, fixtures_dir):
         code, rep = run_command([

@@ -113,14 +113,19 @@ class TestBowenWindow:
         assert w.as_rect() == IntRect(-1, 4, -1, 1) and len(w) == 18
 
     def test_skew_equals_lambda_set(self):
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                if (a, b) == (0, 0):
-                    continue
-                for M in range(1, 5):
-                    for N in range(1, 7):
-                        assert md.bowen_window(ActionSpec(a, b), N, M) == \
-                            md.lambda_set(a, b, M, N)
+        # the union of the radius-(M-1) balls at (na, nb), 0 <= n < N
+        for norm in ("linf", "l2"):
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    if (a, b) == (0, 0):
+                        continue
+                    for M in range(1, 5):
+                        ball = md.norm_ball(M - 1, norm)
+                        for N in range(1, 7):
+                            swept = LatticeSet({(a * n + x, b * n + y)
+                                                for n in range(N) for x, y in ball})
+                            assert md.bowen_window(ActionSpec(a, b), N, M, norm) == \
+                                md.lambda_set(a, b, M, N, norm) == swept
 
     def test_window_characterises_distance(self, spec2, act10):
         # Single-site disagreements give the Bowen distance exactly:
@@ -298,6 +303,29 @@ class TestSkewAndEuclidean:
                 gaps.append(abs(ratio - limit))
             assert gaps == sorted(gaps, reverse=True)
             assert gaps[-1] < 0.05 * limit
+
+    def test_m_schedule_starts_where_windows_skip_nothing(self):
+        m_schedule = md.dimensions.m_schedule
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                if (a, b) == (0, 0):
+                    continue
+                act = ActionSpec(a, b)
+                skip_free = []
+                for M in range(1, 6):
+                    w = md.bowen_window(act, 3, M)
+                    box = w.bounding_box()
+                    skip_free.append({m for m, _ in w} == set(range(box.a, box.b + 1))
+                                     and {n for _, n in w} == set(range(box.c, box.d + 1)))
+                first = skip_free.index(True) + 1
+                assert all(skip_free[first - 1:])
+                assert m_schedule(act) == list(range(max(2, first), max(2, first) + 5))
+                if first > 1:
+                    with pytest.raises(ValueError, match=f"M = {first}"):
+                        m_schedule(act, range(first - 1, first + 2))
+        # horizontal runs keep their schedules, depth 1 included
+        assert m_schedule(ActionSpec(1, 0)) == [2, 3, 4, 5, 6]
+        assert m_schedule(ActionSpec(1, 0), (3, 1, 2, 2)) == [1, 2, 3]
 
     def test_full_shift_euclidean_mmdim(self, full2):
         # the Euclidean-ball windows gain one full vertical diameter per

@@ -360,3 +360,101 @@ class TestRdimBounds:
     def test_schedule_validation(self, bern_half):
         with pytest.raises(ValueError):
             md.rdim_bounds(bern_half, 2.0, [0.5], [0.01])
+
+
+def loop_marginal(measure, support):
+    """The window marginal as a digit loop over outcome codes, each row's
+    joint law tabulated by a second digit loop over its chain factors."""
+    rows = {}
+    for (m, n) in md.LatticeSet(support):
+        rows.setdefault(n, []).append(m)
+    cells = sorted((m, n) for n, xs in rows.items() for m in xs)
+    q = len(measure.alphabet)
+    P, pi = measure.P(), measure.pi()
+    per_row = []
+    for n, xs in sorted(rows.items()):
+        powers = [np.linalg.matrix_power(P, xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+        table = np.zeros(q ** len(xs))
+        for code in range(q ** len(xs)):
+            digits = [code // q ** (len(xs) - 1 - i) % q for i in range(len(xs))]
+            p = pi[digits[0]]
+            for i in range(len(xs) - 1):
+                p *= powers[i][digits[i], digits[i + 1]]
+            table[code] = p
+        per_row.append((n, xs, table))
+    outcomes, probs = [], []
+    for code in range(q ** len(cells)):
+        digits = [code // q ** (len(cells) - 1 - i) % q for i in range(len(cells))]
+        assign = dict(zip(cells, digits))
+        p = 1.0
+        for n, xs, table in per_row:
+            idx = 0
+            for x in xs:
+                idx = idx * q + assign[(x, n)]
+            p *= table[idx]
+        outcomes.append(md.Pattern(tuple((c, measure.alphabet[assign[c]]) for c in cells)))
+        probs.append(p)
+    total = sum(probs)
+    return tuple(outcomes), tuple(p / total for p in probs)
+
+
+def random_support(rng, ncells):
+    """ncells distinct cells of a 6x3 box, so most rows have gaps."""
+    box = [(m, n) for m in range(6) for n in range(3)]
+    return md.LatticeSet(box[i] for i in rng.choice(len(box), ncells, replace=False))
+
+
+class TestOneChainPath:
+    """A Bernoulli measure runs the row-chain code with P's rows all equal
+    to its weights; its closed forms are kept here as oracles."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bernoulli_closed_forms(self, seed):
+        rng = np.random.default_rng(seed)
+        q = 2 + seed % 2
+        w = rng.random(q)
+        if seed % 4 == 3:
+            w[rng.integers(q)] = 0.0
+        w /= w.sum()
+        m = MeasureSpec.bernoulli(md.alphabet(*map(str, range(q))), w)
+        w = m.pi()
+        assert np.array_equal(m.P(), np.array([w] * q))
+        h = -sum(x * math.log2(x) for x in w if x > 0)
+        assert abs(md.ks_entropy(m) - h) < 1e-12
+        for ncells in (1, 3, 5, 7):
+            support = random_support(rng, ncells)
+            dist = md.window_marginal(m, support)
+            for pat, p in zip(dist.outcomes, dist.probs):
+                product = math.prod(w[m.alphabet.index(s)] for _, s in pat.cells)
+                assert abs(p - product) < 1e-12
+                lp = md.information.pattern_log2_prob(m, pat)
+                if product == 0.0:
+                    assert lp == float("-inf")
+                else:
+                    assert abs(lp - sum(math.log2(w[m.alphabet.index(s)])
+                                        for _, s in pat.cells)) < 1e-12
+            assert abs(md.window_entropy(m, support) - ncells * h) < 1e-12
+            assert abs(md.max_cylinder_log2_prob(m, support)
+                       - ncells * math.log2(w.max())) < 1e-12
+
+    def test_marginal_matches_digit_loop_bit_for_bit(self, parry):
+        rng = np.random.default_rng(7)
+        measures = [parry]
+        for q in (2, 3, 3):
+            P = rng.random((q, q)) * (rng.random((q, q)) > 0.2)
+            P[:, 0] += 0.05  # every row keeps some mass
+            measures.append(MeasureSpec.markov_row(md.alphabet(*map(str, range(q))),
+                                                   P / P.sum(axis=1, keepdims=True)))
+        for m in measures:
+            supports = [md.norm_ball(1), md.norm_ball(2, "l2"),
+                        md.LatticeSet.from_rect(IntRect(0, 3, 0, 1)),
+                        md.bowen_window(md.ActionSpec(3, 0), 3, 1)]
+            supports += [random_support(rng, k) for k in (2, 4, 6)]
+            for support in supports:
+                if len(m.alphabet) ** len(support) > 1 << 14:
+                    continue
+                outcomes, probs = loop_marginal(m, support)
+                dist = md.window_marginal(m, support)
+                assert dist.outcomes == outcomes
+                assert np.array_equal(np.array(dist.probs).view(np.int64),
+                                      np.array(probs).view(np.int64))

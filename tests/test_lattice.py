@@ -175,6 +175,18 @@ class TestLambdaSets:
         with pytest.raises(ResourceGuardError):
             md.lambda_set(1, 1, 4096, 100000)
 
+    def test_guard_fires_before_any_point(self, monkeypatch):
+        def no_ball(*args):
+            raise AssertionError("the ball was built")
+        monkeypatch.setattr(md.lattice, "norm_ball", no_ball)
+        # 3e8 points under the sup norm, 10^8 discs of 13 points each, and
+        # one disc of radius 10^9
+        for norm, M, N in (("linf", 2, 10 ** 8), ("l2", 3, 10 ** 8), ("l2", 10 ** 9, 1)):
+            with pytest.raises(ResourceGuardError):
+                md.lambda_set(1, 0, M, N, norm)
+        with pytest.raises(ValueError):
+            md.lambda_set(1, 0, 2, 2, "l1")
+
 
 class TestNormBall:
     def test_l2_membership_is_exact(self):

@@ -253,6 +253,21 @@ class TestCounts:
         assert md.count_locally_admissible(goldenrow, IntRect(0, 512, 0, 512)) == \
             fib_count(513) ** 513
 
+    def test_closed_form_bit_guard(self, full2):
+        # q^cells is refused above the same guard before it is formed; the
+        # 512x512 full-shift box has exactly MAX_COUNT_BITS cells
+        assert md.count_locally_admissible(full2, IntRect(0, 511, 0, 511)) == \
+            2 ** MAX_COUNT_BITS
+        t0 = time.perf_counter()
+        for support in (IntRect(0, 512, 0, 511), IntRect(0, 99999, 0, 99999)):
+            with pytest.raises(ResourceGuardError, match="guard"):
+                md.count_locally_admissible(full2, support)
+        assert time.perf_counter() - t0 < 1.0
+        ternary = md.full_shift(("0", "1", "2"))
+        with pytest.raises(ResourceGuardError):
+            md.count_locally_admissible(ternary, IntRect(0, 409, 0, 409))
+        assert md.count_locally_admissible(ternary, IntRect(0, 399, 0, 399)) == 3 ** 160000
+
 
 class TestEnumeration:
     def test_singleton_full_shift_order(self, full2):
