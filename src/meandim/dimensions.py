@@ -26,8 +26,9 @@ from typing import NamedTuple, Sequence
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, fit_limit
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
-from .lattice import IntRect, LatticeSet, lambda_set, norm_ball
-from .subshift import Pattern, SftSpec, count_locally_admissible, word_count_1d
+from .lattice import IntRect, LatticeSet, lambda_count, lambda_set, norm_ball
+from .subshift import (Pattern, SftSpec, closed_form_applies, count_locally_admissible,
+                       word_count_1d)
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,16 @@ def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
 
 def covering_count(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                    M: int) -> int:
-    """Pattern count on the Bowen window W(M, N)."""
+    """Pattern count on the Bowen window W(M, N).
+
+    Under the sup norm a closed-form count over its guard is refused
+    before the window is built, from the window's size and bounding box.
+    """
+    if spec.norm == "linf":
+        side = 2 * M - 1
+        closed_form_applies(sft, abs(action.a) * (N - 1) + side,
+                            abs(action.b) * (N - 1) + side,
+                            lambda_count(action.a, action.b, M, N))
     window = bowen_window(action, N, M, spec.norm)
     return count_locally_admissible(sft, window)
 

@@ -9,6 +9,12 @@ transfer sweep in subshift.py.
 
 import numpy as np
 
+from .errors import ResourceGuardError
+
+# descents one backtracking search may make; the largest search in the
+# test suite makes about 5e5 node visits
+MAX_NODES = 1 << 22
+
 
 def backtrack_count(n_cells, n_symbols, groups) -> int:
     """Count admissible assignments of ``n_symbols`` symbols to ``n_cells`` cells.
@@ -18,7 +24,9 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
     sequence of (cell index, required symbol) pairs whose largest cell
     index is ``i``.  A placement is checked as soon as its last cell
     receives a value, so the search prunes a branch the moment a
-    forbidden pattern completes.
+    forbidden pattern completes.  Raises ``ResourceGuardError`` after
+    ``MAX_NODES`` descents, since the search visits every admissible
+    pattern and its run time grows with the count.
     """
     if n_cells == 0:
         return 1
@@ -34,6 +42,7 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
     last = n_cells - 1
     count = 0
     level = 0
+    budget = MAX_NODES
     while level >= 0:
         s = trial[level]
         if s >= n_symbols:
@@ -54,6 +63,11 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
         if level == last:
             count += 1
         else:
+            budget -= 1
+            if budget < 0:
+                raise ResourceGuardError(
+                    f"backtracking made {MAX_NODES} descents, above the search guard; "
+                    f"the {n_cells}-cell support has too many admissible patterns")
             level += 1
             trial[level] = 0
     return count

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import NotTotallyOrderedError, ResourceGuardError
@@ -84,8 +85,17 @@ class LatticeSet:
         self._set = pts
 
     @classmethod
+    def _sorted(cls, points: tuple[Point, ...]) -> "LatticeSet":
+        """The set of ``points``, which must be int pairs already sorted
+        and free of duplicates; skips the dedupe and the sort."""
+        out = cls.__new__(cls)
+        out._points = points
+        out._set = set(points)
+        return out
+
+    @classmethod
     def from_rect(cls, rect: IntRect) -> "LatticeSet":
-        return cls(rect.points())
+        return cls._sorted(tuple(rect.points()))
 
     def __len__(self) -> int:
         return len(self._points)
@@ -230,7 +240,7 @@ def norm_ball(radius: int, norm: str = "linf") -> LatticeSet:
     """
     if radius < 0:
         return LatticeSet(())
-    pts = []
+    pts = []  # built in sorted order
     if norm == "linf":
         for m in range(-radius, radius + 1):
             for n in range(-radius, radius + 1):
@@ -243,7 +253,7 @@ def norm_ball(radius: int, norm: str = "linf") -> LatticeSet:
                     pts.append((m, n))
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    return LatticeSet(pts)
+    return LatticeSet._sorted(tuple(pts))
 
 
 # largest point set lambda_set builds
@@ -254,6 +264,12 @@ def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet
     """The window swept along direction (a, b): points (an, bn) + u with
     0 <= n < N and u in the radius-(M-1) norm ball, materialised as a
     LatticeSet.
+
+    Built column by column: each column of the ball is an interval
+    [-h, h], so window column m is the union of the intervals
+    [bn - h, bn + h] over the steps n whose ball column lands on m.  Those
+    are merged and emitted in sorted order, so no point is built twice
+    and nothing is sorted afterwards.
 
     Refused before any point is built when it could hold more than
     ``MAX_LAMBDA_POINTS`` points: lambda_count of them for the sup norm,
@@ -281,13 +297,26 @@ def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet
             f"lambda_set would hold up to {size} points, above the guard "
             f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
             "cardinalities at this size")
-    ball = norm_ball(M - 1, norm)
-    pts = set()
+    # every column of the ball is an interval [-h, h]; points come
+    # column-major, so a column's last point carries its h
+    half = {x: y for x, y in norm_ball(M - 1, norm)}
+    spans: dict[int, list[tuple[int, int]]] = {}
     for n in range(N):
         cm, cn = a * n, b * n
-        for (x, y) in ball:
-            pts.add((cm + x, cn + y))
-    return LatticeSet(pts)
+        for x, h in half.items():
+            spans.setdefault(cm + x, []).append((cn - h, cn + h))
+    pts: list[Point] = []
+    for m in sorted(spans):
+        col = sorted(spans[m])
+        lo, hi = col[0]
+        for start, end in col:
+            if start > hi + 1:
+                pts.extend(zip(repeat(m), range(lo, hi + 1)))
+                lo, hi = start, end
+            elif end > hi:
+                hi = end
+        pts.extend(zip(repeat(m), range(lo, hi + 1)))
+    return LatticeSet._sorted(tuple(pts))
 
 
 def lambda_count(a: int, b: int, M: int, N: int) -> int:

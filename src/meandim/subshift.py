@@ -331,8 +331,9 @@ class RectCounter:
     is swept cell by cell along whichever side gives the smaller profile
     q^L (see ``_CellSweep``), provided q^L is at most ``MAX_STATES``.
     Sweeps are cached per orientation and height with a total per column,
-    so asking for (W, H) after (W', H) with W' > W is free.  Accumulation
-    is arbitrary-precision.  ``count_locally_admissible`` keeps one per
+    so asking for (W, H) after (W', H) with W' > W is free.  Counts are
+    exact: the sweep runs in int64 while no column can overflow and in
+    Python ints after.  ``count_locally_admissible`` keeps one per
     spec in ``_sweep_cache`` for the life of the process.
     """
 
@@ -378,6 +379,14 @@ class _CellSweep:
     completes at that cell, and sums out the oldest cell.  Construction
     only computes offsets, so callers can check q^L before anything is
     allocated; vectors and index lists are built by the first ``total``.
+
+    The state vector starts as int64.  A cell sums q entries, so one
+    column multiplies the largest entry by at most q^height; before a
+    column whose largest entry could pass 2^63 that way, the vector is
+    converted once to an object array of Python ints, and the same numpy
+    operations go on exactly.  Since q^height <= ``MAX_STATES``, that
+    happens only once entries pass 2^51.  Column totals are summed as
+    Python ints, since the int64 entries' sum can pass 2^63.
     """
 
     def __init__(self, sft: SftSpec, height: int, transposed: bool):
@@ -423,17 +432,21 @@ class _CellSweep:
     def total(self, width: int) -> int:
         """Count on the ``width`` x height rectangle of this orientation."""
         if self.vec is None:
-            self.vec = np.ones(1, dtype=object)
+            self.vec = np.ones(1, dtype=np.int64)
             # one list per cell until the state is full, then one per row,
             # each built from a cell index past the first L in that row
             self.first = [self._hits(i) for i in range(self.span)]
             self.steady = [self._hits(self.span + (r - self.span) % self.height)
                            for r in range(self.height)]
         q = self.q
+        # no column starting with entries at most this can overflow int64
+        safe = np.iinfo(np.int64).max // q ** self.height
         while len(self.totals) <= width:
+            if self.vec.dtype != object and self.vec.max() > safe:
+                self.vec = self.vec.astype(object)
             for _ in range(self.height):
                 i = self.cell
-                grown = np.tile(self.vec, q)
+                grown = np.concatenate((self.vec,) * q)
                 if i < self.span:
                     grown[self.first[i]] = 0
                     self.vec = grown
@@ -444,7 +457,8 @@ class _CellSweep:
                         vec = vec + grown[s::q]
                     self.vec = vec
                 self.cell = i + 1
-            self.totals.append(int(self.vec.sum()))
+            # a sum of int64 entries can pass 2^63, a sum of Python ints not
+            self.totals.append(sum(self.vec.tolist()))
         return self.totals[width]
 
 
@@ -484,12 +498,7 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     box = rect if rect is not None else pts.bounding_box()
     if sft.dimension == 1 and (box.c, box.d) != (0, 0):
         raise ValueError("1D supports must lie on the horizontal axis")
-    if not any(f.ncols_extent <= box.ncols and f.nrows_extent <= box.nrows
-               for f in sft.forbidden):
-        if cells * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
-            raise ResourceGuardError(
-                f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
-                f"{MAX_COUNT_BITS}")
+    if closed_form_applies(sft, box.ncols, box.nrows, cells):
         return sft.nsymbols ** cells
     if algorithm == "dp" and (rect is None or sft.dimension != 2):
         raise ValueError("algorithm='dp' needs a 2D rectangle support")
@@ -522,6 +531,20 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     if pts is None:
         pts = LatticeSet.from_rect(rect)
     return _backtrack_count_support(sft, pts.points)
+
+
+def closed_form_applies(sft: SftSpec, ncols: int, nrows: int, cells: int) -> bool:
+    """True when no forbidden pattern fits an ncols x nrows box, so that a
+    support of ``cells`` cells inside it counts q^cells.  Raises
+    ``ResourceGuardError`` when that count has more than ``MAX_COUNT_BITS``
+    bits, before it is formed."""
+    if any(f.ncols_extent <= ncols and f.nrows_extent <= nrows for f in sft.forbidden):
+        return False
+    if cells * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
+        raise ResourceGuardError(
+            f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
+            f"{MAX_COUNT_BITS}")
+    return True
 
 
 def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> int | None:

@@ -1,9 +1,16 @@
 import math
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import meandim as md
+
+# CI runs with HYPOTHESIS_PROFILE=ci, so the examples a CI run draws are
+# the ones a local run with the same profile draws
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

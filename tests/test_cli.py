@@ -154,6 +154,27 @@ class TestRunCommand:
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 1.0
 
+    def test_covering_closed_form_refused_before_the_window(self, fixtures_dir, monkeypatch):
+        # the 600,006-point window is under the point guard, but its full-shift
+        # count 2^600006 is over the bit guard: refused before it is built
+        def no_window(*args):
+            raise AssertionError("the window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        code, rep = run_command(["covering", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--N", "200000", "--eps", "0.5"])
+        assert code == 1 and rep["error"] == \
+            "the count 2^600006 has more bits than the guard of 262144"
+
+    def test_backtracking_search_bounded_by_work(self, tmp_path):
+        # 54 cells, over the state guard in both orientations and under the
+        # cell guard: the search would visit about 3^54 patterns
+        spec = tmp_path / "ternary.sft"
+        spec.write_text("dimension: 2\nalphabet: 0 1 2\nforbidden:\n(0,0)=2 (1,2)=2\n")
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", str(spec), "--rect", "0,8,0,5"])
+        assert code == 1 and "guard" in rep["error"]
+        assert time.perf_counter() - t0 < 5.0
+
     def test_count_needs_one_support(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft")])
         assert code == 1 and "error" in rep

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import meandim as md
 from meandim import IntRect, LatticeSet
@@ -125,7 +125,39 @@ class TestGreedyCover:
                 assert any(md.rect_triple(fam[i]).contains(r) for i in sel)
 
 
+def translated_balls(a, b, M, N, norm):
+    """Lambda_{a,b}(M, N) by brute force: every point of every translate."""
+    r = M - 1
+    ball = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+            if (max(abs(x), abs(y)) <= r if norm == "linf" else x * x + y * y <= r * r)]
+    return {(a * n + x, b * n + y) for n in range(N) for x, y in ball}
+
+
 class TestLambdaSets:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 7), st.integers(1, 40),
+           st.sampled_from(["linf", "l2"]))
+    def test_matches_translated_balls(self, a, b, M, N, norm):
+        # steps wider than 2M - 1 leave gaps between the balls
+        assume((a, b) != (0, 0))
+        window = md.lambda_set(a, b, M, N, norm)
+        want = translated_balls(a, b, M, N, norm)
+        assert window.points == tuple(sorted(want))
+        assert window._set == set(window.points) == want
+        if norm == "linf":
+            assert len(window) == md.lambda_count(a, b, M, N)
+
+    def test_presorted_constructors_match_the_sorting_one(self):
+        for rect in (IntRect(0, 0, 0, 0), IntRect(-3, 2, 4, 9), IntRect(5, 5, -2, 3)):
+            fast = LatticeSet.from_rect(rect)
+            assert fast == LatticeSet(list(rect.points())[::-1])
+            assert fast._set == set(fast.points)
+        for norm in ("linf", "l2"):
+            for r in range(6):
+                ball = md.norm_ball(r, norm)
+                assert ball.points == tuple(sorted(translated_balls(1, 0, r + 1, 1, norm)))
+                assert ball._set == set(ball.points)
+
     def test_horizontal_is_a_segment(self):
         s = md.lambda_set(1, 0, 1, 5)
         assert set(s) == {(n, 0) for n in range(5)}

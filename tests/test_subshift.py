@@ -2,11 +2,12 @@ import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import meandim as md
-from meandim import IntRect, LatticeSet, Pattern
+from meandim import IntRect, LatticeSet, Pattern, kernels
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep,
                               _one_d_extendable, _recoding_width, _row_product,
@@ -25,11 +26,11 @@ def fib_count(n):
 
 
 @st.composite
-def small_specs(draw, dimension=2):
-    """SFTs on at most 3 symbols whose forbidden patterns fit inside a 2x2,
-    1x3 or 3x1 box (2D), so spans cover diagonals and three columns, or
-    inside a word of width 3 (1D)."""
-    q = draw(st.integers(1, 3))
+def small_specs(draw, dimension=2, symbols=(1, 3)):
+    """SFTs on a number of symbols in the range ``symbols`` whose forbidden
+    patterns fit inside a 2x2, 1x3 or 3x1 box (2D), so spans cover
+    diagonals and three columns, or inside a word of width 3 (1D)."""
+    q = draw(st.integers(*symbols))
     boxes = [(2, 2), (1, 3), (3, 1)] if dimension == 2 else [(3, 1)]
     pats = []
     for _ in range(draw(st.integers(1, 3))):
@@ -53,6 +54,32 @@ def row_specs(draw):
         pats.append(Pattern.from_dict(
             {(m, row): str(draw(st.integers(0, q - 1))) for m in cols}))
     return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
+
+
+def object_sweep_totals(sweep, width):
+    """Totals of columns 0..width of ``sweep``'s rectangles, swept with an
+    object array of Python ints from the first cell on: the reference for
+    ``_CellSweep.total``, which starts in int64."""
+    q, height, span = sweep.q, sweep.height, sweep.span
+    first = [sweep._hits(i) for i in range(span)]
+    steady = [sweep._hits(span + (r - span) % height) for r in range(height)]
+    vec = np.ones(1, dtype=object)
+    totals = [1]
+    cell = 0
+    while len(totals) <= width:
+        for _ in range(height):
+            grown = np.tile(vec, q)
+            if cell < span:
+                grown[first[cell]] = 0
+                vec = grown
+            else:
+                grown[steady[cell % height]] = 0
+                vec = grown[0::q]
+                for s in range(1, q):
+                    vec = vec + grown[s::q]
+            cell += 1
+        totals.append(int(vec.sum()))
+    return totals
 
 
 class TestPatterns:
@@ -190,6 +217,15 @@ class TestCounts:
     def test_backtracking_guard(self, threedot):
         with pytest.raises(ResourceGuardError):
             md.count_locally_admissible(threedot, md.lambda_set(1, 1, 3, 30))
+
+    def test_backtracking_work_guard(self, threedot, monkeypatch):
+        # the 7x7 three-dot box makes 56,574 descents to its 2^13 patterns
+        box = IntRect(0, 6, 0, 6)
+        monkeypatch.setattr(kernels, "MAX_NODES", 56_574)
+        assert md.count_locally_admissible(threedot, box, algorithm="backtracking") == 2 ** 13
+        monkeypatch.setattr(kernels, "MAX_NODES", 56_573)
+        with pytest.raises(ResourceGuardError, match="descents"):
+            md.count_locally_admissible(threedot, box, algorithm="backtracking")
 
     def test_row_product_counts_past_the_guards(self, goldenrow):
         # the 50x50 square is over both sweep orientations' state guard and
@@ -448,6 +484,30 @@ class TestRectCounter:
         with pytest.raises(ResourceGuardError):
             md.count_locally_admissible(ternary, IntRect(0, 8, 0, 5), algorithm="dp")
         assert time.perf_counter() - t0 < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_specs(symbols=(2, 4)), st.integers(1, 6), st.integers(1, 80), st.booleans())
+    def test_int64_sweep_matches_object_sweep(self, sft, height, width, transposed):
+        sweep = _CellSweep(sft, height, transposed)
+        assume(sft.nsymbols ** sweep.span <= 4096)
+        want = object_sweep_totals(sweep, width)
+        # ascending widths reuse the cached totals; the last one sweeps on
+        # past the promotion to Python ints, when there is one
+        for w in sorted({0, width // 3, width // 2, width}):
+            assert sweep.total(w) == want[w]
+        assert sweep.totals == want
+
+    def test_three_dot_sweep_promotes_mid_sweep(self, threedot):
+        sweep = _CellSweep(threedot, 11, False)
+        assert sweep.total(30) == 2 ** 40
+        assert sweep.vec.dtype == np.int64
+        for w in range(40, 71):
+            assert sweep.total(w) == 2 ** (w + 10)
+        assert sweep.vec.dtype == object
+        # a narrow sweep never leaves int64
+        narrow = _CellSweep(threedot, 2, False)
+        assert narrow.total(40) == 2 ** 41
+        assert narrow.vec.dtype == np.int64
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
