@@ -48,6 +48,26 @@ def _int_list(text: str) -> list[int]:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _action(text: str) -> ActionSpec:
     parts = _int_list(text)
     if len(parts) != 2:
@@ -66,12 +86,12 @@ def build_parser() -> _Parser:
         if measure:
             sp.add_argument("--measure", help="measure file (.measure)")
         if schedule:
-            sp.add_argument("--alpha", type=float, default=2.0)
+            sp.add_argument("--alpha", type=_finite_float, default=2.0)
             sp.add_argument("--action", type=_action, default=ActionSpec(1, 0),
                             help="shift direction a,b (default 1,0)")
             sp.add_argument("--M-schedule", dest="M_schedule", type=_int_list,
                             default=None, help="comma-separated resolution depths")
-            sp.add_argument("--N-factor", dest="N_factor", type=int, default=16)
+            sp.add_argument("--N-factor", dest="N_factor", type=_at_least_one, default=16)
         if out:
             sp.add_argument("--out", help="write the JSON report here instead of stdout")
             sp.add_argument("--csv", help="write per-scale tables as CSV")
@@ -81,7 +101,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--box", type=int, help="count on the N x N box at the origin")
     sp.add_argument("--rect", type=_int_list, help="count on [a,b]x[c,d] as a,b,c,d")
     sp.add_argument("--length", type=int, help="1D: count words of this length")
-    sp.add_argument("--algorithm", choices=("auto", "dp", "backtracking"), default="auto")
+    sp.add_argument("--algorithm", choices=("auto", "backtracking"), default="auto")
 
     sp = sub.add_parser("entropy", help="topological entropy (transfer or box mode)")
     common(sp, sft=True)
@@ -91,7 +111,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("covering", help="covering number of the N-step Bowen metric")
     common(sp, sft=True, schedule=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
 
     sp = sub.add_parser("mmdim", help="metric mean dimension estimate")
     common(sp, sft=True, schedule=True)
@@ -101,7 +121,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("rdim", help="rate-distortion dimension sandwich")
     common(sp, measure=True, schedule=True)
-    sp.add_argument("--delta", type=float, default=0.01,
+    sp.add_argument("--delta", type=_finite_float, default=0.01,
                     help="disagreement budget of the lower bound (default 0.01)")
 
     sp = sub.add_parser("lambda-density", help="density of the swept window set")
@@ -117,15 +137,15 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("tame-check", help="tame-growth diagnostic of the static metric")
     common(sp, sft=True)
-    sp.add_argument("--alpha", type=float, default=2.0)
-    sp.add_argument("--delta", type=float, default=0.1)
+    sp.add_argument("--alpha", type=_finite_float, default=2.0)
+    sp.add_argument("--delta", type=_finite_float, default=0.1)
     sp.add_argument("--Mmax", type=int, default=24)
 
     sp = sub.add_parser("verify-theorem",
                         help="check the dimension identities on a certified fixture")
     common(sp, sft=True, measure=True, schedule=True)
-    sp.add_argument("--tolerance", type=float, default=0.1)
-    sp.add_argument("--delta", type=float, default=0.01)
+    sp.add_argument("--tolerance", type=_finite_float, default=0.1)
+    sp.add_argument("--delta", type=_finite_float, default=0.01)
     sp.add_argument("--strict", action="store_true",
                     help="refuse a PASS/FAIL verdict for non-certified inputs")
     return p

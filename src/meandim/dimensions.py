@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
-from .estimates import DimensionEstimate, fit_limit
+from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
 from .lattice import IntRect, LatticeSet, lambda_count, lambda_set, norm_ball
 from .subshift import (Pattern, SftSpec, closed_form_applies, count_locally_admissible,
@@ -39,8 +39,7 @@ class MetricSpec:
     norm: str = "linf"
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise ValueError("alpha must exceed 1")
+        check_alpha(self.alpha)
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
 
@@ -91,12 +90,7 @@ def _log2_count(c: int) -> float:
 
 def resolution_index(spec: MetricSpec, epsilon: float) -> ResolutionIndex:
     """The unique M >= 1 with alpha^-M < epsilon <= alpha^-(M-1)."""
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    M = 1
-    while spec.alpha ** (-M) >= epsilon:
-        M += 1
-    return ResolutionIndex(M)
+    return ResolutionIndex(resolution_depth(spec.alpha, epsilon))
 
 
 def _site_norm(spec: MetricSpec, u) -> float:
@@ -242,8 +236,6 @@ def m_schedule(action: ActionSpec, Mschedule: Sequence[int] | None = None) -> li
 def _n_pair(M: int, Nfactor: int) -> tuple[int, int]:
     hi = Nfactor * M
     lo = max(1, hi // 2)
-    if lo == hi:
-        lo = hi - 1 if hi > 1 else 1
     if lo == hi:
         raise ValueError("N schedule degenerate; increase Nfactor")
     return lo, hi

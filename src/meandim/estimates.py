@@ -1,7 +1,9 @@
-"""Dimension estimates and the reciprocal extrapolation model."""
+"""Dimension estimates, the resolution rule and the reciprocal
+extrapolation model."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -45,3 +47,29 @@ def fit_limit(xs, vs) -> tuple[float, float]:
     sxv = sum((x - mx) * (v - mv) for x, v in zip(xs, vs))
     c = sxv / sxx
     return mv - c * mx, c
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the metric base alpha is finite and above 1."""
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
+
+
+def resolution_depth(alpha: float, epsilon: float, scale: float = 1.0) -> int:
+    """The smallest M >= 1 with scale * alpha^-M < epsilon.
+
+    With scale 1 this is the resolution index of epsilon, the unique M
+    with alpha^-M < epsilon <= alpha^-(M-1).  M starts at the logarithmic
+    estimate and is settled by that same comparison, so the work does not
+    grow with M.  Raises ValueError unless alpha is finite and above 1
+    and 0 < epsilon <= scale.
+    """
+    check_alpha(alpha)
+    if not 0 < epsilon <= scale:
+        raise ValueError(f"epsilon must lie in (0, {scale:g}], got {epsilon}")
+    M = max(1, int((math.log(scale) - math.log(epsilon)) / math.log(alpha)))
+    while M > 1 and scale * alpha ** -(M - 1) < epsilon:
+        M -= 1
+    while scale * alpha ** -M >= epsilon:
+        M += 1
+    return M

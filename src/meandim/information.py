@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ResourceGuardError
-from .estimates import DimensionEstimate, fit_limit
+from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
 from .lattice import IntRect, LatticeSet
 from .subshift import (Alphabet, Pattern, SftSpec, perron_eigendata,
                        strongly_connected, transfer_graph_1d)
@@ -393,8 +393,7 @@ def rd_upper_bound(measure: MeasureSpec, alpha: float, M: int, N: int) -> float:
     """Entropy of the window (-M, N+M) x (-M, M) divided by N, in bits per
     iterate.  Upper-bounds the rate-distortion function at every
     distortion level above alpha^-M."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    check_alpha(alpha)
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
     window = IntRect(-M + 1, N + M - 1, -M + 1, M - 1)
@@ -441,39 +440,23 @@ def rd_lower_bound(measure: MeasureSpec, alpha: float, epsilon: float,
     (2M+1) * per-site entropy - H(delta) - delta (2M+1) log2 |A|,
     clamped at zero (the raw value stays available as ``.raw``).
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    if not 0 < epsilon:
-        raise ValueError("epsilon must be positive")
-    if epsilon > delta:
-        raise ValueError(
-            f"epsilon={epsilon} exceeds delta={delta}: the resolution bracket "
-            "has no nonnegative solution")
-    M = 0
-    while delta * alpha ** (-(M + 1)) >= epsilon:
-        M += 1
+    # the smallest M >= 0 with delta * alpha^-(M+1) < epsilon
+    M = resolution_depth(alpha, epsilon, delta) - 1
     q = len(measure.alphabet)
     h = ks_entropy(measure)
     raw = (2 * M + 1) * h - binary_entropy(delta) - delta * (2 * M + 1) * math.log2(q)
     return RdLowerBound(max(raw, 0.0), raw, M)
 
 
-def _upper_resolution_index(alpha: float, epsilon: float) -> int:
-    """Smallest M >= 1 with alpha^-M < epsilon (so reproduction within
-    alpha^-M beats the distortion budget epsilon)."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    M = 1
-    while alpha ** (-M) >= epsilon:
-        M += 1
-    return M
-
-
 def default_rdim_schedule(alpha: float, k_range: Iterable[int] = range(8, 17),
                           delta: float = 0.01):
     """Distortion schedule eps_k = alpha^-k with a fixed small delta."""
+    check_alpha(alpha)
+    k_range = list(k_range)
+    if min(k_range, default=1) < 1:
+        raise ValueError(f"scale indices k must be at least 1, got {min(k_range)}")
     eps = [alpha ** (-k) for k in k_range]
     return eps, [delta] * len(eps)
 
@@ -495,13 +478,17 @@ def rdim_bounds(measure: MeasureSpec, alpha: float, eps_schedule,
         raise ValueError("epsilon and delta schedules differ in length")
     if len(eps_schedule) < 2:
         raise ValueError("need at least two scheduled scales")
+    check_alpha(alpha)
+    for eps in eps_schedule:
+        if not 0 < eps < 1:
+            raise ValueError(f"every scheduled eps must lie in (0, 1), got {eps}")
     uppers = []
     lowers = []
     xs = []
     sched = []
     for eps, delta in zip(eps_schedule, delta_schedule):
         log_inv = math.log2(1.0 / eps)
-        Mu = _upper_resolution_index(alpha, eps)
+        Mu = resolution_depth(alpha, eps)
         up = rd_upper_limit(measure, Mu) / log_inv
         low = rd_lower_bound(measure, alpha, eps, delta) / log_inv
         xs.append(1.0 / log_inv)

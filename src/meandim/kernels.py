@@ -1,6 +1,6 @@
-"""Hot numeric kernels: the backtracking pattern counter and Blahut-Arimoto.
+"""Hot numeric kernels: the backtracking pattern search and Blahut-Arimoto.
 
-Both are plain code with one implementation each: the counter walks
+Both are plain code with one implementation each: the search walks
 Python lists (list indexing is cheaper than numpy scalar indexing in an
 interpreted loop), and Blahut-Arimoto is vectorised numpy.  Exact
 rectangle counts do not live here; they go through the big-integer
@@ -16,20 +16,23 @@ from .errors import ResourceGuardError
 MAX_NODES = 1 << 22
 
 
-def backtrack_count(n_cells, n_symbols, groups) -> int:
-    """Count admissible assignments of ``n_symbols`` symbols to ``n_cells`` cells.
+def backtrack(n_cells, n_symbols, groups):
+    """Yield every admissible assignment of ``n_symbols`` symbols to ``n_cells`` cells.
 
     Cells are indexed 0..n_cells-1 in assignment order.  ``groups[i]``
     lists the forbidden placements that complete at cell ``i``, each a
     sequence of (cell index, required symbol) pairs whose largest cell
     index is ``i``.  A placement is checked as soon as its last cell
     receives a value, so the search prunes a branch the moment a
-    forbidden pattern completes.  Raises ``ResourceGuardError`` after
-    ``MAX_NODES`` descents, since the search visits every admissible
-    pattern and its run time grows with the count.
+    forbidden pattern completes.  Assignments come in lexicographic
+    order, each as the same list of symbol indices, updated in place
+    after the yield.  Raises ``ResourceGuardError`` after ``MAX_NODES``
+    descents, since the search visits every admissible pattern and its
+    run time grows with the count.
     """
     if n_cells == 0:
-        return 1
+        yield []
+        return
     # checks[i][s]: the other cells of each placement that completes at
     # cell i with symbol s; an empty tuple forbids s at i outright
     checks = [[[] for _ in range(n_symbols)] for _ in range(n_cells)]
@@ -40,7 +43,6 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
     assign = [0] * n_cells
     trial = [0] * n_cells
     last = n_cells - 1
-    count = 0
     level = 0
     budget = MAX_NODES
     while level >= 0:
@@ -61,7 +63,7 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
         if blocked:
             continue
         if level == last:
-            count += 1
+            yield assign
         else:
             budget -= 1
             if budget < 0:
@@ -70,7 +72,11 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
                     f"the {n_cells}-cell support has too many admissible patterns")
             level += 1
             trial[level] = 0
-    return count
+
+
+def backtrack_count(n_cells, n_symbols, groups) -> int:
+    """The number of assignments ``backtrack`` yields."""
+    return sum(1 for _ in backtrack(n_cells, n_symbols, groups))
 
 
 # bytes of kernel matrices one stacked Blahut-Arimoto run may hold; a

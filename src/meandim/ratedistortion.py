@@ -20,6 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NonConvergenceError
+from .estimates import check_alpha
 from .information import FiniteDistribution, MeasureSpec, window_marginal
 from .lattice import norm_ball
 
@@ -191,8 +192,7 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
     window.  The truncation upper-bounds the true distortion, so rates
     computed from it stay valid upper bounds.
     """
-    if not math.isfinite(alpha) or alpha <= 1:
-        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
+    check_alpha(alpha)
     if M < 1:
         raise ValueError(f"window depth M must be at least 1, got {M}")
     window = norm_ball(M - 1, norm)

@@ -8,22 +8,27 @@ builds the exactly tractable fixture families used as ground truth:
 full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
 Counts are arbitrary-precision integers, and ``count_locally_admissible``
-is the one place that chooses how to count, in this order: the closed
-form q^cells when no forbidden pattern fits, refused above
-``MAX_COUNT_BITS``; for a 1D interval, the word
-count of the block transfer graph, by repeated squaring of the transfer
-matrix when its n nodes make about n^3 log2(L) products, Karatsuba-costed
-at the last doublings, cheaper than stepping a vector L times over its
-edges; for a 2D spec whose forbidden patterns each lie in one row, on a
-support whose rows are intervals or runs at least as far apart as the
-widest pattern, the product over runs of the 1D base's word count at
-each run's length, refused above ``MAX_COUNT_BITS``; for a 2D rectangle,
-a transfer sweep that adds a cell at a time (the transfer-matrix count
-of Calkin and Wilf for the hard-square model), whose state is the
-symbols of the last L cells and whose profile q^L is bounded by
-``MAX_STATES``; and otherwise backtracking with pruning at the
-moment a forbidden pattern completes, on at most ``MAX_FREE_CELLS``
-cells.  The paths are tested to agree on random small specs.
+is the one place that chooses how to count, in this order:
+
+1. the closed form q^cells when no forbidden pattern fits the support's
+   bounding box;
+2. for a spec whose forbidden patterns each lie in one row (every 1D
+   spec), the product over the runs of the support's rows of the 1D
+   base's word count at each run's length, when no two runs of a row are
+   closer than the widest pattern.  ``word_count_1d`` counts walks on the
+   block transfer graph, by repeated squaring of the transfer matrix or
+   by stepping a vector, whichever its cost rule says is cheaper;
+3. for a rectangle, a transfer sweep that adds a cell at a time (the
+   transfer-matrix count of Calkin and Wilf for the hard-square model),
+   whose state is the symbols of the last L cells;
+4. otherwise backtracking (``kernels.backtrack``) with pruning at the
+   moment a forbidden pattern completes.
+
+Guards fire before work: counts above ``MAX_COUNT_BITS`` bits are refused
+before they are formed, the sweep's profile q^L is bounded by
+``MAX_STATES``, and backtracking takes at most ``MAX_FREE_CELLS`` cells
+and ``kernels.MAX_NODES`` descents.  Enumeration runs the same
+backtracking walk.  The paths are tested to agree on random small specs.
 """
 
 from __future__ import annotations
@@ -314,18 +319,14 @@ def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
     return [sorted(g) for g in groups]
 
 
-def _backtrack_count_support(sft: SftSpec, points: tuple[Point, ...]) -> int:
-    return kernels.backtrack_count(len(points), sft.nsymbols,
-                                   _placement_groups(sft, points))
-
-
 # ---------------------------------------------------------------------------
 # cell-by-cell transfer sweep over rectangles, cached per height
 # ---------------------------------------------------------------------------
 
 
 class RectCounter:
-    """Transfer-sweep cache of one 2D spec for rectangle counts.
+    """Transfer-sweep cache of one spec for rectangle counts (a 1D spec's
+    rectangles are one row high).
 
     Counts depend only on the rectangle's column/row numbers.  A rectangle
     is swept cell by cell along whichever side gives the smaller profile
@@ -338,8 +339,6 @@ class RectCounter:
     """
 
     def __init__(self, sft: SftSpec):
-        if sft.dimension != 2:
-            raise ValueError("RectCounter works on 2D specs")
         self.sft = sft
         self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
@@ -476,17 +475,15 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     without building its points), a ``LatticeSet`` or an iterable of
     points.  In order: an empty support counts 1; a support into which no
     forbidden pattern fits counts q^cells (refused above
-    ``MAX_COUNT_BITS`` bits); under "auto" a 1D interval goes
-    to ``word_count_1d`` (squaring or iteration by its cost rule), a 2D
-    spec whose forbidden patterns each lie in one row is counted as a
-    product of ``word_count_1d`` over the runs of the support's rows when
-    no two runs of a row are closer than the widest pattern (see
-    ``_row_product``), and a 2D rectangle goes to the transfer sweep;
-    anything left is backtracked on at most ``MAX_FREE_CELLS`` cells.  "dp" means
-    the sweep or a ``ResourceGuardError``, never backtracking;
+    ``MAX_COUNT_BITS`` bits); under "auto", a spec whose forbidden
+    patterns each lie in one row (every 1D spec) is counted as a product
+    of ``word_count_1d`` over the runs of the support's rows when no two
+    runs of a row are closer than the widest pattern (see
+    ``_row_product``), and a rectangle goes to the transfer sweep;
+    anything left is backtracked on at most ``MAX_FREE_CELLS`` cells.
     "backtracking" skips the transfer paths.
     """
-    if algorithm not in ("auto", "dp", "backtracking"):
+    if algorithm not in ("auto", "backtracking"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(support, IntRect):
         pts, rect, cells = None, support, support.cardinality()
@@ -500,37 +497,21 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
         raise ValueError("1D supports must lie on the horizontal axis")
     if closed_form_applies(sft, box.ncols, box.nrows, cells):
         return sft.nsymbols ** cells
-    if algorithm == "dp" and (rect is None or sft.dimension != 2):
-        raise ValueError("algorithm='dp' needs a 2D rectangle support")
 
-    if algorithm == "auto" and sft.dimension == 2:
+    if algorithm == "auto":
         out = _row_product(sft, rect, pts)
-        if out is not None:
-            return out
-    if algorithm != "backtracking" and rect is not None:
-        if sft.dimension == 1:
-            # the block transfer graph counts without enumerating any word
-            try:
-                return word_count_1d(sft, rect.ncols)
-            except ResourceGuardError:
-                pass  # block alphabet too large; fall through to backtracking
-        else:
+        if out is None and rect is not None:
             if sft not in _sweep_cache:
                 _sweep_cache[sft] = RectCounter(sft)
             out = _sweep_cache[sft].try_count(rect.ncols, rect.nrows)
-            if out is not None:
-                return out
-            if algorithm == "dp":
-                raise ResourceGuardError(
-                    f"the transfer profile of this {rect.ncols}x{rect.nrows} rectangle "
-                    f"exceeds the state guard {MAX_STATES} in both orientations")
+        if out is not None:
+            return out
 
     if cells > MAX_FREE_CELLS:
         raise ResourceGuardError(
             f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
-    if pts is None:
-        pts = LatticeSet.from_rect(rect)
-    return _backtrack_count_support(sft, pts.points)
+    points = (pts if pts is not None else LatticeSet.from_rect(rect)).points
+    return kernels.backtrack_count(len(points), sft.nsymbols, _placement_groups(sft, points))
 
 
 def closed_form_applies(sft: SftSpec, ncols: int, nrows: int, cells: int) -> bool:
@@ -548,12 +529,14 @@ def closed_form_applies(sft: SftSpec, ncols: int, nrows: int, cells: int) -> boo
 
 
 def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> int | None:
-    """The count of a 2D spec whose forbidden patterns each lie in one row,
+    """The count of a spec whose forbidden patterns each lie in one row,
     as the product over the runs of the support's rows of the 1D base's
-    word count at each run's length.  None when a pattern spans two rows,
-    two runs of a row are closer than the widest pattern, or the base's
-    block graph is over its guard.  Raises ``ResourceGuardError`` when the
-    count would have more than ``MAX_COUNT_BITS`` bits.
+    word count at each run's length; a 1D interval is one run of one row.
+    None when a pattern spans two rows, two runs of a row are closer than
+    the widest pattern, or the base's block graph is over its guard.
+    Raises ``ResourceGuardError`` when the count would have more than
+    ``MAX_COUNT_BITS`` bits, checked from the run lengths before any word
+    count is formed and from the word counts before their product is.
     """
     if any(f.nrows_extent > 1 for f in sft.forbidden):
         return None
@@ -595,39 +578,17 @@ def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
     """Yield every locally admissible pattern on ``support`` exactly once.
 
     Cells are assigned in canonical (lexicographic) order and symbols in
-    alphabet order, so the stream is deterministic and sorted.
+    alphabet order by ``kernels.backtrack``, so the stream is
+    deterministic and sorted, and bounded by the same work guard.
     """
-    pts = _support_points(support)
-    points = pts.points
+    points = _support_points(support).points
     n = len(points)
     if n > MAX_FREE_CELLS:
         raise ResourceGuardError(
             f"support has {n} cells, above the enumeration guard {MAX_FREE_CELLS}")
-    if n == 0:
-        yield Pattern(())
-        return
-    groups = _placement_groups(sft, points)
     syms = sft.alphabet.symbols
-    q = len(syms)
-    assign = [0] * n
-
-    def ok_at(level: int) -> bool:
-        for placement in groups[level]:
-            if all(assign[c] == s for c, s in placement):
-                return False
-        return True
-
-    def rec(level: int):
-        for s in range(q):
-            assign[level] = s
-            if not ok_at(level):
-                continue
-            if level == n - 1:
-                yield Pattern(tuple((points[i], syms[assign[i]]) for i in range(n)))
-            else:
-                yield from rec(level + 1)
-
-    yield from rec(0)
+    for assign in kernels.backtrack(n, len(syms), _placement_groups(sft, points)):
+        yield Pattern(tuple(zip(points, (syms[s] for s in assign))))
 
 
 # ---------------------------------------------------------------------------

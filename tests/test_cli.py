@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from meandim.cli import main
 from meandim.errors import ParseError
 from meandim.files import (parse_measure_text, parse_sft_text, write_measure,
                            write_sft)
+
+from conftest import LOG2_PHI
 
 
 GOLDEN_ROW_TEXT = """\
@@ -174,6 +177,58 @@ class TestRunCommand:
         code, rep = run_command(["count", "--sft", str(spec), "--rect", "0,8,0,5"])
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 5.0
+
+    def test_1d_count_over_the_bit_guard_refused(self, fixtures_dir):
+        # a binary word of L letters may count up to L bits: lengths above
+        # MAX_COUNT_BITS = 2^18 are refused before any count is formed
+        golden = fx(fixtures_dir, "goldenmean1d.sft")
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", golden, "--length", "300000"])
+        assert code == 1 and "guard" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+        code, rep = run_command(["count", "--sft", golden, "--length", "262144"])
+        assert code == 0 and rep["results"]["cells"] == 262144
+        # F(L+2) = round(phi^(L+2) / sqrt 5) golden-mean words of length L
+        want = 262146 * LOG2_PHI - math.log2(5) / 2
+        assert abs(rep["results"]["log2_count"] - want) < 1e-6
+
+    def test_dp_algorithm_refused(self, fixtures_dir):
+        code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft"),
+                                 "--box", "4", "--algorithm", "dp"])
+        assert code == 1 and "--algorithm" in rep["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "1"],  # alpha^-M >= 1 for every M
+        ["--alpha", "1e300"],  # eps = alpha^-8 underflows to 0
+        ["--M-schedule", "0,8"],  # eps = 1, log2(1/eps) = 0
+        ["--alpha", "0"],
+        ["--alpha", "1e300", "--M-schedule=-2,8"],  # alpha^2 overflows
+    ])
+    def test_rdim_inputs_checked_before_work(self, fixtures_dir, argv):
+        t0 = time.perf_counter()
+        code, rep = run_command(["rdim", "--measure", fx(fixtures_dir, "bern12.measure"),
+                                 *argv])
+        assert code == 1 and "error" in rep
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--delta", ["tame-check", "--sft", "fullshift2.sft", "--delta", "nan"]),
+        ("--alpha", ["mmdim", "--sft", "fullshift2.sft", "--alpha", "nan"]),
+        ("--eps", ["covering", "--sft", "fullshift2.sft", "--N", "1", "--eps", "nan"]),
+        ("--tolerance", ["verify-theorem", "--sft", "fullshift2.sft", "--tolerance", "inf"]),
+        ("--delta", ["rdim", "--measure", "bern12.measure", "--delta=-inf"]),
+    ])
+    def test_non_finite_numbers_refused(self, fixtures_dir, flag, argv):
+        argv = [fx(fixtures_dir, a) if a.endswith((".sft", ".measure")) else a
+                for a in argv]
+        code, rep = run_command(argv)
+        assert code == 1 and f"argument {flag}: expected a finite number" in rep["error"]
+
+    def test_n_factor_below_one_named(self, fixtures_dir):
+        for value in ("0", "-3"):
+            code, rep = run_command(["mmdim", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                     "--N-factor", value])
+            assert code == 1 and "--N-factor" in rep["error"]
 
     def test_count_needs_one_support(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft")])

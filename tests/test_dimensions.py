@@ -5,6 +5,7 @@ import pytest
 
 import meandim as md
 from meandim import ActionSpec, IntRect, LatticeSet, MetricSpec, Pattern
+from meandim.estimates import resolution_depth
 
 from conftest import LOG2_PHI
 
@@ -101,6 +102,36 @@ class TestResolutionIndex:
             eps = float(rng.uniform(1e-6, 1.0))
             M = md.resolution_index(MetricSpec(alpha), eps).M
             assert alpha ** -M < eps <= alpha ** (-(M - 1))
+
+    def test_depth_matches_linear_search(self):
+        # the rule once stepped M up from 1 (and from 0 for the strip bound
+        # of rd_lower_bound, at scale delta); the log-estimate start must
+        # land on the same M, including on the boundaries eps = scale * alpha^-k
+        def linear(alpha, eps, scale):
+            M = 1
+            while scale * alpha ** -M >= eps:
+                M += 1
+            return M
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            alpha = float(rng.uniform(1.01, 10.0))
+            scale = float(rng.choice([1.0, rng.uniform(0.001, 0.5)]))
+            k = int(rng.integers(0, 60))
+            for eps in (scale * alpha ** -k, scale * alpha ** -k * (1 - 1e-15),
+                        scale * float(rng.uniform(1e-12, 1.0))):
+                if 0 < eps <= scale:
+                    assert resolution_depth(alpha, eps, scale) == linear(alpha, eps, scale)
+
+    def test_depth_work_does_not_grow_with_m(self):
+        # stepping from 1 would take about 7e11 and 1e17 steps here; in the
+        # second case the log estimate overshoots and M is settled downwards
+        for alpha, eps in ((1 + 1e-12, 0.5), (1 + 3 * 2 ** -52, 1e-200)):
+            M = resolution_depth(alpha, eps)
+            assert alpha ** -M < eps <= alpha ** -(M - 1)
+        for bad in (1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                resolution_depth(bad, 0.5)
 
 
 class TestBowenWindow:
@@ -214,14 +245,14 @@ class TestMmdim:
         assert abs(est.value - 2 / math.log2(3)) < 1e-12
 
     def test_ternary_row_lift(self, spec2):
-        # three symbols exercise the column DP beyond the binary fixtures
+        # three symbols exercise the transfer sweep beyond the binary fixtures
         bad = Pattern.from_dict({(0, 0): "2", (1, 0): "2"})
         base = md.SftSpec(1, md.alphabet("0", "1", "2"), (bad,))
         h = md.transfer_matrix_entropy_1d(base)
         lifted = md.row_lift(base)
         assert lifted.certified == "row-lift"
         rect = md.IntRect(0, 3, 0, 2)
-        assert (md.count_locally_admissible(lifted, rect, algorithm="dp")
+        assert (md.RectCounter(lifted).try_count(rect.ncols, rect.nrows)
                 == md.count_locally_admissible(lifted, rect, algorithm="backtracking"))
         est = md.mmdim_estimate(lifted, spec2, Mschedule=(2, 3, 4), Nfactor=8)
         assert abs(est.value - 2 * h) < 1e-6

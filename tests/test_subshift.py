@@ -10,8 +10,9 @@ import meandim as md
 from meandim import IntRect, LatticeSet, Pattern, kernels
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep,
-                              _one_d_extendable, _recoding_width, _row_product,
-                              _squaring_pays, _walks_by_iteration, _walks_by_squaring,
+                              _one_d_extendable, _placement_groups, _recoding_width,
+                              _row_product, _squaring_pays, _support_points,
+                              _walks_by_iteration, _walks_by_squaring,
                               base_of_row_lift, transfer_graph_1d)
 
 from conftest import LOG2_PHI
@@ -82,6 +83,36 @@ def object_sweep_totals(sweep, width):
     return totals
 
 
+def recursive_enumeration(sft, support):
+    """Locally admissible patterns on ``support`` from a recursive walk over
+    the same placement groups: the oracle for the stream of
+    ``enumerate_locally_admissible``, which runs ``kernels.backtrack``."""
+    points = _support_points(support).points
+    n = len(points)
+    if n == 0:
+        yield Pattern(())
+        return
+    groups = _placement_groups(sft, points)
+    syms = sft.alphabet.symbols
+    assign = [0] * n
+
+    def ok_at(level):
+        return not any(all(assign[c] == s for c, s in placement)
+                       for placement in groups[level])
+
+    def rec(level):
+        for s in range(len(syms)):
+            assign[level] = s
+            if not ok_at(level):
+                continue
+            if level == n - 1:
+                yield Pattern(tuple((points[i], syms[assign[i]]) for i in range(n)))
+            else:
+                yield from rec(level + 1)
+
+    yield from rec(0)
+
+
 class TestPatterns:
     def test_restrict_identity_and_cases(self):
         p = Pattern.from_dict({(0, 0): "a", (1, 0): "b", (0, 1): "a"})
@@ -134,7 +165,7 @@ class TestCounts:
             for w in range(1, 6):
                 for h in range(1, 5):
                     rect = IntRect(0, w - 1, 0, h - 1)
-                    dp = md.count_locally_admissible(sft, rect, algorithm="dp")
+                    dp = RectCounter(sft).try_count(w, h)
                     bt = md.count_locally_admissible(sft, rect, algorithm="backtracking")
                     assert dp == bt, (sft.certified, w, h)
 
@@ -143,8 +174,10 @@ class TestCounts:
     def test_dp_and_backtracking_agree_random_specs(self, sft, w, h):
         assume(sft.nsymbols ** (w * h) <= 4096)
         rect = IntRect(0, w - 1, 0, h - 1)
-        # "dp" never falls back to backtracking, so every count below is a sweep
-        dp = md.count_locally_admissible(sft, rect, algorithm="dp")
+        # every rectangle drawn here is within the sweep's state guard
+        rc = RectCounter(sft)
+        dp = rc.try_count(w, h)
+        assert dp is not None
         bt = md.count_locally_admissible(sft, rect, algorithm="backtracking")
         assert dp == bt == len(list(md.enumerate_locally_admissible(sft, rect)))
         # a rectangle is routed without its points, like its materialised set
@@ -154,8 +187,6 @@ class TestCounts:
         flipped = md.SftSpec(2, sft.alphabet, tuple(
             Pattern(tuple(((n, m), sym) for (m, n), sym in f.cells)) for f in sft.forbidden))
         assert RectCounter(flipped).try_count(h, w) == dp
-        rc = RectCounter(sft)
-        assert rc.try_count(w, h) == dp
         for narrower in range(1, w):
             assert rc.try_count(narrower, h) == RectCounter(sft).try_count(narrower, h)
 
@@ -255,8 +286,26 @@ class TestCounts:
         assert product in (None, bt)
         assert md.count_locally_admissible(sft, support) == bt == \
             len(list(md.enumerate_locally_admissible(sft, pts)))
-        if pts.as_rect() is not None:
-            assert md.count_locally_admissible(sft, support, algorithm="dp") == product
+        rect = pts.as_rect()
+        if rect is not None:
+            assert RectCounter(sft).try_count(rect.ncols, rect.nrows) == product
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_specs(dimension=1), st.sets(st.integers(0, 12), max_size=10))
+    def test_row_product_on_gapped_1d_supports(self, sft, columns):
+        # a 1D support is one row: its runs factor when no forbidden word
+        # fits across a gap between them
+        assume(sft.nsymbols ** len(columns) <= 2 ** 12)
+        pts = LatticeSet((m, 0) for m in columns)
+        product = _row_product(sft, None, pts)
+        wide = max(f.ncols_extent for f in sft.forbidden)
+        cols = sorted(columns)
+        if all(b - a == 1 or b - a >= wide for a, b in zip(cols, cols[1:])):
+            assert product is not None
+        bt = md.count_locally_admissible(sft, pts, algorithm="backtracking")
+        assert product in (None, bt)
+        assert md.count_locally_admissible(sft, pts) == bt == \
+            len(list(md.enumerate_locally_admissible(sft, pts)))
 
     def test_holed_pattern_on_gapped_row_falls_through(self):
         # (0,0)=1 (2,0)=1 links the two runs of the row {0, 2}, so the row
@@ -325,6 +374,32 @@ class TestEnumeration:
         assert len(pats) == md.count_locally_admissible(threedot, support)
         assert len(set(pats)) == len(pats)
         assert pats == sorted(pats, key=lambda p: tuple(sym for _, sym in p.cells))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_specs(), st.one_of(
+        st.builds(IntRect, st.just(0), st.integers(0, 3), st.just(0), st.integers(0, 3)),
+        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(md.bowen_window,
+                  st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
+                  st.integers(1, 3), st.integers(1, 2)),
+        st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                      max_size=12))))
+    def test_stream_matches_recursive_oracle(self, sft, support):
+        pts = _support_points(support)
+        assume(sft.nsymbols ** len(pts) <= 2 ** 12)
+        assert list(md.enumerate_locally_admissible(sft, support)) == \
+            list(recursive_enumeration(sft, support))
+
+    def test_enumeration_bounded_by_work(self, threedot, monkeypatch):
+        # the same walk as the count: 56,574 descents to the 7x7 box's 2^13
+        # patterns
+        box = IntRect(0, 6, 0, 6)
+        monkeypatch.setattr(kernels, "MAX_NODES", 56_574)
+        assert sum(1 for _ in md.enumerate_locally_admissible(threedot, box)) == 2 ** 13
+        monkeypatch.setattr(kernels, "MAX_NODES", 56_573)
+        with pytest.raises(ResourceGuardError, match="descents"):
+            for _ in md.enumerate_locally_admissible(threedot, box):
+                pass
 
 
 class TestTransferEntropy:
@@ -472,18 +547,21 @@ class TestRectCounter:
         got = RectCounter(sft).try_count(3, 30)
         assert got == fib_count(30) ** 3
 
-    def test_state_guard_fires(self, threedot):
+    def test_state_guard_fires(self, threedot, monkeypatch):
         assert RectCounter(threedot).try_count(50, 50) is None
         with pytest.raises(ResourceGuardError):
             md.count_locally_admissible(threedot, IntRect(0, 49, 0, 49))
         # the profile is at least 3^8 states in both orientations, above the
-        # guard; "dp" refuses at once where "auto" would backtrack 54 cells
+        # guard: the sweep refuses at once, and "auto" goes on to backtrack
+        # the 54 cells until the work guard stops it
         bad = Pattern.from_dict({(0, 0): "2", (1, 2): "2"})
         ternary = md.SftSpec(2, md.alphabet("0", "1", "2"), (bad,))
         t0 = time.perf_counter()
-        with pytest.raises(ResourceGuardError):
-            md.count_locally_admissible(ternary, IntRect(0, 8, 0, 5), algorithm="dp")
+        assert RectCounter(ternary).try_count(9, 6) is None
         assert time.perf_counter() - t0 < 1.0
+        monkeypatch.setattr(kernels, "MAX_NODES", 1000)
+        with pytest.raises(ResourceGuardError, match="descents"):
+            md.count_locally_admissible(ternary, IntRect(0, 8, 0, 5))
 
     @settings(max_examples=100, deadline=None)
     @given(small_specs(symbols=(2, 4)), st.integers(1, 6), st.integers(1, 80), st.booleans())
