@@ -16,12 +16,11 @@ from .subshift import (Alphabet, Pattern, RectCounter, SftSpec, alphabet,
                        full_shift, golden_mean_1d, restrict_pattern, row_interval,
                        row_lift, three_dot, transfer_matrix_entropy_1d,
                        word_count_1d)
-from .dimensions import (ActionSpec, MetricSpec, MetricValue, ResolutionIndex,
-                         bowen_window, covering_number, entropy_at_resolution,
-                         hausdorff_bracket_1d, hausdorff_lower_at_scale,
-                         hausdorff_upper_at_scale, metric_eval, mhdim_bounds,
+from .dimensions import (ActionSpec, BowenTable, MetricSpec, MetricValue,
+                         bowen_table, bowen_window, covering_number,
+                         hausdorff_bracket_1d, metric_eval, mhdim_bounds,
                          minkowski_estimate_1d, minkowski_sequence_1d,
-                         mmdim_estimate, resolution_index, tame_growth_check)
+                         mmdim_estimate, tame_growth_check)
 from .information import (FiniteDistribution, JointDistribution, MeasureSpec,
                           binary_entropy, check_support, default_rdim_schedule,
                           ks_entropy, max_cylinder_log2_prob, mi_lower_bound_lemma,

@@ -14,10 +14,9 @@ import sys
 import time
 
 from . import __version__
-from .dimensions import (ActionSpec, MetricSpec, hausdorff_bracket_1d,
+from .dimensions import (ActionSpec, MetricSpec, bowen_table, hausdorff_bracket_1d,
                          mhdim_bounds, minkowski_estimate_1d, mmdim_estimate,
-                         covering_number, m_schedule, tame_growth_check,
-                         DEFAULT_M_SCHEDULE_1D)
+                         covering_number, tame_growth_check, DEFAULT_M_SCHEDULE_1D)
 from .errors import MeandimError
 from .estimates import DimensionEstimate
 from .files import parse_measure, parse_rects, parse_sft
@@ -252,8 +251,9 @@ def _load_measure(args) -> MeasureSpec | None:
     return None
 
 
-def _schedule(args) -> list[int]:
-    return m_schedule(args.action, args.M_schedule or None)
+def _bowen_table(args, measure: MeasureSpec | None = None):
+    return bowen_table(_load_sft(args), measure, MetricSpec(args.alpha), args.action,
+                       args.M_schedule or None, args.N_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +323,11 @@ def _cmd_covering(args) -> dict:
 
 
 def _cmd_mmdim(args) -> dict:
-    sft = _load_sft(args)
-    spec = MetricSpec(args.alpha)
-    sched = _schedule(args)
-    est = mmdim_estimate(sft, spec, args.action, sched, args.N_factor)
+    table = _bowen_table(args)
+    est = mmdim_estimate(table)
     return {
         "command": "mmdim",
-        "inputs": {"sft": args.sft, "alpha": args.alpha, "M_schedule": sched,
+        "inputs": {"sft": args.sft, "alpha": args.alpha, "M_schedule": list(table.schedule),
                    "N_factor": args.N_factor, "action": [args.action.a, args.action.b]},
         "results": {"mmdim": _estimate_dict(est)},
         "tables": {"mmdim": _estimate_table("mmdim", est)},
@@ -337,18 +335,16 @@ def _cmd_mmdim(args) -> dict:
 
 
 def _cmd_mhdim(args) -> dict:
-    sft = _load_sft(args)
-    measure = _load_measure(args)
-    spec = MetricSpec(args.alpha)
-    sched = _schedule(args)
-    lower, upper = mhdim_bounds(sft, measure, spec, args.action, sched, args.N_factor)
+    table = _bowen_table(args, _load_measure(args))
+    lower, upper = mhdim_bounds(table)
     tables = {"mhdim_upper": _estimate_table("mhdim_upper", upper)}
     if lower is not None:
         tables["mhdim_lower"] = _estimate_table("mhdim_lower", lower)
     return {
         "command": "mhdim",
         "inputs": {"sft": args.sft, "measure": getattr(args, "measure", None),
-                   "alpha": args.alpha, "M_schedule": sched, "N_factor": args.N_factor},
+                   "alpha": args.alpha, "M_schedule": list(table.schedule),
+                   "N_factor": args.N_factor},
         "results": {"mhdim_upper": _estimate_dict(upper),
                     "mhdim_lower": _estimate_dict(lower)},
         "tables": tables,
@@ -508,9 +504,12 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             "forbidden patterns that span rows they are counted by backtracking, "
             "which exceeds the search guards")
 
-    sched = m_schedule(action, Mschedule or None)
-    mm = mmdim_estimate(sft, spec, action, sched, Nfactor)
-    lower, upper = mhdim_bounds(sft, measure, spec, action, sched, Nfactor)
+    rdim_wanted = certified and measure is not None and not skew
+    if rdim_wanted:  # the k schedule is checked before any window is counted
+        eps, deltas = default_rdim_schedule(alpha, range(8, 17), delta)
+    table = bowen_table(sft, measure, spec, action, Mschedule or None, Nfactor)
+    mm = mmdim_estimate(table)
+    lower, upper = mhdim_bounds(table)
     results["mmdim"] = _estimate_dict(mm)
     results["mhdim_upper"] = _estimate_dict(upper)
     results["mhdim_lower"] = _estimate_dict(lower)
@@ -539,9 +538,7 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
 
     if skew and measure is not None:
         results["rdim_skipped"] = "rate-distortion dimension is computed for the horizontal action only"
-        measure = None
-    if measure is not None:
-        eps, deltas = default_rdim_schedule(alpha, range(8, 17), delta)
+    if rdim_wanted:
         rlo, rup = rdim_bounds(measure, alpha, eps, deltas)
         rhs_mu = 2 * h_mu / spec.log2_alpha
         bias = 2 * delta * math.log2(len(measure.alphabet)) / spec.log2_alpha

@@ -10,18 +10,20 @@ covering number is an exact pattern count.  That identity drives every
 estimator here; a brute-force minimal-cover oracle in the test suite
 checks it on miniature systems.
 
-Dimension ratios are evaluated on the schedule eps_M = alpha^-(M-1), so
-log(1/eps_M) = (M-1) log alpha exactly.  Per-scale Hausdorff exponents
-normalise by the cover depth M instead (their covers have diameter
-alpha^-M), which is why their extrapolation model uses the 1/M abscissa
-while the metric mean dimension uses 1/(M-1).
+The estimators take integer depths M and never form an epsilon.  The
+metric mean dimension divides by log2(1/eps_M) = (M-1) log2 alpha, at
+eps_M = alpha^-(M-1), the top of the depth-M bracket.  Per-scale
+Hausdorff exponents normalise by the cover depth M instead (their covers
+have diameter alpha^-M), which is why their extrapolation model uses the
+1/M abscissa while the metric mean dimension uses 1/(M-1).  Both read
+one ``BowenTable``, which builds and counts each window once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
@@ -64,15 +66,6 @@ class ActionSpec:
             raise ValueError("action direction must be nonzero")
 
 
-@dataclass(frozen=True)
-class ResolutionIndex:
-    M: int
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("resolution index must be at least 1")
-
-
 class MetricValue(NamedTuple):
     """Distance value; ``exact`` False means 'true distance <= value'
     (the patterns agree on their whole support)."""
@@ -86,11 +79,6 @@ def _log2_count(c: int) -> float:
         raise EmptyLanguageError(
             "no admissible pattern fits the window: the subshift is empty")
     return math.log2(c)
-
-
-def resolution_index(spec: MetricSpec, epsilon: float) -> ResolutionIndex:
-    """The unique M >= 1 with alpha^-M < epsilon <= alpha^-(M-1)."""
-    return ResolutionIndex(resolution_depth(spec.alpha, epsilon))
 
 
 def _site_norm(spec: MetricSpec, u) -> float:
@@ -153,11 +141,23 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> Latt
     return lambda_set(action.a, action.b, M, N, norm)
 
 
+def _check_window(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
+                  M: int) -> None:
+    """Under the sup norm, refuse a window W(M, N) whose closed-form count
+    is over its guard, from the window's size and bounding box."""
+    if spec.norm == "linf":
+        side = 2 * M - 1
+        closed_form_applies(sft, abs(action.a) * (N - 1) + side,
+                            abs(action.b) * (N - 1) + side,
+                            lambda_count(action.a, action.b, M, N))
+
+
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                     epsilon: float) -> int:
     """Minimum number of sets of d_N-diameter below epsilon covering X.
 
-    Computed as the locally admissible pattern count on the Bowen window:
+    Computed as the locally admissible pattern count on the Bowen window
+    W(M, N), M the resolution index of epsilon, after ``_check_window``:
     exact for certified fixtures, an upper bound otherwise.  Any epsilon
     above the space's diameter returns 1.
     """
@@ -165,48 +165,9 @@ def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
         raise ValueError("covering_number works on 2D specs")
     if epsilon > 1:
         return 1
-    M = resolution_index(spec, epsilon).M
-    return covering_count(sft, spec, action, N, M)
-
-
-def covering_count(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
-                   M: int) -> int:
-    """Pattern count on the Bowen window W(M, N).
-
-    Under the sup norm a closed-form count over its guard is refused
-    before the window is built, from the window's size and bounding box.
-    """
-    if spec.norm == "linf":
-        side = 2 * M - 1
-        closed_form_applies(sft, abs(action.a) * (N - 1) + side,
-                            abs(action.b) * (N - 1) + side,
-                            lambda_count(action.a, action.b, M, N))
-    window = bowen_window(action, N, M, spec.norm)
-    return count_locally_admissible(sft, window)
-
-
-class EntropySlope(NamedTuple):
-    value: float
-    resolution: int
-    table: tuple[tuple[int, float], ...]  # (N, log2 covering count)
-
-
-def entropy_at_resolution(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
-                          epsilon: float, Nschedule: Sequence[int]) -> EntropySlope:
-    """Growth rate of log2 covering numbers per iterate at one resolution.
-
-    The slope between the two largest scheduled N values, plus the full
-    (N, log2 count) table.  Exact in the limit sense for systems whose
-    log-counts are affine in N (full shifts, row-lifts, three-dot).
-    """
-    Ns = sorted(set(int(N) for N in Nschedule))
-    if len(Ns) < 2:
-        raise ValueError("entropy_at_resolution needs at least two N values")
-    M = resolution_index(spec, epsilon).M
-    table = tuple((N, _log2_count(covering_count(sft, spec, action, N, M)))
-                  for N in Ns)
-    (N1, l1), (N2, l2) = table[-2], table[-1]
-    return EntropySlope((l2 - l1) / (N2 - N1), M, table)
+    M = resolution_depth(spec.alpha, epsilon)
+    _check_window(sft, spec, action, N, M)
+    return count_locally_admissible(sft, bowen_window(action, N, M, spec.norm))
 
 
 def m_schedule(action: ActionSpec, Mschedule: Sequence[int] | None = None) -> list[int]:
@@ -233,146 +194,149 @@ def m_schedule(action: ActionSpec, Mschedule: Sequence[int] | None = None) -> li
     return Ms
 
 
-def _n_pair(M: int, Nfactor: int) -> tuple[int, int]:
-    hi = Nfactor * M
-    lo = max(1, hi // 2)
-    if lo == hi:
-        raise ValueError("N schedule degenerate; increase Nfactor")
-    return lo, hi
+class BowenRow(NamedTuple):
+    """The two Bowen windows W(M, N) of one depth M, N in ``Ns``.
+
+    ``log2_counts`` holds log2 of each window's pattern count, and
+    ``mass_bits`` -log2 of its largest cylinder mass; either is None where
+    the table did not need it.
+    """
+
+    Ns: tuple[int, int]
+    log2_counts: tuple[float, float] | None
+    mass_bits: tuple[float, float] | None
 
 
-def mmdim_estimate(sft: SftSpec, spec: MetricSpec, action: ActionSpec = ActionSpec(),
-                   Mschedule: Sequence[int] | None = None,
-                   Nfactor: int = 16) -> DimensionEstimate:
-    """Metric mean dimension estimate.
+def _slope(Ns: tuple[int, int], values: tuple[float, float]) -> float:
+    """Growth per iterate between the two windows of a depth."""
+    return (values[1] - values[0]) / (Ns[1] - Ns[0])
 
-    Per scheduled M the ratio v_M = S(eps_M) / log2(1/eps_M) with
-    eps_M = alpha^-(M-1); the limit is extrapolated by a straight line in
-    1/(M-1), which is exact on the fixture families.  The schedule is
-    checked, or defaulted, by ``m_schedule``.
+
+@dataclass(frozen=True)
+class BowenTable:
+    """Window counts and cylinder masses behind ``mmdim_estimate`` and
+    ``mhdim_bounds``, built by ``bowen_table``.
+
+    ``schedule`` is the checked M schedule and ``rows`` maps each depth M
+    to its ``BowenRow``.  Counts are present at the scheduled depths.
+    Masses are present, given a measure, at every depth from the first
+    scheduled one to the last, because the mass-distribution bound takes
+    its minimum over that range.
+    """
+
+    schedule: tuple[int, ...]
+    rows: Mapping[int, BowenRow]
+    log2_alpha: float
+    certified: bool
+
+
+def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
+                action: ActionSpec = ActionSpec(),
+                Mschedule: Sequence[int] | None = None, Nfactor: int = 16) -> BowenTable:
+    """Count, and weigh under ``measure``, each Bowen window the dimension
+    estimators read, building each window once.
+
+    Depth M has the windows N = Nfactor*M // 2 and Nfactor*M (8M and 16M by
+    default).  The schedule is checked, or defaulted, by ``m_schedule``.
+    Every window passes the sup-norm closed-form guard before any is built.
     """
     Ms = m_schedule(action, Mschedule)
     if len(Ms) < 3:
-        raise ValueError("mmdim_estimate wants at least three M values")
-    if Ms[0] < 2:
-        raise ValueError("the M schedule must start at 2 (log(1/eps) vanishes at M=1)")
-    seq = []
-    sched = []
-    for M in Ms:
-        lo, hi = _n_pair(M, Nfactor)
-        slope = entropy_at_resolution(sft, spec, action, spec.epsilon_at(M), (lo, hi))
-        seq.append(slope.value / ((M - 1) * spec.log2_alpha))
-        sched.append((M, hi))
-    v_inf, c = fit_limit([1.0 / (M - 1) for M in Ms], seq)
-    kind = "exact" if sft.certified else "upper-bound"
-    return DimensionEstimate(v_inf, kind, tuple(sched), tuple(seq),
-                             "v = v_inf + c/(M-1)", (v_inf, c))
-
-
-def hausdorff_upper_at_scale(sft: SftSpec, spec: MetricSpec, action: ActionSpec,
-                             N: int, M: int, Mcap: int) -> float:
-    """Upper bound on the Hausdorff exponent of d_N at scale eps_M.
-
-    The uniform depth-M' cylinder cover has covering_count(M', N) members
-    of diameter at most alpha^-M', so its critical exponent is
-    log2(count)/(M' log2 alpha); minimising over M' in [M, Mcap] bounds
-    dim_H(X, d_N, eps_M) from above.
-    """
-    if M > Mcap:
-        raise ValueError("M must not exceed Mcap")
-    return min(
-        _log2_count(covering_count(sft, spec, action, N, Mp))
-        / (Mp * spec.log2_alpha)
-        for Mp in range(M, Mcap + 1))
-
-
-def hausdorff_lower_at_scale(sft: SftSpec, measure: MeasureSpec, spec: MetricSpec,
-                             action: ActionSpec, N: int, M: int, Mcap: int) -> float:
-    """Mass-distribution lower bound on the Hausdorff exponent at scale eps_M.
-
-    The largest s such that every depth-M' cylinder (M' in [M, Mcap]) has
-    mass at most alpha^(-s M'): any countable cover by sets of diameter
-    below eps_M refines into such cylinders, forcing the s-sum above the
-    total mass 1.  For the shipped measure families the per-cylinder
-    log-mass grows superlinearly in M', so the checked range contains the
-    binding depth.
-    """
-    if M > Mcap:
-        raise ValueError("M must not exceed Mcap")
-    check_support(measure, sft)
-    vals = []
-    for Mp in range(M, Mcap + 1):
-        window = bowen_window(action, N, Mp, spec.norm)
-        top = max_cylinder_log2_prob(measure, window)
-        vals.append(-top / (Mp * spec.log2_alpha))
-    return min(vals)
-
-
-def mhdim_bounds(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
-                 action: ActionSpec = ActionSpec(),
-                 Mschedule: Sequence[int] | None = None, Nfactor: int = 16,
-                 ) -> tuple[DimensionEstimate | None, DimensionEstimate]:
-    """Mean Hausdorff dimension bracket (lower needs a measure).
-
-    The per-iterate limit of the at-scale bounds is taken through N-slopes
-    of the depth-M' exponents, then minimised over M' >= M; both sequences
-    extrapolate linearly in 1/M (exact on fixtures).  Returns
-    (lower or None, upper); the upper sequence sits below the matching
-    metric-mean-dimension sequence pointwise.  The schedule is checked,
-    or defaulted, by ``m_schedule``.
-    """
-    Ms = m_schedule(action, Mschedule)
-    if len(Ms) < 3:
-        raise ValueError("mhdim_bounds wants at least three M values")
-    Mcap = Ms[-1]
+        raise ValueError("the Bowen estimators want at least three M values")
     if measure is not None:
         check_support(measure, sft)
-
-    # Per-depth at-scale ratios.  The depth-M value alone already upper-
-    # bounds (per N) the scale-M Hausdorff exponent and converges to the
-    # mean dimension, so the upper sequence uses it directly; minimising
-    # over deeper covers up to a fixed cap would pin zero-entropy systems
-    # at 1/Mcap instead of decaying.
-    upper_ratio = {}
-    lower_ratio = {}
-    for Mp in range(Ms[0], Mcap + 1):
-        lo, hi = _n_pair(Mp, Nfactor)
-        slope = entropy_at_resolution(sft, spec, action, spec.epsilon_at(Mp), (lo, hi))
-        upper_ratio[Mp] = slope.value / (Mp * spec.log2_alpha)
+    depths = range(Ms[0], Ms[-1] + 1) if measure is not None else Ms
+    pairs = {}
+    for M in depths:
+        lo, hi = max(1, Nfactor * M // 2), Nfactor * M
+        if lo == hi:
+            raise ValueError("N schedule degenerate; increase Nfactor")
+        pairs[M] = (lo, hi)
+        for N in pairs[M]:
+            _check_window(sft, spec, action, N, M)
+    rows = {}
+    for M, Ns in pairs.items():
+        windows = [bowen_window(action, N, M, spec.norm) for N in Ns]
+        counts = masses = None
+        if M in Ms:
+            counts = tuple(_log2_count(count_locally_admissible(sft, w)) for w in windows)
         if measure is not None:
-            g_lo = -max_cylinder_log2_prob(measure, bowen_window(action, lo, Mp, spec.norm))
-            g_hi = -max_cylinder_log2_prob(measure, bowen_window(action, hi, Mp, spec.norm))
-            lower_ratio[Mp] = (g_hi - g_lo) / (hi - lo) / (Mp * spec.log2_alpha)
+            masses = tuple(-max_cylinder_log2_prob(measure, w) for w in windows)
+        rows[M] = BowenRow(Ns, counts, masses)
+    return BowenTable(tuple(Ms), rows, spec.log2_alpha, sft.certified is not None)
 
-    sched = tuple((M, Nfactor * M) for M in Ms)
+
+def mmdim_estimate(table: BowenTable) -> DimensionEstimate:
+    """Metric mean dimension estimate.
+
+    Per scheduled M the ratio v_M = S_M / ((M-1) log2 alpha), where S_M is
+    the growth per iterate of the log2 window counts and (M-1) log2 alpha
+    is log2(1/eps) at eps = alpha^-(M-1), the top of the depth-M bracket;
+    the limit is extrapolated by a straight line in 1/(M-1), which is
+    exact on the fixture families.
+    """
+    Ms = table.schedule
+    if Ms[0] < 2:
+        raise ValueError("the M schedule must start at 2 (log(1/eps) vanishes at M=1)")
+    rows = table.rows
+    seq = [_slope(rows[M].Ns, rows[M].log2_counts) / ((M - 1) * table.log2_alpha)
+           for M in Ms]
+    v_inf, c = fit_limit([1.0 / (M - 1) for M in Ms], seq)
+    kind = "exact" if table.certified else "upper-bound"
+    return DimensionEstimate(v_inf, kind, tuple((M, rows[M].Ns[1]) for M in Ms),
+                             tuple(seq), "v = v_inf + c/(M-1)", (v_inf, c))
+
+
+def mhdim_bounds(table: BowenTable) -> tuple[DimensionEstimate | None, DimensionEstimate]:
+    """Mean Hausdorff dimension bracket (lower needs a measure).
+
+    The upper sequence is the growth per iterate of the log2 window counts
+    at depth M over M log2 alpha: the depth-M cylinders have diameter at
+    most alpha^-M.  The lower sequence is the mass-distribution bound: the
+    same ratio of -log2 of the largest cylinder mass, minimised over every
+    depth from M to the last scheduled one.  Both extrapolate linearly in
+    1/M (exact on fixtures).  Returns (lower or None, upper); the upper
+    sequence sits below the matching metric-mean-dimension sequence
+    pointwise.
+    """
+    Ms = table.schedule
+    rows = table.rows
+    sched = tuple((M, rows[M].Ns[1]) for M in Ms)
     xs = [1.0 / M for M in Ms]
-    u_seq = [upper_ratio[M] for M in Ms]
+    # The depth-M value alone already upper-bounds (per N) the scale-M
+    # Hausdorff exponent and converges to the mean dimension, so the upper
+    # sequence uses it directly; minimising over deeper covers up to a
+    # fixed cap would pin zero-entropy systems at 1/Mcap instead of decaying.
+    u_seq = [_slope(rows[M].Ns, rows[M].log2_counts) / (M * table.log2_alpha)
+             for M in Ms]
     u_inf, uc = fit_limit(xs, u_seq)
-    kind = "exact" if sft.certified else "upper-bound"
+    kind = "exact" if table.certified else "upper-bound"
     upper = DimensionEstimate(u_inf, kind, sched, tuple(u_seq),
                               "v = v_inf + c/M", (u_inf, uc))
 
-    lower = None
-    if measure is not None:
-        # The mass-distribution bound needs the per-depth ratio minimised
-        # over every deeper cover; when the minimum still sits at the cap
-        # with the ratios decreasing, the infimum escapes the checked
-        # range and only 0 can be certified.
-        l_seq = []
-        for M in Ms:
-            window_vals = [lower_ratio[Mp] for Mp in range(M, Mcap + 1)]
-            val = min(window_vals)
-            if (len(window_vals) > 1 and val == window_vals[-1]
-                    and window_vals[-1] < window_vals[-2] - 1e-12):
-                val = 0.0
-            l_seq.append(val)
-        l_inf, lc = fit_limit(xs, l_seq)
-        lower = DimensionEstimate(l_inf, "lower-bound", sched, tuple(l_seq),
-                                  "v = v_inf + c/M", (l_inf, lc))
-        if lower.value > upper.value + 1e-9:
-            raise InvertedBoundsError(
-                f"mass-distribution lower bound {lower.value} exceeds the "
-                f"uniform-cover upper bound {upper.value}")
+    if rows[Ms[0]].mass_bits is None:
+        return None, upper
+    lower_ratio = {Mp: _slope(row.Ns, row.mass_bits) / (Mp * table.log2_alpha)
+                   for Mp, row in rows.items()}
+    # The mass-distribution bound needs the per-depth ratio minimised over
+    # every deeper cover; when the minimum still sits at the last depth with
+    # the ratios decreasing, the infimum escapes the checked range and only
+    # 0 can be certified.
+    l_seq = []
+    for M in Ms:
+        window_vals = [lower_ratio[Mp] for Mp in range(M, Ms[-1] + 1)]
+        val = min(window_vals)
+        if (len(window_vals) > 1 and val == window_vals[-1]
+                and window_vals[-1] < window_vals[-2] - 1e-12):
+            val = 0.0
+        l_seq.append(val)
+    l_inf, lc = fit_limit(xs, l_seq)
+    lower = DimensionEstimate(l_inf, "lower-bound", sched, tuple(l_seq),
+                              "v = v_inf + c/M", (l_inf, lc))
+    if lower.value > upper.value + 1e-9:
+        raise InvertedBoundsError(
+            f"mass-distribution lower bound {lower.value} exceeds the "
+            f"uniform-cover upper bound {upper.value}")
     return lower, upper
 
 

@@ -452,12 +452,24 @@ def rd_lower_bound(measure: MeasureSpec, alpha: float, epsilon: float,
 
 def default_rdim_schedule(alpha: float, k_range: Iterable[int] = range(8, 17),
                           delta: float = 0.01):
-    """Distortion schedule eps_k = alpha^-k with a fixed small delta."""
+    """Distortion schedule eps_k = alpha^-k with a fixed small delta.
+
+    Every eps_k must lie in (0, delta], where the strip lower bound is
+    defined; the schedule is checked here, before any bound is computed,
+    and a refusal names the CLI flags (``--alpha``, ``--delta``) that set
+    alpha and delta.
+    """
     check_alpha(alpha)
+    if not 0 < delta < 0.5:
+        raise ValueError(f"--delta must lie in (0, 1/2), got {delta}")
     k_range = list(k_range)
     if min(k_range, default=1) < 1:
         raise ValueError(f"scale indices k must be at least 1, got {min(k_range)}")
     eps = [alpha ** (-k) for k in k_range]
+    for k, e in zip(k_range, eps):
+        if not 0 < e <= delta:
+            raise ValueError(f"at scale k = {k}, eps = alpha^-k = {e:.6g} lies outside "
+                             f"(0, delta] for --alpha {alpha:g} and --delta {delta:g}")
     return eps, [delta] * len(eps)
 
 

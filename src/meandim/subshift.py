@@ -26,9 +26,10 @@ is the one place that chooses how to count, in this order:
 
 Guards fire before work: counts above ``MAX_COUNT_BITS`` bits are refused
 before they are formed, the sweep's profile q^L is bounded by
-``MAX_STATES``, and backtracking takes at most ``MAX_FREE_CELLS`` cells
-and ``kernels.MAX_NODES`` descents.  Enumeration runs the same
-backtracking walk.  The paths are tested to agree on random small specs.
+``MAX_STATES`` and its work by ``MAX_SWEEP_WORK``, and backtracking takes
+at most ``MAX_FREE_CELLS`` cells and ``kernels.MAX_NODES`` descents.
+Enumeration runs the same backtracking walk.  The paths are tested to
+agree on random small specs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ from .lattice import IntRect, LatticeSet, Point
 MAX_FREE_CELLS = 64
 MAX_STATES = 4096
 MAX_COUNT_BITS = 1 << 18
+# largest width x answer bits x states of one transfer sweep, the answer's
+# bits bounded by cells * log2(q): once counts leave int64, each column adds
+# Python ints as long as the answer, so run time grows with this product.
+# Hard squares at height 12 (4096 states) took 3.2-3.7e-11 s per unit from
+# 1,000 columns on (2-core Xeon VM, Python 3.11, numpy 2.4), so the guard
+# bounds a sweep to about 1.3 s there; 836 such columns fit, 837 do not.
+MAX_SWEEP_WORK = 1 << 35
 
 
 @dataclass(frozen=True)
@@ -344,12 +352,20 @@ class RectCounter:
 
     def try_count(self, ncols: int, nrows: int) -> int | None:
         """The sweep count on an ncols x nrows rectangle, or None when its
-        profile exceeds ``MAX_STATES`` in both orientations."""
+        profile exceeds ``MAX_STATES`` in both orientations.  Raises
+        ``ResourceGuardError`` before sweeping when width x bits x states
+        is over ``MAX_SWEEP_WORK``."""
         # ties keep the column sweep, min() returning the first minimum
         sweep, width = min((self._sweep(False, nrows), ncols),
                            (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
-        if self.sft.nsymbols ** sweep.span > MAX_STATES:
+        states = self.sft.nsymbols ** sweep.span
+        if states > MAX_STATES:
             return None
+        bits = ncols * nrows * math.log2(self.sft.nsymbols)
+        if width * bits * states > MAX_SWEEP_WORK:
+            raise ResourceGuardError(
+                f"a sweep of {width} columns over {states} states with counts of up to "
+                f"{bits:.0f} bits is above the sweep guard of {MAX_SWEEP_WORK}")
         return sweep.total(width)
 
     def _sweep(self, transposed: bool, height: int) -> "_CellSweep":

@@ -32,11 +32,13 @@ def criterion(capfd):
 def test_criterion_1_full_shift_metric_mean_dimension(criterion):
     t0 = time.perf_counter()
     full2 = md.full_shift(("0", "1"))
-    est = md.mmdim_estimate(full2, MetricSpec(2.0), ACT, (2, 3, 4, 5, 6), 16)
+    est = md.mmdim_estimate(md.bowen_table(full2, None, MetricSpec(2.0), ACT,
+                                           (2, 3, 4, 5, 6), 16))
     for M, v in zip((2, 3, 4, 5, 6), est.sequence):
         assert v == (2 * M - 1) / (M - 1), "raw ratio must be exact integer arithmetic"
     assert abs(est.value - 2.0) <= 1e-6
-    est4 = md.mmdim_estimate(full2, MetricSpec(4.0), ACT, (2, 3, 4, 5, 6), 16)
+    est4 = md.mmdim_estimate(md.bowen_table(full2, None, MetricSpec(4.0), ACT,
+                                            (2, 3, 4, 5, 6), 16))
     assert abs(est4.value - 1.0) <= 1e-6
     dt = time.perf_counter() - t0
     assert dt < 10
@@ -51,9 +53,10 @@ def test_criterion_2_golden_row_lift(criterion):
     spec = MetricSpec(2.0)
     h = md.transfer_matrix_entropy_1d(gm)
     assert abs(h - LOG2_PHI) <= 1e-5
-    mm = md.mmdim_estimate(rl, spec, ACT, (2, 3, 4, 5, 6), 16)
+    table = md.bowen_table(rl, None, spec, ACT, (2, 3, 4, 5, 6), 16)
+    mm = md.mmdim_estimate(table)
     assert abs(mm.value - 2 * LOG2_PHI) <= 0.01
-    _, upper = md.mhdim_bounds(rl, None, spec, ACT, (2, 3, 4, 5, 6), 16)
+    _, upper = md.mhdim_bounds(table)
     assert abs(upper.value - 2 * LOG2_PHI) <= 0.01
     dt = time.perf_counter() - t0
     assert dt < 60
@@ -68,7 +71,8 @@ def test_criterion_3_three_dot_zero_entropy(criterion):
         c = md.count_locally_admissible(td, IntRect(0, N - 1, 0, N - 1),
                                         algorithm="backtracking")
         assert c == 2 ** (2 * N - 1)
-    est = md.mmdim_estimate(td, MetricSpec(2.0), ACT, (2, 3, 4, 5, 6), 16)
+    est = md.mmdim_estimate(md.bowen_table(td, None, MetricSpec(2.0), ACT,
+                                           (2, 3, 4, 5, 6), 16))
     assert abs(est.value) <= 0.02
     dt = time.perf_counter() - t0
     assert dt < 60

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -198,18 +200,74 @@ class TestRunCommand:
         assert code == 1 and "--algorithm" in rep["error"]
 
     @pytest.mark.parametrize("argv", [
-        ["--alpha", "1"],  # alpha^-M >= 1 for every M
-        ["--alpha", "1e300"],  # eps = alpha^-8 underflows to 0
-        ["--M-schedule", "0,8"],  # eps = 1, log2(1/eps) = 0
-        ["--alpha", "0"],
-        ["--alpha", "1e300", "--M-schedule=-2,8"],  # alpha^2 overflows
+        ["bern12.measure", "--alpha", "1"],  # alpha^-M >= 1 for every M
+        ["bern12.measure", "--alpha", "1e300"],  # eps = alpha^-8 underflows to 0
+        ["bern12.measure", "--M-schedule", "0,8"],  # eps = 1, log2(1/eps) = 0
+        ["bern12.measure", "--alpha", "0"],
+        ["bern12.measure", "--alpha", "1e300", "--M-schedule=-2,8"],  # alpha^2 overflows
+        ["parry_golden.measure", "--alpha", "1.0001"],  # eps = alpha^-8 above delta
     ])
     def test_rdim_inputs_checked_before_work(self, fixtures_dir, argv):
+        measure, *flags = argv
         t0 = time.perf_counter()
-        code, rep = run_command(["rdim", "--measure", fx(fixtures_dir, "bern12.measure"),
-                                 *argv])
+        code, rep = run_command(["rdim", "--measure", fx(fixtures_dir, measure), *flags])
         assert code == 1 and "error" in rep
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["rdim", "--measure", "parry_golden.measure", "--alpha", "1.0001"],
+        ["rdim", "--measure", "bern12.measure", "--alpha", "1e300"],
+        ["verify-theorem", "--sft", "fullshift2.sft", "--measure", "bern12.measure",
+         "--alpha", "1e300"],
+    ])
+    def test_rdim_scale_refusal_names_the_flags(self, fixtures_dir, monkeypatch, argv):
+        # the k schedule is checked before verify-theorem builds a window
+        def no_window(*args):
+            raise AssertionError("a window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        argv = [fx(fixtures_dir, a) if a.endswith((".sft", ".measure")) else a
+                for a in argv]
+        code, rep = run_command(argv)
+        assert code == 1
+        assert rep["error"].startswith("at scale k = 8, eps = alpha^-k = ")
+        assert "--alpha" in rep["error"] and "--delta 0.01" in rep["error"]
+
+    @pytest.mark.parametrize("command", ["mmdim", "mhdim", "verify-theorem"])
+    def test_depths_do_not_underflow(self, fixtures_dir, command):
+        # each depth M once went through eps = alpha^-(M-1), which is 0 here
+        code, rep = run_command([command, "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--alpha", "1e300"])
+        assert code == 0
+        want = 2 / math.log2(1e300)
+        if command != "mhdim":
+            assert abs(rep["results"]["mmdim"]["value"] - want) < 1e-12
+        if command != "mmdim":
+            assert abs(rep["results"]["mhdim_upper"]["value"] - want) < 1e-12
+
+    @pytest.mark.parametrize("factor", ["1000000000", "20000"])
+    def test_huge_n_factor_refused_before_the_window(self, fixtures_dir, monkeypatch,
+                                                     factor):
+        # 20000 passes the guard at M = 2 and fails it at M = 6; every window
+        # is checked before the first is built
+        def no_window(*args):
+            raise AssertionError("a window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        code, rep = run_command(["mmdim", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--N-factor", factor])
+        assert code == 1 and "guard" in rep["error"]
+
+    def test_long_sweep_refused_before_work(self, tmp_path):
+        # hard squares at height 12 leave int64 early, and each further
+        # column adds longer Python ints, so time grows with width squared
+        spec = tmp_path / "hard.sft"
+        spec.write_text("dimension: 2\nalphabet: 0 1\nforbidden:\n"
+                        "(0,0)=1 (1,0)=1\n(0,0)=1 (0,1)=1\n")
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", str(spec), "--rect", "0,2999,0,11"])
+        assert code == 1 and "sweep guard" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+        code, rep = run_command(["count", "--sft", str(spec), "--rect", "0,99,0,11"])
+        assert code == 0 and rep["results"]["cells"] == 1200
 
     @pytest.mark.parametrize("flag,argv", [
         ("--delta", ["tame-check", "--sft", "fullshift2.sft", "--delta", "nan"]),
@@ -382,6 +440,32 @@ class TestVerifyTheorem:
             code, rep = run_command(argv + ["--M-schedule", "2,3,4"])
             assert code == 1 and "M = 3" in rep["error"]
 
+    def test_each_window_built_once(self, fixtures_dir, monkeypatch):
+        # five depths with two windows each; when each estimator counted its
+        # own windows, three-dot took 20 builds and the golden row with its
+        # measure 30
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(f"meandim.dimensions.{name}", wrapper)
+
+        for name in ("bowen_window", "count_locally_admissible", "max_cylinder_log2_prob"):
+            counted(name, getattr(md.dimensions, name))
+        for sft, measure, want in (
+                ("threedot.sft", None, (10, 10, 0)),
+                ("goldenrow.sft", "parry_golden.measure", (10, 10, 10)),
+                ("fullshift2.sft", "bern12.measure", (10, 10, 10))):
+            calls.clear()
+            body = md.verify_theorem(md.parse_sft(fx(fixtures_dir, sft)),
+                                     measure and md.parse_measure(fx(fixtures_dir, measure)),
+                                     2.0, None)
+            assert body["verdict"] == "PASS"
+            assert (calls.get("bowen_window", 0), calls.get("count_locally_admissible", 0),
+                    calls.get("max_cylinder_log2_prob", 0)) == want
+
     def test_skew_action_constrained_system_refused(self, fixtures_dir):
         code, rep = run_command([
             "verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
@@ -477,3 +561,30 @@ class TestReportContract:
                 assert json.loads(text)["results"]["count"] == want
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``meandim ...`` lines of the README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines
+            if line.startswith("meandim ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_cli_commands_run(argv, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, rep = run_command(argv)
+    assert code == 0, rep.get("error")
+
+
+def test_readme_library_example_runs(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    readme = (root / "README.md").read_text()
+    code = readme.split("## Estimators", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    assert scope["lower"].value <= scope["upper"].value + 1e-9
+    assert scope["mm"].schedule == ((2, 32), (3, 48), (4, 64), (5, 80), (6, 96))

@@ -10,6 +10,20 @@ from meandim.estimates import resolution_depth
 from conftest import LOG2_PHI
 
 
+def mmdim(sft, spec, **kw):
+    return md.mmdim_estimate(md.bowen_table(sft, None, spec, **kw))
+
+
+def mhdim(sft, measure, spec, **kw):
+    return md.mhdim_bounds(md.bowen_table(sft, measure, spec, **kw))
+
+
+def count_slope(table, M):
+    """Growth per iterate of the log2 window counts at depth M."""
+    row = table.rows[M]
+    return (row.log2_counts[1] - row.log2_counts[0]) / (row.Ns[1] - row.Ns[0])
+
+
 def pattern_pair(support, symsA, symsB):
     pts = support.points
     return (Pattern(tuple(zip(pts, symsA))), Pattern(tuple(zip(pts, symsB))))
@@ -85,22 +99,23 @@ class TestMetricEval:
 
 
 class TestResolutionIndex:
-    def test_bracket_examples(self, spec2):
-        assert md.resolution_index(spec2, 0.5).M == 2
-        assert md.resolution_index(spec2, 1.0).M == 1
-        assert md.resolution_index(spec2, 0.25).M == 3
+    # resolution_depth(alpha, eps) is the resolution index of eps
+    def test_bracket_examples(self):
+        assert resolution_depth(2.0, 0.5) == 2
+        assert resolution_depth(2.0, 1.0) == 1
+        assert resolution_depth(2.0, 0.25) == 3
 
-    def test_out_of_range(self, spec2):
+    def test_out_of_range(self):
         for eps in (0.0, -1.0, 1.5):
-            with pytest.raises(ValueError):
-                md.resolution_index(spec2, eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                resolution_depth(2.0, eps)
 
     def test_bracket_property(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             alpha = float(rng.uniform(1.1, 6.0))
             eps = float(rng.uniform(1e-6, 1.0))
-            M = md.resolution_index(MetricSpec(alpha), eps).M
+            M = resolution_depth(alpha, eps)
             assert alpha ** -M < eps <= alpha ** (-(M - 1))
 
     def test_depth_matches_linear_search(self):
@@ -197,51 +212,55 @@ class TestCoveringNumbers:
 
 
 class TestEntropyAtResolution:
+    # the growth per iterate of the log2 window counts at one depth
     def test_full_shift_window_height(self, full2, spec2, act10):
-        s = md.entropy_at_resolution(full2, spec2, act10, spec2.epsilon_at(3), (8, 16))
-        assert s.value == 5.0
+        table = md.bowen_table(full2, None, spec2, act10, (3, 4, 5))
+        assert count_slope(table, 3) == 5.0
 
     def test_golden_row(self, goldenrow, spec2, act10):
-        s = md.entropy_at_resolution(goldenrow, spec2, act10, spec2.epsilon_at(2), (16, 32))
-        assert abs(s.value - 3 * LOG2_PHI) < 1e-8
+        table = md.bowen_table(goldenrow, None, spec2, act10, (2, 3, 4))
+        assert table.rows[2].Ns == (16, 32)
+        assert abs(count_slope(table, 2) - 3 * LOG2_PHI) < 1e-8
 
     def test_three_dot(self, threedot, spec2, act10):
-        s = md.entropy_at_resolution(threedot, spec2, act10, spec2.epsilon_at(2), (8, 16))
-        assert s.value == 1.0
+        table = md.bowen_table(threedot, None, spec2, act10, (2, 3, 4), Nfactor=8)
+        assert table.rows[2].Ns == (8, 16)
+        assert count_slope(table, 2) == 1.0
 
     def test_needs_two_scales(self, full2, spec2, act10):
-        with pytest.raises(ValueError):
-            md.entropy_at_resolution(full2, spec2, act10, 0.5, (8,))
+        # at M = 1 with Nfactor 1 both windows would have N = 1
+        with pytest.raises(ValueError, match="degenerate"):
+            md.bowen_table(full2, None, spec2, act10, (1, 2, 3), Nfactor=1)
 
 
 class TestMmdim:
     def test_full_shift_exact_sequence(self, full2, spec2):
-        est = md.mmdim_estimate(full2, spec2)
+        est = mmdim(full2, spec2)
         assert est.sequence == tuple((2 * M - 1) / (M - 1) for M in range(2, 7))
         assert abs(est.value - 2.0) < 1e-12
         assert est.kind == "exact"
 
     def test_full_shift_alpha4(self, full2):
-        est = md.mmdim_estimate(full2, MetricSpec(4.0))
+        est = mmdim(full2, MetricSpec(4.0))
         assert abs(est.value - 1.0) < 1e-12
 
     def test_three_dot_vanishes(self, threedot, spec2):
-        est = md.mmdim_estimate(threedot, spec2)
+        est = mmdim(threedot, spec2)
         assert est.sequence == tuple(1 / (M - 1) for M in range(2, 7))
         assert abs(est.value) < 1e-12
 
     def test_degenerate_schedule_rejected(self, full2, spec2):
         with pytest.raises(ValueError):
-            md.mmdim_estimate(full2, spec2, Mschedule=(2, 2))
+            mmdim(full2, spec2, Mschedule=(2, 2))
 
     def test_empty_subshift_reported(self, spec2):
         bad = tuple(Pattern.from_dict({(0, 0): s}) for s in ("0", "1"))
         empty = md.SftSpec(2, md.alphabet("0", "1"), bad)
         with pytest.raises(md.EmptyLanguageError):
-            md.mmdim_estimate(empty, spec2)
+            mmdim(empty, spec2)
 
     def test_non_dyadic_base(self, full2):
-        est = md.mmdim_estimate(full2, MetricSpec(3.0))
+        est = mmdim(full2, MetricSpec(3.0))
         assert abs(est.value - 2 / math.log2(3)) < 1e-12
 
     def test_ternary_row_lift(self, spec2):
@@ -254,69 +273,69 @@ class TestMmdim:
         rect = md.IntRect(0, 3, 0, 2)
         assert (md.RectCounter(lifted).try_count(rect.ncols, rect.nrows)
                 == md.count_locally_admissible(lifted, rect, algorithm="backtracking"))
-        est = md.mmdim_estimate(lifted, spec2, Mschedule=(2, 3, 4), Nfactor=8)
+        est = mmdim(lifted, spec2, Mschedule=(2, 3, 4), Nfactor=8)
         assert abs(est.value - 2 * h) < 1e-6
 
 
 class TestHausdorffAtScale:
-    def test_uniform_cover_nine_halves(self, full2, spec2, act10):
-        assert md.hausdorff_upper_at_scale(full2, spec2, act10, 1, 2, 2) == 4.5
-        assert md.hausdorff_upper_at_scale(full2, spec2, act10, 1, 2, 4) == 4.5
+    # the per-scale Hausdorff exponents of mhdim_bounds
+    def test_mass_distribution_matches_for_uniform(self, full2, bern_half, spec2):
+        # Bernoulli-1/2 cylinders of a window all have mass 2^-cells
+        lower, upper = mhdim(full2, bern_half, spec2, Mschedule=(2, 3, 4))
+        assert all(abs(lo - up) < 1e-12 for lo, up in zip(lower.sequence, upper.sequence))
 
-    def test_critical_exponent_normalisation(self, full2, spec2, act10):
-        # at s equal to the returned exponent the best uniform cover has
-        # count * alpha^(-s M') = 1
-        s = md.hausdorff_upper_at_scale(full2, spec2, act10, 1, 2, 4)
-        counts = {Mp: md.covering_number(full2, spec2, act10, 1, spec2.epsilon_at(Mp))
-                  for Mp in (2, 3, 4)}
-        sums = [c * 2.0 ** (-s * Mp) for Mp, c in counts.items()]
-        assert min(abs(x - 1.0) for x in sums) < 1e-9
-        assert all(x >= 1.0 - 1e-9 for x in sums)
-
-    def test_mass_distribution_matches_for_uniform(self, full2, bern_half, spec2, act10):
-        up = md.hausdorff_upper_at_scale(full2, spec2, act10, 1, 2, 4)
-        lo = md.hausdorff_lower_at_scale(full2, bern_half, spec2, act10, 1, 2, 4)
-        assert abs(up - lo) < 1e-12
-
-    def test_single_symbol_zero(self, spec2, act10):
+    def test_single_symbol_zero(self, spec2):
         one = md.full_shift(("0",))
         m = md.MeasureSpec.bernoulli(md.alphabet("0"), (1.0,))
-        assert md.hausdorff_lower_at_scale(one, m, spec2, act10, 1, 2, 4) == 0.0
+        lower, upper = mhdim(one, m, spec2, Mschedule=(2, 3, 4))
+        assert lower.sequence == upper.sequence == (0.0, 0.0, 0.0)
 
-    def test_parry_bracket(self, goldenrow, parry, spec2, act10):
-        up = md.hausdorff_upper_at_scale(goldenrow, spec2, act10, 1, 2, 4)
-        lo = md.hausdorff_lower_at_scale(goldenrow, parry, spec2, act10, 1, 2, 4)
-        assert lo <= up + 1e-12
+    def test_parry_bracket(self, goldenrow, parry, spec2):
+        lower, upper = mhdim(goldenrow, parry, spec2, Mschedule=(2, 3, 4))
+        assert all(lo <= up + 1e-12 for lo, up in zip(lower.sequence, upper.sequence))
 
-    def test_measure_mismatch_rejected(self, threedot, parry, spec2, act10):
+    def test_measure_mismatch_rejected(self, threedot, parry, spec2):
         with pytest.raises(ValueError):
-            md.hausdorff_lower_at_scale(threedot, parry, spec2, act10, 1, 2, 3)
+            mhdim(threedot, parry, spec2, Mschedule=(2, 3, 4))
 
 
 class TestMhdim:
     def test_full_shift_both_sides(self, full2, bern_half, spec2):
-        lower, upper = md.mhdim_bounds(full2, bern_half, spec2)
+        lower, upper = mhdim(full2, bern_half, spec2)
         assert abs(upper.value - 2.0) < 1e-12
         assert abs(lower.value - 2.0) < 1e-12
         assert upper.sequence == tuple((2 * M - 1) / M for M in range(2, 7))
 
     def test_three_dot_upper_vanishes(self, threedot, spec2):
-        _, upper = md.mhdim_bounds(threedot, None, spec2)
+        _, upper = mhdim(threedot, None, spec2)
         assert abs(upper.value) < 1e-12
 
     def test_upper_below_mmdim_pointwise(self, goldenrow, spec2):
-        mm = md.mmdim_estimate(goldenrow, spec2)
-        _, up = md.mhdim_bounds(goldenrow, None, spec2)
+        table = md.bowen_table(goldenrow, None, spec2)
+        mm = md.mmdim_estimate(table)
+        _, up = md.mhdim_bounds(table)
         assert all(u <= v + 1e-12 for u, v in zip(up.sequence, mm.sequence))
         assert up.value <= mm.value + 1e-9
 
     def test_lower_requires_supported_measure(self, goldenrow, bern_half, spec2):
         with pytest.raises(ValueError):
-            md.mhdim_bounds(goldenrow, bern_half, spec2)
+            mhdim(goldenrow, bern_half, spec2)
 
     def test_no_measure_no_lower(self, goldenrow, spec2):
-        lower, upper = md.mhdim_bounds(goldenrow, None, spec2)
+        lower, upper = mhdim(goldenrow, None, spec2)
         assert lower is None and upper is not None
+
+    def test_counts_at_scheduled_depths_masses_over_the_range(self, goldenrow, parry,
+                                                                spec2):
+        # the lower bound minimises over every depth up to the last one
+        table = md.bowen_table(goldenrow, parry, spec2, Mschedule=(3, 5, 7))
+        assert table.schedule == (3, 5, 7) and sorted(table.rows) == [3, 4, 5, 6, 7]
+        for M, row in table.rows.items():
+            assert row.Ns == (8 * M, 16 * M)
+            assert (row.log2_counts is not None) == (M in (3, 5, 7))
+            assert row.mass_bits is not None
+        assert sorted(md.bowen_table(goldenrow, None, spec2, Mschedule=(3, 5, 7)).rows) \
+            == [3, 5, 7]
 
 
 class TestSkewAndEuclidean:
@@ -361,7 +380,7 @@ class TestSkewAndEuclidean:
     def test_full_shift_euclidean_mmdim(self, full2):
         # the Euclidean-ball windows gain one full vertical diameter per
         # iterate, so the full-shift sequence and limit match the sup norm
-        est = md.mmdim_estimate(full2, MetricSpec(2.0, "l2"))
+        est = mmdim(full2, MetricSpec(2.0, "l2"))
         assert abs(est.value - 2.0) < 1e-9
 
     def test_euclidean_covering_count(self, full2, act10):
@@ -370,16 +389,6 @@ class TestSkewAndEuclidean:
         assert md.covering_number(full2, spec, act10, 1, spec.epsilon_at(3)) == \
             2 ** len(w)
         assert len(w) == 13  # disc of radius 2
-
-
-class TestEstimatorChain:
-    def test_at_scale_upper_below_single_depth(self, goldenrow, spec2, act10):
-        # the Mcap-minimised exponent never exceeds the depth-M element
-        for M in (2, 3):
-            chain = md.hausdorff_upper_at_scale(goldenrow, spec2, act10, 8, M, 5)
-            single = math.log2(md.covering_number(
-                goldenrow, spec2, act10, 8, spec2.epsilon_at(M))) / M
-            assert chain <= single + 1e-12
 
 
 class TestTameGrowth:
