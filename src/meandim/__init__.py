@@ -13,7 +13,7 @@ from .lattice import (IntRect, LatticeSet, boundary_set, greedy_disjoint_subcove
 from .subshift import (Alphabet, Pattern, RectCounter, SftSpec, alphabet,
                        base_of_row_lift, box_entropy_estimate,
                        count_locally_admissible, enumerate_locally_admissible,
-                       full_shift, golden_mean_1d, restrict_pattern, row_interval,
+                       full_shift, golden_mean_1d, row_interval,
                        row_lift, three_dot, transfer_matrix_entropy_1d,
                        word_count_1d)
 from .dimensions import (ActionSpec, BowenTable, MetricSpec, MetricValue,

@@ -14,9 +14,10 @@ import sys
 import time
 
 from . import __version__
-from .dimensions import (ActionSpec, MetricSpec, bowen_table, hausdorff_bracket_1d,
-                         mhdim_bounds, minkowski_estimate_1d, mmdim_estimate,
-                         covering_number, tame_growth_check, DEFAULT_M_SCHEDULE_1D)
+from .dimensions import (ActionSpec, MetricSpec, bowen_table, check_mmdim_start,
+                         hausdorff_bracket_1d, m_schedule, mhdim_bounds,
+                         minkowski_estimate_1d, mmdim_estimate, covering_number,
+                         tame_growth_check, DEFAULT_M_SCHEDULE_1D)
 from .errors import MeandimError
 from .estimates import DimensionEstimate
 from .files import parse_measure, parse_rects, parse_sft
@@ -79,47 +80,50 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"meandim {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, sft=False, measure=False, schedule=False, out=True):
-        if sft:
-            sp.add_argument("--sft", required=True, help="subshift file (.sft)")
-        if measure:
-            sp.add_argument("--measure", help="measure file (.measure)")
-        if schedule:
-            sp.add_argument("--alpha", type=_finite_float, default=2.0)
-            sp.add_argument("--action", type=_action, default=ActionSpec(1, 0),
-                            help="shift direction a,b (default 1,0)")
-            sp.add_argument("--M-schedule", dest="M_schedule", type=_int_list,
-                            default=None, help="comma-separated resolution depths")
-            sp.add_argument("--N-factor", dest="N_factor", type=_at_least_one, default=16)
-        if out:
-            sp.add_argument("--out", help="write the JSON report here instead of stdout")
-            sp.add_argument("--csv", help="write per-scale tables as CSV")
+    # flags several commands read; each command gets the ones it reads
+    shared = {
+        "--sft": dict(required=True, help="subshift file (.sft)"),
+        "--measure": dict(help="measure file (.measure)"),
+        "--alpha": dict(type=_finite_float, default=2.0),
+        "--action": dict(type=_action, default=ActionSpec(1, 0),
+                         help="shift direction a,b (default 1,0)"),
+        "--M-schedule": dict(dest="M_schedule", type=_int_list,
+                             help="comma-separated resolution depths"),
+        "--N-factor": dict(dest="N_factor", type=_at_least_one, default=16),
+    }
+    bowen = ("--alpha", "--action", "--M-schedule", "--N-factor")
+
+    def common(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
+        sp.add_argument("--out", help="write the JSON report here instead of stdout")
+        sp.add_argument("--csv", help="write per-scale tables as CSV")
 
     sp = sub.add_parser("count", help="pattern count on a finite support")
-    common(sp, sft=True)
+    common(sp, "--sft")
     sp.add_argument("--box", type=int, help="count on the N x N box at the origin")
     sp.add_argument("--rect", type=_int_list, help="count on [a,b]x[c,d] as a,b,c,d")
     sp.add_argument("--length", type=int, help="1D: count words of this length")
     sp.add_argument("--algorithm", choices=("auto", "backtracking"), default="auto")
 
     sp = sub.add_parser("entropy", help="topological entropy (transfer or box mode)")
-    common(sp, sft=True)
+    common(sp, "--sft")
     sp.add_argument("--mode", choices=("transfer", "box"), default="transfer")
     sp.add_argument("--Nmax", type=int, default=5, help="box mode: largest box side")
 
     sp = sub.add_parser("covering", help="covering number of the N-step Bowen metric")
-    common(sp, sft=True, schedule=True)
+    common(sp, "--sft", "--alpha", "--action")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--eps", type=_finite_float, required=True)
 
     sp = sub.add_parser("mmdim", help="metric mean dimension estimate")
-    common(sp, sft=True, schedule=True)
+    common(sp, "--sft", *bowen)
 
     sp = sub.add_parser("mhdim", help="mean Hausdorff dimension bounds")
-    common(sp, sft=True, measure=True, schedule=True)
+    common(sp, "--sft", "--measure", *bowen)
 
     sp = sub.add_parser("rdim", help="rate-distortion dimension sandwich")
-    common(sp, measure=True, schedule=True)
+    common(sp, "--measure", "--alpha", "--M-schedule")
     sp.add_argument("--delta", type=_finite_float, default=0.01,
                     help="disagreement budget of the lower bound (default 0.01)")
 
@@ -135,14 +139,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--rects", required=True, help="file with one 'a b c d' per line")
 
     sp = sub.add_parser("tame-check", help="tame-growth diagnostic of the static metric")
-    common(sp, sft=True)
-    sp.add_argument("--alpha", type=_finite_float, default=2.0)
+    common(sp, "--sft", "--alpha")
     sp.add_argument("--delta", type=_finite_float, default=0.1)
     sp.add_argument("--Mmax", type=int, default=24)
 
     sp = sub.add_parser("verify-theorem",
                         help="check the dimension identities on a certified fixture")
-    common(sp, sft=True, measure=True, schedule=True)
+    common(sp, "--sft", "--measure", *bowen)
     sp.add_argument("--tolerance", type=_finite_float, default=0.1)
     sp.add_argument("--delta", type=_finite_float, default=0.01)
     sp.add_argument("--strict", action="store_true",
@@ -323,6 +326,7 @@ def _cmd_covering(args) -> dict:
 
 
 def _cmd_mmdim(args) -> dict:
+    check_mmdim_start(m_schedule(args.action, args.M_schedule or None))
     table = _bowen_table(args)
     est = mmdim_estimate(table)
     return {
@@ -354,9 +358,6 @@ def _cmd_mhdim(args) -> dict:
 def _cmd_rdim(args) -> dict:
     if not getattr(args, "measure", None):
         raise CliError("rdim needs --measure")
-    if (args.action.a, args.action.b) != (1, 0):
-        raise CliError("rdim is computed for the horizontal action only; "
-                       "drop --action")
     measure = parse_measure(args.measure)
     ks = args.M_schedule if args.M_schedule else list(range(8, 17))
     eps, deltas = default_rdim_schedule(args.alpha, ks, args.delta)
@@ -507,6 +508,7 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
     rdim_wanted = certified and measure is not None and not skew
     if rdim_wanted:  # the k schedule is checked before any window is counted
         eps, deltas = default_rdim_schedule(alpha, range(8, 17), delta)
+    check_mmdim_start(m_schedule(action, Mschedule or None))
     table = bowen_table(sft, measure, spec, action, Mschedule or None, Nfactor)
     mm = mmdim_estimate(table)
     lower, upper = mhdim_bounds(table)

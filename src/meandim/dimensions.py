@@ -266,6 +266,13 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     return BowenTable(tuple(Ms), rows, spec.log2_alpha, sft.certified is not None)
 
 
+def check_mmdim_start(Ms: Sequence[int]) -> None:
+    """Refuse a schedule starting at M = 1, where the metric mean dimension's
+    log2(1/eps) = (M-1) log2 alpha vanishes; called before any window is built."""
+    if Ms and Ms[0] < 2:
+        raise ValueError("the M schedule must start at 2 (log(1/eps) vanishes at M=1)")
+
+
 def mmdim_estimate(table: BowenTable) -> DimensionEstimate:
     """Metric mean dimension estimate.
 
@@ -276,8 +283,7 @@ def mmdim_estimate(table: BowenTable) -> DimensionEstimate:
     exact on the fixture families.
     """
     Ms = table.schedule
-    if Ms[0] < 2:
-        raise ValueError("the M schedule must start at 2 (log(1/eps) vanishes at M=1)")
+    check_mmdim_start(Ms)
     rows = table.rows
     seq = [_slope(rows[M].Ns, rows[M].log2_counts) / ((M - 1) * table.log2_alpha)
            for M in Ms]
@@ -426,24 +432,16 @@ def minkowski_estimate_1d(sft: SftSpec, spec: MetricSpec,
 
 
 def hausdorff_bracket_1d(sft: SftSpec, measure: MeasureSpec, spec: MetricSpec,
-                         M: int, Mcap: int | None = None) -> tuple[float, float]:
+                         M: int) -> tuple[float, float]:
     """(lower, upper) bounds on the Hausdorff dimension at depth M.
 
-    Upper: critical exponent of the uniform depth-M' word cover,
-    minimised over M' in [M, Mcap].  Lower: mass distribution with the
-    given chain measure (largest s with every depth-M' word mass at most
-    alpha^(-s M')).
+    Upper: critical exponent of the uniform depth-M word cover.  Lower:
+    mass distribution with the given chain measure (largest s with every
+    depth-M word mass at most alpha^(-s M)).
     """
     if sft.dimension != 1:
         raise ValueError("hausdorff_bracket_1d expects a 1D spec")
     check_support(measure, sft)
-    Mcap = M if Mcap is None else Mcap
-    if Mcap < M:
-        raise ValueError("Mcap must be at least M")
-    uppers = []
-    lowers = []
-    for Mp in range(M, Mcap + 1):
-        uppers.append(_log2_count(word_count_1d(sft, Mp)) / (Mp * spec.log2_alpha))
-        row = LatticeSet((m, 0) for m in range(Mp))
-        lowers.append(-max_cylinder_log2_prob(measure, row) / (Mp * spec.log2_alpha))
-    return min(lowers), min(uppers)
+    upper = _log2_count(word_count_1d(sft, M)) / (M * spec.log2_alpha)
+    lower = -max_cylinder_log2_prob(measure, IntRect(0, M - 1, 0, 0)) / (M * spec.log2_alpha)
+    return lower, upper

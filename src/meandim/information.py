@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -233,38 +234,48 @@ def parry_measure(sft: SftSpec) -> MeasureSpec:
 def _rows_of(support) -> dict[int, list[int]]:
     """Group the support by row: {n: sorted column positions}."""
     if isinstance(support, IntRect):
-        support = LatticeSet.from_rect(support)
-    elif not isinstance(support, LatticeSet):
+        return {n: list(range(support.a, support.b + 1))
+                for n in range(support.c, support.d + 1)}
+    if not isinstance(support, LatticeSet):
         support = LatticeSet(support)
     rows: dict[int, list[int]] = {}
     for (m, n) in support:
         rows.setdefault(n, []).append(m)
-    for xs in rows.values():
-        xs.sort()
     return rows
+
+
+def _chain_steps(measure: MeasureSpec, rows, log: bool = False) -> dict[int, np.ndarray]:
+    """{g: P^g}, or {g: log2 P^g} with log2 0 = -inf, for every gap g
+    between neighbouring cells of ``rows`` (sorted column lists): the one
+    place the row chain's gap transitions are formed."""
+    P = measure.P()
+    gaps = {g for xs in set(map(tuple, rows)) for g in map(operator.sub, xs[1:], xs)}
+    steps = {g: np.linalg.matrix_power(P, g) for g in gaps}
+    if log:
+        with np.errstate(divide="ignore"):
+            steps = {g: np.log2(Q) for g, Q in steps.items()}
+    return steps
+
+
+def _cond_entropy(pi: np.ndarray, Q: np.ndarray) -> float:
+    """H(X_g | X_0) in bits for X_0 ~ pi and the g-step transition Q."""
+    return float(sum(pi[i] * entropy_bits(Q[i]) for i in range(len(pi))))
 
 
 def pattern_log2_prob(measure: MeasureSpec, pattern: Pattern) -> float:
     """log2 of the cylinder mass of a fixed finite pattern (-inf if zero)."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (m, n), sym in pattern.cells:
-        rows.setdefault(n, []).append((m, measure.alphabet.index(sym)))
-    total = 0.0
-    P = measure.P()
+    sym = dict(pattern.cells)
+    rows = _rows_of(sym)
+    steps = _chain_steps(measure, rows.values())
     pi = measure.pi()
-    for cells in rows.values():
-        cells.sort()
-        (x0, s0) = cells[0]
-        if pi[s0] <= 0:
-            return float("-inf")
-        total += math.log2(pi[s0])
-        prev_x, prev_s = x0, s0
-        for (x, s) in cells[1:]:
-            pg = np.linalg.matrix_power(P, x - prev_x)[prev_s, s]
-            if pg <= 0:
+    total = 0.0
+    for n, xs in rows.items():
+        s = [measure.alphabet.index(sym[(x, n)]) for x in xs]
+        for p in [pi[s[0]]] + [steps[b - a][u, v]
+                               for a, b, u, v in zip(xs, xs[1:], s, s[1:])]:
+            if p <= 0:
                 return float("-inf")
-            total += math.log2(pg)
-            prev_x, prev_s = x, s
+            total += math.log2(p)
     return total
 
 
@@ -280,12 +291,16 @@ def check_support(measure: MeasureSpec, sft: SftSpec) -> None:
                 "it is not supported on this subshift")
 
 
-def window_marginal(measure: MeasureSpec, support, *,
-                    max_outcomes: int = 1 << 20) -> FiniteDistribution:
+# outcomes of the largest window marginal, refused before any work
+MAX_MARGINAL_OUTCOMES = 1 << 16
+
+
+def window_marginal(measure: MeasureSpec, support) -> FiniteDistribution:
     """Exact marginal law of the pattern seen on a finite support.
 
-    Outcomes are Patterns in canonical enumeration order.  Rows are
-    independent copies of the stationary row chain, so the law is the
+    Outcomes are Patterns in canonical enumeration order: the symbol
+    indices of outcome k, cells sorted, are the base-q digits of k.  Rows
+    are independent copies of the stationary row chain, so the law is the
     outer product of the per-row laws pi(s0) P^g1(s0, s1) ..., gaps g
     bridged by matrix powers; for a Bernoulli measure's rank-one chain
     this is the product law.
@@ -294,18 +309,18 @@ def window_marginal(measure: MeasureSpec, support, *,
     cells = sorted((m, n) for n, xs in rows.items() for m in xs)
     q = len(measure.alphabet)
     n_out = q ** len(cells)
-    if n_out > max_outcomes:
+    if n_out > MAX_MARGINAL_OUTCOMES:
         raise ResourceGuardError(
             f"window marginal would have {n_out} outcomes, above the guard "
-            f"{max_outcomes}")
+            f"MAX_MARGINAL_OUTCOMES = {MAX_MARGINAL_OUTCOMES}")
 
-    P = measure.P()
+    steps = _chain_steps(measure, rows.values())
     law = np.ones(())
     row_cells = []
     for n, xs in sorted(rows.items()):
         row = measure.pi()
-        for i in range(len(xs) - 1):
-            row = row[..., :, None] * np.linalg.matrix_power(P, xs[i + 1] - xs[i])
+        for a, b in zip(xs, xs[1:]):
+            row = row[..., :, None] * steps[b - a]
         law = np.multiply.outer(law, row)
         row_cells += [(m, n) for m in xs]
     # one axis per cell in row order; canonical order puts the first cell
@@ -327,31 +342,23 @@ def window_entropy(measure: MeasureSpec, support) -> float:
     visible cells (for a Bernoulli measure each term is H(weights)).
     """
     rows = _rows_of(support)
-    P = measure.P()
     pi = measure.pi()
-    total = 0.0
-    cond_cache: dict[int, float] = {}
-
-    def cond_entropy(gap: int) -> float:
-        if gap not in cond_cache:
-            Q = np.linalg.matrix_power(P, gap)
-            cond_cache[gap] = float(sum(pi[i] * entropy_bits(Q[i]) for i in range(len(pi))))
-        return cond_cache[gap]
-
+    cond = {g: _cond_entropy(pi, Q)
+            for g, Q in _chain_steps(measure, rows.values()).items()}
     h_pi = entropy_bits(pi)
+    total = 0.0
     for xs in rows.values():
         total += h_pi
-        for i in range(len(xs) - 1):
-            total += cond_entropy(xs[i + 1] - xs[i])
+        for a, b in zip(xs, xs[1:]):
+            total += cond[b - a]
     return total
 
 
 def ks_entropy(measure: MeasureSpec) -> float:
     """Entropy per site in bits: the entropy rate of the row chain,
-    -sum_i pi_i sum_j P_ij log2 P_ij (H(weights) for a Bernoulli measure)."""
-    P = measure.P()
-    pi = measure.pi()
-    return float(sum(pi[i] * entropy_bits(P[i]) for i in range(len(pi))))
+    the conditional entropy of one gap-1 step (H(weights) for a Bernoulli
+    measure)."""
+    return _cond_entropy(measure.pi(), _chain_steps(measure, [(0, 1)])[1])
 
 
 def max_cylinder_log2_prob(measure: MeasureSpec, support) -> float:
@@ -360,28 +367,20 @@ def max_cylinder_log2_prob(measure: MeasureSpec, support) -> float:
     Per-row max-product dynamic programming over the row chain.
     """
     rows = _rows_of(support)
-    P = measure.P()
-    pi = measure.pi()
+    log_steps = _chain_steps(measure, rows.values(), log=True)
     with np.errstate(divide="ignore"):
-        logP = np.log2(P)
-        logpi = np.log2(pi)
-    best_cache: dict[tuple[int, ...], float] = {}
+        logpi = np.log2(measure.pi())
+    best: dict[tuple[int, ...], float] = {}
     total = 0.0
     for xs in sorted(rows.values(), key=tuple):
-        gaps = tuple(xs[i + 1] - xs[i] for i in range(len(xs) - 1))
-        if gaps not in best_cache:
-            vec = logpi.copy()
+        gaps = tuple(map(operator.sub, xs[1:], xs))
+        if gaps not in best:
+            vec = logpi
             for g in gaps:
-                step = logP if g == 1 else _log2_matrix_power(P, g)
-                vec = np.maximum.reduce(vec[:, None] + step)
-            best_cache[gaps] = float(np.maximum.reduce(vec))
-        total += best_cache[gaps]
+                vec = np.maximum.reduce(vec[:, None] + log_steps[g])
+            best[gaps] = float(np.maximum.reduce(vec))
+        total += best[gaps]
     return total
-
-
-def _log2_matrix_power(P: np.ndarray, g: int) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log2(np.linalg.matrix_power(P, g))
 
 
 # ---------------------------------------------------------------------------

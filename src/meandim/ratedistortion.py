@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ResourceGuardError
 from .estimates import check_alpha
 from .information import FiniteDistribution, MeasureSpec, window_marginal
 from .lattice import norm_ball
@@ -65,8 +65,8 @@ class RdProblem:
         once, in first-occurrence order, and ``q0`` starts it at its
         multiplicity over the reproduction count.  The lumped iteration
         follows the summed mass of each group, and rate and distortion
-        come out the same.  Without equal columns q0 is None and the
-        arrays are the dense ones.
+        come out the same.  Without equal columns the arrays are the dense
+        ones and q0 is the uniform start 1/ny.
         """
         p = self.source.prob_array()
         keep = p > 0
@@ -77,17 +77,18 @@ class RdProblem:
         ny = rho.shape[1]
         # columns grouped by their bytes, in first-occurrence order; + 0.0
         # maps -0.0 to 0.0
-        groups: dict[bytes, list[int]] = {}
+        groups = {}
         for j, col in enumerate(np.add(rho.T, 0.0, order="C")):
             groups.setdefault(col.tobytes(), []).append(j)
-        q0 = None
+        # free the byte keys, a column's worth each, before allocating q0:
+        # an array allocated while they live keeps their heap from shrinking
+        groups = list(groups.values())
         if len(groups) < ny:
-            rho = np.ascontiguousarray(rho[:, [g[0] for g in groups.values()]])
-            q0 = np.array([len(g) for g in groups.values()]) / ny
+            rho = np.ascontiguousarray(rho[:, [g[0] for g in groups]])
+        q0 = np.array([len(g) for g in groups]) / ny
         # every caller gets these same arrays
         for a in (p, rho, q0):
-            if a is not None:
-                a.setflags(write=False)
+            a.setflags(write=False)
         return p, rho, q0
 
     def __eq__(self, other):
@@ -181,42 +182,47 @@ def slope_for_hamming_distortion(D: float) -> float:
     return float(np.log2((1.0 - D) / D))
 
 
+# outcomes of the largest window problem; its distortion matrix is their square
+MAX_PROBLEM_OUTCOMES = 4096
+
+
 def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
-                            norm: str = "linf", *,
-                            max_outcomes: int = 4096) -> RdProblem:
+                            norm: str = "linf") -> RdProblem:
     """Process-level problem on depth-M window patterns.
 
     Source and reproduction outcomes are the patterns on the radius-(M-1)
     norm ball; the distortion is the truncated metric, alpha^-(smallest
     disagreement norm) with alpha^-M when two patterns agree on the whole
     window.  The truncation upper-bounds the true distortion, so rates
-    computed from it stay valid upper bounds.
+    computed from it stay valid upper bounds.  Refused before any work
+    above ``MAX_PROBLEM_OUTCOMES`` outcomes.
     """
     check_alpha(alpha)
     if M < 1:
         raise ValueError(f"window depth M must be at least 1, got {M}")
     window = norm_ball(M - 1, norm)
-    source = window_marginal(measure, window, max_outcomes=max_outcomes)
-    pats = source.outcomes
     pts = window.points
+    q = len(measure.alphabet)
+    n_out = q ** len(pts)
+    if n_out > MAX_PROBLEM_OUTCOMES:
+        raise ResourceGuardError(f"window problem would have {n_out} outcomes, above "
+                                 f"the guard MAX_PROBLEM_OUTCOMES = {MAX_PROBLEM_OUTCOMES}")
+    source = window_marginal(measure, window)
     norms = np.array([max(abs(m), abs(n)) if norm == "linf" else np.hypot(m, n)
                       for (m, n) in pts])
-    arrays = np.array([[measure.alphabet.index(pat[pt]) for pt in pts] for pat in pats])
+    # outcome k's symbol index at cell i is base-q digit i of k, the first
+    # cell most significant (window_marginal's canonical order)
+    place = q ** np.arange(len(pts))[::-1]
+    digits = np.arange(n_out)[:, None] // place % q
     levels = sorted(set(norms.tolist()))
-    # codes[k]: each pattern's restriction to the cells of norm <= levels[k]
-    # as a radix number, below len(pats) = q^cells
-    codes = []
-    code = np.zeros(len(pats), dtype=np.int64)
-    for level in levels:
-        for cell in np.flatnonzero(norms == level):
-            code = code * len(measure.alphabet) + arrays[:, cell]
-        codes.append(code)
     # alpha^-M where the whole window agrees, then, from the largest level
     # down, alpha^-level where the restrictions to that level differ
     table = alpha ** -np.array(levels + [M], dtype=np.float64)
-    dist = np.full((len(pats), len(pats)), table[-1])
+    dist = np.full((n_out, n_out), table[-1])
     differ = np.empty(dist.shape, dtype=bool)
     for k in reversed(range(len(levels))):
-        np.not_equal(codes[k][:, None], codes[k][None, :], out=differ)
+        inside = norms <= levels[k]
+        code = digits[:, inside] @ place[inside]  # the restriction, as a number
+        np.not_equal(code[:, None], code[None, :], out=differ)
         np.copyto(dist, table[k], where=differ)
-    return RdProblem.build(source, pats, dist)
+    return RdProblem.build(source, source.outcomes, dist)

@@ -111,9 +111,6 @@ class Pattern:
     def domain(self) -> LatticeSet:
         return LatticeSet(pt for pt, _ in self.cells)
 
-    def as_dict(self) -> dict[Point, str]:
-        return dict(self.cells)
-
     def __getitem__(self, pt: Point) -> str:
         for p, sym in self.cells:
             if p == tuple(pt):
@@ -150,11 +147,6 @@ class Pattern:
     def nrows_extent(self) -> int:
         ns = [pt[1] for pt, _ in self.cells]
         return max(ns) - min(ns) + 1 if ns else 0
-
-
-def restrict_pattern(p: Pattern, omega: LatticeSet) -> Pattern:
-    """Project a pattern to a subset of its support (identity on the full support)."""
-    return p.restrict(omega)
 
 
 _THREE_DOT_SUPPORT = ((0, 0), (1, 0), (0, 1))
@@ -275,9 +267,9 @@ def base_of_row_lift(sft: SftSpec) -> SftSpec:
     return SftSpec(1, sft.alphabet, tuple(pats))
 
 
-def row_interval(length: int, row: int = 0) -> LatticeSet:
-    """The horizontal support [0, length) x {row}."""
-    return LatticeSet((m, row) for m in range(length))
+def row_interval(length: int) -> LatticeSet:
+    """The horizontal support [0, length) x {0}."""
+    return LatticeSet((m, 0) for m in range(length))
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,36 @@ class TestRunCommand:
                                  "--frobnicate"])
         assert code == 1 and "error" in rep
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--N-factor", ["covering", "--sft", "fullshift2.sft", "--N", "1", "--eps", "0.5",
+                        "--N-factor", "3"]),
+        ("--M-schedule", ["covering", "--sft", "fullshift2.sft", "--N", "1", "--eps", "0.5",
+                          "--M-schedule", "9,9"]),
+        ("--N-factor", ["rdim", "--measure", "bern12.measure", "--N-factor", "3"]),
+        ("--action", ["rdim", "--measure", "bern12.measure", "--action", "1,0"]),
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, fixtures_dir, flag, argv):
+        argv = [fx(fixtures_dir, a) if a.endswith((".sft", ".measure")) else a
+                for a in argv]
+        code, rep = run_command(argv)
+        assert code == 1 and rep["error"].startswith("unrecognized arguments: ")
+        assert flag in rep["error"]
+
+    @pytest.mark.parametrize("command", ["mmdim", "verify-theorem"])
+    def test_depth_one_start_refused_before_any_window(self, fixtures_dir, monkeypatch,
+                                                       command):
+        def no_window(*args):
+            raise AssertionError("a window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        code, rep = run_command([command, "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--M-schedule", "1,2,3"])
+        assert code == 1 and "must start at 2" in rep["error"]
+
+    def test_mhdim_keeps_a_depth_one_start(self, fixtures_dir):
+        code, rep = run_command(["mhdim", "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--M-schedule", "1,2,3"])
+        assert code == 0 and rep["inputs"]["M_schedule"] == [1, 2, 3]
+
     def test_guard_exceeded_is_error(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft"),
                                  "--box", "40", "--algorithm", "backtracking"])

@@ -458,3 +458,180 @@ class TestOneChainPath:
                 assert dist.outcomes == outcomes
                 assert np.array_equal(np.array(dist.probs).view(np.int64),
                                       np.array(probs).view(np.int64))
+
+
+# The four chain readers as they were when each formed its own matrix
+# powers, kept as oracles for the shared chain-step helper.
+
+
+def old_rows_of(support):
+    if isinstance(support, IntRect):
+        support = md.LatticeSet.from_rect(support)
+    elif not isinstance(support, md.LatticeSet):
+        support = md.LatticeSet(support)
+    rows = {}
+    for (m, n) in support:
+        rows.setdefault(n, []).append(m)
+    for xs in rows.values():
+        xs.sort()
+    return rows
+
+
+def old_pattern_log2_prob(measure, pattern):
+    rows = {}
+    for (m, n), sym in pattern.cells:
+        rows.setdefault(n, []).append((m, measure.alphabet.index(sym)))
+    total = 0.0
+    P, pi = measure.P(), measure.pi()
+    for cells in rows.values():
+        cells.sort()
+        (x0, s0) = cells[0]
+        if pi[s0] <= 0:
+            return float("-inf")
+        total += math.log2(pi[s0])
+        prev_x, prev_s = x0, s0
+        for (x, s) in cells[1:]:
+            pg = np.linalg.matrix_power(P, x - prev_x)[prev_s, s]
+            if pg <= 0:
+                return float("-inf")
+            total += math.log2(pg)
+            prev_x, prev_s = x, s
+    return total
+
+
+def old_window_entropy(measure, support):
+    rows = old_rows_of(support)
+    P, pi = measure.P(), measure.pi()
+    total = 0.0
+    cond_cache = {}
+
+    def cond_entropy(gap):
+        if gap not in cond_cache:
+            Q = np.linalg.matrix_power(P, gap)
+            cond_cache[gap] = float(sum(pi[i] * md.information.entropy_bits(Q[i])
+                                        for i in range(len(pi))))
+        return cond_cache[gap]
+
+    h_pi = md.information.entropy_bits(pi)
+    for xs in rows.values():
+        total += h_pi
+        for i in range(len(xs) - 1):
+            total += cond_entropy(xs[i + 1] - xs[i])
+    return total
+
+
+def old_ks_entropy(measure):
+    P, pi = measure.P(), measure.pi()
+    return float(sum(pi[i] * md.information.entropy_bits(P[i]) for i in range(len(pi))))
+
+
+def old_max_cylinder_log2_prob(measure, support):
+    rows = old_rows_of(support)
+    P, pi = measure.P(), measure.pi()
+    with np.errstate(divide="ignore"):
+        logP = np.log2(P)
+        logpi = np.log2(pi)
+    best_cache = {}
+    total = 0.0
+    for xs in sorted(rows.values(), key=tuple):
+        gaps = tuple(xs[i + 1] - xs[i] for i in range(len(xs) - 1))
+        if gaps not in best_cache:
+            vec = logpi.copy()
+            for g in gaps:
+                if g == 1:
+                    step = logP
+                else:
+                    with np.errstate(divide="ignore"):
+                        step = np.log2(np.linalg.matrix_power(P, g))
+                vec = np.maximum.reduce(vec[:, None] + step)
+            best_cache[gaps] = float(np.maximum.reduce(vec))
+        total += best_cache[gaps]
+    return total
+
+
+def same_bits(a, b):
+    return np.array(a).view(np.int64) == np.array(b).view(np.int64)
+
+
+class TestChainSteps:
+    """Every chain reader goes through one helper for P^g and log2 P^g and
+    returns the same bits as when each formed its own powers."""
+
+    def measures(self, fixtures_dir):
+        out = [md.parse_measure(fixtures_dir / f"{name}.measure")
+               for name in ("bern12", "parry_golden")]
+        rng = np.random.default_rng(12)
+        for q in (2, 3, 3, 4):
+            P = rng.random((q, q)) * (rng.random((q, q)) > 0.3)
+            P[:, q - 1] += 0.02  # every row keeps some mass
+            out.append(MeasureSpec.markov_row(md.alphabet(*map(str, range(q))),
+                                              P / P.sum(axis=1, keepdims=True)))
+        w = rng.random(3)
+        w[1] = 0.0
+        out.append(MeasureSpec.bernoulli(md.alphabet("a", "b", "c"), w / w.sum()))
+        return out
+
+    def supports(self, rng):
+        out = [IntRect(0, 7, 0, 2), IntRect(-3, 40, -2, 1), IntRect(5, 5, 3, 3),
+               md.bowen_window(md.ActionSpec(1, 0), 12, 3),
+               md.bowen_window(md.ActionSpec(2, 1), 5, 2), md.norm_ball(3, "l2")]
+        for _ in range(6):
+            pts = {(int(m), int(n)) for m, n in rng.integers(-6, 12, (20, 2))}
+            out.append(md.LatticeSet(pts))
+        return out
+
+    def test_same_bits_as_separate_powers(self, fixtures_dir):
+        rng = np.random.default_rng(5)
+        supports = self.supports(rng)
+        for m in self.measures(fixtures_dir):
+            assert same_bits(md.ks_entropy(m), old_ks_entropy(m))
+            for support in supports:
+                assert same_bits(md.window_entropy(m, support),
+                                 old_window_entropy(m, support))
+                assert same_bits(md.max_cylinder_log2_prob(m, support),
+                                 old_max_cylinder_log2_prob(m, support))
+                pts = sorted(md.LatticeSet(support.points()) if isinstance(support, IntRect)
+                             else support)
+                syms = m.alphabet.symbols
+                for _ in range(5):
+                    pat = md.Pattern(tuple((pt, syms[rng.integers(len(syms))])
+                                           for pt in pts))
+                    assert same_bits(md.information.pattern_log2_prob(m, pat),
+                                     old_pattern_log2_prob(m, pat))
+
+    def test_one_place_forms_the_powers(self, monkeypatch):
+        # with the helper's powers replaced by their transposes, every reader
+        # changes its answer on a chain that is not reversible
+        P = [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.5, 0.1, 0.4]]
+        m = MeasureSpec.markov_row(md.alphabet("0", "1", "2"), P)
+        support = md.LatticeSet([(0, 0), (1, 0), (3, 0), (0, 1), (4, 1)])
+        pat = md.Pattern(tuple(zip(sorted(support), "01220")))
+        readers = [lambda: md.ks_entropy(m),
+                   lambda: md.window_entropy(m, support),
+                   lambda: md.max_cylinder_log2_prob(m, support),
+                   lambda: md.information.pattern_log2_prob(m, pat),
+                   lambda: md.window_marginal(m, support).probs]
+        before = [f() for f in readers]
+        steps = md.information._chain_steps
+        monkeypatch.setattr(md.information, "_chain_steps",
+                            lambda *a, **k: {g: Q.T for g, Q in steps(*a, **k).items()})
+        after = [f() for f in readers]
+        assert all(a != b for a, b in zip(before, after))
+
+
+class TestOutcomeGuards:
+    def test_marginal_refused_before_work(self, bern_half, monkeypatch):
+        from meandim.information import MAX_MARGINAL_OUTCOMES
+        assert MAX_MARGINAL_OUTCOMES == 1 << 16
+        monkeypatch.setattr(md.information, "_chain_steps", None)  # never reached
+        with pytest.raises(md.ResourceGuardError, match="MAX_MARGINAL_OUTCOMES"):
+            md.window_marginal(bern_half, md.row_interval(17))
+
+    def test_window_problem_refused_before_the_marginal(self, bern_half, monkeypatch):
+        from meandim.ratedistortion import MAX_PROBLEM_OUTCOMES
+        assert MAX_PROBLEM_OUTCOMES == 4096
+        monkeypatch.setattr("meandim.ratedistortion.window_marginal", None)
+        # 25 cells at depth 3, 13 on the depth-3 Euclidean ball
+        for M, norm in ((3, "linf"), (3, "l2")):
+            with pytest.raises(md.ResourceGuardError, match="MAX_PROBLEM_OUTCOMES"):
+                md.rd_problem_from_measure(bern_half, 2.0, M, norm)

@@ -225,8 +225,13 @@ class TestLumping:
         src = FiniteDistribution(("a", "b", "z"), (0.5, 0.5, 0.0))
         prob = RdProblem.build(src, ("a", "b"), [[0, 1], [1, 0], [7, 7]])
         p, rho, q0 = prob.lumped
-        assert q0 is None and rho.tolist() == [[0, 1], [1, 0]] and p.tolist() == [0.5, 0.5]
+        assert rho.tolist() == [[0, 1], [1, 0]] and p.tolist() == [0.5, 0.5]
+        assert q0.tolist() == [0.5, 0.5]
         assert prob.lumped is prob.lumped  # computed once per problem
+        # the uniform q0 is the dense run's own start, bit for bit
+        for beta in (0.3, 2.0, 9.0):
+            assert kernels.ba_solve(p, rho, beta, 1e-12, 500, q0=q0) == \
+                kernels.ba_solve(p, rho, beta, 1e-12, 500)
 
     def test_golden_window_lumps_to_one_column_per_centre_symbol(self, parry):
         prob = md.rd_problem_from_measure(parry, 2.0, 2)
@@ -326,7 +331,7 @@ class TestInputGuards:
 def loop_distortion(measure, alpha, M, norm):
     """The distortion build as a loop of masked row reductions."""
     window = md.norm_ball(M - 1, norm)
-    pats = md.window_marginal(measure, window, max_outcomes=4096).outcomes
+    pats = md.window_marginal(measure, window).outcomes
     pts = window.points
     norms = np.array([max(abs(m), abs(n)) if norm == "linf" else np.hypot(m, n)
                       for (m, n) in pts])

@@ -116,16 +116,16 @@ def recursive_enumeration(sft, support):
 class TestPatterns:
     def test_restrict_identity_and_cases(self):
         p = Pattern.from_dict({(0, 0): "a", (1, 0): "b", (0, 1): "a"})
-        assert md.restrict_pattern(p, p.domain()) == p
-        assert md.restrict_pattern(p, LatticeSet([(1, 0)])).cells == (((1, 0), "b"),)
-        empty = md.restrict_pattern(p, LatticeSet(()))
+        assert p.restrict(p.domain()) == p
+        assert p.restrict(LatticeSet([(1, 0)])).cells == (((1, 0), "b"),)
+        empty = p.restrict(LatticeSet(()))
         q = Pattern.from_dict({(0, 0): "x"})
-        assert empty == md.restrict_pattern(q, LatticeSet(()))
+        assert empty == q.restrict(LatticeSet(()))
 
     def test_restrict_outside_support_rejected(self):
         p = Pattern.from_dict({(0, 0): "a"})
         with pytest.raises(ValueError):
-            md.restrict_pattern(p, LatticeSet([(5, 5)]))
+            p.restrict(LatticeSet([(5, 5)]))
 
     def test_duplicate_cell_rejected(self):
         with pytest.raises(ValueError):
