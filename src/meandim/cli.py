@@ -75,81 +75,46 @@ def _action(text: str) -> ActionSpec:
     return ActionSpec(parts[0], parts[1])
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="meandim", description=__doc__)
+# flags several commands read; each command declares the ones it reads
+_SHARED = {
+    "--sft": dict(required=True, help="subshift file (.sft)"),
+    "--measure": dict(help="measure file (.measure)"),
+    "--alpha": dict(type=_finite_float, default=2.0),
+    "--action": dict(type=_action, default=ActionSpec(1, 0),
+                     help="shift direction a,b (default 1,0)"),
+    "--M-schedule": dict(dest="M_schedule", type=_int_list,
+                         help="comma-separated resolution depths"),
+    "--N-factor": dict(dest="N_factor", type=_at_least_one, default=16),
+}
+_BOWEN = ("--alpha", "--action", "--M-schedule", "--N-factor")
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command: its flags from ``_COMMANDS``, then
+    ``--out`` and ``--csv``, which every command takes."""
+    help_line, handler, flags = _COMMANDS[name]
+    p = _Parser(prog=f"meandim {name}", description=help_line)
+    p.set_defaults(handler=handler)
+    for flag in flags:
+        flag, kwargs = (flag, _SHARED[flag]) if isinstance(flag, str) else flag
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument("--csv", help="write per-scale tables as CSV")
+    return p
+
+
+def _top_parser() -> _Parser:
+    """The parser for argv that names no command: it prints the version or
+    the command list and exits 0, or refuses a missing or unknown command."""
+    listing = "\n".join(f"  {name:<16}{help_line}"
+                        for name, (help_line, _, _) in _COMMANDS.items())
+    p = _Parser(prog="meandim", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter,
+                epilog=f"commands:\n{listing}\n\n"
+                       "'meandim COMMAND --help' lists a command's flags.")
     p.add_argument("--version", action="version", version=f"meandim {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    # flags several commands read; each command gets the ones it reads
-    shared = {
-        "--sft": dict(required=True, help="subshift file (.sft)"),
-        "--measure": dict(help="measure file (.measure)"),
-        "--alpha": dict(type=_finite_float, default=2.0),
-        "--action": dict(type=_action, default=ActionSpec(1, 0),
-                         help="shift direction a,b (default 1,0)"),
-        "--M-schedule": dict(dest="M_schedule", type=_int_list,
-                             help="comma-separated resolution depths"),
-        "--N-factor": dict(dest="N_factor", type=_at_least_one, default=16),
-    }
-    bowen = ("--alpha", "--action", "--M-schedule", "--N-factor")
-
-    def common(sp, *flags):
-        for flag in flags:
-            sp.add_argument(flag, **shared[flag])
-        sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--csv", help="write per-scale tables as CSV")
-
-    sp = sub.add_parser("count", help="pattern count on a finite support")
-    common(sp, "--sft")
-    sp.add_argument("--box", type=int, help="count on the N x N box at the origin")
-    sp.add_argument("--rect", type=_int_list, help="count on [a,b]x[c,d] as a,b,c,d")
-    sp.add_argument("--length", type=int, help="1D: count words of this length")
-    sp.add_argument("--algorithm", choices=("auto", "backtracking"), default="auto")
-
-    sp = sub.add_parser("entropy", help="topological entropy (transfer or box mode)")
-    common(sp, "--sft")
-    sp.add_argument("--mode", choices=("transfer", "box"), default="transfer")
-    sp.add_argument("--Nmax", type=int, default=5, help="box mode: largest box side")
-
-    sp = sub.add_parser("covering", help="covering number of the N-step Bowen metric")
-    common(sp, "--sft", "--alpha", "--action")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--eps", type=_finite_float, required=True)
-
-    sp = sub.add_parser("mmdim", help="metric mean dimension estimate")
-    common(sp, "--sft", *bowen)
-
-    sp = sub.add_parser("mhdim", help="mean Hausdorff dimension bounds")
-    common(sp, "--sft", "--measure", *bowen)
-
-    sp = sub.add_parser("rdim", help="rate-distortion dimension sandwich")
-    common(sp, "--measure", "--alpha", "--M-schedule")
-    sp.add_argument("--delta", type=_finite_float, default=0.01,
-                    help="disagreement budget of the lower bound (default 0.01)")
-
-    sp = sub.add_parser("lambda-density", help="density of the swept window set")
-    common(sp)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-
-    sp = sub.add_parser("cover-demo", help="greedy disjoint subcover of a rectangle file")
-    common(sp)
-    sp.add_argument("--rects", required=True, help="file with one 'a b c d' per line")
-
-    sp = sub.add_parser("tame-check", help="tame-growth diagnostic of the static metric")
-    common(sp, "--sft", "--alpha")
-    sp.add_argument("--delta", type=_finite_float, default=0.1)
-    sp.add_argument("--Mmax", type=int, default=24)
-
-    sp = sub.add_parser("verify-theorem",
-                        help="check the dimension identities on a certified fixture")
-    common(sp, "--sft", "--measure", *bowen)
-    sp.add_argument("--tolerance", type=_finite_float, default=0.1)
-    sp.add_argument("--delta", type=_finite_float, default=0.01)
-    sp.add_argument("--strict", action="store_true",
-                    help="refuse a PASS/FAIL verdict for non-certified inputs")
+    p.add_argument("command", choices=_COMMANDS, metavar="command",
+                   help="one of the commands below")
     return p
 
 
@@ -206,13 +171,17 @@ def _write_report(report: dict, fh) -> None:
 
 
 def run_command(argv) -> tuple[int, dict]:
-    """Run one subcommand; returns (exit code, JSON-ready report)."""
-    parser = build_parser()
+    """Run one subcommand; returns (exit code, JSON-ready report).
+
+    Only the named command's parser is built.  Argv naming no command goes
+    to the top-level parser, which handles ``--help`` and ``--version``.
+    """
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
-        handler = _HANDLERS[args.command]
-        report = handler(args)
+        if not argv or argv[0] not in _COMMANDS:
+            _top_parser().parse_args(argv[:1])  # exits, or raises CliError
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+        report = args.handler(args)
         code = report.pop("_exit_code", 0)
     except (MeandimError, ValueError, OSError) as exc:
         report = {"schema": SCHEMA, "command": argv[0] if argv else "",
@@ -220,14 +189,12 @@ def run_command(argv) -> tuple[int, dict]:
         return 1, report
     report.setdefault("schema", SCHEMA)
     report["wall_time_s"] = time.perf_counter() - started
-    csv_path = getattr(args, "csv", None)
-    if csv_path and report.get("tables"):
-        _write_csv(csv_path, report["tables"])
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.csv and report.get("tables"):
+        _write_csv(args.csv, report["tables"])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             _write_report(report, fh)
-        report["_written_to"] = out_path
+        report["_written_to"] = args.out
     return code, report
 
 
@@ -244,18 +211,12 @@ def main(argv=None) -> int:
     return code
 
 
-def _load_sft(args) -> SftSpec:
-    return parse_sft(args.sft)
-
-
 def _load_measure(args) -> MeasureSpec | None:
-    if getattr(args, "measure", None):
-        return parse_measure(args.measure)
-    return None
+    return parse_measure(args.measure) if args.measure else None
 
 
 def _bowen_table(args, measure: MeasureSpec | None = None):
-    return bowen_table(_load_sft(args), measure, MetricSpec(args.alpha), args.action,
+    return bowen_table(parse_sft(args.sft), measure, MetricSpec(args.alpha), args.action,
                        args.M_schedule or None, args.N_factor)
 
 
@@ -265,7 +226,7 @@ def _bowen_table(args, measure: MeasureSpec | None = None):
 
 
 def _cmd_count(args) -> dict:
-    sft = _load_sft(args)
+    sft = parse_sft(args.sft)
     chosen = [x for x in (args.box, args.rect, args.length) if x is not None]
     if len(chosen) != 1:
         raise CliError("count needs exactly one of --box, --rect, --length")
@@ -294,7 +255,7 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_entropy(args) -> dict:
-    sft = _load_sft(args)
+    sft = parse_sft(args.sft)
     inputs = {"sft": args.sft, "mode": args.mode}
     if args.mode == "transfer":
         base = sft if sft.dimension == 1 else base_of_row_lift(sft)
@@ -312,7 +273,7 @@ def _cmd_entropy(args) -> dict:
 
 
 def _cmd_covering(args) -> dict:
-    sft = _load_sft(args)
+    sft = parse_sft(args.sft)
     spec = MetricSpec(args.alpha)
     c = covering_number(sft, spec, args.action, args.N, args.eps)
     return {
@@ -346,7 +307,7 @@ def _cmd_mhdim(args) -> dict:
         tables["mhdim_lower"] = _estimate_table("mhdim_lower", lower)
     return {
         "command": "mhdim",
-        "inputs": {"sft": args.sft, "measure": getattr(args, "measure", None),
+        "inputs": {"sft": args.sft, "measure": args.measure,
                    "alpha": args.alpha, "M_schedule": list(table.schedule),
                    "N_factor": args.N_factor},
         "results": {"mhdim_upper": _estimate_dict(upper),
@@ -356,7 +317,7 @@ def _cmd_mhdim(args) -> dict:
 
 
 def _cmd_rdim(args) -> dict:
-    if not getattr(args, "measure", None):
+    if not args.measure:
         raise CliError("rdim needs --measure")
     measure = parse_measure(args.measure)
     ks = args.M_schedule if args.M_schedule else list(range(8, 17))
@@ -410,7 +371,7 @@ def _cmd_cover_demo(args) -> dict:
 
 
 def _cmd_tame_check(args) -> dict:
-    sft = _load_sft(args)
+    sft = parse_sft(args.sft)
     spec = MetricSpec(args.alpha)
     res = tame_growth_check(sft, spec, args.delta, args.Mmax)
     return {
@@ -476,15 +437,17 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
         results["minkowski"] = _estimate_dict(est)
         tables["minkowski"] = _estimate_table("minkowski", est)
         add("minkowski_extrapolation", est.value, rhs, tolerance)
-        try:
-            m1 = measure if measure is not None else parry_measure(sft)
+        if measure is None:  # the bracket is skipped when no Parry measure exists
+            try:
+                measure = parry_measure(sft)
+            except ValueError as exc:
+                results["hausdorff_bracket"] = {"skipped": str(exc)}
+        if measure is not None:
             depth = max(sched)
-            lo, up = hausdorff_bracket_1d(sft, m1, spec, depth)
+            lo, up = hausdorff_bracket_1d(sft, measure, spec, depth)
             results["hausdorff_bracket"] = {"depth": depth, "lower": lo, "upper": up}
             add("hausdorff_upper_at_depth", up, rhs, tolerance)
             add("hausdorff_lower_at_depth", lo, rhs, tolerance)
-        except ValueError as exc:
-            results["hausdorff_bracket"] = {"skipped": str(exc)}
         results["entropy_bits"] = h
         results["rhs"] = rhs
         verdict = "PASS" if all(c["ok"] for c in checks) else "FAIL"
@@ -565,13 +528,13 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
 
 
 def _cmd_verify(args) -> dict:
-    sft = _load_sft(args)
+    sft = parse_sft(args.sft)
     measure = _load_measure(args)
     body = verify_theorem(sft, measure, args.alpha, args.M_schedule, args.N_factor,
                           args.tolerance, args.delta, args.strict, args.action)
     report = {
         "command": "verify-theorem",
-        "inputs": {"sft": args.sft, "measure": getattr(args, "measure", None),
+        "inputs": {"sft": args.sft, "measure": args.measure,
                    "alpha": args.alpha, "tolerance": args.tolerance,
                    "N_factor": args.N_factor, "delta": args.delta,
                    "strict": args.strict},
@@ -582,17 +545,48 @@ def _cmd_verify(args) -> dict:
     return report
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "entropy": _cmd_entropy,
-    "covering": _cmd_covering,
-    "mmdim": _cmd_mmdim,
-    "mhdim": _cmd_mhdim,
-    "rdim": _cmd_rdim,
-    "lambda-density": _cmd_lambda_density,
-    "cover-demo": _cmd_cover_demo,
-    "tame-check": _cmd_tame_check,
-    "verify-theorem": _cmd_verify,
+# each command: its help line, its handler and the flags it reads besides
+# --out and --csv (a name from _SHARED, or the flag with its argparse keywords)
+_COMMANDS = {
+    "count": ("pattern count on a finite support", _cmd_count, (
+        "--sft",
+        ("--box", dict(type=int, help="count on the N x N box at the origin")),
+        ("--rect", dict(type=_int_list, help="count on [a,b]x[c,d] as a,b,c,d")),
+        ("--length", dict(type=int, help="1D: count words of this length")),
+        ("--algorithm", dict(choices=("auto", "backtracking"), default="auto")))),
+    "entropy": ("topological entropy (transfer or box mode)", _cmd_entropy, (
+        "--sft",
+        ("--mode", dict(choices=("transfer", "box"), default="transfer")),
+        ("--Nmax", dict(type=int, default=5, help="box mode: largest box side")))),
+    "covering": ("covering number of the N-step Bowen metric", _cmd_covering, (
+        "--sft", "--alpha", "--action",
+        ("--N", dict(type=int, required=True)),
+        ("--eps", dict(type=_finite_float, required=True)))),
+    "mmdim": ("metric mean dimension estimate", _cmd_mmdim, ("--sft", *_BOWEN)),
+    "mhdim": ("mean Hausdorff dimension bounds", _cmd_mhdim,
+              ("--sft", "--measure", *_BOWEN)),
+    "rdim": ("rate-distortion dimension sandwich", _cmd_rdim, (
+        "--measure", "--alpha", "--M-schedule",
+        ("--delta", dict(type=_finite_float, default=0.01,
+                         help="disagreement budget of the lower bound (default 0.01)")))),
+    "lambda-density": ("density of the swept window set", _cmd_lambda_density, (
+        ("--a", dict(type=int, required=True)),
+        ("--b", dict(type=int, required=True)),
+        ("--M", dict(type=int, required=True)),
+        ("--N", dict(type=int, required=True)))),
+    "cover-demo": ("greedy disjoint subcover of a rectangle file", _cmd_cover_demo, (
+        ("--rects", dict(required=True, help="file with one 'a b c d' per line")),)),
+    "tame-check": ("tame-growth diagnostic of the static metric", _cmd_tame_check, (
+        "--sft", "--alpha",
+        ("--delta", dict(type=_finite_float, default=0.1)),
+        ("--Mmax", dict(type=int, default=24)))),
+    "verify-theorem": ("check the dimension identities on a certified fixture",
+                       _cmd_verify, (
+        "--sft", "--measure", *_BOWEN,
+        ("--tolerance", dict(type=_finite_float, default=0.1)),
+        ("--delta", dict(type=_finite_float, default=0.01)),
+        ("--strict", dict(action="store_true",
+                          help="refuse a PASS/FAIL verdict for non-certified inputs")))),
 }
 
 

@@ -28,7 +28,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
-from .lattice import IntRect, LatticeSet, lambda_count, lambda_set, norm_ball
+from .lattice import (IntRect, LatticeSet, lambda_count, lambda_set, min_norm_outside,
+                      norm_ball, site_norm)
 from .subshift import (Pattern, SftSpec, closed_form_applies, count_locally_admissible,
                        word_count_1d)
 
@@ -81,12 +82,6 @@ def _log2_count(c: int) -> float:
     return math.log2(c)
 
 
-def _site_norm(spec: MetricSpec, u) -> float:
-    if spec.norm == "linf":
-        return float(max(abs(u[0]), abs(u[1])))
-    return math.sqrt(u[0] * u[0] + u[1] * u[1])
-
-
 def metric_eval(spec: MetricSpec, p: Pattern, q: Pattern) -> MetricValue:
     """Distance between two same-support patterns.
 
@@ -101,32 +96,12 @@ def metric_eval(spec: MetricSpec, p: Pattern, q: Pattern) -> MetricValue:
     best = None
     for (pt, a), (_, b) in zip(pc, qc):
         if a != b:
-            nv = _site_norm(spec, pt)
+            nv = site_norm(pt, spec.norm)
             if best is None or nv < best:
                 best = nv
     if best is not None:
         return MetricValue(spec.alpha ** (-best), True)
-    return MetricValue(spec.alpha ** (-_min_norm_outside(spec, p.domain())), False)
-
-
-def _min_norm_outside(spec: MetricSpec, support: LatticeSet) -> float:
-    """Smallest site norm over the complement of the support.
-
-    With the origin inside the support, clamping any far point into the
-    one-cell ring around the bounding box never increases its norm, so
-    scanning that ring finds the minimum.
-    """
-    if (0, 0) not in support:
-        return 0.0
-    box = support.bounding_box()
-    best = None
-    ring = IntRect(box.a - 1, box.b + 1, box.c - 1, box.d + 1)
-    for u in ring.points():
-        if u not in support:
-            nv = _site_norm(spec, u)
-            if best is None or nv < best:
-                best = nv
-    return best if best is not None else 0.0
+    return MetricValue(spec.alpha ** (-min_norm_outside(p.domain(), spec.norm)), False)
 
 
 def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> LatticeSet:
@@ -240,6 +215,8 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     default).  The schedule is checked, or defaulted, by ``m_schedule``.
     Every window passes the sup-norm closed-form guard before any is built.
     """
+    if sft.dimension != 2:
+        raise ValueError("bowen_table works on 2D specs, got a 1D spec")
     Ms = m_schedule(action, Mschedule)
     if len(Ms) < 3:
         raise ValueError("the Bowen estimators want at least three M values")

@@ -22,7 +22,7 @@ from . import kernels
 from .errors import NonConvergenceError, ResourceGuardError
 from .estimates import check_alpha
 from .information import FiniteDistribution, MeasureSpec, window_marginal
-from .lattice import norm_ball
+from .lattice import min_norm_outside, norm_ball, site_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +192,13 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
 
     Source and reproduction outcomes are the patterns on the radius-(M-1)
     norm ball; the distortion is the truncated metric, alpha^-(smallest
-    disagreement norm) with alpha^-M when two patterns agree on the whole
-    window.  The truncation upper-bounds the true distortion, so rates
-    computed from it stay valid upper bounds.  Refused before any work
-    above ``MAX_PROBLEM_OUTCOMES`` outcomes.
+    disagreement norm).  Two patterns that agree on the whole window get
+    the agreement level alpha^-(smallest norm outside the window), the
+    value ``metric_eval`` certifies: alpha^-M under the sup norm and
+    alpha^-sqrt((M-1)^2 + 1), above alpha^-M from M = 2 on, under the
+    Euclidean one.  The truncation upper-bounds the true distortion,
+    so rates computed from it stay valid upper bounds.  Refused before any
+    work above ``MAX_PROBLEM_OUTCOMES`` outcomes.
     """
     check_alpha(alpha)
     if M < 1:
@@ -208,16 +211,16 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
         raise ResourceGuardError(f"window problem would have {n_out} outcomes, above "
                                  f"the guard MAX_PROBLEM_OUTCOMES = {MAX_PROBLEM_OUTCOMES}")
     source = window_marginal(measure, window)
-    norms = np.array([max(abs(m), abs(n)) if norm == "linf" else np.hypot(m, n)
-                      for (m, n) in pts])
+    norms = np.array([site_norm(u, norm) for u in pts])
     # outcome k's symbol index at cell i is base-q digit i of k, the first
     # cell most significant (window_marginal's canonical order)
     place = q ** np.arange(len(pts))[::-1]
     digits = np.arange(n_out)[:, None] // place % q
     levels = sorted(set(norms.tolist()))
-    # alpha^-M where the whole window agrees, then, from the largest level
-    # down, alpha^-level where the restrictions to that level differ
-    table = alpha ** -np.array(levels + [M], dtype=np.float64)
+    # the agreement level where the whole window agrees, then, from the
+    # largest level down, alpha^-level where the restrictions to that level differ
+    agree = min_norm_outside(window, norm)
+    table = alpha ** -np.array(levels + [agree], dtype=np.float64)
     dist = np.full((n_out, n_out), table[-1])
     differ = np.empty(dist.shape, dtype=bool)
     for k in reversed(range(len(levels))):

@@ -152,6 +152,13 @@ class Pattern:
 _THREE_DOT_SUPPORT = ((0, 0), (1, 0), (0, 1))
 
 
+def _three_dot_cells(zero: str, one: str) -> list[tuple]:
+    """The sorted cells of each odd-parity pattern on ``_THREE_DOT_SUPPORT``."""
+    return [tuple(sorted((pt, (zero, one)[(bits >> i) & 1])
+                         for i, pt in enumerate(_THREE_DOT_SUPPORT)))
+            for bits in range(8) if bits.bit_count() % 2 == 1]
+
+
 @dataclass(frozen=True)
 class SftSpec:
     """A Z or Z^2 subshift of finite type: alphabet plus forbidden patterns.
@@ -205,14 +212,8 @@ def _check_certificate(sft: SftSpec) -> None:
     elif cert == "three-dot":
         if sft.dimension != 2 or len(sft.alphabet) != 2:
             raise ValueError("'three-dot' certificate requires a binary 2D spec")
-        want = set()
-        a, b = sft.alphabet.symbols
-        for bits in range(8):
-            vals = [(bits >> i) & 1 for i in range(3)]
-            if sum(vals) % 2 == 1:
-                want.add(tuple(sorted((pt, (a, b)[v]) for pt, v in zip(_THREE_DOT_SUPPORT, vals))))
         have = {tuple(sorted(f.anchored().cells)) for f in sft.forbidden}
-        if have != want:
+        if have != set(_three_dot_cells(*sft.alphabet.symbols)):
             raise ValueError("'three-dot' certificate does not match the parity family")
     else:
         raise ValueError(f"unknown certificate {cert!r}")
@@ -248,13 +249,8 @@ def row_lift(base: SftSpec) -> SftSpec:
 
 def three_dot() -> SftSpec:
     """Ledrappier-style parity SFT: x(u) + x(u+e1) + x(u+e2) even everywhere."""
-    pats = []
-    for bits in range(8):
-        vals = [(bits >> i) & 1 for i in range(3)]
-        if sum(vals) % 2 == 1:
-            pats.append(Pattern.from_dict(
-                {pt: str(v) for pt, v in zip(_THREE_DOT_SUPPORT, vals)}))
-    return SftSpec(2, alphabet("0", "1"), tuple(pats), certified="three-dot")
+    pats = tuple(Pattern.from_dict(dict(cells)) for cells in _three_dot_cells("0", "1"))
+    return SftSpec(2, alphabet("0", "1"), pats, certified="three-dot")
 
 
 def base_of_row_lift(sft: SftSpec) -> SftSpec:

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import meandim as md
 from meandim import run_command
-from meandim.cli import main
+from meandim.cli import _COMMANDS, main
 from meandim.errors import ParseError
 from meandim.files import (parse_measure_text, parse_sft_text, write_measure,
                            write_sft)
@@ -169,6 +171,27 @@ class TestRunCommand:
                                  "--N", "200000", "--eps", "0.5"])
         assert code == 1 and rep["error"] == \
             "the count 2^600006 has more bits than the guard of 262144"
+
+    def test_covering_oversized_window_refused_before_any_point(self, fixtures_dir,
+                                                                 monkeypatch):
+        # the golden row's forbidden word fits the 3,000,006-point window, so
+        # no closed form refuses it; the point guard does, before any ball
+        def no_ball(*args):
+            raise AssertionError("the ball was built")
+        monkeypatch.setattr(md.lattice, "norm_ball", no_ball)
+        t0 = time.perf_counter()
+        code, rep = run_command(["covering", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--N", "1000000", "--eps", "0.3"])
+        assert code == 1 and "3000006 points, above the guard 1048576" in rep["error"]
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("command", ["mmdim", "mhdim"])
+    def test_1d_spec_refused_before_any_window(self, fixtures_dir, monkeypatch, command):
+        def no_window(*args):
+            raise AssertionError("a window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        code, rep = run_command([command, "--sft", fx(fixtures_dir, "goldenmean1d.sft")])
+        assert code == 1 and rep["error"] == "bowen_table works on 2D specs, got a 1D spec"
 
     def test_backtracking_search_bounded_by_work(self, tmp_path):
         # 54 cells, over the state guard in both orientations and under the
@@ -439,6 +462,23 @@ class TestVerifyTheorem:
         assert code == 0 and rep["verdict"] == "PASS"
         assert abs(rep["rhs"] - 0.69424) < 1e-5
 
+    @pytest.mark.parametrize("sft", ["goldenmean1d.sft", "goldenrow.sft"])
+    def test_unsupported_measure_is_error(self, fixtures_dir, sft):
+        # the Bernoulli measure charges the forbidden word 11
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, sft),
+                                 "--measure", fx(fixtures_dir, "bern12.measure")])
+        assert code == 1 and rep["error"] == ("measure puts positive mass on a forbidden "
+                                              "pattern; it is not supported on this subshift")
+
+    def test_1d_bracket_skipped_without_a_parry_measure(self, tmp_path):
+        # forbidding 000 leaves no nearest-neighbour presentation for the Parry measure
+        spec = tmp_path / "no000.sft"
+        spec.write_text("dimension: 1\nalphabet: 0 1\nforbidden:\n(0)=0 (1)=0 (2)=0\n")
+        code, rep = run_command(["verify-theorem", "--sft", str(spec)])
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert "nearest-neighbour" in rep["results"]["hausdorff_bracket"]["skipped"]
+        assert [c["name"] for c in rep["checks"]] == ["minkowski_extrapolation"]
+
     def test_skew_action_full_shift(self, fixtures_dir):
         # the rank-one subaction along (a,b) carries the factor 2(|a|+|b|)
         for ab, target in (("1,1", 4.0), ("2,1", 6.0)):
@@ -516,6 +556,60 @@ class TestVerifyTheorem:
         assert code == 1 and "certificate" in rep["error"]
         code, rep = run_command(["verify-theorem", "--sft", str(p)])
         assert code == 0 and rep["verdict"] == "BOUNDS-ONLY"
+
+
+class TestTopLevel:
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["--version"])
+        assert ei.value.code == 0
+        assert capsys.readouterr().out == f"meandim {md.__version__}\n"
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["--help"])
+        assert ei.value.code == 0
+        out = capsys.readouterr().out
+        assert len(_COMMANDS) == 10
+        for name, (help_line, _, _) in _COMMANDS.items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(help_line)}$", out, re.M)
+
+    def test_command_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["covering", "--help"])
+        assert ei.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: meandim covering ")
+        for flag in ("--sft", "--alpha", "--action", "--N", "--eps", "--out", "--csv"):
+            assert f" {flag} " in out
+        assert "--M-schedule" not in out
+
+    def test_missing_command(self):
+        assert run_command([]) == (1, {
+            "schema": 1, "command": "",
+            "error": "the following arguments are required: command"})
+
+    def test_unknown_command(self):
+        code, rep = run_command(["x", "--sft", "y"])
+        assert code == 1 and rep["command"] == "x"
+        assert rep["error"].startswith("argument command: invalid choice: 'x' (choose from ")
+        assert re.findall(r"\w[\w-]*", rep["error"].split("choose from", 1)[1]) \
+            == list(_COMMANDS)
+
+    def test_a_run_adds_only_its_own_flags(self, monkeypatch):
+        added = []
+        real = argparse.ArgumentParser.add_argument
+
+        def recording(self, *names, **kwargs):
+            added.append(names)
+            return real(self, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        code, _ = run_command(["lambda-density", "--a", "1", "--b", "0",
+                               "--M", "8", "--N", "512"])
+        assert code == 0
+        assert sorted(added) == sorted([("-h", "--help"), ("--a",), ("--b",), ("--M",),
+                                        ("--N",), ("--out",), ("--csv",)])
 
 
 class TestReportContract:

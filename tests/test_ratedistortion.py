@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -333,14 +336,22 @@ def loop_distortion(measure, alpha, M, norm):
     window = md.norm_ball(M - 1, norm)
     pats = md.window_marginal(measure, window).outcomes
     pts = window.points
-    norms = np.array([max(abs(m), abs(n)) if norm == "linf" else np.hypot(m, n)
-                      for (m, n) in pts])
+
+    def norm_of(u):
+        m, n = u
+        return float(max(abs(m), abs(n))) if norm == "linf" else math.sqrt(m * m + n * n)
+
+    norms = np.array([norm_of(u) for u in pts])
+    # agreeing patterns get alpha^-(smallest norm outside the window),
+    # searched over a square around it
+    agree = min(norm_of(u) for u in itertools.product(range(-M - 1, M + 2), repeat=2)
+                if u not in window)
     arrays = np.array([[measure.alphabet.index(pat[pt]) for pt in pts] for pat in pats])
     dist = np.empty((len(pats), len(pats)))
     for i in range(len(pats)):
         masked = np.where(arrays != arrays[i], norms[None, :], np.inf)
         expo = masked.min(axis=1)
-        dist[i] = alpha ** (-np.where(np.isinf(expo), float(M), expo))
+        dist[i] = alpha ** (-np.where(np.isinf(expo), agree, expo))
     return dist
 
 
@@ -354,3 +365,19 @@ def test_distortion_build_matches_row_loop(fixtures_dir, name, norm, M):
         want = loop_distortion(measure, alpha, M, norm)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
+@pytest.mark.parametrize("name", ["bern12", "parry_golden"])
+@pytest.mark.parametrize("norm,M,step", [("l2", 1, 1), ("l2", 2, 1), ("linf", 2, 37)])
+def test_window_problem_agrees_with_metric_eval(fixtures_dir, name, norm, M, step):
+    # each entry is metric_eval's value on its pair of patterns; under l2 two
+    # equal M = 2 patterns are alpha^-sqrt 2 apart at most, not alpha^-2
+    measure = md.parse_measure(fixtures_dir / f"{name}.measure")
+    spec = md.MetricSpec(2.0, norm)
+    prob = md.rd_problem_from_measure(measure, 2.0, M, norm)
+    dist = prob.distortion_array()
+    pats = prob.source.outcomes
+    for i in range(0, len(pats), step):
+        for j, q in enumerate(prob.reproductions):
+            want = md.metric_eval(spec, pats[i], q).value
+            assert abs(dist[i, j] - want) <= 1e-15 * want, (i, j)
