@@ -461,12 +461,12 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             "PASS/FAIL verdict under --strict (drop --strict for bounds only)")
 
     skew = (action.a, action.b) != (1, 0)
-    if skew and sft.certified not in ("full", "row-lift"):
+    if skew and sft.certified not in ("full", "row-lift", "three-dot"):
         raise MeandimError(
-            "skew-action verification is supported for full shifts and row-lifts "
-            "only: skew Bowen windows are not rectangles in general, and for "
-            "forbidden patterns that span rows they are counted by backtracking, "
-            "which exceeds the search guards")
+            "skew-action verification is supported for full shifts, row-lifts and "
+            "three-dot only: skew Bowen windows are not rectangles in general, and "
+            "for forbidden patterns that span rows and are not linear they are "
+            "counted by backtracking, which exceeds the search guards")
 
     rdim_wanted = certified and measure is not None and not skew
     if rdim_wanted:  # the k schedule is checked before any window is counted

@@ -28,10 +28,11 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
-from .lattice import (IntRect, LatticeSet, lambda_count, lambda_set, min_norm_outside,
-                      norm_ball, site_norm)
-from .subshift import (Pattern, SftSpec, closed_form_applies, count_locally_admissible,
-                       word_count_1d)
+from .lattice import (IntRect, LatticeSet, check_lambda_set, lambda_count,
+                      lambda_longest_run, lambda_set, min_norm_outside, norm_ball,
+                      site_norm)
+from .subshift import (Pattern, SftSpec, check_row_run, closed_form_applies,
+                       count_locally_admissible, word_count_1d)
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,21 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> Latt
 
 def _check_window(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                   M: int) -> None:
-    """Under the sup norm, refuse a window W(M, N) whose closed-form count
-    is over its guard, from the window's size and bounding box."""
+    """Refuse a window W(M, N) whose count would be refused, before it is
+    built: under the sup norm, a closed-form count over its guard, from
+    the window's size and bounding box; otherwise, for a spec whose
+    forbidden patterns each lie in one row and a window under the point
+    guard (``check_lambda_set``), a row product over its guard, from the
+    window's longest run (``lambda_longest_run``)."""
     if spec.norm == "linf":
         side = 2 * M - 1
-        closed_form_applies(sft, abs(action.a) * (N - 1) + side,
-                            abs(action.b) * (N - 1) + side,
-                            lambda_count(action.a, action.b, M, N))
+        if closed_form_applies(sft, abs(action.a) * (N - 1) + side,
+                               abs(action.b) * (N - 1) + side,
+                               lambda_count(action.a, action.b, M, N)):
+            return
+    if sft.forbidden and all(f.nrows_extent == 1 for f in sft.forbidden):
+        check_lambda_set(action.a, action.b, M, N, spec.norm)
+        check_row_run(sft, lambda_longest_run(action.a, action.b, M, N))
 
 
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
@@ -213,7 +222,7 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
 
     Depth M has the windows N = Nfactor*M // 2 and Nfactor*M (8M and 16M by
     default).  The schedule is checked, or defaulted, by ``m_schedule``.
-    Every window passes the sup-norm closed-form guard before any is built.
+    Every window passes ``_check_window`` before any is built.
     """
     if sft.dimension != 2:
         raise ValueError("bowen_table works on 2D specs, got a 1D spec")

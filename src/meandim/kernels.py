@@ -3,8 +3,8 @@
 Both are plain code with one implementation each: the search walks
 Python lists (list indexing is cheaper than numpy scalar indexing in an
 interpreted loop), and Blahut-Arimoto is vectorised numpy.  Exact
-rectangle counts do not live here; they go through the big-integer
-transfer sweep in subshift.py.
+rectangle counts do not live here: subshift.py counts them by rank over
+GF(p) for linear specs and by the big-integer transfer sweep otherwise.
 """
 
 import numpy as np

@@ -294,32 +294,9 @@ def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet
     are merged and emitted in sorted order, so no point is built twice
     and nothing is sorted afterwards.
 
-    Refused before any point is built when it could hold more than
-    ``MAX_LAMBDA_POINTS`` points: lambda_count of them for the sup norm,
-    N balls' worth for the Euclidean one.  For density computations at
-    large M, N use lambda_count / lambda_density, which evaluate the
-    cardinality without enumeration.
+    Refused by ``check_lambda_set`` before any point is built.
     """
-    if (a, b) == (0, 0):
-        raise ValueError("direction (a, b) must be nonzero")
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
-    if norm == "linf":
-        size = lambda_count(a, b, M, N)
-    elif norm == "l2":
-        # the disc holds the square of half-side isqrt(r^2 / 2), so the
-        # exact count below runs only for radii of a few thousand
-        r2 = (M - 1) ** 2
-        size = N * (2 * math.isqrt(r2 // 2) + 1) ** 2
-        if size <= MAX_LAMBDA_POINTS:
-            size = N * sum(2 * math.isqrt(r2 - m * m) + 1 for m in range(1 - M, M))
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    if size > MAX_LAMBDA_POINTS:
-        raise ResourceGuardError(
-            f"lambda_set would hold up to {size} points, above the guard "
-            f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
-            "cardinalities at this size")
+    check_lambda_set(a, b, M, N, norm)
     # every column of the ball is an interval [-h, h]; points come
     # column-major, so a column's last point carries its h
     half = {x: y for x, y in norm_ball(M - 1, norm)}
@@ -342,6 +319,36 @@ def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet
     return LatticeSet._sorted(tuple(pts))
 
 
+def check_lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> None:
+    """Check the arguments of lambda_set, and raise ``ResourceGuardError``
+    when its window could hold more than ``MAX_LAMBDA_POINTS`` points:
+    lambda_count of them for the sup norm, N balls' worth for the
+    Euclidean one.  For density computations at large M, N use
+    lambda_count / lambda_density, which evaluate the cardinality without
+    enumeration.
+    """
+    if (a, b) == (0, 0):
+        raise ValueError("direction (a, b) must be nonzero")
+    if M < 1 or N < 1:
+        raise ValueError("M and N must be positive")
+    if norm == "linf":
+        size = lambda_count(a, b, M, N)
+    elif norm == "l2":
+        # the disc holds the square of half-side isqrt(r^2 / 2), so the
+        # exact count below runs only for radii of a few thousand
+        r2 = (M - 1) ** 2
+        size = N * (2 * math.isqrt(r2 // 2) + 1) ** 2
+        if size <= MAX_LAMBDA_POINTS:
+            size = N * sum(2 * math.isqrt(r2 - m * m) + 1 for m in range(1 - M, M))
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
+    if size > MAX_LAMBDA_POINTS:
+        raise ResourceGuardError(
+            f"lambda_set would hold up to {size} points, above the guard "
+            f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
+            "cardinalities at this size")
+
+
 def lambda_count(a: int, b: int, M: int, N: int) -> int:
     """Exact cardinality of lambda_set(a, b, M, N), in closed form.
 
@@ -357,6 +364,24 @@ def lambda_count(a: int, b: int, M: int, N: int) -> int:
     side = 2 * M - 1
     fresh = side * side - max(0, side - abs(a)) * max(0, side - abs(b))
     return side * side + (N - 1) * fresh
+
+
+def lambda_longest_run(a: int, b: int, M: int, N: int) -> int:
+    """Cells in the longest run of consecutive cells of a row of
+    lambda_set(a, b, M, N) under the sup norm, in closed form.
+
+    A row meets the squares of N steps when b = 0 and of at most
+    (2M-2)//|b| + 1 consecutive steps otherwise; their intervals of 2M-1
+    cells, |a| apart, join into one run when |a| <= 2M-1.  The Euclidean
+    window lies inside the sup-norm one, so this bounds its runs too, and
+    equals its longest run when b = 0 (the row through the balls' centres).
+    The arguments are those ``check_lambda_set`` accepts.
+    """
+    side = 2 * M - 1
+    if abs(a) > side:
+        return side
+    steps = N if b == 0 else min(N, (side - 1) // abs(b) + 1)
+    return side + abs(a) * (steps - 1)
 
 
 def lambda_density(a: int, b: int, M: int, N: int) -> float:

@@ -18,22 +18,30 @@ is the one place that chooses how to count, in this order:
    closer than the widest pattern.  ``word_count_1d`` counts walks on the
    block transfer graph, by repeated squaring of the transfer matrix or
    by stepping a vector, whichever its cost rule says is cheaper;
-3. for a rectangle, a transfer sweep that adds a cell at a time (the
-   transfer-matrix count of Calkin and Wilf for the hard-square model),
-   whose state is the symbols of the last L cells;
+3. for a linear spec (q prime, and each forbidden shape's allowed
+   patterns an affine subspace of GF(q)^shape, as for three-dot), q^(cells
+   - rank) of the shapes' equations at every placement inside the
+   support, on rectangles and point sets alike: the admissible patterns
+   of an SFT that is a group form a linear code (Kitchens and Schmidt,
+   1989).  Otherwise, for a rectangle, a transfer sweep that adds a cell
+   at a time (the transfer-matrix count of Calkin and Wilf for the
+   hard-square model), whose state is the symbols of the last L cells.
+   ``RectCounter`` holds both for rectangles;
 4. otherwise backtracking (``kernels.backtrack``) with pruning at the
    moment a forbidden pattern completes.
 
 Guards fire before work: counts above ``MAX_COUNT_BITS`` bits are refused
-before they are formed, the sweep's profile q^L is bounded by
-``MAX_STATES`` and its work by ``MAX_SWEEP_WORK``, and backtracking takes
-at most ``MAX_FREE_CELLS`` cells and ``kernels.MAX_NODES`` descents.
+before they are formed, an elimination's cells x bandwidth is bounded by
+``MAX_ELIMINATION_WORK``, the sweep's profile q^L by ``MAX_STATES`` and
+its work by ``MAX_SWEEP_WORK``, and backtracking takes at most
+``MAX_FREE_CELLS`` cells and ``kernels.MAX_NODES`` descents.
 Enumeration runs the same backtracking walk.  The paths are tested to
 agree on random small specs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -316,33 +324,249 @@ def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
 
 
 # ---------------------------------------------------------------------------
-# cell-by-cell transfer sweep over rectangles, cached per height
+# linear specs: counts by rank over GF(p)
+# ---------------------------------------------------------------------------
+
+# largest rows x bandwidth of one elimination over GF(2), and rows x
+# bandwidth^2 over larger primes, where rows is cells x the spec's
+# equations per placement.  Pivot rows are stored from their first cell,
+# so they hold at most cells x bandwidth coefficients, and a row steps its
+# first cell forward at most bandwidth times, each step one int XOR over
+# GF(2) and one pass over its coefficients otherwise.  A unit took up to
+# 235 ns on the slowest GF(2) spec tried, two equations per placement whose
+# rows reduce across the bandwidth (2-core Xeon VM, Python 3.11), so the
+# guard bounds an elimination to about 2 s there.  Three-dot's rows rarely
+# reduce: its squares take about 1 us per cell, up to the 201 x 201 square.
+MAX_ELIMINATION_WORK = 1 << 23
+
+
+def _is_prime(q: int) -> bool:
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def _echelon(vectors, q: int) -> list[tuple[int, list[int]]]:
+    """Reduced row echelon basis of the span of ``vectors`` over GF(q), as
+    (pivot column, row) pairs, each row 1 at its pivot and 0 at the others'."""
+    basis: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        for col, row in basis:
+            if v[col]:
+                v = [(x - v[col] * y) % q for x, y in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], q - 2, q)
+        v = [x * inv % q for x in v]
+        basis = [(col, [(x - row[lead] * y) % q for x, y in zip(row, v)])
+                 for col, row in basis]
+        basis.append((lead, v))
+    return basis
+
+
+class _LinearSpec:
+    """The equations over GF(q) of a linear spec, and its counts by rank.
+
+    Symbols are read as their alphabet indices.  ``shapes`` holds, per
+    anchored forbidden shape, its cells in column-major order, its column
+    and row extents and its equations, each a tuple of (shape cell,
+    coefficient) terms with nonzero coefficients and a constant.  A
+    pattern is locally admissible iff at every placement of every shape
+    inside the support its symbols satisfy that shape's equations.  Cells
+    are numbered in column-major order, the order of ``LatticeSet``, and
+    the count is q^(cells - rank), or 0 when the equations are
+    inconsistent.
+    """
+
+    def __init__(self, q: int, shapes):
+        self.q = q
+        self.shapes = shapes
+
+    @classmethod
+    def detect(cls, sft: SftSpec) -> "_LinearSpec | None":
+        """The equations of ``sft``, or None unless q is prime and each
+        shape's allowed vectors form a non-empty affine subspace of
+        GF(q)^shape: exactly q^r of them, r the rank of their differences."""
+        q = sft.nsymbols
+        if not sft.forbidden or not _is_prime(q):
+            return None
+        bad: dict[tuple[Point, ...], set[tuple[int, ...]]] = {}
+        for f in sft.forbidden:
+            cells = f.anchored().cells
+            bad.setdefault(tuple(pt for pt, _ in cells), set()).add(
+                tuple(sft.alphabet.index(sym) for _, sym in cells))
+        shapes = []
+        for shape, vecs in bad.items():
+            k = len(shape)
+            # an affine subspace of dimension r < k leaves q^k - q^r >= q^(k-1)
+            # vectors forbidden, so the allowed ones below are few
+            if k - 1 > len(vecs).bit_length() or q ** (k - 1) > len(vecs):
+                return None
+            allowed = [v for v in itertools.product(range(q), repeat=k) if v not in vecs]
+            if not allowed:
+                return None
+            base = allowed[0]
+            basis = _echelon([[(x - y) % q for x, y in zip(v, base)] for v in allowed[1:]], q)
+            if len(allowed) != q ** len(basis):
+                return None
+            # one equation per free column f: x_f minus the basis rows' f-th
+            # entries at their pivots vanishes on every difference
+            pivots = {col for col, _ in basis}
+            eqs = []
+            for f in range(k):
+                if f in pivots:
+                    continue
+                coef = [0] * k
+                coef[f] = 1
+                for col, row in basis:
+                    coef[col] = -row[f] % q
+                terms = tuple((i, c) for i, c in enumerate(coef) if c)
+                eqs.append((terms, sum(c * x for c, x in zip(coef, base)) % q))
+            shapes.append((shape, max(m for m, _ in shape) + 1,
+                           max(n for _, n in shape) + 1, tuple(eqs)))
+        return cls(q, tuple(shapes))
+
+    def _row(self, indexed):
+        """A row from (cell index, coefficient) pairs in index order: its
+        first cell and the coefficients from there, as an int of bits over
+        GF(2) and a list otherwise."""
+        lead = indexed[0][0]
+        if self.q == 2:
+            return lead, sum(1 << (i - lead) for i, _ in indexed)
+        coef = [0] * (indexed[-1][0] - lead + 1)
+        for i, c in indexed:
+            coef[i - lead] = c
+        return lead, coef
+
+    def _check(self, cells: int, bandwidth: int) -> None:
+        bits = cells * math.log2(self.q)
+        if bits > MAX_COUNT_BITS:
+            raise ResourceGuardError(
+                f"a linear count on {cells} cells may have up to {bits:.0f} bits, above "
+                f"the guard of {MAX_COUNT_BITS}")
+        rows = cells * sum(len(eqs) for *_, eqs in self.shapes)
+        work = rows * bandwidth * (1 if self.q == 2 else bandwidth)
+        if work > MAX_ELIMINATION_WORK:
+            raise ResourceGuardError(
+                f"eliminating {rows} rows over {cells} cells at bandwidth {bandwidth} is "
+                f"above the elimination guard of {MAX_ELIMINATION_WORK}")
+
+    def count_rect(self, ncols: int, nrows: int) -> int:
+        """The count on an ncols x nrows rectangle, cell (m, n) numbered
+        m * nrows + n, so a placement's row is a translate of its shape's."""
+        templates = []
+        for shape, sw, sh, eqs in self.shapes:
+            if sw > ncols or sh > nrows:
+                continue
+            for terms, const in eqs:
+                indexed = [(shape[i][0] * nrows + shape[i][1], c) for i, c in terms]
+                templates.append((sw, sh, *self._row(indexed), const,
+                                  indexed[-1][0] - indexed[0][0]))
+        cells = ncols * nrows
+        self._check(cells, 1 + max((t[-1] for t in templates), default=0))
+        rows = ((um * nrows + un + lead, row, const)
+                for um in range(ncols) for un in range(nrows)
+                for sw, sh, lead, row, const, _ in templates
+                if um <= ncols - sw and un <= nrows - sh)
+        return self._solve(cells, rows)
+
+    def count_points(self, pts: LatticeSet) -> int:
+        """The count on a point set.  A placement's cells lie in as many
+        consecutive columns as its shape, so the points of those columns
+        bound its bandwidth before any row is formed."""
+        points = pts.points
+        per_col = Counter(m for m, _ in points)
+        bandwidth = max(sum(per_col[m + j] for j in range(sw))
+                        for m in per_col for _, sw, _, _ in self.shapes)
+        self._check(len(points), bandwidth)
+        index = {pt: i for i, pt in enumerate(points)}
+
+        def rows():
+            # each placement once: its shape's first cell on each point
+            for pm, pn in points:
+                for shape, _, _, eqs in self.shapes:
+                    m0, n0 = shape[0]
+                    cells = [index.get((pm - m0 + m, pn - n0 + n)) for m, n in shape]
+                    if None in cells:
+                        continue
+                    for terms, const in eqs:
+                        yield (*self._row([(cells[i], c) for i, c in terms]), const)
+        return self._solve(len(points), rows())
+
+    def _solve(self, cells: int, rows) -> int:
+        """q^(cells - rank) of ``rows``, (first cell, coefficients, constant)
+        triples, or 0 when they are inconsistent.  A pivot row is kept per
+        first cell; a row is reduced by the pivot at its first cell until
+        it is new there or vanishes, and a vanishing row with a nonzero
+        constant says 0 = 1."""
+        q = self.q
+        pivots: dict[int, tuple] = {}
+        for lead, row, const in rows:
+            while lead in pivots:
+                prow, pconst = pivots[lead]
+                if q == 2:
+                    row ^= prow
+                    const ^= pconst
+                    if not row:
+                        break
+                    shift = (row & -row).bit_length() - 1
+                    row >>= shift
+                else:
+                    c = row[0]
+                    row = [(x - c * y) % q
+                           for x, y in itertools.zip_longest(row, prow, fillvalue=0)]
+                    const = (const - c * pconst) % q
+                    shift = next((i for i, x in enumerate(row) if x), None)
+                    if shift is None:
+                        break
+                    row = row[shift:]
+                lead += shift
+            else:
+                if q != 2:
+                    inv = pow(row[0], q - 2, q)
+                    row, const = [x * inv % q for x in row], const * inv % q
+                pivots[lead] = (row, const)
+                continue
+            if const:
+                return 0
+        return q ** (cells - len(pivots))
+
+
+# ---------------------------------------------------------------------------
+# rectangle counts: by rank or by a cell-by-cell transfer sweep
 # ---------------------------------------------------------------------------
 
 
 class RectCounter:
-    """Transfer-sweep cache of one spec for rectangle counts (a 1D spec's
-    rectangles are one row high).
+    """Rectangle counts of one spec (a 1D spec's rectangles are one row
+    high): by rank for a linear spec, by the transfer sweep otherwise.
 
-    Counts depend only on the rectangle's column/row numbers.  A rectangle
-    is swept cell by cell along whichever side gives the smaller profile
-    q^L (see ``_CellSweep``), provided q^L is at most ``MAX_STATES``.
-    Sweeps are cached per orientation and height with a total per column,
-    so asking for (W, H) after (W', H) with W' > W is free.  Counts are
-    exact: the sweep runs in int64 while no column can overflow and in
-    Python ints after.  ``count_locally_admissible`` keeps one per
-    spec in ``_sweep_cache`` for the life of the process.
+    Counts depend only on the rectangle's column/row numbers.  The spec's
+    equations are detected once, at construction (see ``_LinearSpec``).
+    Any other spec's rectangle is swept cell by cell along whichever side
+    gives the smaller profile q^L (see ``_CellSweep``), provided q^L is at
+    most ``MAX_STATES``.  Sweeps are cached per orientation and height
+    with a total per column, so asking for (W, H) after (W', H) with
+    W' > W is free.  Counts are exact: the sweep runs in int64 while no
+    column can overflow and in Python ints after.
+    ``count_locally_admissible`` keeps one per spec in ``_sweep_cache`` for
+    the life of the process, and counts point sets of a linear spec with
+    its ``linear`` equations.
     """
 
     def __init__(self, sft: SftSpec):
         self.sft = sft
+        self.linear = _LinearSpec.detect(sft)
         self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
     def try_count(self, ncols: int, nrows: int) -> int | None:
-        """The sweep count on an ncols x nrows rectangle, or None when its
-        profile exceeds ``MAX_STATES`` in both orientations.  Raises
-        ``ResourceGuardError`` before sweeping when width x bits x states
-        is over ``MAX_SWEEP_WORK``."""
+        """The count on an ncols x nrows rectangle: by rank for a linear
+        spec, otherwise by the sweep, or None when the sweep's profile
+        exceeds ``MAX_STATES`` in both orientations.  Raises
+        ``ResourceGuardError`` before eliminating when the elimination is
+        over its guards (see ``_LinearSpec._check``), and before sweeping
+        when width x bits x states is over ``MAX_SWEEP_WORK``."""
+        if self.linear is not None:
+            return self.linear.count_rect(ncols, nrows)
         # ties keep the column sweep, min() returning the first minimum
         sweep, width = min((self._sweep(False, nrows), ncols),
                            (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
@@ -483,9 +707,12 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     patterns each lie in one row (every 1D spec) is counted as a product
     of ``word_count_1d`` over the runs of the support's rows when no two
     runs of a row are closer than the widest pattern (see
-    ``_row_product``), and a rectangle goes to the transfer sweep;
-    anything left is backtracked on at most ``MAX_FREE_CELLS`` cells.
-    "backtracking" skips the transfer paths.
+    ``_row_product``); then a rectangle goes to the spec's
+    ``RectCounter``, which counts a linear spec by rank and any other by
+    the transfer sweep, and a point set of a linear spec is counted by
+    rank (see ``_LinearSpec``); anything left is backtracked on at most
+    ``MAX_FREE_CELLS`` cells.  "backtracking" skips the row product, rank
+    and sweep paths.
     """
     if algorithm not in ("auto", "backtracking"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -504,10 +731,14 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
 
     if algorithm == "auto":
         out = _row_product(sft, rect, pts)
-        if out is None and rect is not None:
+        if out is None:
             if sft not in _sweep_cache:
                 _sweep_cache[sft] = RectCounter(sft)
-            out = _sweep_cache[sft].try_count(rect.ncols, rect.nrows)
+            counter = _sweep_cache[sft]
+            if rect is not None:
+                out = counter.try_count(rect.ncols, rect.nrows)
+            elif counter.linear is not None:
+                out = counter.linear.count_points(pts)
         if out is not None:
             return out
 
@@ -530,6 +761,15 @@ def closed_form_applies(sft: SftSpec, ncols: int, nrows: int, cells: int) -> boo
             f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
             f"{MAX_COUNT_BITS}")
     return True
+
+
+def check_row_run(sft: SftSpec, length: int) -> None:
+    """Raise ``ResourceGuardError`` when a run of ``length`` cells of one
+    row could count above ``MAX_COUNT_BITS`` bits, as q^length bounds its
+    word count; the row product's check, before any word count."""
+    if length * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
+        raise ResourceGuardError(
+            f"a row of {length} cells may count above the guard of {MAX_COUNT_BITS} bits")
 
 
 def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> int | None:
@@ -564,9 +804,7 @@ def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> 
         lengths.update(run.values())
     counts = {}
     for length in lengths:
-        if length * math.log2(base.nsymbols) > MAX_COUNT_BITS:
-            raise ResourceGuardError(
-                f"a row of {length} cells may count above the guard of {MAX_COUNT_BITS} bits")
+        check_row_run(sft, length)
         try:
             counts[length] = word_count_1d(base, length)
         except ResourceGuardError:

@@ -38,6 +38,14 @@ def threedot():
 
 
 @pytest.fixture(scope="session")
+def hardsquares():
+    # no two horizontally or vertically adjacent ones: not linear
+    return md.SftSpec(2, md.alphabet("0", "1"), (
+        md.Pattern.from_dict({(0, 0): "1", (1, 0): "1"}),
+        md.Pattern.from_dict({(0, 0): "1", (0, 1): "1"})))
+
+
+@pytest.fixture(scope="session")
 def bern_half():
     return md.MeasureSpec.bernoulli(md.alphabet("0", "1"), (0.5, 0.5))
 

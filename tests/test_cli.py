@@ -31,6 +31,9 @@ forbidden:
 """
 
 
+HARD_SQUARES_TEXT = "dimension: 2\nalphabet: 0 1\nforbidden:\n(0,0)=1 (1,0)=1\n(0,0)=1 (0,1)=1\n"
+
+
 def meandim_env(**extra) -> dict:
     """The environment for a ``python -m meandim`` child: it imports the
     meandim this test run imported, whether or not PYTHONPATH names it."""
@@ -185,6 +188,19 @@ class TestRunCommand:
         assert code == 1 and "3000006 points, above the guard 1048576" in rep["error"]
         assert time.perf_counter() - t0 < 1.0
 
+    def test_covering_long_row_refused_before_any_point(self, fixtures_dir, monkeypatch):
+        # the 900,006-point window is under the point guard, but its rows of
+        # N + 2M - 2 = 300,002 cells would each count above the bit guard
+        def no_ball(*args):
+            raise AssertionError("the ball was built")
+        monkeypatch.setattr(md.lattice, "norm_ball", no_ball)
+        t0 = time.perf_counter()
+        code, rep = run_command(["covering", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--N", "300000", "--eps", "0.3"])
+        assert code == 1 and rep["error"] == \
+            "a row of 300002 cells may count above the guard of 262144 bits"
+        assert time.perf_counter() - t0 < 1.0
+
     @pytest.mark.parametrize("command", ["mmdim", "mhdim"])
     def test_1d_spec_refused_before_any_window(self, fixtures_dir, monkeypatch, command):
         def no_window(*args):
@@ -318,6 +334,15 @@ class TestRunCommand:
                                  "--length", "0"])
         assert code == 1 and "positive" in rep["error"]
 
+    def test_entropy_box_on_three_dot_past_the_sweep(self, fixtures_dir):
+        # the 13 x 13 box and up are over the sweep's state guard; three-dot
+        # counts 2^(2N-1) on them by rank
+        code, rep = run_command(["entropy", "--sft", fx(fixtures_dir, "threedot.sft"),
+                                 "--mode", "box", "--Nmax", "16"])
+        assert code == 0
+        assert rep["tables"]["box"]["rows"] == [[N, (2 * N - 1) / N ** 2]
+                                                 for N in range(1, 17)]
+
     def test_entropy_transfer_on_row_lift(self, fixtures_dir):
         code, rep = run_command(["entropy", "--sft", fx(fixtures_dir, "goldenrow.sft"),
                                  "--mode", "transfer"])
@@ -342,7 +367,7 @@ class TestRunCommand:
         assert res["selected_indices"] == [0, 2]
         assert res["triple_cover_holds"] and res["one_ninth_holds"]
 
-    def test_tame_check(self, fixtures_dir):
+    def test_tame_check(self, fixtures_dir, tmp_path):
         code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "fullshift2.sft"),
                                  "--delta", "0.1", "--Mmax", "64"])
         assert code == 0 and rep["results"]["verdict"] == "consistent"
@@ -355,14 +380,20 @@ class TestRunCommand:
                                  "--Mmax", "100000"])
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 1.0
-        # the default Mmax 24 outgrows the counting guards on three-dot: the
-        # message names the depth that failed and the largest Mmax that counts
+        # three-dot's squares are counted by rank up to the default Mmax 24
         code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "threedot.sft")])
+        assert code == 0 and rep["results"]["verdict"] == "consistent"
+        assert len(rep["tables"]["tame"]["rows"]) == 24
+        # hard squares are not linear, and the default Mmax 24 outgrows the
+        # sweep and backtracking guards on them: the message names the depth
+        # that failed and the largest Mmax that counts
+        hard = tmp_path / "hard.sft"
+        hard.write_text(HARD_SQUARES_TEXT)
+        code, rep = run_command(["tame-check", "--sft", str(hard)])
         assert code == 1
         assert "depth M = 7" in rep["error"] and "largest Mmax" in rep["error"]
         assert rep["error"].endswith(" 6")
-        code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "threedot.sft"),
-                                 "--Mmax", "6"])
+        code, rep = run_command(["tame-check", "--sft", str(hard), "--Mmax", "6"])
         assert code == 0 and len(rep["tables"]["tame"]["rows"]) == 6
         # the golden row's squares are products of independent rows
         code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "goldenrow.sft"),
@@ -497,6 +528,14 @@ class TestVerifyTheorem:
         assert code == 0 and rep["verdict"] == "PASS"
         assert rep["results"]["action_factor"] == 4
 
+    @pytest.mark.parametrize("action", ["2,1", "1,4", "0,1"])
+    def test_skew_action_three_dot(self, fixtures_dir, action):
+        # skew windows of three-dot are counted by rank; its entropy is 0
+        code, rep = run_command([
+            "verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
+            "--action", action, "--alpha", "2"])
+        assert code == 0 and rep["verdict"] == "PASS" and rep["rhs"] == 0.0
+
     def test_wide_step_schedule_starts_without_gaps(self, fixtures_dir):
         # along (4,1) the M = 2 windows have gaps in their rows; the default
         # schedule starts at M = 3, and an explicit one below it is refused
@@ -536,11 +575,17 @@ class TestVerifyTheorem:
             assert (calls.get("bowen_window", 0), calls.get("count_locally_admissible", 0),
                     calls.get("max_cylinder_log2_prob", 0)) == want
 
-    def test_skew_action_constrained_system_refused(self, fixtures_dir):
+    def test_skew_action_constrained_system_refused(self, fixtures_dir, tmp_path):
+        # three-dot's skew windows are counted by rank; hard squares are not
+        # linear, and their skew windows would be backtracked
         code, rep = run_command([
             "verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
             "--action", "1,1"])
-        assert code == 1 and "full shifts and row-lifts only" in rep["error"]
+        assert code == 0 and rep["verdict"] == "PASS" and rep["rhs"] == 0.0
+        hard = tmp_path / "hard.sft"
+        hard.write_text(HARD_SQUARES_TEXT)
+        code, rep = run_command(["verify-theorem", "--sft", str(hard), "--action", "1,1"])
+        assert code == 1 and "full shifts, row-lifts and three-dot only" in rep["error"]
 
     def test_wrong_tolerance_fails_with_exit_2(self, fixtures_dir):
         code, rep = run_command([

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -206,6 +208,24 @@ class TestLambdaSets:
     def test_enumeration_guard(self):
         with pytest.raises(ResourceGuardError):
             md.lambda_set(1, 1, 4096, 100000)
+
+    def test_longest_run_matches_the_built_window(self):
+        # exact under the sup norm, a bound under l2 that is exact for b = 0
+        def longest(window):
+            best, last = 0, {}
+            for m, n in window:  # columns ascend, so each row left to right
+                run = last[n][1] + 1 if n in last and last[n][0] == m - 1 else 1
+                last[n] = (m, run)
+                best = max(best, run)
+            return best
+        for a, b, M, N in itertools.product(range(-5, 6), range(-3, 4), range(1, 5),
+                                            range(1, 6)):
+            if (a, b) == (0, 0):
+                continue
+            run = md.lattice.lambda_longest_run(a, b, M, N)
+            assert run == longest(md.lambda_set(a, b, M, N))
+            l2 = longest(md.lambda_set(a, b, M, N, "l2"))
+            assert l2 == run if b == 0 else l2 <= run
 
     def test_guard_fires_before_any_point(self, monkeypatch):
         def no_ball(*args):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import meandim as md
 from meandim import IntRect, LatticeSet, Pattern, kernels
 from meandim.errors import EmptyLanguageError, ResourceGuardError
-from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep,
+from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
                               _one_d_extendable, _placement_groups, _recoding_width,
                               _row_product, _squaring_pays, _support_points,
                               _walks_by_iteration, _walks_by_squaring,
@@ -55,6 +55,57 @@ def row_specs(draw):
         pats.append(Pattern.from_dict(
             {(m, row): str(draw(st.integers(0, q - 1))) for m in cols}))
     return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
+
+
+@st.composite
+def linear_specs(draw):
+    """SFTs over GF(q), q in {2, 3, 5}, with 1 or 2 shapes inside a 2x2, 1x3
+    or 3x1 box; each shape forbids every pattern that breaks one of its
+    random linear equations.  The constants come from one random
+    assignment of the 3x3 frame, read on each shape's anchored cells, so
+    shapes that anchor alike still share an allowed pattern."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    frame = {(m, n): draw(st.integers(0, q - 1)) for m in range(3) for n in range(3)}
+    pats = []
+    for _ in range(draw(st.integers(1, 2))):
+        bw, bh = draw(st.sampled_from([(2, 2), (1, 3), (3, 1)]))
+        cells = draw(st.lists(st.tuples(st.integers(0, bw - 1), st.integers(0, bh - 1)),
+                              min_size=1, max_size=3, unique=True))
+        m0, n0 = min(m for m, _ in cells), min(n for _, n in cells)
+        cells = [(m - m0, n - n0) for m, n in cells]
+        k = len(cells)
+        eqs = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                            min_size=1, max_size=k))
+        sol = [frame[pt] for pt in cells]
+        for v in itertools.product(range(q), repeat=k):
+            if any(sum(c * (x - y) for c, x, y in zip(eq, v, sol)) % q for eq in eqs):
+                pats.append(Pattern.from_dict({pt: str(x) for pt, x in zip(cells, v)}))
+    assume(pats)
+    return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
+
+
+def parity_spec(q, cells, const=0):
+    """The spec forbidding every pattern on ``cells`` whose symbols do not
+    sum to ``const`` mod q."""
+    return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(
+        Pattern.from_dict({pt: str(x) for pt, x in zip(cells, v)})
+        for v in itertools.product(range(q), repeat=len(cells)) if sum(v) % q != const))
+
+
+def dense_gf2_rank(support, shape):
+    """Rank over GF(2) of the rows x(u + s) summed over s in ``shape``, one
+    per placement u of the shape inside ``support``, each row a full-width
+    int reduced against a pivot per highest bit."""
+    index = {pt: i for i, pt in enumerate(support)}
+    pivots = {}
+    for m, n in support:
+        if all((m + dm, n + dn) in index for dm, dn in shape):
+            row = sum(1 << index[m + dm, n + dn] for dm, dn in shape)
+            while row and row.bit_length() in pivots:
+                row ^= pivots[row.bit_length()]
+            if row:
+                pivots[row.bit_length()] = row
+    return len(pivots)
 
 
 def object_sweep_totals(sweep, width):
@@ -245,9 +296,10 @@ class TestCounts:
             if exact:
                 assert cb == c1 * c2
 
-    def test_backtracking_guard(self, threedot):
+    def test_backtracking_guard(self, hardsquares):
+        # a skew window is no rectangle, and hard squares are not linear
         with pytest.raises(ResourceGuardError):
-            md.count_locally_admissible(threedot, md.lambda_set(1, 1, 3, 30))
+            md.count_locally_admissible(hardsquares, md.lambda_set(1, 1, 3, 30))
 
     def test_backtracking_work_guard(self, threedot, monkeypatch):
         # the 7x7 three-dot box makes 56,574 descents to its 2^13 patterns
@@ -532,6 +584,121 @@ class TestRowLift:
         assert abs(N3 - math.log2(125) / 9) < 1e-12
 
 
+class TestLinear:
+    """Counts by rank over GF(p) against backtracking, enumeration and the
+    sweep, and the specs the rank path must leave alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_specs(), st.one_of(
+        st.builds(IntRect, st.just(0), st.integers(0, 3), st.just(0), st.integers(0, 3)),
+        st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                      min_size=1, max_size=8)),
+        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(md.bowen_window,
+                  st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
+                  st.integers(1, 3), st.integers(1, 2))))
+    def test_rank_matches_backtracking_and_enumeration(self, sft, support):
+        pts = support if isinstance(support, LatticeSet) else LatticeSet.from_rect(support)
+        assume(sft.nsymbols ** len(pts) <= 2 ** 12)
+        linear = _LinearSpec.detect(sft)
+        assert linear is not None
+        if isinstance(support, IntRect):
+            rank = linear.count_rect(support.ncols, support.nrows)
+        else:
+            rank = linear.count_points(pts)
+        bt = md.count_locally_admissible(sft, pts, algorithm="backtracking")
+        assert rank == bt == len(list(md.enumerate_locally_admissible(sft, pts)))
+        assert md.count_locally_admissible(sft, support) == rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_specs(), st.integers(1, 8), st.integers(1, 5))
+    def test_rank_matches_sweep_on_rectangles(self, sft, w, h):
+        sweep = _CellSweep(sft, h, False)
+        assume(sft.nsymbols ** sweep.span <= 4096)
+        assert RectCounter(sft).linear is not None
+        assert RectCounter(sft).try_count(w, h) == sweep.total(w)
+
+    def test_three_dot_past_the_sweep(self, threedot):
+        # 2^(2N-1) on N x N squares the sweep's state guard refuses
+        assert RectCounter(threedot).linear is not None
+        for N in (13, 47, 100):
+            assert md.count_locally_admissible(threedot, IntRect(0, N - 1, 0, N - 1)) == \
+                2 ** (2 * N - 1)
+        # skew and l2 windows past the backtracking guard, against the rank
+        # of the dense matrix of every placement's equation
+        for window in (md.bowen_window(md.ActionSpec(1, 1), 30, 3),
+                       md.bowen_window(md.ActionSpec(2, 1), 12, 4, "l2")):
+            assert len(window) > 64 and window.as_rect() is None
+            assert md.count_locally_admissible(threedot, window) == \
+                2 ** (len(window) - dense_gf2_rank(window, ((0, 0), (1, 0), (0, 1))))
+
+    @pytest.mark.parametrize("name", ["hardsquares", "goldenrow", "ternary6"])
+    def test_non_affine_sets_are_not_linear(self, name, request):
+        if name == "ternary6":
+            # 6 of the 9 two-letter words allowed: not a power of 3
+            bad = [("0", "1"), ("1", "2"), ("2", "0")]
+            sft = md.SftSpec(2, md.alphabet("0", "1", "2"), tuple(
+                Pattern.from_dict({(0, 0): a, (1, 0): b}) for a, b in bad))
+        else:
+            sft = request.getfixturevalue(name)
+        assert _LinearSpec.detect(sft) is None
+        assert RectCounter(sft).linear is None
+
+    def test_q4_is_never_linear(self):
+        # x0 + x1 = 0 mod 4 allows 4 of 16 pairs, and a lone symbol is a
+        # point, but Z/4 is no field
+        assert _LinearSpec.detect(parity_spec(4, ((0, 0), (1, 0)))) is None
+        lone = md.SftSpec(2, md.alphabet("0", "1", "2", "3"), tuple(
+            Pattern.from_dict({(0, 0): s}) for s in "123"))
+        assert _LinearSpec.detect(lone) is None
+        assert _LinearSpec.detect(parity_spec(5, ((0, 0), (1, 0)))) is not None
+
+    def test_constants_are_read(self):
+        # x(u) + x(u+e1) + x(u+e2) = 1 over GF(3): its patterns are
+        # three-dot's shifted, so the counts match three-dot's over GF(3)
+        cells = ((0, 0), (1, 0), (0, 1))
+        one, zero = parity_spec(3, cells, 1), parity_spec(3, cells, 0)
+        for support in (IntRect(0, 3, 0, 2), md.bowen_window(md.ActionSpec(1, 1), 2, 2)):
+            assert md.count_locally_admissible(one, support) == \
+                md.count_locally_admissible(zero, support) == \
+                md.count_locally_admissible(one, support, algorithm="backtracking")
+
+    def test_inconsistent_system_counts_zero(self):
+        # every cell 0, and vertical neighbours sum to 1 over GF(2): no
+        # pattern on a support holding a vertical pair
+        zero = Pattern.from_dict({(0, 0): "1"})
+        pair = [Pattern.from_dict({(0, 0): a, (0, 1): b}) for a, b in ("00", "11")]
+        sft = md.SftSpec(2, md.alphabet("0", "1"), (zero, *pair))
+        assert RectCounter(sft).linear is not None
+        for support in (IntRect(0, 2, 0, 1), LatticeSet([(0, 0), (0, 1), (3, 5)])):
+            assert md.count_locally_admissible(sft, support) == 0 == \
+                md.count_locally_admissible(sft, support, algorithm="backtracking")
+        assert md.count_locally_admissible(sft, LatticeSet([(0, 0), (1, 1)])) == 1
+
+    def test_guards_fire_before_elimination(self, threedot, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the elimination ran")
+        monkeypatch.setattr(_LinearSpec, "_solve", no_solve)
+        # the 300,000 x 2 rectangle may count up to 600,000 bits
+        with pytest.raises(ResourceGuardError, match="bits"):
+            RectCounter(threedot).try_count(300_000, 2)
+        # 300 x 300 cells at bandwidth 301, and a window's bandwidth bound
+        # from the points of its two fullest neighbouring columns
+        with pytest.raises(ResourceGuardError, match="elimination guard"):
+            md.count_locally_admissible(threedot, IntRect(0, 299, 0, 299))
+        monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 1000)
+        with pytest.raises(ResourceGuardError, match="elimination guard"):
+            md.count_locally_admissible(threedot, md.bowen_window(md.ActionSpec(1, 1), 30, 3))
+        # over primes above 2 a step passes over a whole row: the 5 x 5
+        # square has 25 rows at bandwidth 6, the 5 x 4 one 20 at bandwidth 5
+        monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 25 * 6 * 6 - 1)
+        ternary = RectCounter(parity_spec(3, ((0, 0), (1, 0), (0, 1)))).linear
+        with pytest.raises(ResourceGuardError, match="elimination guard"):
+            ternary.count_rect(5, 5)
+        with pytest.raises(AssertionError, match="elimination ran"):
+            ternary.count_rect(5, 4)
+
+
 class TestRectCounter:
     def test_sweep_cache_consistency(self, goldenrow):
         rc = RectCounter(goldenrow)
@@ -547,10 +714,10 @@ class TestRectCounter:
         got = RectCounter(sft).try_count(3, 30)
         assert got == fib_count(30) ** 3
 
-    def test_state_guard_fires(self, threedot, monkeypatch):
-        assert RectCounter(threedot).try_count(50, 50) is None
+    def test_state_guard_fires(self, hardsquares, monkeypatch):
+        assert RectCounter(hardsquares).try_count(50, 50) is None
         with pytest.raises(ResourceGuardError):
-            md.count_locally_admissible(threedot, IntRect(0, 49, 0, 49))
+            md.count_locally_admissible(hardsquares, IntRect(0, 49, 0, 49))
         # the profile is at least 3^8 states in both orientations, above the
         # guard: the sweep refuses at once, and "auto" goes on to backtrack
         # the 54 cells until the work guard stops it
