@@ -7,6 +7,9 @@ rectangle counts do not live here: subshift.py counts them by rank over
 GF(p) for linear specs and by the big-integer transfer sweep otherwise.
 """
 
+from collections import Counter
+from functools import partial
+
 import numpy as np
 
 from .errors import ResourceGuardError
@@ -75,13 +78,45 @@ def backtrack(n_cells, n_symbols, groups):
 
 
 def backtrack_count(n_cells, n_symbols, groups) -> int:
-    """The number of assignments ``backtrack`` yields."""
+    """The number of assignments ``backtrack`` yields.
+
+    Refused before the walk when the walk would pass ``MAX_NODES``
+    anyway: if no placement's required symbols all lie in a symbol set
+    S, every assignment over S is admissible, and the walk descends at
+    least once for each of their |S|^(n_cells-1) prefixes.
+    """
+    if n_cells > 1:
+        free = len(_free_symbols(n_symbols, groups))
+        if free ** (n_cells - 1) > MAX_NODES:
+            raise ResourceGuardError(
+                f"backtracking would make at least {free}^{n_cells - 1} descents, above "
+                f"the search guard of {MAX_NODES}; the {n_cells}-cell support has too "
+                f"many admissible patterns")
     return sum(1 for _ in backtrack(n_cells, n_symbols, groups))
+
+
+def _free_symbols(n_symbols, groups) -> set:
+    """A set of symbols that contains no placement's required symbols.
+
+    Greedy: drop the symbol the most remaining placements require until
+    every placement requires a dropped one.
+    """
+    needs = {frozenset(s for _, s in placement) for group in groups for placement in group}
+    free = set(range(n_symbols))
+    while needs:
+        tally = Counter(s for need in needs for s in need)
+        drop = max(tally, key=tally.get)
+        free.discard(drop)
+        needs = {need for need in needs if drop not in need}
+    return free
 
 
 # bytes of kernel matrices one stacked Blahut-Arimoto run may hold; a
 # longer slope schedule is run in chunks of at most this much
 BATCH_BYTES = 1 << 23
+
+# iterations between two flushes of subnormal reproduction mass
+FLUSH_EVERY = 16
 
 
 def ba_solve(p, rho, beta, tol, max_iter, q0=None):
@@ -99,7 +134,10 @@ def ba_sweep(p, rho, betas, tol, max_iter, q0=None):
     Alternates the reproduction marginal q and the optimal conditional for
     the kernel K = 2^(-beta * rho).  The stopping rule is the Csiszar
     bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the current free energy
-    exceeds the optimum by at most max_y log2 c(y).  q starts at ``q0``,
+    exceeds the optimum by at most gap = max_y log2 c(y), and a slope stops
+    once gap < tol.  The loop tests max_y c(y) <= m instead, where m is the
+    largest double with log2(m) < tol (``_stop_threshold``, found once per
+    call), and takes log2 only of the gap it reports.  q starts at ``q0``,
     or uniform when it is None.
 
     All slopes iterate together as one stack of kernels, and a slope
@@ -108,21 +146,27 @@ def ba_sweep(p, rho, betas, tol, max_iter, q0=None):
     (the matrix-vector products run about a fifth faster on an aligned
     K), and the stacked products call the same BLAS matrix-vector routine
     per slope as a lone product would, so every slope follows the same
-    iterates, bit for bit, whatever else is in the stack.  The caller
-    bounds the stack's size (see ``BATCH_BYTES``).
+    iterates, bit for bit, whatever else is in the stack.  A stack of one
+    slope (every ``ba_solve`` call, and a sweep's tail) runs the same loop
+    body on plain matrix-vector views with 0-d reduction outputs, which
+    saves numpy's broadcasting over the stack axis.  The caller bounds the
+    stack's size (see ``BATCH_BYTES``).
 
     Reproductions the source does not use lose mass geometrically, and
     their q(y) would sink into subnormal doubles, where every product
-    and sum costs many times the normal rate.  Each renormalised entry
-    below the smallest normal double is therefore set to exactly 0.  Such
-    an entry times K(x, y) <= 1 is below half an ulp of Z(x) >= min_y
-    K(x, y) unless beta * rho exceeds about 960 along a whole row, so Z,
-    c, the gap, the normal entries of q and the stopping iteration are
-    the same bits as without the flush.  The one difference: a flushed
-    entry stays 0, where a subnormal one grows back if c(y) later
-    exceeds 1 by more than its rounding step (1/(2n) for n subnormal
-    units); that needs c(y) to turn upwards after the long decay, and no
-    problem in the tests or the benchmark does it.
+    and sum costs many times the normal rate.  Every ``FLUSH_EVERY``
+    iterations, and whenever the loop exits, each entry below the
+    smallest normal double is therefore set to exactly 0.  Such an entry
+    times K(x, y) <= 1 is below half an ulp of Z(x) >= min_y K(x, y)
+    unless beta * rho exceeds about 960 along a whole row, and below half
+    an ulp of the mass sum, so it changes no bit of Z, c, the gap, the
+    sum, the normal entries of q or the stopping iteration, whether it is
+    flushed at once or up to ``FLUSH_EVERY`` - 1 iterations later.  The
+    one difference from no flush at all: a flushed entry stays 0, where a
+    subnormal one grows back if c(y) later exceeds 1 by more than its
+    rounding step (1/(2n) for n subnormal units); that needs c(y) to turn
+    upwards after the long decay, and no problem in the tests or the
+    benchmark does it.
 
     Returns one (rate_bits, distortion, iterations, gap, converged) per
     slope, in the order of ``betas``.
@@ -138,35 +182,45 @@ def ba_sweep(p, rho, betas, tol, max_iter, q0=None):
     q[:] = 1.0 / ny if q0 is None else q0
     c = _aligned_stack(n, (ny,))
     Z = _aligned_stack(n, (nx,))
-    gap = np.full(n, np.inf)
+    top = np.full(n, np.inf)  # max_y c(y) of each stacked slope
     mass = np.empty(n)
+    stop = _stop_threshold(tol)
     tiny = np.finfo(np.float64).tiny
     slot = list(range(n))  # the index in betas of each stacked slope
     out = [None] * n
     it = 0
     while slot and it < max_iter:
         n = len(slot)
-        Kv, qv, cv, Zv, gv, sv = K[:n], q[:n], c[:n], Z[:n], gap[:n], mass[:n]
-        q3, c3, Z3, W3 = qv[:, :, None], cv[:, None, :], Zv[:, :, None], Zv[:, None, :]
-        s2 = sv[:, None]
+        if n == 1:
+            # plain matrix-vector views and 0-d reduction outputs ([0, ...]
+            # is a view, not a scalar)
+            Kv, qv, cv, Zv, gv, sv = K[0], q[0], c[0], Z[0], top[0, ...], mass[0, ...]
+            q3, c3, Z3, W3, s2 = qv, cv, Zv, Zv, sv
+            least = gv.item
+        else:
+            Kv, qv, cv, Zv, gv, sv = K[:n], q[:n], c[:n], Z[:n], top[:n], mass[:n]
+            q3, c3, Z3, W3 = qv[:, :, None], cv[:, None, :], Zv[:, :, None], Zv[:, None, :]
+            s2 = sv[:, None]
+            least = partial(np.minimum.reduce, gv)
         # ufunc reductions, since np.max and np.sum add about 1 us per call
         while it < max_iter:
             it += 1
             np.matmul(Kv, q3, out=Z3)
             np.divide(p, Zv, out=Zv)
             np.matmul(W3, Kv, out=c3)
-            np.maximum.reduce(cv, axis=1, out=gv)
-            np.log2(gv, out=gv)
+            np.maximum.reduce(cv, axis=-1, out=gv)
             qv *= cv
-            np.add.reduce(qv, axis=1, out=sv)
+            np.add.reduce(qv, axis=-1, out=sv)
             qv /= s2
-            qv[qv < tiny] = 0.0
-            if np.minimum.reduce(gv) < tol:
+            if least() <= stop:
                 break
+            if it % FLUSH_EVERY == 0:
+                qv[qv < tiny] = 0.0
+        qv[qv < tiny] = 0.0
         keep = []
         for r in range(n):
-            if gv[r] < tol:
-                out[slot[r]] = _ba_point(p, rho, K[r], q[r], it, float(gv[r]), True)
+            if top[r] <= stop:
+                out[slot[r]] = _ba_point(p, rho, K[r], q[r], it, float(np.log2(top[r])), True)
             else:
                 keep.append(r)
         # move the slopes still running to the front, slice by slice, so
@@ -175,11 +229,26 @@ def ba_sweep(p, rho, betas, tol, max_iter, q0=None):
             if dst != src:
                 K[dst] = K[src]
                 q[dst] = q[src]
-                gap[dst] = gap[src]
+                top[dst] = top[src]
         slot = [slot[r] for r in keep]
     for r, k in enumerate(slot):
-        out[k] = _ba_point(p, rho, K[r], q[r], it, float(gap[r]), False)
+        out[k] = _ba_point(p, rho, K[r], q[r], it, float(np.log2(top[r])), False)
     return out
+
+
+def _stop_threshold(tol) -> float:
+    """The largest double m with log2(m) < tol.
+
+    log2 is nondecreasing, so for every double x, x <= m exactly when
+    log2(x) < tol.
+    """
+    big = np.finfo(np.float64).max
+    m = 2.0 ** tol if tol < 1024 else big
+    while np.log2(m) >= tol:
+        m = np.nextafter(m, 0.0)
+    while m < big and np.log2(np.nextafter(m, np.inf)) < tol:
+        m = np.nextafter(m, np.inf)
+    return float(m)
 
 
 def _ba_point(p, rho, K, q, it, gap, converged):

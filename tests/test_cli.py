@@ -219,6 +219,16 @@ class TestRunCommand:
         assert code == 1 and "guard" in rep["error"]
         assert time.perf_counter() - t0 < 5.0
 
+    def test_hopeless_backtracking_refused_before_the_walk(self, tmp_path):
+        # every assignment over {0, 1} is admissible, so the walk would make
+        # at least 2^53 descents; the refusal comes before any
+        spec = tmp_path / "ternary.sft"
+        spec.write_text("dimension: 2\nalphabet: 0 1 2\nforbidden:\n(0,0)=2 (1,2)=2\n")
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", str(spec), "--rect", "0,8,0,5"])
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 1 and "at least 2^53 descents" in rep["error"]
+
     def test_1d_count_over_the_bit_guard_refused(self, fixtures_dir):
         # a binary word of L letters may count up to L bits: lengths above
         # MAX_COUNT_BITS = 2^18 are refused before any count is formed
@@ -342,6 +352,15 @@ class TestRunCommand:
         assert code == 0
         assert rep["tables"]["box"]["rows"] == [[N, (2 * N - 1) / N ** 2]
                                                  for N in range(1, 17)]
+
+    def test_entropy_box_refuses_the_nmax_box_first(self, fixtures_dir):
+        # the 1000 x 1000 box is over the count-bit guard; it is refused
+        # before the 201 smaller boxes the guards allow are counted
+        t0 = time.perf_counter()
+        code, rep = run_command(["entropy", "--sft", fx(fixtures_dir, "threedot.sft"),
+                                 "--mode", "box", "--Nmax", "1000"])
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 1 and "1000000 cells" in rep["error"]
 
     def test_entropy_transfer_on_row_lift(self, fixtures_dir):
         code, rep = run_command(["entropy", "--sft", fx(fixtures_dir, "goldenrow.sft"),

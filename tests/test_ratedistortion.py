@@ -86,10 +86,10 @@ class TestBlahutArimoto:
             md.blahut_arimoto(prob, slope=-1.0)
 
 
-def textbook_ba(p, rho, beta, tol, max_iter):
+def textbook_ba(p, rho, beta, tol, max_iter, q0=None):
     """Blahut-Arimoto as written before the subnormal flush; also returns q."""
     K = np.exp2(-beta * rho)
-    q = np.full(rho.shape[1], 1.0 / rho.shape[1])
+    q = np.full(rho.shape[1], 1.0 / rho.shape[1]) if q0 is None else np.array(q0)
     gap, it, converged = np.inf, 0, False
     while it < max_iter and not converged:
         it += 1
@@ -141,6 +141,31 @@ class TestSubnormalFlush:
         assert pt.rate == pytest.approx(0.6151819001716224, rel=1e-12, abs=0)
         assert pt.distortion == pytest.approx(0.5026095208094385, rel=1e-12, abs=0)
         assert pt.iterations == 8504
+
+
+class TestKernelBits:
+    def test_golden_window_matches_textbook_loop_at_benchmark_slopes(self, parry):
+        p, rho, q0 = md.rd_problem_from_measure(parry, 2, M=2).lumped
+        for beta in (0.5, 1, 2, 4, 8, 16):
+            want, _ = textbook_ba(p, rho, beta, 1e-9, 20000, q0)
+            assert kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0) == want
+            if beta == 0.5:
+                assert want[2] == 20000 and not want[4] and f"{want[3]:.3e}" == "3.669e-09"
+
+    def test_hamming_sweep_matches_single_slope_runs(self):
+        p0 = float(np.random.default_rng(11).uniform(0.2, 0.45))
+        p, rho, q0 = md.binary_hamming_problem(p0).lumped
+        slopes = [0.2 + i * (8.0 - 0.2) / 399 for i in range(400)]
+        got = kernels.ba_sweep(p, rho, slopes, 1e-9, 20000, q0)
+        assert got == [kernels.ba_solve(p, rho, s, 1e-9, 20000, q0) for s in slopes]
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 3.7, 1023.5, 1e6])
+    def test_stop_threshold_is_the_last_double_under_tol(self, tol):
+        m = kernels._stop_threshold(tol)
+        with np.errstate(over="ignore"):  # above the largest double is inf
+            below, above = np.nextafter(m, 0.0), np.nextafter(m, np.inf)
+        assert np.log2(below) < tol and np.log2(m) < tol
+        assert not np.log2(above) < tol
 
 
 class TestProcessLevelProblem:

@@ -304,11 +304,31 @@ class TestCounts:
     def test_backtracking_work_guard(self, threedot, monkeypatch):
         # the 7x7 three-dot box makes 56,574 descents to its 2^13 patterns
         box = IntRect(0, 6, 0, 6)
+        # under the default guard, the walk is not refused before it starts
+        assert md.count_locally_admissible(threedot, box, algorithm="backtracking") == 2 ** 13
         monkeypatch.setattr(kernels, "MAX_NODES", 56_574)
         assert md.count_locally_admissible(threedot, box, algorithm="backtracking") == 2 ** 13
         monkeypatch.setattr(kernels, "MAX_NODES", 56_573)
         with pytest.raises(ResourceGuardError, match="descents"):
             md.count_locally_admissible(threedot, box, algorithm="backtracking")
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_specs(symbols=(1, 4)), st.integers(1, 4), st.integers(1, 4))
+    def test_free_symbols_bound_the_walk_from_below(self, sft, w, h):
+        # no placement lies inside the free symbols, and the walk makes at
+        # least |free|^(cells-1) descents, the bound the count refuses on
+        pts = _support_points(IntRect(0, w - 1, 0, h - 1))
+        groups = _placement_groups(sft, pts)
+        free = kernels._free_symbols(sft.nsymbols, groups)
+        assert all(not {s for _, s in pl} <= free for group in groups for pl in group)
+        bound = len(free) ** (len(pts) - 1)
+        assume(len(pts) > 1 and 0 < bound <= 4096)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "MAX_NODES", bound - 1)
+            with pytest.raises(ResourceGuardError, match="descents"):
+                sum(1 for _ in kernels.backtrack(len(pts), sft.nsymbols, groups))
+            with pytest.raises(ResourceGuardError, match="at least"):
+                kernels.backtrack_count(len(pts), sft.nsymbols, groups)
 
     def test_row_product_counts_past_the_guards(self, goldenrow):
         # the 50x50 square is over both sweep orientations' state guard and
