@@ -32,7 +32,7 @@ from .lattice import (IntRect, LatticeSet, check_lambda_set, lambda_count,
                       lambda_longest_run, lambda_set, min_norm_outside, norm_ball,
                       site_norm)
 from .subshift import (Pattern, SftSpec, check_row_run, closed_form_applies,
-                       count_locally_admissible, word_count_1d)
+                       count_locally_admissible, rect_counter, word_count_1d)
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,21 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> Latt
 def _check_window(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                   M: int) -> None:
     """Refuse a window W(M, N) whose count would be refused, before it is
-    built: under the sup norm, a closed-form count over its guard, from
-    the window's size and bounding box; otherwise, for a spec whose
+    built: under the sup norm, a closed-form count or a count by rank over
+    its guard, from the window's size and bounding box; for a spec whose
     forbidden patterns each lie in one row and a window under the point
     guard (``check_lambda_set``), a row product over its guard, from the
     window's longest run (``lambda_longest_run``)."""
+    row_spec = bool(sft.forbidden) and all(f.nrows_extent == 1 for f in sft.forbidden)
     if spec.norm == "linf":
         side = 2 * M - 1
+        cells = lambda_count(action.a, action.b, M, N)
         if closed_form_applies(sft, abs(action.a) * (N - 1) + side,
-                               abs(action.b) * (N - 1) + side,
-                               lambda_count(action.a, action.b, M, N)):
+                               abs(action.b) * (N - 1) + side, cells):
             return
-    if sft.forbidden and all(f.nrows_extent == 1 for f in sft.forbidden):
+        if not row_spec and rect_counter(sft).linear is not None:
+            rect_counter(sft).linear.check(cells)
+    if row_spec:
         check_lambda_set(action.a, action.b, M, N, spec.norm)
         check_row_run(sft, lambda_longest_run(action.a, action.b, M, N))
 

@@ -232,16 +232,11 @@ def parry_measure(sft: SftSpec) -> MeasureSpec:
 
 
 def _rows_of(support) -> dict[int, list[int]]:
-    """Group the support by row: {n: sorted column positions}."""
-    if isinstance(support, IntRect):
-        return {n: list(range(support.a, support.b + 1))
-                for n in range(support.c, support.d + 1)}
-    if not isinstance(support, LatticeSet):
-        support = LatticeSet(support)
-    rows: dict[int, list[int]] = {}
-    for (m, n) in support:
-        rows.setdefault(n, []).append(m)
-    return rows
+    """Group the support by row: {n: sorted column positions}, the rows
+    ordered by (first column, n), the order in which the readers sum."""
+    rows = {n: [m for lo, hi in runs for m in range(lo, hi + 1)]
+            for n0, n1, runs in LatticeSet.of(support).bands for n in range(n0, n1 + 1)}
+    return dict(sorted(rows.items(), key=lambda row: (row[1][0], row[0])))
 
 
 def _chain_steps(measure: MeasureSpec, rows, log: bool = False) -> dict[int, np.ndarray]:

@@ -1,18 +1,20 @@
 """Exact integer-lattice geometry.
 
 Rectangles in Z^2 with the triple dilation and the width/height
-pre-order, finite point sets with window boundaries and interiors, the
-greedy disjoint-subfamily covering algorithm, and the swept-window sets
-Lambda_{a,b}(M,N) obtained by translating a norm ball along a lattice
-direction.  Everything here is exact integer arithmetic; all functions
-are pure.
+pre-order, finite sets as rows of column runs (``LatticeSet``, the one
+support type of every counter and cylinder-mass reader) with window
+boundaries and interiors, the greedy disjoint-subfamily covering
+algorithm, and the swept windows Lambda_{a,b}(M,N) of a norm ball along
+a lattice direction, built as runs.  Everything here is exact integer
+arithmetic; all functions are pure.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import NotTotallyOrderedError, ResourceGuardError
@@ -66,85 +68,119 @@ class IntRect:
         return not (other.b < self.a or self.b < other.a
                     or other.d < self.c or self.d < other.c)
 
-    def translate(self, u: Point) -> "IntRect":
-        return IntRect(self.a + u[0], self.b + u[0], self.c + u[1], self.d + u[1])
-
 
 class LatticeSet:
-    """A finite subset of Z^2 stored as a sorted, duplicate-free point tuple.
-
-    Iteration order is lexicographic in (m, n), so any computation that
-    walks a LatticeSet is deterministic.
+    """A finite subset of Z^2 stored as ``bands`` (n0, n1, runs), in
+    ascending n0: maximal blocks of consecutive rows sharing one tuple of
+    sorted, disjoint, non-adjacent column runs (lo, hi).  Equal sets have
+    equal bands; a rectangle is one band with one run.  The points are
+    built on first use and iterated in lexicographic (m, n) order.
     """
 
-    __slots__ = ("_points", "_set")
+    __slots__ = ("bands", "_len", "_points")
 
-    def __init__(self, points: Iterable[Point]):
-        pts = {(int(m), int(n)) for (m, n) in points}
-        self._points: tuple[Point, ...] = tuple(sorted(pts))
-        self._set = pts
+    def __init__(self, points: Iterable[Point] = (), *, _bands=None):
+        if _bands is None:
+            rows: dict[int, list[tuple[int, int]]] = {}
+            for m, n in points:
+                rows.setdefault(int(n), []).append((int(m), int(m)))
+            _bands = _bands_of_rows(rows)
+        self.bands: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...] = _bands
+        self._len = sum((n1 - n0 + 1) * sum(hi - lo + 1 for lo, hi in runs)
+                        for n0, n1, runs in _bands)
+        self._points = None
 
     @classmethod
-    def _sorted(cls, points: tuple[Point, ...]) -> "LatticeSet":
-        """The set of ``points``, which must be int pairs already sorted
-        and free of duplicates; skips the dedupe and the sort."""
-        out = cls.__new__(cls)
-        out._points = points
-        out._set = set(points)
-        return out
+    def of(cls, support) -> "LatticeSet":
+        """``support`` as a LatticeSet: itself, an ``IntRect`` (one band,
+        no per-row work) or an iterable of points."""
+        if isinstance(support, LatticeSet):
+            return support
+        if isinstance(support, IntRect):
+            return cls(_bands=((support.c, support.d, ((support.a, support.b),)),))
+        return cls(support)
 
     @classmethod
     def from_rect(cls, rect: IntRect) -> "LatticeSet":
-        return cls._sorted(tuple(rect.points()))
+        return cls.of(rect)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._len
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._points)
+        return iter(self.points)
 
     def __contains__(self, u) -> bool:
-        return tuple(u) in self._set
+        m, n = u
+        i = bisect_right(self.bands, n, key=itemgetter(0)) - 1
+        runs = self.bands[i][2] if i >= 0 and n <= self.bands[i][1] else ()
+        j = bisect_right(runs, m, key=itemgetter(0)) - 1
+        return j >= 0 and m <= runs[j][1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeSet):
             return NotImplemented
-        return self._points == other._points
+        return self.bands == other.bands
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        return hash(self.bands)
 
     def __repr__(self) -> str:
-        if len(self._points) <= 8:
-            return f"LatticeSet({list(self._points)})"
-        return f"LatticeSet(<{len(self._points)} points>)"
+        if self._len <= 8:
+            return f"LatticeSet({list(self.points)})"
+        return f"LatticeSet(<{self._len} points>)"
 
     @property
     def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            # bands ascend in n, so each column's rows arrive in order
+            cols: dict[int, list[int]] = {}
+            for n0, n1, runs in self.bands:
+                for lo, hi in runs:
+                    for m in range(lo, hi + 1):
+                        cols.setdefault(m, []).extend(range(n0, n1 + 1))
+            self._points = tuple((m, n) for m in sorted(cols) for n in cols[m])
         return self._points
 
     def bounding_box(self) -> IntRect | None:
-        if not self._points:
+        if not self.bands:
             return None
-        ms = [p[0] for p in self._points]
-        ns = [p[1] for p in self._points]
-        return IntRect(min(ms), max(ms), min(ns), max(ns))
+        return IntRect(min(runs[0][0] for _, _, runs in self.bands),
+                       max(runs[-1][1] for _, _, runs in self.bands),
+                       self.bands[0][0], self.bands[-1][1])
 
     def as_rect(self) -> IntRect | None:
         """The rectangle equal to this set, or None if the set is not one."""
-        box = self.bounding_box()
-        if box is not None and box.cardinality() == len(self._points):
-            return box
+        if len(self.bands) == 1 and len(self.bands[0][2]) == 1:
+            return self.bounding_box()
         return None
 
-    def translate(self, u: Point) -> "LatticeSet":
-        return LatticeSet((m + u[0], n + u[1]) for (m, n) in self._points)
-
     def union(self, other: "LatticeSet") -> "LatticeSet":
-        return LatticeSet(self._points + other._points)
+        return LatticeSet(self.points + other.points)
 
     def difference(self, other: "LatticeSet") -> "LatticeSet":
-        return LatticeSet(p for p in self._points if p not in other)
+        return LatticeSet(p for p in self.points if p not in other)
+
+
+def _bands_of_rows(rows: dict[int, list[tuple[int, int]]]):
+    """Canonical bands of {n: column spans (lo, hi)}: each row's spans
+    sorted and merged where they overlap or touch, then equal runs of
+    consecutive rows joined into one band."""
+    bands: list[list] = []
+    for n in sorted(rows):
+        spans = sorted(rows[n])
+        runs = [spans[0]]
+        for lo, hi in spans:
+            if lo > runs[-1][1] + 1:
+                runs.append((lo, hi))
+            elif hi > runs[-1][1]:
+                runs[-1] = (runs[-1][0], hi)
+        runs = tuple(runs)
+        if bands and bands[-1][1] == n - 1 and bands[-1][2] == runs:
+            bands[-1][1] = n
+        else:
+            bands.append([n, n, runs])
+    return tuple(map(tuple, bands))
 
 
 def rect_triple(r: IntRect) -> IntRect:
@@ -171,7 +207,7 @@ def boundary_set(omega: LatticeSet, lam: LatticeSet) -> LatticeSet:
     """
     if len(lam) == 0:
         raise ValueError("boundary is undefined for an empty window")
-    omega_pts = omega._set
+    omega_pts = set(omega.points)
     lam_pts = lam.points
     # Candidates with (u + lam) meeting omega are exactly the pointwise
     # differences omega - lam; any other u has u + lam inside the complement.
@@ -233,27 +269,22 @@ def greedy_disjoint_subcover(rects: Iterable[IntRect]) -> list[int]:
 
 
 def norm_ball(radius: int, norm: str = "linf") -> LatticeSet:
-    """Integer points u with |u| <= radius in the sup or Euclidean norm.
+    """Integer points u with |u| <= radius in the sup or Euclidean norm,
+    one run of columns per row.
 
-    The Euclidean test compares squared integers, so membership is exact.
-    A negative radius gives the empty set.
+    The Euclidean run of row n is |m| <= isqrt(radius^2 - n^2), so
+    membership is exact.  A negative radius gives the empty set.
     """
     if radius < 0:
         return LatticeSet(())
-    pts = []  # built in sorted order
     if norm == "linf":
-        for m in range(-radius, radius + 1):
-            for n in range(-radius, radius + 1):
-                pts.append((m, n))
-    elif norm == "l2":
-        r2 = radius * radius
-        for m in range(-radius, radius + 1):
-            for n in range(-radius, radius + 1):
-                if m * m + n * n <= r2:
-                    pts.append((m, n))
-    else:
+        return LatticeSet.of(IntRect(-radius, radius, -radius, radius))
+    if norm != "l2":
         raise ValueError(f"unknown norm {norm!r}")
-    return LatticeSet._sorted(tuple(pts))
+    r2 = radius * radius
+    return LatticeSet(_bands=_bands_of_rows(
+        {n: [(-math.isqrt(r2 - n * n), math.isqrt(r2 - n * n))]
+         for n in range(-radius, radius + 1)}))
 
 
 def site_norm(u: Point, norm: str = "linf") -> float:
@@ -278,45 +309,28 @@ def min_norm_outside(support: LatticeSet, norm: str = "linf") -> float:
     return min(site_norm(u, norm) for u in ring.points() if u not in support)
 
 
-# largest point set lambda_set builds; one at the bound takes about 2 s and
-# 280 MB peak (2-core Xeon VM, Python 3.11)
+# largest window lambda_set builds, in points; one at the bound takes up to
+# 1.9 s and 200 MB peak (README, "Counting"; 2-core Xeon VM, Python 3.11)
 MAX_LAMBDA_POINTS = 2 ** 20
 
 
 def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet:
     """The window swept along direction (a, b): points (an, bn) + u with
-    0 <= n < N and u in the radius-(M-1) norm ball, materialised as a
-    LatticeSet.
+    0 <= n < N and u in the radius-(M-1) norm ball, as a LatticeSet.
 
-    Built column by column: each column of the ball is an interval
-    [-h, h], so window column m is the union of the intervals
-    [bn - h, bn + h] over the steps n whose ball column lands on m.  Those
-    are merged and emitted in sorted order, so no point is built twice
-    and nothing is sorted afterwards.
-
-    Refused by ``check_lambda_set`` before any point is built.
+    Each row y of the ball is one run [-w, w], so window row bn + y takes
+    the run [an - w, an + w] from every step n; a row's runs are merged,
+    and no point is built.  Refused by ``check_lambda_set`` first.
     """
     check_lambda_set(a, b, M, N, norm)
-    # every column of the ball is an interval [-h, h]; points come
-    # column-major, so a column's last point carries its h
-    half = {x: y for x, y in norm_ball(M - 1, norm)}
-    spans: dict[int, list[tuple[int, int]]] = {}
+    ball = [(y, runs[0][1]) for y0, y1, runs in norm_ball(M - 1, norm).bands
+            for y in range(y0, y1 + 1)]
+    rows: dict[int, list[tuple[int, int]]] = {}
     for n in range(N):
         cm, cn = a * n, b * n
-        for x, h in half.items():
-            spans.setdefault(cm + x, []).append((cn - h, cn + h))
-    pts: list[Point] = []
-    for m in sorted(spans):
-        col = sorted(spans[m])
-        lo, hi = col[0]
-        for start, end in col:
-            if start > hi + 1:
-                pts.extend(zip(repeat(m), range(lo, hi + 1)))
-                lo, hi = start, end
-            elif end > hi:
-                hi = end
-        pts.extend(zip(repeat(m), range(lo, hi + 1)))
-    return LatticeSet._sorted(tuple(pts))
+        for y, w in ball:
+            rows.setdefault(cn + y, []).append((cm - w, cm + w))
+    return LatticeSet(_bands=_bands_of_rows(rows))
 
 
 def check_lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> None:

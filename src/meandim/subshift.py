@@ -41,6 +41,7 @@ agree on random small specs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -281,14 +282,6 @@ def row_interval(length: int) -> LatticeSet:
 # ---------------------------------------------------------------------------
 
 
-def _support_points(support) -> LatticeSet:
-    if isinstance(support, LatticeSet):
-        return support
-    if isinstance(support, IntRect):
-        return LatticeSet.from_rect(support)
-    return LatticeSet(support)
-
-
 def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
     """All translated forbidden patterns inside the support, grouped by the
     assignment-order index at which they complete."""
@@ -437,7 +430,9 @@ class _LinearSpec:
             coef[i - lead] = c
         return lead, coef
 
-    def _check(self, cells: int, bandwidth: int) -> None:
+    def check(self, cells: int, bandwidth: int = 0) -> None:
+        """Refuse a count on ``cells`` cells over ``MAX_COUNT_BITS`` bits,
+        and its elimination at ``bandwidth`` over its work guard."""
         bits = cells * math.log2(self.q)
         if bits > MAX_COUNT_BITS:
             raise ResourceGuardError(
@@ -462,7 +457,7 @@ class _LinearSpec:
                 templates.append((sw, sh, *self._row(indexed), const,
                                   indexed[-1][0] - indexed[0][0]))
         cells = ncols * nrows
-        self._check(cells, 1 + max((t[-1] for t in templates), default=0))
+        self.check(cells, 1 + max((t[-1] for t in templates), default=0))
         rows = ((um * nrows + un + lead, row, const)
                 for um in range(ncols) for un in range(nrows)
                 for sw, sh, lead, row, const, _ in templates
@@ -477,7 +472,7 @@ class _LinearSpec:
         per_col = Counter(m for m, _ in points)
         bandwidth = max(sum(per_col[m + j] for j in range(sw))
                         for m in per_col for _, sw, _, _ in self.shapes)
-        self._check(len(points), bandwidth)
+        self.check(len(points), bandwidth)
         index = {pt: i for i, pt in enumerate(points)}
 
         def rows():
@@ -548,8 +543,8 @@ class RectCounter:
     with a total per column, so asking for (W, H) after (W', H) with
     W' > W is free.  Counts are exact: the sweep runs in int64 while no
     column can overflow and in Python ints after.
-    ``count_locally_admissible`` keeps one per spec in ``_sweep_cache`` for
-    the life of the process, and counts point sets of a linear spec with
+    ``rect_counter`` keeps one per spec for the life of the process, and
+    ``count_locally_admissible`` counts point sets of a linear spec with
     its ``linear`` equations.
     """
 
@@ -563,7 +558,7 @@ class RectCounter:
         spec, otherwise by the sweep, or None when the sweep's profile
         exceeds ``MAX_STATES`` in both orientations.  Raises
         ``ResourceGuardError`` before eliminating when the elimination is
-        over its guards (see ``_LinearSpec._check``), and before sweeping
+        over its guards (see ``_LinearSpec.check``), and before sweeping
         when width x bits x states is over ``MAX_SWEEP_WORK``."""
         if self.linear is not None:
             return self.linear.count_rect(ncols, nrows)
@@ -587,7 +582,10 @@ class RectCounter:
         return self._sweeps[key]
 
 
-_sweep_cache: dict[SftSpec, RectCounter] = {}
+@functools.cache
+def rect_counter(sft: SftSpec) -> RectCounter:
+    """The spec's ``RectCounter``, built once per process."""
+    return RectCounter(sft)
 
 
 class _CellSweep:
@@ -699,13 +697,14 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
 
     Equals |A|^|support| for the full shift and upper-bounds the number of
     restrictions of genuine subshift points; the two coincide for the
-    certified fixture families.  ``support`` is an ``IntRect`` (counted
-    without building its points), a ``LatticeSet`` or an iterable of
-    points.  In order: an empty support counts 1; a support into which no
+    certified fixture families.  ``support`` is converted once by
+    ``LatticeSet.of`` (an ``IntRect`` becomes one band, without building
+    its points), and every path reads that one set.  In order: an empty
+    support counts 1; a support into which no
     forbidden pattern fits counts q^cells (refused above
     ``MAX_COUNT_BITS`` bits); under "auto", a spec whose forbidden
     patterns each lie in one row (every 1D spec) is counted as a product
-    of ``word_count_1d`` over the runs of the support's rows when no two
+    of ``word_count_1d`` over the runs of the set's bands when no two
     runs of a row are closer than the widest pattern (see
     ``_row_product``); then a rectangle goes to the spec's
     ``RectCounter``, which counts a linear spec by rank and any other by
@@ -716,25 +715,20 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     """
     if algorithm not in ("auto", "backtracking"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if isinstance(support, IntRect):
-        pts, rect, cells = None, support, support.cardinality()
-    else:
-        pts = _support_points(support)
-        rect, cells = pts.as_rect(), len(pts)
+    pts = LatticeSet.of(support)
+    cells = len(pts)
     if cells == 0:
         return 1
-    box = rect if rect is not None else pts.bounding_box()
+    box, rect = pts.bounding_box(), pts.as_rect()
     if sft.dimension == 1 and (box.c, box.d) != (0, 0):
         raise ValueError("1D supports must lie on the horizontal axis")
     if closed_form_applies(sft, box.ncols, box.nrows, cells):
         return sft.nsymbols ** cells
 
     if algorithm == "auto":
-        out = _row_product(sft, rect, pts)
+        out = _row_product(sft, pts)
         if out is None:
-            if sft not in _sweep_cache:
-                _sweep_cache[sft] = RectCounter(sft)
-            counter = _sweep_cache[sft]
+            counter = rect_counter(sft)
             if rect is not None:
                 out = counter.try_count(rect.ncols, rect.nrows)
             elif counter.linear is not None:
@@ -745,7 +739,9 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     if cells > MAX_FREE_CELLS:
         raise ResourceGuardError(
             f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
-    points = (pts if pts is not None else LatticeSet.from_rect(rect)).points
+    # a rectangle's cells reach the walk through from_rect, the builder
+    # that perfbench/tracer.py counts cells at
+    points = (LatticeSet.from_rect(rect) if rect is not None else pts).points
     return kernels.backtrack_count(len(points), sft.nsymbols, _placement_groups(sft, points))
 
 
@@ -772,7 +768,7 @@ def check_row_run(sft: SftSpec, length: int) -> None:
             f"a row of {length} cells may count above the guard of {MAX_COUNT_BITS} bits")
 
 
-def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> int | None:
+def _row_product(sft: SftSpec, pts: LatticeSet) -> int | None:
     """The count of a spec whose forbidden patterns each lie in one row,
     as the product over the runs of the support's rows of the 1D base's
     word count at each run's length; a 1D interval is one run of one row.
@@ -785,23 +781,15 @@ def _row_product(sft: SftSpec, rect: IntRect | None, pts: LatticeSet | None) -> 
     if any(f.nrows_extent > 1 for f in sft.forbidden):
         return None
     base = base_of_row_lift(sft)
-    if rect is not None:
-        lengths = Counter({rect.ncols: rect.nrows})
-    else:
-        wide = max(f.ncols_extent for f in sft.forbidden)
-        lengths = Counter()
-        last: dict[int, int] = {}
-        run: dict[int, int] = {}
-        for m, n in pts:  # columns ascend, so each row arrives left to right
-            if n in last and m > last[n] + 1:
-                if m - last[n] < wide:
-                    # a pattern that fits across the gap links its runs:
-                    # (0,0)=1 (2,0)=1 across the one-cell gap of row {0, 2}
-                    return None
-                lengths[run.pop(n)] += 1
-            run[n] = run.get(n, 0) + 1
-            last[n] = m
-        lengths.update(run.values())
+    wide = max((f.ncols_extent for f in sft.forbidden), default=1)
+    lengths = Counter()
+    for n0, n1, runs in pts.bands:
+        if any(lo - hi < wide for (_, hi), (lo, _) in zip(runs, runs[1:])):
+            # a pattern that fits across the gap links its runs:
+            # (0,0)=1 (2,0)=1 across the one-cell gap of row {0, 2}
+            return None
+        for lo, hi in runs:
+            lengths[hi - lo + 1] += n1 - n0 + 1
     counts = {}
     for length in lengths:
         check_row_run(sft, length)
@@ -823,7 +811,7 @@ def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
     alphabet order by ``kernels.backtrack``, so the stream is
     deterministic and sorted, and bounded by the same work guard.
     """
-    points = _support_points(support).points
+    points = LatticeSet.of(support).points
     n = len(points)
     if n > MAX_FREE_CELLS:
         raise ResourceGuardError(

@@ -201,6 +201,30 @@ class TestRunCommand:
             "a row of 300002 cells may count above the guard of 262144 bits"
         assert time.perf_counter() - t0 < 1.0
 
+    def test_covering_rank_count_refused_before_the_window(self, fixtures_dir, monkeypatch):
+        # three-dot is counted by rank; its 300,006-cell window is under the
+        # point guard, but a count on it may have 300,006 bits
+        def no_window(*args):
+            raise AssertionError("the window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        t0 = time.perf_counter()
+        code, rep = run_command(["covering", "--sft", fx(fixtures_dir, "threedot.sft"),
+                                 "--N", "100000", "--eps", "0.3"])
+        assert code == 1 and rep["error"] == ("a linear count on 300006 cells may have up "
+                                              "to 300006 bits, above the guard of 262144")
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_rectangle_count_never_builds_points(self, fixtures_dir, monkeypatch):
+        # ten columns by 10^9 + 1 rows: a product of rows, refused from the
+        # run lengths alone
+        def no_points(self):
+            raise AssertionError("the points were built")
+        monkeypatch.setattr(md.LatticeSet, "points", property(no_points))
+        code, rep = run_command(["count", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--rect", "0,9,0,1000000000"])
+        assert code == 1 and rep["error"] == \
+            "the count has about 8000000008 bits, above the guard of 262144 bits"
+
     @pytest.mark.parametrize("command", ["mmdim", "mhdim"])
     def test_1d_spec_refused_before_any_window(self, fixtures_dir, monkeypatch, command):
         def no_window(*args):

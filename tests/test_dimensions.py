@@ -159,19 +159,26 @@ class TestBowenWindow:
         assert w.as_rect() == IntRect(-1, 4, -1, 1) and len(w) == 18
 
     def test_skew_equals_lambda_set(self):
-        # the union of the radius-(M-1) balls at (na, nb), 0 <= n < N
+        # the union of the radius-(M-1) balls at (na, nb), 0 <= n < N, built
+        # as runs, is the swept point set found by brute force
         for norm in ("linf", "l2"):
             for a in range(-2, 3):
                 for b in range(-2, 3):
                     if (a, b) == (0, 0):
                         continue
                     for M in range(1, 5):
-                        ball = md.norm_ball(M - 1, norm)
+                        r = M - 1
+                        ball = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+                                if (max(abs(x), abs(y)) <= r if norm == "linf"
+                                    else x * x + y * y <= r * r)]
+                        assert md.norm_ball(r, norm) == LatticeSet(ball)
                         for N in range(1, 7):
-                            swept = LatticeSet({(a * n + x, b * n + y)
-                                                for n in range(N) for x, y in ball})
-                            assert md.bowen_window(ActionSpec(a, b), N, M, norm) == \
-                                md.lambda_set(a, b, M, N, norm) == swept
+                            swept = {(a * n + x, b * n + y) for n in range(N) for x, y in ball}
+                            window = md.bowen_window(ActionSpec(a, b), N, M, norm)
+                            assert window == md.lambda_set(a, b, M, N, norm) == \
+                                LatticeSet(swept)
+                            assert window.points == tuple(sorted(swept))
+                            assert len(window) == len(swept)
 
     def test_window_characterises_distance(self, spec2, act10):
         # Single-site disagreements give the Bowen distance exactly:

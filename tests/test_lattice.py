@@ -80,6 +80,57 @@ class TestBoundary:
             assert not (set(interior) & set(bd_in))
 
 
+point_sets = st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40)
+
+
+class TestLatticeSetStorage:
+    @given(point_sets)
+    def test_matches_a_plain_set(self, pts):
+        s = LatticeSet(pts)
+        assert len(s) == len(pts)
+        assert list(s) == sorted(pts) and s.points == tuple(sorted(pts))
+        assert all((u in s) == (u in pts) for u in IntRect(-7, 7, -7, 7).points())
+        if not pts:
+            assert s.bounding_box() is None and s.as_rect() is None
+            return
+        ms, ns = [m for m, _ in pts], [n for _, n in pts]
+        box = IntRect(min(ms), max(ms), min(ns), max(ns))
+        assert s.bounding_box() == box
+        assert s.as_rect() == (box if box.cardinality() == len(pts) else None)
+
+    @given(point_sets, point_sets, st.randoms())
+    def test_equal_sets_have_equal_bands(self, p, q, rnd):
+        shuffled = list(p)
+        rnd.shuffle(shuffled)
+        s = LatticeSet(p)
+        again = LatticeSet(shuffled + shuffled[:5])
+        assert s == again and hash(s) == hash(again) and s.bands == again.bands
+        assert (s == LatticeSet(q)) == (p == q)
+        assert set(s.union(LatticeSet(q))) == p | q
+        assert set(s.difference(LatticeSet(q))) == p - q
+
+    @given(point_sets)
+    def test_bands_are_canonical(self, pts):
+        bands = LatticeSet(pts).bands
+        for n0, n1, runs in bands:
+            assert n0 <= n1 and runs
+            assert all(lo <= hi for lo, hi in runs)
+            assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+        for (_, n1, runs), (n0, _, nxt) in zip(bands, bands[1:]):
+            assert n1 < n0 and (n1 + 1 < n0 or runs != nxt)
+
+    def test_rectangle_is_one_band_never_expanded(self, monkeypatch):
+        def no_points(self):
+            raise AssertionError("the points were built")
+        monkeypatch.setattr(LatticeSet, "points", property(no_points))
+        rect = IntRect(0, 9, 0, 10 ** 12)
+        s = LatticeSet.from_rect(rect)
+        assert len(s) == 10 * (10 ** 12 + 1)
+        assert s.bands == ((0, 10 ** 12, ((0, 9),)),) and s == LatticeSet.of(rect)
+        assert s.as_rect() == s.bounding_box() == rect
+        assert (9, 10 ** 12) in s and (10, 0) not in s and (0, -1) not in s
+
+
 def chain_family(rng, n, max_size=30, span=100):
     """A random totally ordered family: sorted widths paired with sorted heights."""
     ws = np.sort(rng.integers(0, max_size + 1, n))
@@ -135,6 +186,12 @@ def translated_balls(a, b, M, N, norm):
     return {(a * n + x, b * n + y) for n in range(N) for x, y in ball}
 
 
+def members(s):
+    """The points of s's bounding box, grown by one cell, that ``in`` accepts."""
+    box = s.bounding_box()
+    return {u for u in IntRect(box.a - 1, box.b + 1, box.c - 1, box.d + 1).points() if u in s}
+
+
 class TestLambdaSets:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 7), st.integers(1, 40),
@@ -145,7 +202,7 @@ class TestLambdaSets:
         window = md.lambda_set(a, b, M, N, norm)
         want = translated_balls(a, b, M, N, norm)
         assert window.points == tuple(sorted(want))
-        assert window._set == set(window.points) == want
+        assert members(window) == set(window.points) == want
         if norm == "linf":
             assert len(window) == md.lambda_count(a, b, M, N)
 
@@ -153,12 +210,12 @@ class TestLambdaSets:
         for rect in (IntRect(0, 0, 0, 0), IntRect(-3, 2, 4, 9), IntRect(5, 5, -2, 3)):
             fast = LatticeSet.from_rect(rect)
             assert fast == LatticeSet(list(rect.points())[::-1])
-            assert fast._set == set(fast.points)
+            assert members(fast) == set(fast.points)
         for norm in ("linf", "l2"):
             for r in range(6):
                 ball = md.norm_ball(r, norm)
                 assert ball.points == tuple(sorted(translated_balls(1, 0, r + 1, 1, norm)))
-                assert ball._set == set(ball.points)
+                assert members(ball) == set(ball.points)
 
     def test_horizontal_is_a_segment(self):
         s = md.lambda_set(1, 0, 1, 5)

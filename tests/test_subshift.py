@@ -11,7 +11,7 @@ from meandim import IntRect, LatticeSet, Pattern, kernels
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
                               _one_d_extendable, _placement_groups, _recoding_width,
-                              _row_product, _squaring_pays, _support_points,
+                              _row_product, _squaring_pays,
                               _walks_by_iteration, _walks_by_squaring,
                               base_of_row_lift, transfer_graph_1d)
 
@@ -138,7 +138,7 @@ def recursive_enumeration(sft, support):
     """Locally admissible patterns on ``support`` from a recursive walk over
     the same placement groups: the oracle for the stream of
     ``enumerate_locally_admissible``, which runs ``kernels.backtrack``."""
-    points = _support_points(support).points
+    points = LatticeSet.of(support).points
     n = len(points)
     if n == 0:
         yield Pattern(())
@@ -317,7 +317,7 @@ class TestCounts:
     def test_free_symbols_bound_the_walk_from_below(self, sft, w, h):
         # no placement lies inside the free symbols, and the walk makes at
         # least |free|^(cells-1) descents, the bound the count refuses on
-        pts = _support_points(IntRect(0, w - 1, 0, h - 1))
+        pts = LatticeSet.of(IntRect(0, w - 1, 0, h - 1))
         groups = _placement_groups(sft, pts)
         free = kernels._free_symbols(sft.nsymbols, groups)
         assert all(not {s for _, s in pl} <= free for group in groups for pl in group)
@@ -346,9 +346,9 @@ class TestCounts:
                   st.builds(md.ActionSpec, st.integers(-5, 5), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2))))
     def test_row_product_matches_sweep_and_backtracking(self, sft, support):
-        pts = support if isinstance(support, LatticeSet) else LatticeSet.from_rect(support)
+        pts = LatticeSet.of(support)
         assume(sft.nsymbols ** len(pts) <= 2 ** 13)
-        product = _row_product(sft, pts.as_rect(), pts)
+        product = _row_product(sft, pts)
         rows: dict[int, list[int]] = {}
         for m, n in pts:
             rows.setdefault(n, []).append(m)
@@ -369,7 +369,7 @@ class TestCounts:
         # fits across a gap between them
         assume(sft.nsymbols ** len(columns) <= 2 ** 12)
         pts = LatticeSet((m, 0) for m in columns)
-        product = _row_product(sft, None, pts)
+        product = _row_product(sft, pts)
         wide = max(f.ncols_extent for f in sft.forbidden)
         cols = sorted(columns)
         if all(b - a == 1 or b - a >= wide for a, b in zip(cols, cols[1:])):
@@ -386,7 +386,7 @@ class TestCounts:
         bad = Pattern.from_dict({(0, 0): "1", (2, 0): "1"})
         sft = md.SftSpec(2, md.alphabet("0", "1"), (bad,))
         gapped = LatticeSet([(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
-        assert _row_product(sft, None, gapped) is None
+        assert _row_product(sft, gapped) is None
         assert md.count_locally_admissible(sft, gapped) == 3 * 6 == \
             len(list(md.enumerate_locally_admissible(sft, gapped)))
 
@@ -396,7 +396,7 @@ class TestCounts:
         # fits across a gap and each run counts on its own
         window = md.bowen_window(md.ActionSpec(4, 1), 2, 2)
         assert window.as_rect() is None
-        assert _row_product(goldenrow, None, window) == 15625 == \
+        assert _row_product(goldenrow, window) == 15625 == \
             md.count_locally_admissible(goldenrow, window, algorithm="backtracking")
 
     def test_count_bit_guard(self, goldenrow):
@@ -457,7 +457,7 @@ class TestEnumeration:
         st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                       max_size=12))))
     def test_stream_matches_recursive_oracle(self, sft, support):
-        pts = _support_points(support)
+        pts = LatticeSet.of(support)
         assume(sft.nsymbols ** len(pts) <= 2 ** 12)
         assert list(md.enumerate_locally_admissible(sft, support)) == \
             list(recursive_enumeration(sft, support))
