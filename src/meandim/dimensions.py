@@ -28,11 +28,9 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
 from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
-from .lattice import (IntRect, LatticeSet, check_lambda_set, lambda_count,
-                      lambda_longest_run, lambda_set, min_norm_outside, norm_ball,
+from .lattice import (IntRect, LatticeSet, SweptWindow, lambda_set, min_norm_outside,
                       site_norm)
-from .subshift import (Pattern, SftSpec, check_row_run, closed_form_applies,
-                       count_locally_admissible, rect_counter, word_count_1d)
+from .subshift import Pattern, SftSpec, count_locally_admissible, plan, word_count_1d
 
 
 @dataclass(frozen=True)
@@ -117,43 +115,21 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> Latt
     return lambda_set(action.a, action.b, M, N, norm)
 
 
-def _check_window(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
-                  M: int) -> None:
-    """Refuse a window W(M, N) whose count would be refused, before it is
-    built: under the sup norm, a closed-form count or a count by rank over
-    its guard, from the window's size and bounding box; for a spec whose
-    forbidden patterns each lie in one row and a window under the point
-    guard (``check_lambda_set``), a row product over its guard, from the
-    window's longest run (``lambda_longest_run``)."""
-    row_spec = bool(sft.forbidden) and all(f.nrows_extent == 1 for f in sft.forbidden)
-    if spec.norm == "linf":
-        side = 2 * M - 1
-        cells = lambda_count(action.a, action.b, M, N)
-        if closed_form_applies(sft, abs(action.a) * (N - 1) + side,
-                               abs(action.b) * (N - 1) + side, cells):
-            return
-        if not row_spec and rect_counter(sft).linear is not None:
-            rect_counter(sft).linear.check(cells)
-    if row_spec:
-        check_lambda_set(action.a, action.b, M, N, spec.norm)
-        check_row_run(sft, lambda_longest_run(action.a, action.b, M, N))
-
-
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                     epsilon: float) -> int:
     """Minimum number of sets of d_N-diameter below epsilon covering X.
 
     Computed as the locally admissible pattern count on the Bowen window
-    W(M, N), M the resolution index of epsilon, after ``_check_window``:
-    exact for certified fixtures, an upper bound otherwise.  Any epsilon
-    above the space's diameter returns 1.
+    W(M, N), M the resolution index of epsilon, planned before it is
+    built: exact for certified fixtures, an upper bound otherwise.  Any
+    epsilon above the space's diameter returns 1.
     """
     if sft.dimension != 2:
         raise ValueError("covering_number works on 2D specs")
     if epsilon > 1:
         return 1
     M = resolution_depth(spec.alpha, epsilon)
-    _check_window(sft, spec, action, N, M)
+    plan(sft, SweptWindow(action.a, action.b, M, N, spec.norm))
     return count_locally_admissible(sft, bowen_window(action, N, M, spec.norm))
 
 
@@ -225,7 +201,7 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
 
     Depth M has the windows N = Nfactor*M // 2 and Nfactor*M (8M and 16M by
     default).  The schedule is checked, or defaulted, by ``m_schedule``.
-    Every window passes ``_check_window`` before any is built.
+    Every window is planned from its geometry before any is built.
     """
     if sft.dimension != 2:
         raise ValueError("bowen_table works on 2D specs, got a 1D spec")
@@ -242,7 +218,7 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
             raise ValueError("N schedule degenerate; increase Nfactor")
         pairs[M] = (lo, hi)
         for N in pairs[M]:
-            _check_window(sft, spec, action, N, M)
+            plan(sft, SweptWindow(action.a, action.b, M, N, spec.norm))
     rows = {}
     for M, Ns in pairs.items():
         windows = [bowen_window(action, N, M, spec.norm) for N in Ns]
@@ -350,9 +326,9 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
     """Check eps^delta * log2 #(X, d, eps) along eps_M = alpha^-(M-1).
 
     Uses the static metric (no dynamics): the window at resolution M is
-    the radius-(M-1) norm ball, for the sup norm the (2M-1) x (2M-1)
-    square.  Verdict "consistent" when the tail of the sequence is
-    nonincreasing.
+    the radius-(M-1) norm ball, the one-step ``SweptWindow``, for the sup
+    norm the (2M-1) x (2M-1) square.  Verdict "consistent" when the tail
+    of the sequence is nonincreasing.
     """
     if sft.dimension != 2:
         raise ValueError("tame_growth_check reads 2D window counts; got a 1D spec")
@@ -366,12 +342,8 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
             f"depth M has (2M-1)^2 cells, and the full shift counts q^((2M-1)^2) on it")
     rows = []
     for M in range(1, Mmax + 1):
-        if spec.norm == "linf":
-            window = IntRect(1 - M, M - 1, 1 - M, M - 1)
-        else:
-            window = norm_ball(M - 1, spec.norm)
         try:
-            c = count_locally_admissible(sft, window)
+            c = count_locally_admissible(sft, SweptWindow(1, 0, M, 1, spec.norm))
         except ResourceGuardError as err:
             raise ResourceGuardError(
                 f"tame-check cannot count the window at depth M = {M} ({err}); "

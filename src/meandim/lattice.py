@@ -11,6 +11,7 @@ arithmetic; all functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -93,11 +94,13 @@ class LatticeSet:
     @classmethod
     def of(cls, support) -> "LatticeSet":
         """``support`` as a LatticeSet: itself, an ``IntRect`` (one band,
-        no per-row work) or an iterable of points."""
+        no per-row work), a ``SweptWindow`` (built) or an iterable of points."""
         if isinstance(support, LatticeSet):
             return support
         if isinstance(support, IntRect):
             return cls(_bands=((support.c, support.d, ((support.a, support.b),)),))
+        if isinstance(support, SweptWindow):
+            return support.lattice_set
         return cls(support)
 
     @classmethod
@@ -309,93 +312,100 @@ def min_norm_outside(support: LatticeSet, norm: str = "linf") -> float:
     return min(site_norm(u, norm) for u in ring.points() if u not in support)
 
 
-# largest window lambda_set builds, in points; one at the bound takes up to
-# 1.9 s and 200 MB peak (README, "Counting"; 2-core Xeon VM, Python 3.11)
+# largest window a SweptWindow builds, in points; one at the bound takes up
+# to 1.5 s and 134 MB peak (README, "Counting"; 2-core Xeon VM, Python 3.11)
 MAX_LAMBDA_POINTS = 2 ** 20
 
 
-def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet:
-    """The window swept along direction (a, b): points (an, bn) + u with
-    0 <= n < N and u in the radius-(M-1) norm ball, as a LatticeSet.
+@dataclass(frozen=True)
+class SweptWindow:
+    """(an, bn) + u for 0 <= n < N, u in the radius-(M-1) norm ball, unbuilt:
+    size (sup norm) and box in closed form, the rest after ``check``."""
 
-    Each row y of the ball is one run [-w, w], so window row bn + y takes
-    the run [an - w, an + w] from every step n; a row's runs are merged,
-    and no point is built.  Refused by ``check_lambda_set`` first.
-    """
-    check_lambda_set(a, b, M, N, norm)
-    ball = [(y, runs[0][1]) for y0, y1, runs in norm_ball(M - 1, norm).bands
-            for y in range(y0, y1 + 1)]
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for n in range(N):
-        cm, cn = a * n, b * n
-        for y, w in ball:
-            rows.setdefault(cn + y, []).append((cm - w, cm + w))
-    return LatticeSet(_bands=_bands_of_rows(rows))
+    a: int
+    b: int
+    M: int
+    N: int
+    norm: str = "linf"
 
+    def __post_init__(self):
+        if (self.a, self.b) == (0, 0):
+            raise ValueError("direction (a, b) must be nonzero")
+        if self.M < 1 or self.N < 1:
+            raise ValueError("M and N must be positive")
+        if self.norm not in ("linf", "l2"):
+            raise ValueError(f"unknown norm {self.norm!r}")
 
-def check_lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> None:
-    """Check the arguments of lambda_set, and raise ``ResourceGuardError``
-    when its window could hold more than ``MAX_LAMBDA_POINTS`` points:
-    lambda_count of them for the sup norm, N balls' worth for the
-    Euclidean one.  For density computations at large M, N use
-    lambda_count / lambda_density, which evaluate the cardinality without
-    enumeration.
-    """
-    if (a, b) == (0, 0):
-        raise ValueError("direction (a, b) must be nonzero")
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
-    if norm == "linf":
-        size = lambda_count(a, b, M, N)
-    elif norm == "l2":
+    def __len__(self) -> int:
+        if self.norm == "l2":
+            return len(self.lattice_set)
+        # the swept squares move monotonically, so the cells new at step n
+        # are those of the step-n square outside the step-(n-1) one
+        side = 2 * self.M - 1
+        fresh = side * side - max(0, side - abs(self.a)) * max(0, side - abs(self.b))
+        return side * side + (self.N - 1) * fresh
+
+    def bounding_box(self) -> IntRect:
+        r, da, db = self.M - 1, self.a * (self.N - 1), self.b * (self.N - 1)
+        return IntRect(min(0, da) - r, max(0, da) + r, min(0, db) - r, max(0, db) + r)
+
+    def as_rect(self) -> IntRect | None:
+        self.check()
+        box = self.bounding_box()
+        return box if len(self) == box.cardinality() else None
+
+    def check(self) -> None:
+        """Refuse more than ``MAX_LAMBDA_POINTS`` points: ``len`` of them
+        under the sup norm, N balls' worth under the Euclidean one."""
+        M, N, r2 = self.M, self.N, (self.M - 1) ** 2
         # the disc holds the square of half-side isqrt(r^2 / 2), so the
-        # exact count below runs only for radii of a few thousand
-        r2 = (M - 1) ** 2
-        size = N * (2 * math.isqrt(r2 // 2) + 1) ** 2
-        if size <= MAX_LAMBDA_POINTS:
+        # exact count of its points runs only for radii of a few thousand
+        size = len(self) if self.norm == "linf" else N * (2 * math.isqrt(r2 // 2) + 1) ** 2
+        if self.norm == "l2" and size <= MAX_LAMBDA_POINTS:
             size = N * sum(2 * math.isqrt(r2 - m * m) + 1 for m in range(1 - M, M))
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    if size > MAX_LAMBDA_POINTS:
-        raise ResourceGuardError(
-            f"lambda_set would hold up to {size} points, above the guard "
-            f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
-            "cardinalities at this size")
+        if size > MAX_LAMBDA_POINTS:
+            raise ResourceGuardError(
+                f"lambda_set would hold up to {size} points, above the guard "
+                f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
+                "cardinalities at this size")
+
+    @functools.cached_property
+    def lattice_set(self) -> LatticeSet:
+        """Row y takes [an - w, an + w] from each step n whose ball meets it,
+        w its half-width at row y - bn: a horizontal window costs O(M)."""
+        self.check()
+        a, b, r, N = self.a, self.b, self.M - 1, self.N
+        half = {y: runs[0][1] for y0, y1, runs in norm_ball(r, self.norm).bands
+                for y in range(y0, y1 + 1)}
+        box = self.bounding_box()
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for y in range(box.c, box.d + 1):
+            # the steps n with |y - bn| <= r
+            lo, hi = (y - r, y + r) if b > 0 else (y + r, y - r)
+            n0, n1 = (0, N - 1) if b == 0 else (max(0, -(-lo // b)), min(N - 1, hi // b))
+            if n0 > n1:
+                continue
+            if b == 0 or self.norm == "linf":
+                # one half-width w on the whole row: the steps' runs, |a|
+                # apart, join into one when |a| <= 2w + 1
+                w = half[y - b * n0]
+                if abs(a) <= 2 * w + 1:
+                    rows[y] = [(min(a * n0, a * n1) - w, max(a * n0, a * n1) + w)]
+                    continue
+            rows[y] = [(a * n - half[y - b * n], a * n + half[y - b * n])
+                       for n in range(n0, n1 + 1)]
+        return LatticeSet(_bands=_bands_of_rows(rows))
+
+
+def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet:
+    """The window swept along direction (a, b), see ``SweptWindow``."""
+    return SweptWindow(a, b, M, N, norm).lattice_set
 
 
 def lambda_count(a: int, b: int, M: int, N: int) -> int:
-    """Exact cardinality of lambda_set(a, b, M, N), in closed form.
-
-    The swept squares move monotonically, so the cells new at step n are
-    exactly those of the step-n square outside the step-(n-1) square:
-    (2M-1)^2 - max(0, 2M-1-|a|) * max(0, 2M-1-|b|) per step after the first.
-    Validated against brute-force enumeration in the test suite.
-    """
-    if (a, b) == (0, 0):
-        raise ValueError("direction (a, b) must be nonzero")
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
-    side = 2 * M - 1
-    fresh = side * side - max(0, side - abs(a)) * max(0, side - abs(b))
-    return side * side + (N - 1) * fresh
-
-
-def lambda_longest_run(a: int, b: int, M: int, N: int) -> int:
-    """Cells in the longest run of consecutive cells of a row of
-    lambda_set(a, b, M, N) under the sup norm, in closed form.
-
-    A row meets the squares of N steps when b = 0 and of at most
-    (2M-2)//|b| + 1 consecutive steps otherwise; their intervals of 2M-1
-    cells, |a| apart, join into one run when |a| <= 2M-1.  The Euclidean
-    window lies inside the sup-norm one, so this bounds its runs too, and
-    equals its longest run when b = 0 (the row through the balls' centres).
-    The arguments are those ``check_lambda_set`` accepts.
-    """
-    side = 2 * M - 1
-    if abs(a) > side:
-        return side
-    steps = N if b == 0 else min(N, (side - 1) // abs(b) + 1)
-    return side + abs(a) * (steps - 1)
+    """Exact cardinality of lambda_set(a, b, M, N), in closed form (see
+    ``SweptWindow``), checked against enumeration in the test suite."""
+    return len(SweptWindow(a, b, M, N))
 
 
 def lambda_density(a: int, b: int, M: int, N: int) -> float:

@@ -7,36 +7,35 @@ computes 1D topological entropy through the transfer-matrix method, and
 builds the exactly tractable fixture families used as ground truth:
 full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
-Counts are arbitrary-precision integers, and ``count_locally_admissible``
-is the one place that chooses how to count, in this order:
+Counts are arbitrary-precision integers.  ``plan`` chooses the first
+path that applies, and ``count_locally_admissible`` runs its engine:
 
 1. the closed form q^cells when no forbidden pattern fits the support's
    bounding box;
 2. for a spec whose forbidden patterns each lie in one row (every 1D
    spec), the product over the runs of the support's rows of the 1D
-   base's word count at each run's length, when no two runs of a row are
-   closer than the widest pattern.  ``word_count_1d`` counts walks on the
-   block transfer graph, by repeated squaring of the transfer matrix or
-   by stepping a vector, whichever its cost rule says is cheaper;
+   base's word count (``word_count_1d``, walks on the block transfer
+   graph) at each run's length, when no two runs of a row are closer
+   than the widest pattern;
 3. for a linear spec (q prime, and each forbidden shape's allowed
    patterns an affine subspace of GF(q)^shape, as for three-dot), q^(cells
    - rank) of the shapes' equations at every placement inside the
-   support, on rectangles and point sets alike: the admissible patterns
-   of an SFT that is a group form a linear code (Kitchens and Schmidt,
-   1989).  Otherwise, for a rectangle, a transfer sweep that adds a cell
-   at a time (the transfer-matrix count of Calkin and Wilf for the
-   hard-square model), whose state is the symbols of the last L cells.
-   ``RectCounter`` holds both for rectangles;
-4. otherwise backtracking (``kernels.backtrack``) with pruning at the
+   support: the admissible patterns of an SFT that is a group form a
+   linear code (Kitchens and Schmidt, 1989);
+4. for any other spec's rectangle, a transfer sweep that adds a cell at a
+   time (the transfer-matrix count of Calkin and Wilf for the hard-square
+   model); ``RectCounter`` holds it and the rank count for rectangles;
+5. otherwise backtracking (``kernels.backtrack``) with pruning at the
    moment a forbidden pattern completes.
 
-Guards fire before work: counts above ``MAX_COUNT_BITS`` bits are refused
-before they are formed, an elimination's cells x bandwidth is bounded by
-``MAX_ELIMINATION_WORK``, the sweep's profile q^L by ``MAX_STATES`` and
-its work by ``MAX_SWEEP_WORK``, and backtracking takes at most
-``MAX_FREE_CELLS`` cells and ``kernels.MAX_NODES`` descents.
-Enumeration runs the same backtracking walk.  The paths are tested to
-agree on random small specs.
+Guards fire before work, ``plan`` firing each that can before a count
+starts; the engines call the same checks.  Counts above
+``MAX_COUNT_BITS`` bits are refused before they are formed, an
+elimination's cells x bandwidth is bounded by ``MAX_ELIMINATION_WORK``,
+the sweep's profile q^L by ``MAX_STATES`` and its work by
+``MAX_SWEEP_WORK``, and backtracking takes at most ``MAX_FREE_CELLS``
+cells and ``kernels.MAX_NODES`` descents.  Enumeration runs the same
+backtracking walk.  The paths are tested to agree on random small specs.
 """
 
 from __future__ import annotations
@@ -44,15 +43,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import EmptyLanguageError, MeandimError, ResourceGuardError
-from .lattice import IntRect, LatticeSet, Point
+from .lattice import IntRect, LatticeSet, Point, SweptWindow
 
 MAX_FREE_CELLS = 64
 MAX_STATES = 4096
@@ -262,6 +262,7 @@ def three_dot() -> SftSpec:
     return SftSpec(2, alphabet("0", "1"), pats, certified="three-dot")
 
 
+@functools.cache
 def base_of_row_lift(sft: SftSpec) -> SftSpec:
     """Extract the 1D base of a spec whose forbidden patterns are single rows."""
     pats = []
@@ -285,34 +286,20 @@ def row_interval(length: int) -> LatticeSet:
 def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
     """All translated forbidden patterns inside the support, grouped by the
     assignment-order index at which they complete."""
+    if not points:
+        return []
     index = {pt: i for i, pt in enumerate(points)}
-    pset = set(points)
     groups: list[set[tuple[tuple[int, int], ...]]] = [set() for _ in points]
-    if points:
-        ms = [p[0] for p in points]
-        ns = [p[1] for p in points]
-        box = (min(ms), max(ms), min(ns), max(ns))
+    box = LatticeSet(points).bounding_box()
     for f in sft.forbidden:
-        cells = [((m, n), sft.alphabet.index(sym)) for (m, n), sym in f.cells]
-        fm0 = min(m for (m, _), _ in cells)
-        fm1 = max(m for (m, _), _ in cells)
-        fn0 = min(n for (_, n), _ in cells)
-        fn1 = max(n for (_, n), _ in cells)
-        if not points:
-            continue
-        for um in range(box[0] - fm0, box[1] - fm1 + 1):
-            for un in range(box[2] - fn0, box[3] - fn1 + 1):
-                shifted = []
-                inside = True
-                for (m, n), sidx in cells:
-                    pt = (m + um, n + un)
-                    if pt not in pset:
-                        inside = False
-                        break
-                    shifted.append((index[pt], sidx))
-                if inside:
-                    key = tuple(sorted(shifted))
-                    groups[max(i for i, _ in key)].add(key)
+        f = f.anchored()
+        cells = [(pt, sft.alphabet.index(sym)) for pt, sym in f.cells]
+        for um in range(box.a, box.b - f.ncols_extent + 2):
+            for un in range(box.c, box.d - f.nrows_extent + 2):
+                placed = [(index.get((m + um, n + un)), s) for (m, n), s in cells]
+                if all(i is not None for i, _ in placed):
+                    key = tuple(sorted(placed))
+                    groups[key[-1][0]].add(key)
     return [sorted(g) for g in groups]
 
 
@@ -445,34 +432,51 @@ class _LinearSpec:
                 f"eliminating {rows} rows over {cells} cells at bandwidth {bandwidth} is "
                 f"above the elimination guard of {MAX_ELIMINATION_WORK}")
 
-    def count_rect(self, ncols: int, nrows: int) -> int:
-        """The count on an ncols x nrows rectangle, cell (m, n) numbered
-        m * nrows + n, so a placement's row is a translate of its shape's."""
-        templates = []
+    def rect_templates(self, ncols: int, nrows: int) -> list[tuple]:
+        """Per equation of each shape fitting the rectangle, cells numbered
+        m * nrows + n: extents, row at the origin, constant, after ``check``."""
+        templates, bandwidth = [], 1
         for shape, sw, sh, eqs in self.shapes:
             if sw > ncols or sh > nrows:
                 continue
             for terms, const in eqs:
                 indexed = [(shape[i][0] * nrows + shape[i][1], c) for i, c in terms]
-                templates.append((sw, sh, *self._row(indexed), const,
-                                  indexed[-1][0] - indexed[0][0]))
-        cells = ncols * nrows
-        self.check(cells, 1 + max((t[-1] for t in templates), default=0))
+                templates.append((sw, sh, *self._row(indexed), const))
+                bandwidth = max(bandwidth, 1 + indexed[-1][0] - indexed[0][0])
+        self.check(ncols * nrows, bandwidth)
+        return templates
+
+    def bandwidth(self, pts) -> int:
+        """The most points in as many consecutive columns as a shape spans,
+        a bound on the bandwidth of a point set's rows, read from its runs:
+        the fullest columns reach a column ``xs`` where runs start or end."""
+        steps: Counter = Counter()
+        for n0, n1, runs in LatticeSet.of(pts).bands:
+            for lo, hi in runs:
+                steps[lo] += n1 - n0 + 1
+                steps[hi + 1] -= n1 - n0 + 1
+        xs = sorted(steps)
+        level = list(itertools.accumulate(steps[x] for x in xs))
+
+        def column(m):
+            i = bisect_right(xs, m) - 1
+            return level[i] if i >= 0 else 0
+        return max(sum(column(m + j) for j in range(sw)) for _, sw, _, _ in self.shapes
+                   for x in xs for m in range(x - sw + 1, x + 1))
+
+    def count_rect(self, ncols: int, nrows: int) -> int:
+        """The count on an ncols x nrows rectangle, so numbered that a
+        placement's row is a translate of its shape's."""
+        templates = self.rect_templates(ncols, nrows)
         rows = ((um * nrows + un + lead, row, const)
                 for um in range(ncols) for un in range(nrows)
-                for sw, sh, lead, row, const, _ in templates
+                for sw, sh, lead, row, const in templates
                 if um <= ncols - sw and un <= nrows - sh)
-        return self._solve(cells, rows)
+        return self._solve(ncols * nrows, rows)
 
     def count_points(self, pts: LatticeSet) -> int:
-        """The count on a point set.  A placement's cells lie in as many
-        consecutive columns as its shape, so the points of those columns
-        bound its bandwidth before any row is formed."""
+        """The count on a point set, whose ``bandwidth`` ``plan`` checks."""
         points = pts.points
-        per_col = Counter(m for m, _ in points)
-        bandwidth = max(sum(per_col[m + j] for j in range(sw))
-                        for m in per_col for _, sw, _, _ in self.shapes)
-        self.check(len(points), bandwidth)
         index = {pt: i for i, pt in enumerate(points)}
 
         def rows():
@@ -537,15 +541,10 @@ class RectCounter:
 
     Counts depend only on the rectangle's column/row numbers.  The spec's
     equations are detected once, at construction (see ``_LinearSpec``).
-    Any other spec's rectangle is swept cell by cell along whichever side
-    gives the smaller profile q^L (see ``_CellSweep``), provided q^L is at
-    most ``MAX_STATES``.  Sweeps are cached per orientation and height
+    Sweeps (see ``_CellSweep``) are cached per orientation and height
     with a total per column, so asking for (W, H) after (W', H) with
-    W' > W is free.  Counts are exact: the sweep runs in int64 while no
-    column can overflow and in Python ints after.
-    ``rect_counter`` keeps one per spec for the life of the process, and
-    ``count_locally_admissible`` counts point sets of a linear spec with
-    its ``linear`` equations.
+    W' > W is free.  ``rect_counter`` keeps one per spec for the life of
+    the process.
     """
 
     def __init__(self, sft: SftSpec):
@@ -554,14 +553,16 @@ class RectCounter:
         self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
     def try_count(self, ncols: int, nrows: int) -> int | None:
-        """The count on an ncols x nrows rectangle: by rank for a linear
-        spec, otherwise by the sweep, or None when the sweep's profile
-        exceeds ``MAX_STATES`` in both orientations.  Raises
-        ``ResourceGuardError`` before eliminating when the elimination is
-        over its guards (see ``_LinearSpec.check``), and before sweeping
-        when width x bits x states is over ``MAX_SWEEP_WORK``."""
+        """The count on an ncols x nrows rectangle: by rank for a linear spec,
+        otherwise by the sweep ``sweep_for`` picks, or None if it picks none."""
         if self.linear is not None:
             return self.linear.count_rect(ncols, nrows)
+        picked = self.sweep_for(ncols, nrows)
+        return None if picked is None else picked[0].total(picked[1])
+
+    def sweep_for(self, ncols: int, nrows: int) -> "tuple[_CellSweep, int] | None":
+        """The sweep with the smaller profile q^L and its width, or None above
+        ``MAX_STATES``; refused, before it runs, above ``MAX_SWEEP_WORK``."""
         # ties keep the column sweep, min() returning the first minimum
         sweep, width = min((self._sweep(False, nrows), ncols),
                            (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
@@ -573,7 +574,7 @@ class RectCounter:
             raise ResourceGuardError(
                 f"a sweep of {width} columns over {states} states with counts of up to "
                 f"{bits:.0f} bits is above the sweep guard of {MAX_SWEEP_WORK}")
-        return sweep.total(width)
+        return sweep, width
 
     def _sweep(self, transposed: bool, height: int) -> "_CellSweep":
         key = (transposed, height)
@@ -692,116 +693,138 @@ class _CellSweep:
 # ---------------------------------------------------------------------------
 
 
+class CountPlan(NamedTuple):
+    """A path of ``plan``; ``bits`` = cells x log2 q bounds log2 of the count."""
+
+    path: str
+    cells: int
+    bits: float
+
+
+def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
+    """The path ("empty", "closed form", "row product", "rank", "sweep" or
+    "backtracking", as listed above) that counts ``support``, a
+    ``SweptWindow`` or anything ``LatticeSet.of`` takes, after every
+    refusal that can come before the count.  Its size and box are read
+    first, its shape and runs only for the row product or the rank path."""
+    if algorithm not in ("auto", "backtracking"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    pts = support if isinstance(support, SweptWindow) else LatticeSet.of(support)
+    cells = len(pts)
+    bits = cells * math.log2(sft.nsymbols)
+    path = functools.partial(CountPlan, cells=cells, bits=bits)
+    if cells == 0:
+        return path("empty")
+    box = pts.bounding_box()
+    if sft.dimension == 1 and (box.c, box.d) != (0, 0):
+        raise ValueError("1D supports must lie on the horizontal axis")
+    if not any(f.ncols_extent <= box.ncols and f.nrows_extent <= box.nrows
+               for f in sft.forbidden):
+        if bits > MAX_COUNT_BITS:
+            raise ResourceGuardError(
+                f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
+                f"{MAX_COUNT_BITS}")
+        return path("closed form")
+    if algorithm == "auto":
+        lengths = _row_lengths(sft, pts)
+        if lengths is not None:
+            if bits > MAX_COUNT_BITS:  # q^cells does not bound the count under the guard
+                _row_counts(sft, lengths)
+            return path("row product")
+        counter = rect_counter(sft)
+        if counter.linear is not None:
+            counter.linear.check(cells)
+            rect = pts.as_rect()
+            if rect is None:
+                counter.linear.check(cells, counter.linear.bandwidth(pts))
+            else:
+                counter.linear.rect_templates(rect.ncols, rect.nrows)
+            return path("rank")
+        rect = pts.as_rect()
+        if rect is not None and counter.sweep_for(rect.ncols, rect.nrows) is not None:
+            return path("sweep")
+    if cells > MAX_FREE_CELLS:
+        raise ResourceGuardError(
+            f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
+    return path("backtracking")
+
+
 def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") -> int:
     """Number of patterns on ``support`` with no forbidden translate inside it.
 
     Equals |A|^|support| for the full shift and upper-bounds the number of
     restrictions of genuine subshift points; the two coincide for the
-    certified fixture families.  ``support`` is converted once by
-    ``LatticeSet.of`` (an ``IntRect`` becomes one band, without building
-    its points), and every path reads that one set.  In order: an empty
-    support counts 1; a support into which no
-    forbidden pattern fits counts q^cells (refused above
-    ``MAX_COUNT_BITS`` bits); under "auto", a spec whose forbidden
-    patterns each lie in one row (every 1D spec) is counted as a product
-    of ``word_count_1d`` over the runs of the set's bands when no two
-    runs of a row are closer than the widest pattern (see
-    ``_row_product``); then a rectangle goes to the spec's
-    ``RectCounter``, which counts a linear spec by rank and any other by
-    the transfer sweep, and a point set of a linear spec is counted by
-    rank (see ``_LinearSpec``); anything left is backtracked on at most
-    ``MAX_FREE_CELLS`` cells.  "backtracking" skips the row product, rank
-    and sweep paths.
+    certified fixture families.  Counted by the engine of the path
+    ``plan`` names, on the support as one ``LatticeSet``.
     """
-    if algorithm not in ("auto", "backtracking"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    support = support if isinstance(support, SweptWindow) else LatticeSet.of(support)
+    how = plan(sft, support, algorithm)
+    if how.path in ("empty", "closed form"):
+        return sft.nsymbols ** how.cells
     pts = LatticeSet.of(support)
-    cells = len(pts)
-    if cells == 0:
-        return 1
-    box, rect = pts.bounding_box(), pts.as_rect()
-    if sft.dimension == 1 and (box.c, box.d) != (0, 0):
-        raise ValueError("1D supports must lie on the horizontal axis")
-    if closed_form_applies(sft, box.ncols, box.nrows, cells):
-        return sft.nsymbols ** cells
+    if how.path == "row product":
+        return _row_product(sft, pts)
+    rect = pts.as_rect()
+    if how.path == "backtracking":
+        # a rectangle's cells reach the walk through from_rect, the builder
+        # that perfbench/tracer.py counts cells at
+        points = (LatticeSet.from_rect(rect) if rect is not None else pts).points
+        return kernels.backtrack_count(len(points), sft.nsymbols, _placement_groups(sft, points))
+    if rect is None:
+        return rect_counter(sft).linear.count_points(pts)
+    return rect_counter(sft).try_count(rect.ncols, rect.nrows)
 
-    if algorithm == "auto":
-        out = _row_product(sft, pts)
-        if out is None:
-            counter = rect_counter(sft)
-            if rect is not None:
-                out = counter.try_count(rect.ncols, rect.nrows)
-            elif counter.linear is not None:
-                out = counter.linear.count_points(pts)
-        if out is not None:
-            return out
 
-    if cells > MAX_FREE_CELLS:
+def _row_lengths(sft: SftSpec, pts) -> dict[int, int] | None:
+    """Runs per length in the rows of ``pts``; None unless every forbidden
+    pattern lies in one row, no two runs of a row are closer than the widest
+    and the base's block graph is under its guard.  Refuses long runs."""
+    if any(f.nrows_extent > 1 for f in sft.forbidden):
+        return None
+    rect = pts.as_rect()
+    if rect is not None:
+        lengths = {rect.ncols: rect.nrows}
+    else:
+        wide = max((f.ncols_extent for f in sft.forbidden), default=1)
+        lengths = {}
+        for n0, n1, runs in LatticeSet.of(pts).bands:
+            if len(runs) > 1 and any(lo - hi < wide for (_, hi), (lo, _) in zip(runs, runs[1:])):
+                # a pattern that fits across the gap links its runs:
+                # (0,0)=1 (2,0)=1 across the one-cell gap of row {0, 2}
+                return None
+            for lo, hi in runs:
+                lengths[hi - lo + 1] = lengths.get(hi - lo + 1, 0) + n1 - n0 + 1
+    longest = max(lengths, default=0)
+    if longest * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
         raise ResourceGuardError(
-            f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
-    # a rectangle's cells reach the walk through from_rect, the builder
-    # that perfbench/tracer.py counts cells at
-    points = (LatticeSet.from_rect(rect) if rect is not None else pts).points
-    return kernels.backtrack_count(len(points), sft.nsymbols, _placement_groups(sft, points))
-
-
-def closed_form_applies(sft: SftSpec, ncols: int, nrows: int, cells: int) -> bool:
-    """True when no forbidden pattern fits an ncols x nrows box, so that a
-    support of ``cells`` cells inside it counts q^cells.  Raises
-    ``ResourceGuardError`` when that count has more than ``MAX_COUNT_BITS``
-    bits, before it is formed."""
-    if any(f.ncols_extent <= ncols and f.nrows_extent <= nrows for f in sft.forbidden):
-        return False
-    if cells * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
-        raise ResourceGuardError(
-            f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
-            f"{MAX_COUNT_BITS}")
-    return True
-
-
-def check_row_run(sft: SftSpec, length: int) -> None:
-    """Raise ``ResourceGuardError`` when a run of ``length`` cells of one
-    row could count above ``MAX_COUNT_BITS`` bits, as q^length bounds its
-    word count; the row product's check, before any word count."""
-    if length * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
-        raise ResourceGuardError(
-            f"a row of {length} cells may count above the guard of {MAX_COUNT_BITS} bits")
+            f"a row of {longest} cells may count above the guard of {MAX_COUNT_BITS} bits")
+    try:
+        transfer_graph_1d(base_of_row_lift(sft))
+    except ResourceGuardError:
+        return None
+    return lengths
 
 
 def _row_product(sft: SftSpec, pts: LatticeSet) -> int | None:
     """The count of a spec whose forbidden patterns each lie in one row,
     as the product over the runs of the support's rows of the 1D base's
-    word count at each run's length; a 1D interval is one run of one row.
-    None when a pattern spans two rows, two runs of a row are closer than
-    the widest pattern, or the base's block graph is over its guard.
-    Raises ``ResourceGuardError`` when the count would have more than
-    ``MAX_COUNT_BITS`` bits, checked from the run lengths before any word
-    count is formed and from the word counts before their product is.
-    """
-    if any(f.nrows_extent > 1 for f in sft.forbidden):
+    word count at each run's length (a 1D interval is one run of one row),
+    or None when ``_row_lengths`` is."""
+    lengths = _row_lengths(sft, pts)
+    if lengths is None:
         return None
-    base = base_of_row_lift(sft)
-    wide = max((f.ncols_extent for f in sft.forbidden), default=1)
-    lengths = Counter()
-    for n0, n1, runs in pts.bands:
-        if any(lo - hi < wide for (_, hi), (lo, _) in zip(runs, runs[1:])):
-            # a pattern that fits across the gap links its runs:
-            # (0,0)=1 (2,0)=1 across the one-cell gap of row {0, 2}
-            return None
-        for lo, hi in runs:
-            lengths[hi - lo + 1] += n1 - n0 + 1
-    counts = {}
-    for length in lengths:
-        check_row_run(sft, length)
-        try:
-            counts[length] = word_count_1d(base, length)
-        except ResourceGuardError:
-            return None
+    counts = _row_counts(sft, lengths)
+    return math.prod(counts[length] ** k for length, k in lengths.items())
+
+
+def _row_counts(sft: SftSpec, lengths: dict[int, int]) -> dict[int, int]:
+    """The 1D base's word count per run length, refused if their product passes the guard."""
+    counts = {length: word_count_1d(base_of_row_lift(sft), length) for length in lengths}
     bits = sum(k * counts[length].bit_length() for length, k in lengths.items())
     if bits > MAX_COUNT_BITS:
         raise ResourceGuardError(
             f"the count has about {bits} bits, above the guard of {MAX_COUNT_BITS} bits")
-    return math.prod(counts[length] ** k for length, k in lengths.items())
+    return counts
 
 
 def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
@@ -825,9 +848,7 @@ def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
 # one-dimensional transfer matrices
 # ---------------------------------------------------------------------------
 
-_graph_cache: dict[SftSpec, tuple] = {}
-
-
+@functools.cache
 def transfer_graph_1d(sft: SftSpec):
     """Higher-block presentation of a 1D SFT.
 
@@ -838,8 +859,6 @@ def transfer_graph_1d(sft: SftSpec):
     """
     if sft.dimension != 1:
         raise ValueError("transfer_graph_1d expects a 1D spec")
-    if sft in _graph_cache:
-        return _graph_cache[sft]
     k = _recoding_width(sft)
     q = sft.nsymbols
     if q ** (k - 1) > MAX_STATES:
@@ -850,7 +869,6 @@ def transfer_graph_1d(sft: SftSpec):
     T = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
     for word in _words(sft, k):
         T[pos[word[:-1]], pos[word[1:]]] = 1
-    _graph_cache[sft] = (nodes, T)
     return nodes, T
 
 
@@ -997,16 +1015,16 @@ def box_entropy_estimate(sft: SftSpec, Nmax: int) -> list[tuple[int, float]]:
 
     The sequence upper-bounds the Z^2 topological entropy; for certified
     fixtures the infimum over N is the entropy itself.  The Nmax box is
-    counted first: the counting guards grow with N, so a box they refuse
-    is refused before any smaller box is counted.
+    planned first: the counting guards grow with N, so a box they refuse
+    is refused before any box is counted.
     """
     if sft.dimension != 2:
         raise ValueError("box_entropy_estimate expects a 2D spec")
     if Nmax < 1:
         raise ValueError("Nmax must be positive")
-    counts = {N: count_locally_admissible(sft, IntRect(0, N - 1, 0, N - 1))
-              for N in (Nmax, *range(1, Nmax))}
-    return [(N, math.log2(counts[N]) / (N * N)) for N in range(1, Nmax + 1)]
+    plan(sft, IntRect(0, Nmax - 1, 0, Nmax - 1))
+    return [(N, math.log2(count_locally_admissible(sft, IntRect(0, N - 1, 0, N - 1)))
+             / (N * N)) for N in range(1, Nmax + 1)]
 
 
 def _one_d_extendable(base: SftSpec) -> bool:

@@ -214,6 +214,20 @@ class TestRunCommand:
                                               "to 300006 bits, above the guard of 262144")
         assert time.perf_counter() - t0 < 0.05
 
+    def test_covering_l2_rank_count_refused_before_the_window(self, monkeypatch):
+        # under l2 the 300,002-cell window is sized from its three rows,
+        # read without building it as a Bowen window
+        def no_window(*args):
+            raise AssertionError("the window was built")
+        monkeypatch.setattr("meandim.dimensions.bowen_window", no_window)
+        t0 = time.perf_counter()
+        with pytest.raises(md.ResourceGuardError) as err:
+            md.covering_number(md.three_dot(), md.MetricSpec(2, "l2"), md.ActionSpec(1, 0),
+                               100000, 0.3)
+        assert str(err.value) == ("a linear count on 300002 cells may have up to 300002 "
+                                  "bits, above the guard of 262144")
+        assert time.perf_counter() - t0 < 0.05
+
     def test_rectangle_count_never_builds_points(self, fixtures_dir, monkeypatch):
         # ten columns by 10^9 + 1 rows: a product of rows, refused from the
         # run lengths alone
@@ -233,19 +247,10 @@ class TestRunCommand:
         code, rep = run_command([command, "--sft", fx(fixtures_dir, "goldenmean1d.sft")])
         assert code == 1 and rep["error"] == "bowen_table works on 2D specs, got a 1D spec"
 
-    def test_backtracking_search_bounded_by_work(self, tmp_path):
-        # 54 cells, over the state guard in both orientations and under the
-        # cell guard: the search would visit about 3^54 patterns
-        spec = tmp_path / "ternary.sft"
-        spec.write_text("dimension: 2\nalphabet: 0 1 2\nforbidden:\n(0,0)=2 (1,2)=2\n")
-        t0 = time.perf_counter()
-        code, rep = run_command(["count", "--sft", str(spec), "--rect", "0,8,0,5"])
-        assert code == 1 and "guard" in rep["error"]
-        assert time.perf_counter() - t0 < 5.0
-
     def test_hopeless_backtracking_refused_before_the_walk(self, tmp_path):
-        # every assignment over {0, 1} is admissible, so the walk would make
-        # at least 2^53 descents; the refusal comes before any
+        # 54 cells, over the state guard in both orientations and under the
+        # cell guard; every assignment over {0, 1} is admissible, so the walk
+        # would make at least 2^53 descents; the refusal comes before any
         spec = tmp_path / "ternary.sft"
         spec.write_text("dimension: 2\nalphabet: 0 1 2\nforbidden:\n(0,0)=2 (1,2)=2\n")
         t0 = time.perf_counter()

@@ -266,23 +266,26 @@ class TestLambdaSets:
         with pytest.raises(ResourceGuardError):
             md.lambda_set(1, 1, 4096, 100000)
 
-    def test_longest_run_matches_the_built_window(self):
-        # exact under the sup norm, a bound under l2 that is exact for b = 0
-        def longest(window):
-            best, last = 0, {}
-            for m, n in window:  # columns ascend, so each row left to right
-                run = last[n][1] + 1 if n in last and last[n][0] == m - 1 else 1
-                last[n] = (m, run)
-                best = max(best, run)
-            return best
+    def test_geometry_matches_the_built_window(self):
+        # size, box and shape read without the window equal the built set's
         for a, b, M, N in itertools.product(range(-5, 6), range(-3, 4), range(1, 5),
                                             range(1, 6)):
             if (a, b) == (0, 0):
                 continue
-            run = md.lattice.lambda_longest_run(a, b, M, N)
-            assert run == longest(md.lambda_set(a, b, M, N))
-            l2 = longest(md.lambda_set(a, b, M, N, "l2"))
-            assert l2 == run if b == 0 else l2 <= run
+            for norm in ("linf", "l2"):
+                geometry = md.lattice.SweptWindow(a, b, M, N, norm)
+                window = md.lambda_set(a, b, M, N, norm)
+                assert len(geometry) == len(window)
+                assert geometry.bounding_box() == window.bounding_box()
+                assert geometry.as_rect() == window.as_rect()
+                assert LatticeSet.of(geometry) == window
+
+    def test_horizontal_window_built_by_rows(self):
+        # 1,047,006 cells under the point guard, built from three rows
+        # without a point
+        window = md.lambda_set(1, 0, 2, 349_000)
+        assert window.bands == ((-1, 1, ((-1, 349_000),)),)
+        assert window.as_rect() == IntRect(-1, 349_000, -1, 1)
 
     def test_guard_fires_before_any_point(self, monkeypatch):
         def no_ball(*args):

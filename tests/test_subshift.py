@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import itertools
 import math
 import time
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import meandim as md
 from meandim import IntRect, LatticeSet, Pattern, kernels
+from meandim.lattice import SweptWindow
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
                               _one_d_extendable, _placement_groups, _recoding_width,
@@ -631,6 +634,21 @@ class TestLinear:
         assert md.count_locally_admissible(sft, support) == rank
 
     @settings(max_examples=200, deadline=None)
+    @given(linear_specs(), st.one_of(
+        st.builds(LatticeSet, st.sets(st.tuples(st.integers(-4, 12), st.integers(0, 4)),
+                                      min_size=1, max_size=20)),
+        st.builds(md.bowen_window,
+                  st.builds(md.ActionSpec, st.integers(-3, 3), st.integers(1, 2)),
+                  st.integers(1, 6), st.integers(1, 3), st.sampled_from(["linf", "l2"]))))
+    def test_bandwidth_from_runs_matches_the_columns(self, sft, pts):
+        # the most points in as many neighbouring columns as a shape spans
+        linear = _LinearSpec.detect(sft)
+        per_col = collections.Counter(m for m, _ in pts)
+        want = max(sum(per_col[m + j] for j in range(sw))
+                   for m in per_col for _, sw, _, _ in linear.shapes)
+        assert linear.bandwidth(pts) == want
+
+    @settings(max_examples=200, deadline=None)
     @given(linear_specs(), st.integers(1, 8), st.integers(1, 5))
     def test_rank_matches_sweep_on_rectangles(self, sft, w, h):
         sweep = _CellSweep(sft, h, False)
@@ -707,8 +725,12 @@ class TestLinear:
         with pytest.raises(ResourceGuardError, match="elimination guard"):
             md.count_locally_admissible(threedot, IntRect(0, 299, 0, 299))
         monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 1000)
-        with pytest.raises(ResourceGuardError, match="elimination guard"):
-            md.count_locally_admissible(threedot, md.bowen_window(md.ActionSpec(1, 1), 30, 3))
+        window = md.bowen_window(md.ActionSpec(1, 1), 30, 3)
+        with monkeypatch.context() as mp:
+            # the window's bandwidth is read from its runs, not its points
+            mp.setattr(LatticeSet, "points", property(no_solve))
+            with pytest.raises(ResourceGuardError, match="elimination guard"):
+                md.count_locally_admissible(threedot, window)
         # over primes above 2 a step passes over a whole row: the 5 x 5
         # square has 25 rows at bandwidth 6, the 5 x 4 one 20 at bandwidth 5
         monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 25 * 6 * 6 - 1)
@@ -780,6 +802,91 @@ class TestRectCounter:
         with pytest.raises(ValueError):
             md.SftSpec(2, md.alphabet("0", "1"),
                        (Pattern.from_dict({(0, 0): "1"}),), certified="full")
+
+
+class TestPlan:
+    """``plan`` against the router: a refused plan raises before any window
+    is built or engine runs, and an accepted one names the engine that
+    ``count_locally_admissible`` then runs."""
+
+    # the engine each path runs; "empty" and "closed form" run none
+    ENGINES = {"row product": (md.subshift, "_row_product"),
+               "rank": (_LinearSpec, "count_rect", "count_points"),
+               "sweep": (_CellSweep, "total"),
+               "backtracking": (kernels, "backtrack_count")}
+
+    @staticmethod
+    def windows():
+        norms = st.sampled_from(["linf", "l2"])
+        short = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+                          st.integers(1, 30), norms).filter(lambda w: w[:2] != (0, 0))
+        # horizontal windows past the guards, cheap to build row by row
+        long = st.tuples(st.sampled_from([-1, 1, 2]), st.just(0), st.integers(1, 3),
+                         st.sampled_from([10 ** 4, 10 ** 5, 4 * 10 ** 5]), norms)
+        return st.one_of(short, long).map(lambda w: SweptWindow(*w))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_specs(), linear_specs()), st.one_of(
+        st.builds(IntRect, st.just(0), st.integers(0, 8), st.just(0), st.integers(0, 8)),
+        st.builds(IntRect, st.just(0), st.sampled_from([10 ** 4, 10 ** 6]), st.just(0),
+                  st.integers(0, 3)),
+        windows(),
+        st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                      max_size=30))),
+        st.sampled_from(["auto", "auto", "backtracking"]))
+    def test_plan_names_the_engine_the_router_runs(self, sft, support, algorithm):
+        # plan may build the 1D base's block graph, which reads the points
+        # of its words; build it first, so that a point read below is the
+        # support's
+        if all(f.nrows_extent == 1 for f in sft.forbidden):
+            with contextlib.suppress(ResourceGuardError):
+                transfer_graph_1d(base_of_row_lift(sft))
+        ran = []
+
+        class Ran(Exception):
+            pass
+
+        def recorder(name):
+            def record(*args, **kwargs):
+                ran.append(name)
+                raise Ran(name)
+            return record
+
+        with pytest.MonkeyPatch.context() as mp:
+            for path, (owner, *names) in self.ENGINES.items():
+                for name in names:
+                    mp.setattr(owner, name, recorder(path))
+            with pytest.MonkeyPatch.context() as builders:
+                builders.setattr(md.lattice, "lambda_set", recorder("lambda_set"))
+                builders.setattr(md.dimensions, "bowen_window", recorder("bowen_window"))
+                builders.setattr(LatticeSet, "points", property(recorder("points")))
+                try:
+                    how = md.subshift.plan(sft, support, algorithm)
+                except ResourceGuardError as err:
+                    refused = err
+                else:
+                    refused = None
+            assert ran == []
+            if refused is not None:
+                with pytest.raises(ResourceGuardError) as again:
+                    md.count_locally_admissible(sft, support, algorithm=algorithm)
+                assert str(again.value) == str(refused) and ran == []
+                return
+            if how.path in ("empty", "closed form"):
+                assert md.count_locally_admissible(sft, support, algorithm=algorithm) == \
+                    sft.nsymbols ** how.cells
+            else:
+                with pytest.raises(Ran):
+                    md.count_locally_admissible(sft, support, algorithm=algorithm)
+            assert ran == ([] if how.path in ("empty", "closed form") else [how.path])
+            assert how.cells == len(LatticeSet.of(support))
+            assert how.bits == how.cells * math.log2(sft.nsymbols)
+
+    def test_skew_window_refused_from_its_size(self, full2, monkeypatch):
+        # 1,000,004 cells in 200,003 rows, refused without reading one row
+        monkeypatch.setattr(SweptWindow, "lattice_set", property(lambda self: 1 / 0))
+        with pytest.raises(ResourceGuardError, match="2\\^1000004 has more bits"):
+            md.subshift.plan(full2, SweptWindow(1, 1, 2, 200_000))
 
 
 class TestTransferGraph:
