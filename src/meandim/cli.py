@@ -81,7 +81,8 @@ _SHARED = {
     "--measure": dict(help="measure file (.measure)"),
     "--alpha": dict(type=_finite_float, default=2.0),
     "--action": dict(type=_action, default=ActionSpec(1, 0),
-                     help="shift direction a,b (default 1,0)"),
+                     help="shift direction a,b (default 1,0); write a negative a as "
+                          "--action=-3,2, since argparse reads -3,2 as a flag"),
     "--M-schedule": dict(dest="M_schedule", type=_int_list,
                          help="comma-separated resolution depths"),
     "--N-factor": dict(dest="N_factor", type=_at_least_one, default=16),

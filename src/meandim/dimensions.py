@@ -340,15 +340,24 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
         raise ResourceGuardError(
             f"Mmax {Mmax} is above the tame-check guard {MAX_TAME_M}; the window at "
             f"depth M has (2M-1)^2 cells, and the full shift counts q^((2M-1)^2) on it")
-    rows = []
-    for M in range(1, Mmax + 1):
+
+    def at_depth(step, M):
         try:
-            c = count_locally_admissible(sft, SweptWindow(1, 0, M, 1, spec.norm))
+            return step(sft, SweptWindow(1, 0, M, 1, spec.norm))
         except ResourceGuardError as err:
             raise ResourceGuardError(
                 f"tame-check cannot count the window at depth M = {M} ({err}); "
                 f"the largest Mmax it can count on this subshift is {M - 1}") from err
-        rows.append((M, spec.epsilon_at(M) ** delta * _log2_count(c)))
+
+    # the guards grow with M: a refused Mmax window is refused before any
+    # count, at the first depth whose plan is refused
+    try:
+        plan(sft, SweptWindow(1, 0, Mmax, 1, spec.norm))
+    except ResourceGuardError:
+        for M in range(1, Mmax + 1):
+            at_depth(plan, M)
+    rows = [(M, spec.epsilon_at(M) ** delta * _log2_count(at_depth(count_locally_admissible, M)))
+            for M in range(1, Mmax + 1)]
     tail = max(2, Mmax // 4)
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
     verdict = "consistent" if all(d <= 1e-12 for d in diffs[-tail:]) else "inconclusive"

@@ -463,7 +463,7 @@ def default_rdim_schedule(alpha: float, k_range: Iterable[int] = range(8, 17),
     for k, e in zip(k_range, eps):
         if not 0 < e <= delta:
             raise ValueError(f"at scale k = {k}, eps = alpha^-k = {e:.6g} lies outside "
-                             f"(0, delta] for --alpha {alpha:g} and --delta {delta:g}")
+                             f"(0, delta] for --alpha {alpha} and --delta {delta}")
     return eps, [delta] * len(eps)
 
 

@@ -12,6 +12,7 @@ arithmetic; all functions are pure.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -74,11 +75,12 @@ class LatticeSet:
     """A finite subset of Z^2 stored as ``bands`` (n0, n1, runs), in
     ascending n0: maximal blocks of consecutive rows sharing one tuple of
     sorted, disjoint, non-adjacent column runs (lo, hi).  Equal sets have
-    equal bands; a rectangle is one band with one run.  The points are
-    built on first use and iterated in lexicographic (m, n) order.
+    equal bands; a rectangle is one band with one run.  The ``columns``
+    and from them the points are built on first use and iterated in
+    lexicographic (m, n) order, which numbers the cells column by column.
     """
 
-    __slots__ = ("bands", "_len", "_points")
+    __slots__ = ("bands", "_len", "_points", "_columns")
 
     def __init__(self, points: Iterable[Point] = (), *, _bands=None):
         if _bands is None:
@@ -89,16 +91,19 @@ class LatticeSet:
         self.bands: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...] = _bands
         self._len = sum((n1 - n0 + 1) * sum(hi - lo + 1 for lo, hi in runs)
                         for n0, n1, runs in _bands)
-        self._points = None
+        self._points = self._columns = None
 
     @classmethod
     def of(cls, support) -> "LatticeSet":
-        """``support`` as a LatticeSet: itself, an ``IntRect`` (one band,
-        no per-row work), a ``SweptWindow`` (built) or an iterable of points."""
+        """``support`` as a LatticeSet: itself, an ``IntRect`` (one band and
+        one column band, no per-row work), a ``SweptWindow`` (built) or an
+        iterable of points."""
         if isinstance(support, LatticeSet):
             return support
         if isinstance(support, IntRect):
-            return cls(_bands=((support.c, support.d, ((support.a, support.b),)),))
+            rect = cls(_bands=((support.c, support.d, ((support.a, support.b),)),))
+            rect._columns = ((support.a, support.b, ((support.c, support.d),)),)
+            return rect
         if isinstance(support, SweptWindow):
             return support.lattice_set
         return cls(support)
@@ -134,16 +139,71 @@ class LatticeSet:
         return f"LatticeSet(<{self._len} points>)"
 
     @property
-    def points(self) -> tuple[Point, ...]:
-        if self._points is None:
-            # bands ascend in n, so each column's rows arrive in order
-            cols: dict[int, list[int]] = {}
+    def columns(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Bands (m0, m1, runs) of the transposed set: maximal blocks of
+        consecutive columns sharing one tuple of row runs (lo, hi)."""
+        if self._columns is None:
+            cols: dict[int, list[tuple[int, int]]] = {}
             for n0, n1, runs in self.bands:
                 for lo, hi in runs:
                     for m in range(lo, hi + 1):
-                        cols.setdefault(m, []).extend(range(n0, n1 + 1))
-            self._points = tuple((m, n) for m in sorted(cols) for n in cols[m])
+                        cols.setdefault(m, []).append((n0, n1))
+            self._columns = _bands_of_rows(cols)
+        return self._columns
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = tuple((m, n) for m0, m1, runs in self.columns
+                                 for m in range(m0, m1 + 1)
+                                 for lo, hi in runs for n in range(lo, hi + 1))
         return self._points
+
+    def placements(self, shape: tuple[Point, ...]) -> Iterator[tuple[list[int], int, range]]:
+        """Stacks of placements u + shape inside the set, for a sorted shape
+        with least column and row 0, as (first, k, shifts): the indices in
+        ``points`` of the lowest placement's cells, the number k of stacked
+        placements, the j-th one's indices j higher, and the shifts c at
+        which the stack recurs in later anchor columns of its column band,
+        all indices c higher.  Placements come by anchor column, then row."""
+        cols = self.columns
+        # per column band, the cells below each run of a column, the column
+        # height last, and the index of the band's first cell
+        below = [list(itertools.accumulate((hi - lo + 1 for lo, hi in runs), initial=0))
+                 for _, _, runs in cols]
+        starts = list(itertools.accumulate(
+            ((m1 - m0 + 1) * b[-1] for (m0, m1, _), b in zip(cols, below)), initial=0))
+        width = shape[-1][0] + 1
+
+        def stacks(um):
+            # the stacks at anchor column um: the anchor rows a at which each
+            # cell (dm, dn) lies in a run (lo, hi) of column um + dm, tagged
+            # with the cell's index less a
+            fits = []
+            for dm, dn in shape:
+                i = bisect_right(cols, um + dm, key=itemgetter(0)) - 1
+                m0, m1, runs = cols[i]
+                if um + dm > m1:
+                    return
+                top = starts[i] + (um + dm - m0) * below[i][-1] + dn
+                fits.append([(lo - dn, hi - dn, (top + below[i][j] - lo,))
+                             for j, (lo, hi) in enumerate(runs)])
+            for a, b, tags in functools.reduce(_meet, fits):
+                yield [t + a for t in tags], b - a + 1
+
+        for i, (m0, m1, _) in enumerate(cols):
+            if m0 + width - 1 <= m1:
+                # anchor columns m0 .. m1 - width + 1 see the same runs, so
+                # one stack each is one stack of the band, shifted
+                across = range(0, (m1 - width + 2 - m0) * below[i][-1], below[i][-1])
+                inner = list(stacks(m0))
+                for shifts in [across] if len(inner) == 1 else [range(c, c + 1) for c in across]:
+                    for first, k in inner:
+                        yield first, k, shifts
+            # the anchor columns whose placements reach past the band
+            for um in range(max(m0, m1 - width + 2), min(m1, cols[-1][1] - width + 1) + 1):
+                for first, k in stacks(um):
+                    yield first, k, range(1)
 
     def bounding_box(self) -> IntRect | None:
         if not self.bands:
@@ -184,6 +244,18 @@ def _bands_of_rows(rows: dict[int, list[tuple[int, int]]]):
         else:
             bands.append([n, n, runs])
     return tuple(map(tuple, bands))
+
+
+def _meet(xs, ys) -> list[tuple]:
+    """The intersection of two sorted lists of disjoint intervals (lo, hi,
+    tags), each part tagged with both intervals' tags."""
+    out, i, j = [], 0, 0
+    while i < len(xs) and j < len(ys):
+        (a, b, s), (c, d, t) = xs[i], ys[j]
+        if max(a, c) <= min(b, d):
+            out.append((max(a, c), min(b, d), s + t))
+        i, j = (i + 1, j) if b < d else (i, j + 1)
+    return out
 
 
 def rect_triple(r: IntRect) -> IntRect:

@@ -43,8 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -283,23 +281,17 @@ def row_interval(length: int) -> LatticeSet:
 # ---------------------------------------------------------------------------
 
 
-def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
-    """All translated forbidden patterns inside the support, grouped by the
-    assignment-order index at which they complete."""
-    if not points:
-        return []
-    index = {pt: i for i, pt in enumerate(points)}
-    groups: list[set[tuple[tuple[int, int], ...]]] = [set() for _ in points]
-    box = LatticeSet(points).bounding_box()
+def _placement_groups(sft: SftSpec, pts: LatticeSet):
+    """All translated forbidden patterns inside the support, as sorted
+    (cell index, symbol) pairs, grouped by the assignment-order (column-
+    major) index at which they complete."""
+    groups: list[set[tuple[tuple[int, int], ...]]] = [set() for _ in range(len(pts))]
     for f in sft.forbidden:
-        f = f.anchored()
-        cells = [(pt, sft.alphabet.index(sym)) for pt, sym in f.cells]
-        for um in range(box.a, box.b - f.ncols_extent + 2):
-            for un in range(box.c, box.d - f.nrows_extent + 2):
-                placed = [(index.get((m + um, n + un)), s) for (m, n), s in cells]
-                if all(i is not None for i, _ in placed):
-                    key = tuple(sorted(placed))
-                    groups[key[-1][0]].add(key)
+        cells = f.anchored().cells
+        syms = [sft.alphabet.index(sym) for _, sym in cells]
+        for first, k, shifts in pts.placements(tuple(pt for pt, _ in cells)):
+            for d in (c + j for c in shifts for j in range(k)):
+                groups[first[-1] + d].add(tuple((i + d, s) for i, s in zip(first, syms)))
     return [sorted(g) for g in groups]
 
 
@@ -309,8 +301,12 @@ def _placement_groups(sft: SftSpec, points: tuple[Point, ...]):
 
 # largest rows x bandwidth of one elimination over GF(2), and rows x
 # bandwidth^2 over larger primes, where rows is cells x the spec's
-# equations per placement.  Pivot rows are stored from their first cell,
-# so they hold at most cells x bandwidth coefficients, and a row steps its
+# equations per placement and bandwidth the largest span of a row (last
+# cell index minus first, plus 1).  A row is reduced only by the pivot at
+# its own first cell, whose last cell is at most bandwidth - 1 past it
+# too, so the reduced row ends no later, starts later and its span stays
+# within the bandwidth.  Pivot rows are stored from their first cell, so
+# they hold at most cells x bandwidth coefficients, and a row steps its
 # first cell forward at most bandwidth times, each step one int XOR over
 # GF(2) and one pass over its coefficients otherwise.  A unit took up to
 # 235 ns on the slowest GF(2) spec tried, two equations per placement whose
@@ -347,14 +343,13 @@ class _LinearSpec:
     """The equations over GF(q) of a linear spec, and its counts by rank.
 
     Symbols are read as their alphabet indices.  ``shapes`` holds, per
-    anchored forbidden shape, its cells in column-major order, its column
-    and row extents and its equations, each a tuple of (shape cell,
-    coefficient) terms with nonzero coefficients and a constant.  A
-    pattern is locally admissible iff at every placement of every shape
-    inside the support its symbols satisfy that shape's equations.  Cells
-    are numbered in column-major order, the order of ``LatticeSet``, and
-    the count is q^(cells - rank), or 0 when the equations are
-    inconsistent.
+    anchored forbidden shape, its cells in column-major order and its
+    equations, each a tuple of (shape cell, coefficient) terms with
+    nonzero coefficients and a constant.  A pattern is locally admissible
+    iff at every placement of every shape inside the support its symbols
+    satisfy that shape's equations.  Cells are numbered in column-major
+    order, the order of ``LatticeSet``, and the count is q^(cells - rank),
+    or 0 when the equations are inconsistent.
     """
 
     def __init__(self, q: int, shapes):
@@ -401,8 +396,7 @@ class _LinearSpec:
                     coef[col] = -row[f] % q
                 terms = tuple((i, c) for i, c in enumerate(coef) if c)
                 eqs.append((terms, sum(c * x for c, x in zip(coef, base)) % q))
-            shapes.append((shape, max(m for m, _ in shape) + 1,
-                           max(n for _, n in shape) + 1, tuple(eqs)))
+            shapes.append((shape, tuple(eqs)))
         return cls(q, tuple(shapes))
 
     def _row(self, indexed):
@@ -417,79 +411,53 @@ class _LinearSpec:
             coef[i - lead] = c
         return lead, coef
 
-    def check(self, cells: int, bandwidth: int = 0) -> None:
-        """Refuse a count on ``cells`` cells over ``MAX_COUNT_BITS`` bits,
-        and its elimination at ``bandwidth`` over its work guard."""
+    def check(self, cells: int, support) -> None:
+        """Refuse a count on ``support``, of ``cells`` cells, over
+        ``MAX_COUNT_BITS`` bits, then its elimination over the work guard.
+        The support's ``bandwidth`` is read only when ``cells``, which
+        bounds it, do not keep the work under the guard."""
         bits = cells * math.log2(self.q)
         if bits > MAX_COUNT_BITS:
             raise ResourceGuardError(
                 f"a linear count on {cells} cells may have up to {bits:.0f} bits, above "
                 f"the guard of {MAX_COUNT_BITS}")
-        rows = cells * sum(len(eqs) for *_, eqs in self.shapes)
-        work = rows * bandwidth * (1 if self.q == 2 else bandwidth)
-        if work > MAX_ELIMINATION_WORK:
+        rows = cells * sum(len(eqs) for _, eqs in self.shapes)
+
+        def work(bandwidth):
+            return rows * bandwidth * (1 if self.q == 2 else bandwidth)
+        if work(cells) <= MAX_ELIMINATION_WORK:
+            return
+        bandwidth = self.bandwidth(support)
+        if work(bandwidth) > MAX_ELIMINATION_WORK:
             raise ResourceGuardError(
                 f"eliminating {rows} rows over {cells} cells at bandwidth {bandwidth} is "
                 f"above the elimination guard of {MAX_ELIMINATION_WORK}")
 
-    def rect_templates(self, ncols: int, nrows: int) -> list[tuple]:
-        """Per equation of each shape fitting the rectangle, cells numbered
-        m * nrows + n: extents, row at the origin, constant, after ``check``."""
-        templates, bandwidth = [], 1
-        for shape, sw, sh, eqs in self.shapes:
-            if sw > ncols or sh > nrows:
-                continue
-            for terms, const in eqs:
-                indexed = [(shape[i][0] * nrows + shape[i][1], c) for i, c in terms]
-                templates.append((sw, sh, *self._row(indexed), const))
-                bandwidth = max(bandwidth, 1 + indexed[-1][0] - indexed[0][0])
-        self.check(ncols * nrows, bandwidth)
-        return templates
+    def bandwidth(self, support) -> int:
+        """The largest span of a row (last cell index minus first, plus 1)
+        at a placement inside ``support`` (anything ``LatticeSet.of``
+        takes), read from each stack's first placement, which the stack's
+        others shift: 1 when no shape fits."""
+        pts = LatticeSet.of(support)
+        return max((first[terms[-1][0]] - first[terms[0][0]] + 1 for shape, eqs in self.shapes
+                    for first, _, _ in pts.placements(shape) for terms, _ in eqs), default=1)
 
-    def bandwidth(self, pts) -> int:
-        """The most points in as many consecutive columns as a shape spans,
-        a bound on the bandwidth of a point set's rows, read from its runs:
-        the fullest columns reach a column ``xs`` where runs start or end."""
-        steps: Counter = Counter()
-        for n0, n1, runs in LatticeSet.of(pts).bands:
-            for lo, hi in runs:
-                steps[lo] += n1 - n0 + 1
-                steps[hi + 1] -= n1 - n0 + 1
-        xs = sorted(steps)
-        level = list(itertools.accumulate(steps[x] for x in xs))
-
-        def column(m):
-            i = bisect_right(xs, m) - 1
-            return level[i] if i >= 0 else 0
-        return max(sum(column(m + j) for j in range(sw)) for _, sw, _, _ in self.shapes
-                   for x in xs for m in range(x - sw + 1, x + 1))
-
-    def count_rect(self, ncols: int, nrows: int) -> int:
-        """The count on an ncols x nrows rectangle, so numbered that a
-        placement's row is a translate of its shape's."""
-        templates = self.rect_templates(ncols, nrows)
-        rows = ((um * nrows + un + lead, row, const)
-                for um in range(ncols) for un in range(nrows)
-                for sw, sh, lead, row, const in templates
-                if um <= ncols - sw and un <= nrows - sh)
-        return self._solve(ncols * nrows, rows)
-
-    def count_points(self, pts: LatticeSet) -> int:
-        """The count on a point set, whose ``bandwidth`` ``plan`` checks."""
-        points = pts.points
-        index = {pt: i for i, pt in enumerate(points)}
+    def count(self, support) -> int:
+        """The count on ``support``, after ``check``: one row per stack of
+        placements and equation, shifted to each of the stack's placements."""
+        pts = LatticeSet.of(support)
+        self.check(len(pts), pts)
 
         def rows():
-            # each placement once: its shape's first cell on each point
-            for pm, pn in points:
-                for shape, _, _, eqs in self.shapes:
-                    m0, n0 = shape[0]
-                    cells = [index.get((pm - m0 + m, pn - n0 + n)) for m, n in shape]
-                    if None in cells:
-                        continue
-                    for terms, const in eqs:
-                        yield (*self._row([(cells[i], c) for i, c in terms]), const)
-        return self._solve(len(points), rows())
+            for shape, eqs in self.shapes:
+                for first, k, shifts in pts.placements(shape):
+                    templates = [(*self._row([(first[i], c) for i, c in terms]), const)
+                                 for terms, const in eqs]
+                    for shift in shifts:
+                        for d in range(shift, shift + k):
+                            for lead, row, const in templates:
+                                yield lead + d, row, const
+        return self._solve(len(pts), rows())
 
     def _solve(self, cells: int, rows) -> int:
         """q^(cells - rank) of ``rows``, (first cell, coefficients, constant)
@@ -556,7 +524,7 @@ class RectCounter:
         """The count on an ncols x nrows rectangle: by rank for a linear spec,
         otherwise by the sweep ``sweep_for`` picks, or None if it picks none."""
         if self.linear is not None:
-            return self.linear.count_rect(ncols, nrows)
+            return self.linear.count(IntRect(0, ncols - 1, 0, nrows - 1))
         picked = self.sweep_for(ncols, nrows)
         return None if picked is None else picked[0].total(picked[1])
 
@@ -733,12 +701,7 @@ def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
             return path("row product")
         counter = rect_counter(sft)
         if counter.linear is not None:
-            counter.linear.check(cells)
-            rect = pts.as_rect()
-            if rect is None:
-                counter.linear.check(cells, counter.linear.bandwidth(pts))
-            else:
-                counter.linear.rect_templates(rect.ncols, rect.nrows)
+            counter.linear.check(cells, pts.as_rect() or pts)
             return path("rank")
         rect = pts.as_rect()
         if rect is not None and counter.sweep_for(rect.ncols, rect.nrows) is not None:
@@ -768,10 +731,10 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
     if how.path == "backtracking":
         # a rectangle's cells reach the walk through from_rect, the builder
         # that perfbench/tracer.py counts cells at
-        points = (LatticeSet.from_rect(rect) if rect is not None else pts).points
-        return kernels.backtrack_count(len(points), sft.nsymbols, _placement_groups(sft, points))
+        pts = LatticeSet.from_rect(rect) if rect is not None else pts
+        return kernels.backtrack_count(len(pts), sft.nsymbols, _placement_groups(sft, pts))
     if rect is None:
-        return rect_counter(sft).linear.count_points(pts)
+        return rect_counter(sft).linear.count(pts)
     return rect_counter(sft).try_count(rect.ncols, rect.nrows)
 
 
@@ -834,14 +797,14 @@ def enumerate_locally_admissible(sft: SftSpec, support) -> Iterator[Pattern]:
     alphabet order by ``kernels.backtrack``, so the stream is
     deterministic and sorted, and bounded by the same work guard.
     """
-    points = LatticeSet.of(support).points
-    n = len(points)
+    pts = LatticeSet.of(support)
+    n = len(pts)
     if n > MAX_FREE_CELLS:
         raise ResourceGuardError(
             f"support has {n} cells, above the enumeration guard {MAX_FREE_CELLS}")
     syms = sft.alphabet.symbols
-    for assign in kernels.backtrack(n, len(syms), _placement_groups(sft, points)):
-        yield Pattern(tuple(zip(points, (syms[s] for s in assign))))
+    for assign in kernels.backtrack(n, len(syms), _placement_groups(sft, pts)):
+        yield Pattern(tuple(zip(pts.points, (syms[s] for s in assign))))
 
 
 # ---------------------------------------------------------------------------

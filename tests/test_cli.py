@@ -295,6 +295,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("argv", [
         ["rdim", "--measure", "parry_golden.measure", "--alpha", "1.0001"],
         ["rdim", "--measure", "bern12.measure", "--alpha", "1e300"],
+        ["rdim", "--measure", "bern12.measure", "--alpha", "1.0000001"],
         ["verify-theorem", "--sft", "fullshift2.sft", "--measure", "bern12.measure",
          "--alpha", "1e300"],
     ])
@@ -308,7 +309,9 @@ class TestRunCommand:
         code, rep = run_command(argv)
         assert code == 1
         assert rep["error"].startswith("at scale k = 8, eps = alpha^-k = ")
-        assert "--alpha" in rep["error"] and "--delta 0.01" in rep["error"]
+        # both values in full, not rounded to six digits
+        alpha = float(argv[argv.index("--alpha") + 1])
+        assert rep["error"].endswith(f"for --alpha {alpha} and --delta 0.01")
 
     @pytest.mark.parametrize("command", ["mmdim", "mhdim", "verify-theorem"])
     def test_depths_do_not_underflow(self, fixtures_dir, command):

@@ -5,6 +5,7 @@ import pytest
 
 import meandim as md
 from meandim import ActionSpec, IntRect, LatticeSet, MetricSpec, Pattern
+from meandim.errors import ResourceGuardError
 from meandim.estimates import resolution_depth
 
 from conftest import LOG2_PHI
@@ -418,6 +419,17 @@ class TestTameGrowth:
                 for M, v in res.table:
                     c = md.count_locally_admissible(sft, md.norm_ball(M - 1, norm))
                     assert v == spec.epsilon_at(M) ** 0.1 * math.log2(c)
+
+    def test_refusal_planned_before_any_count(self, threedot, spec2, monkeypatch):
+        # the 203 x 203 square at M = 102 is over the elimination guard, so
+        # Mmax = 256 is refused before the 101 squares under it are counted
+        def no_solve(*args):
+            raise AssertionError("a window was counted")
+        monkeypatch.setattr(md.subshift._LinearSpec, "_solve", no_solve)
+        with pytest.raises(ResourceGuardError, match=r"depth M = 102 \(eliminating .* "
+                           r"elimination guard .*largest Mmax it can count on this "
+                           r"subshift is 101$"):
+            md.tame_growth_check(threedot, spec2, 0.1, 256)
 
     def test_single_symbol_all_zero(self, spec2):
         res = md.tame_growth_check(md.full_shift(("0",)), spec2, 0.5, 8)

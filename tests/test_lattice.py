@@ -119,6 +119,30 @@ class TestLatticeSetStorage:
         for (_, n1, runs), (n0, _, nxt) in zip(bands, bands[1:]):
             assert n1 < n0 and (n1 + 1 < n0 or runs != nxt)
 
+    @given(point_sets)
+    def test_columns_are_the_transposed_bands(self, pts):
+        assert LatticeSet(pts).columns == LatticeSet((n, m) for m, n in pts).bands
+
+    @given(st.one_of(point_sets, st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                                          min_size=2, max_size=6).map(
+        lambda cs: {(m, n) for (a, c), (b, d) in zip(cs[::2], cs[1::2])
+                    for m in range(min(a, b), max(a, b) + 1)
+                    for n in range(min(c, d), max(c, d) + 1)})),
+           st.sets(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=4))
+    def test_placements_are_the_anchors_inside(self, pts, cells):
+        # every anchor u with u + shape inside the set, in column-major
+        # order, as the indices of its cells among the points
+        m0, n0 = min(m for m, _ in cells), min(n for _, n in cells)
+        shape = tuple(sorted((m - m0, n - n0) for m, n in cells))
+        s = LatticeSet(pts)
+        index = {u: i for i, u in enumerate(s.points)}
+        got = [tuple(i + c + j for i in first) for first, k, shifts in s.placements(shape)
+               for c in shifts for j in range(k)]
+        want = [tuple(index[m + dm, n + dn] for dm, dn in shape)
+                for m in range(-9, 7) for n in range(-9, 7)
+                if all((m + dm, n + dn) in index for dm, dn in shape)]
+        assert got == want
+
     def test_rectangle_is_one_band_never_expanded(self, monkeypatch):
         def no_points(self):
             raise AssertionError("the points were built")

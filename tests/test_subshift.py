@@ -111,6 +111,88 @@ def dense_gf2_rank(support, shape):
     return len(pivots)
 
 
+def oracle_placement_groups(sft, points):
+    """The placement groups of a point tuple, each forbidden pattern tried
+    at every anchor of the bounding box against a point index: the
+    reference for ``_placement_groups``, which walks column runs."""
+    if not points:
+        return []
+    index = {pt: i for i, pt in enumerate(points)}
+    groups = [set() for _ in points]
+    box = LatticeSet(points).bounding_box()
+    for f in sft.forbidden:
+        f = f.anchored()
+        cells = [(pt, sft.alphabet.index(sym)) for pt, sym in f.cells]
+        for um in range(box.a, box.b - f.ncols_extent + 2):
+            for un in range(box.c, box.d - f.nrows_extent + 2):
+                placed = [(index.get((m + um, n + un)), s) for (m, n), s in cells]
+                if all(i is not None for i, _ in placed):
+                    key = tuple(sorted(placed))
+                    groups[key[-1][0]].add(key)
+    return [sorted(g) for g in groups]
+
+
+def point_index_rows(linear, pts):
+    """Each placement's equations on a point set as (cell index,
+    coefficient) pairs and a constant, every placement looked up in a
+    point index from its shape's first cell on each point in turn."""
+    points = LatticeSet.of(pts).points
+    index = {pt: i for i, pt in enumerate(points)}
+    for pm, pn in points:
+        for shape, eqs in linear.shapes:
+            m0, n0 = shape[0]
+            cells = [index.get((pm - m0 + m, pn - n0 + n)) for m, n in shape]
+            if None in cells:
+                continue
+            for terms, const in eqs:
+                yield [(cells[i], c) for i, c in terms], const
+
+
+def oracle_count(linear, pts):
+    """A linear spec's count from ``point_index_rows``: the reference for
+    ``_LinearSpec.count``, which walks column runs."""
+    return linear._solve(len(LatticeSet.of(pts)), (
+        (*linear._row(indexed), const) for indexed, const in point_index_rows(linear, pts)))
+
+
+def oracle_bandwidth(linear, pts):
+    """The largest span of a row from ``point_index_rows``, 1 without one."""
+    return max((indexed[-1][0] - indexed[0][0] + 1
+                for indexed, _ in point_index_rows(linear, pts)), default=1)
+
+
+def column_bound(linear, pts):
+    """The most points in as many neighbouring columns as a shape spans,
+    a bound on every row's span."""
+    per_col = collections.Counter(m for m, _ in pts)
+    return max(sum(per_col[m + j] for j in range(shape[-1][0] + 1))
+               for m in per_col for shape, _ in linear.shapes)
+
+
+@st.composite
+def wide_supports(draw):
+    """Supports of 65 to a few hundred cells, past backtracking's reach:
+    random subsets of a box, unions of rectangles (wide column bands with
+    several runs) and skew or Euclidean Bowen windows."""
+    kind = draw(st.sampled_from(["random", "rects", "window"]))
+    if kind == "random":
+        rnd = draw(st.randoms(use_true_random=False))
+        w, h, dense = rnd.randint(8, 20), rnd.randint(8, 20), rnd.uniform(0.4, 0.95)
+        pts = LatticeSet((m, n) for m in range(w) for n in range(h) if rnd.random() < dense)
+    elif kind == "rects":
+        corner = st.tuples(st.integers(0, 12), st.integers(0, 12))
+        rects = draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=4))
+        pts = LatticeSet((m, n) for (a, c), (b, d) in rects
+                         for m in range(min(a, b), max(a, b) + 1)
+                         for n in range(min(c, d), max(c, d) + 1))
+    else:
+        action = md.ActionSpec(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        pts = md.bowen_window(action, draw(st.integers(3, 5)), draw(st.integers(2, 5)),
+                              draw(st.sampled_from(["linf", "l2"])))
+    assume(64 < len(pts) <= 400)
+    return pts
+
+
 def object_sweep_totals(sweep, width):
     """Totals of columns 0..width of ``sweep``'s rectangles, swept with an
     object array of Python ints from the first cell on: the reference for
@@ -146,7 +228,7 @@ def recursive_enumeration(sft, support):
     if n == 0:
         yield Pattern(())
         return
-    groups = _placement_groups(sft, points)
+    groups = oracle_placement_groups(sft, points)
     syms = sft.alphabet.symbols
     assign = [0] * n
 
@@ -625,10 +707,7 @@ class TestLinear:
         assume(sft.nsymbols ** len(pts) <= 2 ** 12)
         linear = _LinearSpec.detect(sft)
         assert linear is not None
-        if isinstance(support, IntRect):
-            rank = linear.count_rect(support.ncols, support.nrows)
-        else:
-            rank = linear.count_points(pts)
+        rank = linear.count(support)
         bt = md.count_locally_admissible(sft, pts, algorithm="backtracking")
         assert rank == bt == len(list(md.enumerate_locally_admissible(sft, pts)))
         assert md.count_locally_admissible(sft, support) == rank
@@ -641,12 +720,47 @@ class TestLinear:
                   st.builds(md.ActionSpec, st.integers(-3, 3), st.integers(1, 2)),
                   st.integers(1, 6), st.integers(1, 3), st.sampled_from(["linf", "l2"]))))
     def test_bandwidth_from_runs_matches_the_columns(self, sft, pts):
-        # the most points in as many neighbouring columns as a shape spans
+        # the exact span of the rows, at most the points in as many
+        # neighbouring columns as a shape spans
         linear = _LinearSpec.detect(sft)
-        per_col = collections.Counter(m for m, _ in pts)
-        want = max(sum(per_col[m + j] for j in range(sw))
-                   for m in per_col for _, sw, _, _ in linear.shapes)
-        assert linear.bandwidth(pts) == want
+        assert linear.bandwidth(pts) == oracle_bandwidth(linear, pts) <= column_bound(linear, pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_specs(), wide_supports())
+    def test_run_walk_matches_the_point_index(self, sft, pts):
+        # past backtracking's reach, against the walk over a point index
+        linear = _LinearSpec.detect(sft)
+        assert linear.count(pts) == oracle_count(linear, pts)
+        assert linear.bandwidth(pts) == oracle_bandwidth(linear, pts)
+        assert _placement_groups(sft, pts) == oracle_placement_groups(sft, pts.points)
+        if len(linear.shapes) == 1:
+            # one shape's rows reach the elimination in the order of the walk
+            # over the points, by each placement's first cell
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_LinearSpec, "_solve", lambda self, cells, rows: seen.extend(rows))
+                linear.count(pts)
+            assert seen == [(*linear._row(indexed), const)
+                            for indexed, const in point_index_rows(linear, pts)]
+
+    def test_skew_three_dot_counted_without_points(self, threedot, monkeypatch):
+        action = md.ActionSpec(7, 5)
+        want = oracle_count(_LinearSpec.detect(threedot), md.bowen_window(action, 6, 8))
+        monkeypatch.setattr(LatticeSet, "points", property(lambda self: 1 / 0))
+        assert md.count_locally_admissible(threedot, md.bowen_window(action, 6, 8)) == want
+
+    def test_exact_bandwidth_counts_what_the_column_bound_refused(self, threedot, monkeypatch):
+        # the rows of a skew window span fewer cells than its two fullest
+        # neighbouring columns hold, so a guard between the two counts it
+        linear = _LinearSpec.detect(threedot)
+        window = md.bowen_window(md.ActionSpec(1, 1), 8, 40)
+        span = oracle_bandwidth(linear, window)
+        assert span < column_bound(linear, window)
+        monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", len(window) * span)
+        assert md.count_locally_admissible(threedot, window) == oracle_count(linear, window)
+        monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", len(window) * span - 1)
+        with pytest.raises(ResourceGuardError, match="elimination guard"):
+            md.count_locally_admissible(threedot, window)
 
     @settings(max_examples=200, deadline=None)
     @given(linear_specs(), st.integers(1, 8), st.integers(1, 5))
@@ -720,8 +834,8 @@ class TestLinear:
         # the 300,000 x 2 rectangle may count up to 600,000 bits
         with pytest.raises(ResourceGuardError, match="bits"):
             RectCounter(threedot).try_count(300_000, 2)
-        # 300 x 300 cells at bandwidth 301, and a window's bandwidth bound
-        # from the points of its two fullest neighbouring columns
+        # 300 x 300 cells at bandwidth 301, and a window's bandwidth read
+        # from the runs of its columns
         with pytest.raises(ResourceGuardError, match="elimination guard"):
             md.count_locally_admissible(threedot, IntRect(0, 299, 0, 299))
         monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 1000)
@@ -736,9 +850,9 @@ class TestLinear:
         monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 25 * 6 * 6 - 1)
         ternary = RectCounter(parity_spec(3, ((0, 0), (1, 0), (0, 1)))).linear
         with pytest.raises(ResourceGuardError, match="elimination guard"):
-            ternary.count_rect(5, 5)
+            ternary.count(IntRect(0, 4, 0, 4))
         with pytest.raises(AssertionError, match="elimination ran"):
-            ternary.count_rect(5, 4)
+            ternary.count(IntRect(0, 4, 0, 3))
 
 
 class TestRectCounter:
@@ -811,7 +925,7 @@ class TestPlan:
 
     # the engine each path runs; "empty" and "closed form" run none
     ENGINES = {"row product": (md.subshift, "_row_product"),
-               "rank": (_LinearSpec, "count_rect", "count_points"),
+               "rank": (_LinearSpec, "count"),
                "sweep": (_CellSweep, "total"),
                "backtracking": (kernels, "backtrack_count")}
 
