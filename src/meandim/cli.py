@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -81,13 +82,25 @@ _SHARED = {
     "--measure": dict(help="measure file (.measure)"),
     "--alpha": dict(type=_finite_float, default=2.0),
     "--action": dict(type=_action, default=ActionSpec(1, 0),
-                     help="shift direction a,b (default 1,0); write a negative a as "
-                          "--action=-3,2, since argparse reads -3,2 as a flag"),
+                     help="shift direction a,b (default 1,0)"),
     "--M-schedule": dict(dest="M_schedule", type=_int_list,
                          help="comma-separated resolution depths"),
     "--N-factor": dict(dest="N_factor", type=_at_least_one, default=16),
 }
 _BOWEN = ("--alpha", "--action", "--M-schedule", "--N-factor")
+
+
+def _action_values(argv) -> list[str]:
+    """``argv`` with ``--action -3,2`` joined into ``--action=-3,2``:
+    argparse takes a token that starts with '-' for a flag, so a negative
+    first component would leave ``--action`` without its value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--action" and re.match(r"-[0-9]", token):
+            out[-1] = f"--action={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _command_parser(name: str) -> _Parser:
@@ -181,7 +194,7 @@ def run_command(argv) -> tuple[int, dict]:
     try:
         if not argv or argv[0] not in _COMMANDS:
             _top_parser().parse_args(argv[:1])  # exits, or raises CliError
-        args = _command_parser(argv[0]).parse_args(argv[1:])
+        args = _command_parser(argv[0]).parse_args(_action_values(argv[1:]))
         report = args.handler(args)
         code = report.pop("_exit_code", 0)
     except (MeandimError, ValueError, OSError) as exc:

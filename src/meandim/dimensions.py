@@ -103,16 +103,29 @@ def metric_eval(spec: MetricSpec, p: Pattern, q: Pattern) -> MetricValue:
     return MetricValue(spec.alpha ** (-min_norm_outside(p.domain(), spec.norm)), False)
 
 
-def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf") -> LatticeSet:
+def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf", *,
+                 swept: SweptWindow | None = None) -> LatticeSet:
     """Determining window of the N-step Bowen metric at resolution M.
 
     The union of the radius-(M-1) norm ball translated along
     (na, nb) for 0 <= n < N, i.e. ``lambda_set``: two points are closer
     than any epsilon with resolution index M iff they agree on this set.
     For the horizontal action and the sup norm this is the rectangle
-    [-(M-1), N+M-2] x [-(M-1), M-1].
+    [-(M-1), N+M-2] x [-(M-1), M-1].  ``swept``, this window's
+    ``SweptWindow`` when the caller has already planned it, is the one
+    built, so that a window planned and then counted is built once.
     """
-    return lambda_set(action.a, action.b, M, N, norm)
+    if swept is None:
+        return lambda_set(action.a, action.b, M, N, norm)
+    return swept.lattice_set
+
+
+def _planned(sft: SftSpec, action: ActionSpec, N: int, M: int, norm: str) -> SweptWindow:
+    """The ``SweptWindow`` of one Bowen window, planned: ``plan`` raises here
+    when its count would be refused, and a window it builds stays built."""
+    swept = SweptWindow(action.a, action.b, M, N, norm)
+    plan(sft, swept)
+    return swept
 
 
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
@@ -129,8 +142,8 @@ def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
     if epsilon > 1:
         return 1
     M = resolution_depth(spec.alpha, epsilon)
-    plan(sft, SweptWindow(action.a, action.b, M, N, spec.norm))
-    return count_locally_admissible(sft, bowen_window(action, N, M, spec.norm))
+    swept = _planned(sft, action, N, M, spec.norm)
+    return count_locally_admissible(sft, bowen_window(action, N, M, spec.norm, swept=swept))
 
 
 def m_schedule(action: ActionSpec, Mschedule: Sequence[int] | None = None) -> list[int]:
@@ -211,17 +224,18 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     if measure is not None:
         check_support(measure, sft)
     depths = range(Ms[0], Ms[-1] + 1) if measure is not None else Ms
-    pairs = {}
+    planned = {}
     for M in depths:
         lo, hi = max(1, Nfactor * M // 2), Nfactor * M
         if lo == hi:
             raise ValueError("N schedule degenerate; increase Nfactor")
-        pairs[M] = (lo, hi)
-        for N in pairs[M]:
-            plan(sft, SweptWindow(action.a, action.b, M, N, spec.norm))
+        planned[M] = {N: _planned(sft, action, N, M, spec.norm) for N in (lo, hi)}
     rows = {}
-    for M, Ns in pairs.items():
-        windows = [bowen_window(action, N, M, spec.norm) for N in Ns]
+    for M in depths:
+        # a depth's windows are let go once they are counted and weighed
+        swept = planned.pop(M)
+        Ns = tuple(swept)
+        windows = [bowen_window(action, N, M, spec.norm, swept=w) for N, w in swept.items()]
         counts = masses = None
         if M in Ms:
             counts = tuple(_log2_count(count_locally_admissible(sft, w)) for w in windows)

@@ -325,7 +325,9 @@ def window_marginal(measure: MeasureSpec, support) -> FiniteDistribution:
     total = sum(probs.tolist())
     if total > 0:
         probs = probs / total
-    outcomes = tuple(Pattern(tuple(zip(cells, syms)))
+    # the cells are sorted and product emits symbols in their order, so
+    # every outcome is already canonical
+    outcomes = tuple(Pattern._canonical(tuple(zip(cells, syms)))
                      for syms in itertools.product(measure.alphabet.symbols,
                                                    repeat=len(cells)))
     return FiniteDistribution(outcomes, tuple(probs.tolist()))

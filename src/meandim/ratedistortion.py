@@ -5,8 +5,11 @@ alternates the reproduction marginal and the optimal conditional for the
 kernel 2^(-slope * distortion) until the standard Csiszar gap drops
 below tolerance.  Initialisation is uniform, zero-probability source
 outcomes are dropped and equal distortion columns are lumped first, so
-the output is deterministic.  A sweep runs its slopes as one stacked
-iteration, each slope on the same iterates as a run of its own.
+the output is deterministic.  The iteration then runs on the lumped
+problem's symmetry quotient, its coarsest equitable partition
+(``RdProblem.classes``), and rate and distortion are read back on the
+lumped arrays.  A sweep runs its slopes as one stacked iteration, each
+slope on the same iterates as a run of its own.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ class RdProblem:
         multiplicity over the reproduction count.  The lumped iteration
         follows the summed mass of each group, and rate and distortion
         come out the same.  Without equal columns the arrays are the dense
-        ones and q0 is the uniform start 1/ny.
+        ones and q0 is the uniform start 1/ny.  ``classes`` partitions
+        these arrays further, and rate and distortion are read on them.
         """
         p = self.source.prob_array()
         keep = p > 0
@@ -91,6 +95,42 @@ class RdProblem:
             a.setflags(write=False)
         return p, rho, q0
 
+    @cached_property
+    def classes(self):
+        """The coarsest equitable partition of the ``lumped`` problem, computed
+        once, or None when it is trivial.
+
+        Two read-only label arrays, one per lumped row and one per lumped
+        column, each numbering its classes in first-occurrence order.  The
+        rows start in classes of equal p and the columns in classes of
+        equal q0; then each class is split until every row of a class sees
+        the same multiset of distortions in each column class, and every
+        column of a class the same multiset in each row class.  Values
+        are grouped by exact float equality.  ``kernels.ba_sweep`` runs
+        Blahut-Arimoto on the class problem: 48x50 for the golden window
+        problem's 125x127, 1x1 for a Bernoulli(1/2) window's 512x512.  When
+        every p is distinct, no column class can hold two of the lumped
+        columns, which are distinct, so the partition is trivial at once,
+        and the run takes the lumped arrays bit for bit.
+        """
+        p, rho, q0 = self.lumped
+        if len(set(p.tolist())) == len(p):
+            return None
+        rows = _split(np.zeros(len(p), dtype=np.intp), p[:, None])
+        cols = _split(np.zeros(len(q0), dtype=np.intp), q0[:, None])
+        rho_t = np.ascontiguousarray(rho.T)  # the columns, as rows
+        while True:
+            new_rows = _split(rows, _sorted_in_classes(rho, cols))
+            new_cols = _split(cols, _sorted_in_classes(rho_t, new_rows))
+            if new_rows.max() == rows.max() and new_cols.max() == cols.max():
+                break
+            rows, cols = new_rows, new_cols
+        if rows.max() + 1 == len(p) and cols.max() + 1 == len(q0):
+            return None
+        for a in (rows, cols):
+            a.setflags(write=False)
+        return rows, cols
+
     def __eq__(self, other):
         if not isinstance(other, RdProblem):
             return NotImplemented
@@ -99,6 +139,56 @@ class RdProblem:
 
     def __hash__(self):
         return hash((self.source, self.reproductions))
+
+
+def _sorted_in_classes(a, labels) -> np.ndarray:
+    """A copy of ``a`` whose columns are grouped by their ``labels``, in
+    class order, with each row sorted within each class and -0.0 read as
+    0.0: two rows are equal exactly when they hold the same multiset of
+    values in every class."""
+    order = np.argsort(labels, kind="stable")
+    out = np.take(a, order, axis=1)
+    ends = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    for lo, hi in zip([0] + ends, ends + [len(order)]):
+        if hi - lo > 1:
+            out[:, lo:hi].sort(axis=1)
+    out += 0.0
+    return out
+
+
+def _split(labels, sig) -> np.ndarray:
+    """``labels`` refined by the rows of ``sig``: two rows stay in one class
+    when they shared one and their ``sig`` rows are equal bit for bit.
+    Classes are numbered in first-occurrence order."""
+    bits = sig.view(np.uint64)
+    # a hash of each row modulo 2^64 proposes the classes, and each
+    # proposed class is checked bit for bit
+    groups = {}
+    for i, key in enumerate(zip(labels.tolist(), (bits @ _mix(bits.shape[1])).tolist())):
+        groups.setdefault(key, []).append(i)
+    parts = []
+    for members in groups.values():
+        # one class of every row is checked in place, without a copy
+        block = bits if len(members) == len(bits) else bits[members]
+        if len(members) > 1 and not (block == block[0]).all():
+            exact = {}
+            for i in members:
+                exact.setdefault(bits[i].tobytes(), []).append(i)
+            parts += exact.values()
+        else:
+            parts.append(members)
+    parts.sort()
+    out = np.empty(len(labels), dtype=np.intp)
+    out[np.concatenate(parts)] = np.repeat(np.arange(len(parts)), [len(m) for m in parts])
+    return out
+
+
+def _mix(n) -> np.ndarray:
+    """n scrambled 64-bit words, the splitmix64 outputs of 1, ..., n."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -125,7 +215,8 @@ def blahut_arimoto(problem: RdProblem, slope: float, tol: float = 1e-9,
     _check_run(slope, tol, max_iter)
     p, rho, q0 = problem.lumped
     rate, dist, iters, gap, converged = kernels.ba_solve(p, rho, float(slope), float(tol),
-                                                         int(max_iter), q0=q0)
+                                                         int(max_iter), q0=q0,
+                                                         classes=problem.classes)
     return _point(slope, tol, rate, dist, iters, gap, converged)
 
 
@@ -134,7 +225,8 @@ def rd_curve(problem: RdProblem, slopes: Sequence[float], tol: float = 1e-9,
     """Sweep the curve over a slope schedule, one point per slope in order.
 
     The slopes run as one stacked Blahut-Arimoto iteration, in chunks of
-    consecutive slopes whose kernels fit ``kernels.BATCH_BYTES``; each
+    consecutive slopes whose kernels and ring slots fit
+    ``kernels.BATCH_BYTES`` (see ``kernels.slope_bytes``); each
     point is the one ``blahut_arimoto`` returns at its slope.  The first
     slope in schedule order that does not converge raises its
     NonConvergenceError, and later chunks are not run.
@@ -143,11 +235,12 @@ def rd_curve(problem: RdProblem, slopes: Sequence[float], tol: float = 1e-9,
     for s in slopes:
         _check_run(s, tol, max_iter)
     p, rho, q0 = problem.lumped
-    chunk = max(1, kernels.BATCH_BYTES // (8 * rho.size))
+    classes = problem.classes
+    chunk = max(1, kernels.BATCH_BYTES // kernels.slope_bytes(rho, classes))
     points = []
     for i in range(0, len(slopes), chunk):
         part = slopes[i:i + chunk]
-        runs = kernels.ba_sweep(p, rho, part, float(tol), int(max_iter), q0)
+        runs = kernels.ba_sweep(p, rho, part, float(tol), int(max_iter), q0, classes)
         points += [_point(s, tol, *run) for s, run in zip(part, runs)]
     return points
 

@@ -115,6 +115,14 @@ class Pattern:
     def from_dict(cls, mapping: Mapping[Point, str]) -> "Pattern":
         return cls(tuple((tuple(pt), sym) for pt, sym in mapping.items()))
 
+    @classmethod
+    def _canonical(cls, cells: tuple) -> "Pattern":
+        """The pattern of ``cells``, already in canonical order with each
+        cell once, built without the check and sort of ``__post_init__``."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "cells", cells)
+        return pattern
+
     def domain(self) -> LatticeSet:
         return LatticeSet(pt for pt, _ in self.cells)
 

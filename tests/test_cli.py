@@ -579,6 +579,23 @@ class TestVerifyTheorem:
         assert code == 0 and rep["verdict"] == "PASS"
         assert rep["results"]["action_factor"] == 4
 
+    def test_negative_action_in_either_spelling(self, fixtures_dir, capsys):
+        # argparse would read the -3,2 of "--action -3,2" as a flag
+        argv = ["verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"), "--alpha", "2"]
+        printed = []
+        for spelling in (["--action", "-3,2"], ["--action=-3,2"]):
+            assert main(argv + spelling) == 0
+            printed.append(capsys.readouterr().out)
+        assert json.loads(printed[0])["verdict"] == "PASS"
+        same = [re.sub(r'"wall_time_s": [^\n]*', "", text) for text in printed]
+        assert same[0] == same[1]
+        code, rep = run_command(["covering", "--sft", fx(fixtures_dir, "goldenrow.sft"),
+                                 "--action", "-1,1", "--N", "20", "--eps", "0.3"])
+        assert code == 0 and rep["inputs"]["action"] == [-1, 1]
+        # a flag after --action is still a flag
+        code, rep = run_command(argv + ["--action", "--alpha", "2"])
+        assert code == 1 and rep["error"] == "argument --action: expected one argument"
+
     @pytest.mark.parametrize("action", ["2,1", "1,4", "0,1"])
     def test_skew_action_three_dot(self, fixtures_dir, action):
         # skew windows of three-dot are counted by rank; its entropy is 0

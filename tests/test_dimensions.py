@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -234,6 +235,31 @@ class TestEntropyAtResolution:
         table = md.bowen_table(threedot, None, spec2, act10, (2, 3, 4), Nfactor=8)
         assert table.rows[2].Ns == (8, 16)
         assert count_slope(table, 2) == 1.0
+
+    def test_each_window_built_once(self, goldenrow, threedot, parry, spec2, monkeypatch):
+        # planning a skew or l2 window of a row or linear spec builds it; the
+        # count and the weight then read that build, not a second one
+        builds = []
+        build = md.lattice.SweptWindow.__dict__["lattice_set"].func
+
+        def counted(window):
+            builds.append((window.M, window.N))
+            return build(window)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(md.lattice.SweptWindow, "lattice_set")
+        monkeypatch.setattr(md.lattice.SweptWindow, "lattice_set", prop)
+        for sft, measure, action, norm in ((goldenrow, None, ActionSpec(1, 1), "linf"),
+                                           (goldenrow, parry, ActionSpec(2, 1), "linf"),
+                                           (threedot, None, ActionSpec(1, 1), "linf"),
+                                           (goldenrow, parry, ActionSpec(1, 0), "l2")):
+            builds.clear()
+            table = md.bowen_table(sft, measure, MetricSpec(2.0, norm), action)
+            assert sorted(builds) == sorted((M, N) for M, row in table.rows.items()
+                                            for N in row.Ns)
+        builds.clear()
+        md.covering_number(goldenrow, spec2, ActionSpec(1, 1), 40, 0.3)
+        assert builds == [(2, 40)]
 
     def test_needs_two_scales(self, full2, spec2, act10):
         # at M = 1 with Nfactor 1 both windows would have N = 1

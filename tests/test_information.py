@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -224,6 +225,18 @@ class TestWindowMarginals:
                 assert lp == float("-inf")
             else:
                 assert abs(lp - _math.log2(p)) < 1e-9
+
+    def test_outcomes_equal_checked_patterns(self, parry):
+        # built without Pattern's check and sort, the outcomes are still
+        # the canonical patterns, equal and hash-equal to checked ones
+        support = md.LatticeSet([(1, 0), (0, 0), (2, 1), (-1, 2)])
+        cells = sorted(support)
+        dist = md.window_marginal(parry, support)
+        for pat, syms in zip(dist.outcomes, itertools.product("01", repeat=len(cells))):
+            checked = md.Pattern(tuple(zip(reversed(cells), reversed(syms))))
+            assert pat == checked and hash(pat) == hash(checked)
+            assert pat.cells == checked.cells and type(pat.cells) is tuple
+        assert len(set(dist.outcomes)) == 2 ** len(cells)
 
     def test_outcome_guard(self, bern_half):
         with pytest.raises(md.ResourceGuardError):

@@ -279,7 +279,7 @@ class TestBatchedSweep:
             want = [md.blahut_arimoto(prob, s, tol=1e-10) for s in slopes]
             assert md.rd_curve(prob, slopes, tol=1e-10) == want
             # chunks of three slopes give the same points
-            monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * 8 * prob.lumped[1].size)
+            monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * kernels.slope_bytes(prob.lumped[1]))
             assert md.rd_curve(prob, slopes, tol=1e-10) == want
             monkeypatch.undo()
         assert md.rd_curve(probs[0], []) == []
@@ -295,7 +295,8 @@ class TestBatchedSweep:
                 fails[s] = exc
         assert list(fails) == [0.62, 0.56]
         for chunk_slopes in (len(slopes), 1):
-            monkeypatch.setattr(kernels, "BATCH_BYTES", chunk_slopes * 8 * 4)
+            monkeypatch.setattr(kernels, "BATCH_BYTES",
+                                chunk_slopes * kernels.slope_bytes(prob.lumped[1]))
             with pytest.raises(NonConvergenceError) as ei:
                 md.rd_curve(prob, slopes, max_iter=300)
             assert str(ei.value) == str(fails[0.62]) and ei.value.gap == fails[0.62].gap
@@ -327,6 +328,210 @@ class TestBatchedSweep:
             md.rd_curve(prob, [3.0, 0.62, 5.0], max_iter=300)
         assert seen == [3.0, 0.62]
 
+
+def symmetric_problem(seed, row_cycles=(3, 3, 3, 2, 2, 1), col_cycles=(3, 3, 3, 2, 2, 1)):
+    """A random problem with a planted symmetry: a row permutation sigma and
+    a column permutation tau, each a product of cycles of the given
+    lengths, with rho(sigma x, tau y) = rho(x, y) and p constant on the
+    cycles of sigma.  Values repeat, and a zero is stored as 0.0 or -0.0
+    at random.  Returns the problem and sigma."""
+    rng = np.random.default_rng(seed)
+
+    def perm(lengths):
+        order = rng.permutation(sum(lengths)).tolist()
+        out, at = [0] * len(order), 0
+        for k in lengths:
+            cycle = order[at:at + k]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                out[a] = b
+            at += k
+        return out
+
+    sigma, tau = perm(row_cycles), perm(col_cycles)
+    nx, ny = len(sigma), len(tau)
+    rho = np.full((nx, ny), np.nan)
+    p = np.full(nx, np.nan)
+    for x0 in range(nx):
+        w, x = rng.uniform(0.5, 2.0), x0
+        while np.isnan(p[x]):  # the cycle of x0
+            p[x] = w
+            x = sigma[x]
+        for y0 in range(ny):
+            v, x, y = rng.choice([0.0, 0.5, 1.0, 2.5]), x0, y0
+            while np.isnan(rho[x, y]):  # the orbit of (x0, y0)
+                rho[x, y] = v if v else rng.choice([0.0, -0.0])
+                x, y = sigma[x], tau[y]
+    p /= p.sum()
+    src = FiniteDistribution(tuple(range(nx)), tuple(p))
+    return RdProblem.build(src, tuple(range(ny)), rho), sigma
+
+
+def naive_classes(p, rho, q0):
+    """The coarsest equitable partition by colour refinement over tuples."""
+    vals = rho.tolist()
+
+    def relabel(keys):
+        seen = {}
+        return [seen.setdefault(k, len(seen)) for k in keys]
+
+    def signature(label, sees, other):
+        # for each class of `other`, the sorted values seen there
+        return label, tuple(tuple(sorted(v for v, c in zip(sees, other) if c == k))
+                            for k in range(max(other) + 1))
+
+    rows, cols = relabel(p.tolist()), relabel(q0.tolist())
+    while True:
+        new_rows = relabel(signature(rows[x], vals[x], cols) for x in range(len(rows)))
+        new_cols = relabel(signature(cols[y], [row[y] for row in vals], new_rows)
+                           for y in range(len(cols)))
+        if (max(new_rows), max(new_cols)) == (max(rows), max(cols)):
+            return new_rows, new_cols
+        rows, cols = new_rows, new_cols
+
+
+def assert_equitable(p, rho, q0, rows, cols):
+    """Counted per class pair and per distortion value: every row of a
+    class sees each value equally often in each column class, and every
+    column of a class equally often in each row class."""
+    rho = rho + 0.0
+    for R in range(rows.max() + 1):
+        xs = np.flatnonzero(rows == R)
+        assert len(set(p[xs].tolist())) == 1
+        for C in range(cols.max() + 1):
+            ys = np.flatnonzero(cols == C)
+            assert len(set(q0[ys].tolist())) == 1
+            block = rho[np.ix_(xs, ys)]
+            for v in np.unique(block):
+                assert len(set((block == v).sum(axis=1).tolist())) == 1
+                assert len(set((block == v).sum(axis=0).tolist())) == 1
+
+
+def assert_quotient_matches_dense(got, want):
+    # a new, stated tolerance: the class problem sums in another order
+    assert got[2:5:2] == want[2:5:2]  # iterations and converged
+    for k in (0, 1, 3):  # rate, distortion and gap
+        assert got[k] == pytest.approx(want[k], abs=1e-12)
+
+
+class TestSymmetryQuotient:
+    def test_planted_symmetry_classes_are_the_coarsest_equitable_ones(self):
+        for seed in range(8):
+            prob, sigma = symmetric_problem(seed)
+            p, rho, q0 = prob.lumped
+            rows, cols = prob.classes
+            assert prob.classes is prob.classes  # computed once per problem
+            assert not rows.flags.writeable and not cols.flags.writeable
+            assert_equitable(p, rho, q0, rows, cols)
+            # every cycle of the planted symmetry lies inside one row class
+            assert all(rows[x] == rows[sigma[x]] for x in range(len(sigma)))
+            assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho, q0)
+            assert rows.max() + 1 < len(p)
+
+    def test_planted_symmetry_run_matches_the_dense_run(self):
+        for seed in range(8):
+            prob, _ = symmetric_problem(seed)
+            p, rho, q0 = prob.lumped
+            for beta in (0.4, 3.0, 11.0):
+                for tol, max_iter in ((1e-14, 40), (1e-10, 20000)):
+                    want = kernels.ba_solve(p, rho, beta, tol, max_iter, q0)
+                    got = kernels.ba_solve(p, rho, beta, tol, max_iter, q0, prob.classes)
+                    assert_quotient_matches_dense(got, want)
+            pt = md.blahut_arimoto(prob, 3.0, tol=1e-10)
+            want = kernels.ba_solve(p, rho, 3.0, 1e-10, 20000, q0)
+            assert pt.iterations == want[2]
+            assert pt.rate == pytest.approx(max(want[0], 0.0), abs=1e-12)
+            assert pt.distortion == pytest.approx(want[1], abs=1e-12)
+
+    def test_hash_collisions_never_merge_classes(self, monkeypatch):
+        want = [symmetric_problem(seed)[0].classes for seed in range(4)]
+        # every row hashes alike, so only the exact check tells rows apart
+        monkeypatch.setattr(md.ratedistortion, "_mix",
+                            lambda n: np.zeros(n, dtype=np.uint64))
+        for seed, (rows, cols) in enumerate(want):
+            got_rows, got_cols = symmetric_problem(seed)[0].classes
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+
+    def test_distinct_probabilities_give_no_classes(self):
+        # the Hamming and planted test problems run the lumped arrays bit for bit
+        for prob in (md.binary_hamming_problem(0.3), planted_problem(3)[0]):
+            assert prob.classes is None
+            p, rho, q0 = prob.lumped
+            for beta in (0.7, 4.0):
+                pt = md.blahut_arimoto(prob, beta, tol=1e-10)
+                rate, dist, iters, _, _ = kernels.ba_solve(p, rho, beta, 1e-10, 20000, q0)
+                assert (pt.rate, pt.distortion, pt.iterations) == (max(rate, 0.0), dist, iters)
+
+    def test_golden_window_quotient(self, fixtures_dir):
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        prob = md.rd_problem_from_measure(measure, 2, M=2)
+        p, rho, q0 = prob.lumped
+        rows, cols = prob.classes
+        assert (rows.max() + 1, cols.max() + 1) == (48, 50)
+        assert_equitable(p, rho, q0, rows, cols)
+        for beta in (0.5, 1, 2, 4, 8, 16):
+            want, _ = textbook_ba(p, rho, beta, 1e-9, 20000, q0)
+            got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0, prob.classes)
+            assert_quotient_matches_dense(got, want)
+            if beta == 0.5:
+                assert got[2] == 20000 and not got[4] and f"{got[3]:.3e}" == "3.669e-09"
+
+    def test_bernoulli_window_is_one_class(self, bern_half):
+        prob = md.rd_problem_from_measure(bern_half, 2, M=2)
+        p, rho, q0 = prob.lumped
+        rows, cols = prob.classes
+        assert rows.tolist() == [0] * 512 and cols.tolist() == [0] * 512
+        for beta in (0.5, 16):
+            got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0, prob.classes)
+            assert got[2] == 1 and got[4]
+            want = kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0)
+            assert got[:2] == pytest.approx(want[:2], abs=1e-12)
+
+    def test_sweep_matches_single_slope_runs(self):
+        prob, _ = symmetric_problem(5)
+        slopes = [4.0, 0.7, 2.5, 9.0, 0.3]
+        want = [md.blahut_arimoto(prob, s, tol=1e-10) for s in slopes]
+        assert md.rd_curve(prob, slopes, tol=1e-10) == want
+        p, rho, q0 = prob.lumped
+        for max_iter in (37, 20000):
+            assert kernels.ba_sweep(p, rho, slopes, 1e-12, max_iter, q0, prob.classes) == \
+                [kernels.ba_solve(p, rho, s, 1e-12, max_iter, q0, prob.classes) for s in slopes]
+
+
+class TestBlockStop:
+    @staticmethod
+    def gaps(p, rho, beta, n):
+        """The textbook gap after each of the first n iterations."""
+        return [textbook_ba(p, rho, beta, -np.inf, k)[0][3] for k in range(1, n + 1)]
+
+    def test_stops_at_block_edges_as_the_textbook_loop(self):
+        prob = planted_problem(0)[0]
+        p, rho, _ = prob.lumped
+        beta = 2.0
+        gaps = self.gaps(p, rho, beta, 17)
+        tols = {1: 10.0}
+        for stop in (15, 16, 17):
+            # a tol above the gap after iteration `stop`, below every earlier one
+            assert gaps[stop - 1] < min(gaps[:stop - 1])
+            tols[stop] = (gaps[stop - 1] + min(gaps[:stop - 1])) / 2
+        for stop, tol in tols.items():
+            want, _ = textbook_ba(p, rho, beta, tol, 20000)
+            assert want[2] == stop and want[4]
+            assert kernels.ba_solve(p, rho, beta, tol, 20000) == want
+            # a slope of a stack stops where it stops alone
+            runs = kernels.ba_sweep(p, rho, [0.3, beta, 7.0], tol, 20000)
+            assert runs == [kernels.ba_solve(p, rho, s, tol, 20000) for s in (0.3, beta, 7.0)]
+            assert runs[1] == want
+
+    def test_max_iter_not_a_multiple_of_the_block(self):
+        prob = planted_problem(2)[0]
+        p, rho, _ = prob.lumped
+        for max_iter in (1, 5, 16, 17, 37, 100):
+            want, _ = textbook_ba(p, rho, 1.5, 1e-15, max_iter)
+            assert want[2] == max_iter and not want[4]
+            assert kernels.ba_solve(p, rho, 1.5, 1e-15, max_iter) == want
+            runs = kernels.ba_sweep(p, rho, [1.5, 6.0], 1e-15, max_iter)
+            assert runs[0] == want
+            assert runs[1] == kernels.ba_solve(p, rho, 6.0, 1e-15, max_iter)
 
 class TestInputGuards:
     @pytest.mark.parametrize("kwargs", [
