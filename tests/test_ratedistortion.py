@@ -475,6 +475,24 @@ class TestSymmetryQuotient:
             if beta == 0.5:
                 assert got[2] == 20000 and not got[4] and f"{got[3]:.3e}" == "3.669e-09"
 
+    @pytest.mark.parametrize("kind", ["parry", "bernoulli", "markov"])
+    def test_l2_window_problems_match_the_dense_run(self, parry, kind):
+        # window problems whose classes are neither trivial nor one class
+        binary = md.alphabet("0", "1")
+        measure = {"parry": parry,
+                   "bernoulli": md.MeasureSpec.bernoulli(binary, (0.3, 0.7)),
+                   "markov": md.MeasureSpec.markov_row(binary, [[0.9, 0.1], [0.4, 0.6]])}[kind]
+        prob = md.rd_problem_from_measure(measure, 2, M=2, norm="l2")
+        p, rho, q0 = prob.lumped
+        rows, cols = prob.classes
+        assert 1 < rows.max() + 1 < len(p) and 1 < cols.max() + 1 < len(q0)
+        assert_equitable(p, rho, q0, rows, cols)
+        assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho, q0)
+        for beta in (0.5, 2.0, 8.0):
+            assert_quotient_matches_dense(
+                kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0, prob.classes),
+                kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0))
+
     def test_bernoulli_window_is_one_class(self, bern_half):
         prob = md.rd_problem_from_measure(bern_half, 2, M=2)
         p, rho, q0 = prob.lumped
