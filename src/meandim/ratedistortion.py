@@ -118,10 +118,9 @@ class RdProblem:
             return None
         rows = _split(np.zeros(len(p), dtype=np.intp), p[:, None])
         cols = _split(np.zeros(len(q0), dtype=np.intp), q0[:, None])
-        rho_t = np.ascontiguousarray(rho.T)  # the columns, as rows
         while True:
             new_rows = _split(rows, _sorted_in_classes(rho, cols))
-            new_cols = _split(cols, _sorted_in_classes(rho_t, new_rows))
+            new_cols = _split(cols, _sorted_in_classes(rho.T, new_rows))
             if new_rows.max() == rows.max() and new_cols.max() == cols.max():
                 break
             rows, cols = new_rows, new_cols
@@ -145,9 +144,13 @@ def _sorted_in_classes(a, labels) -> np.ndarray:
     """A copy of ``a`` whose columns are grouped by their ``labels``, in
     class order, with each row sorted within each class and -0.0 read as
     0.0: two rows are equal exactly when they hold the same multiset of
-    values in every class."""
+    values in every class.  The copy is the only array of a's size made."""
     order = np.argsort(labels, kind="stable")
-    out = np.take(a, order, axis=1)
+    # labels in first-occurrence order are sorted when no class interleaves
+    # another, and a plain copy is faster than a take, most of all from a
+    # transposed view
+    grouped = (np.diff(order) == 1).all()
+    out = np.array(a, order="C") if grouped else np.take(a, order, axis=1)
     ends = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
     for lo, hi in zip([0] + ends, ends + [len(order)]):
         if hi - lo > 1:
@@ -168,9 +171,11 @@ def _split(labels, sig) -> np.ndarray:
         groups.setdefault(key, []).append(i)
     parts = []
     for members in groups.values():
-        # one class of every row is checked in place, without a copy
+        # a class of every row is read in place; its rows are equal when
+        # each column's largest and smallest entries are
         block = bits if len(members) == len(bits) else bits[members]
-        if len(members) > 1 and not (block == block[0]).all():
+        if len(members) > 1 and not np.array_equal(np.maximum.reduce(block),
+                                                    np.minimum.reduce(block)):
             exact = {}
             for i in members:
                 exact.setdefault(bits[i].tobytes(), []).append(i)
