@@ -127,41 +127,45 @@ def slope_bytes(rho, classes=None) -> int:
     return 8 * (mx * my + 2 * FLUSH_EVERY * my)
 
 
-def ba_solve(p, rho, beta, tol, max_iter, q0=None, classes=None):
+def ba_solve(p, rho, beta, tol, max_iter, classes=None):
     """One rate-distortion point at Lagrange slope ``beta`` (bits).
 
     ``ba_sweep`` at the one slope; returns (rate_bits, distortion,
     iterations, gap, converged).
     """
-    return ba_sweep(p, rho, [beta], tol, max_iter, q0, classes)[0]
+    return ba_sweep(p, rho, [beta], tol, max_iter, classes)[0]
 
 
-def ba_sweep(p, rho, betas, tol, max_iter, q0=None, classes=None):
+def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     """Rate-distortion points at the Lagrange slopes ``betas`` (bits).
 
-    Alternates the reproduction marginal q and the optimal conditional for
-    the kernel K = 2^(-beta * rho).  The stopping rule is the Csiszar
-    bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the current free energy
-    exceeds the optimum by at most gap = max_y log2 c(y), and a slope stops
-    once gap < tol.  The loop tests max_y c(y) <= m instead, where m is the
-    largest double with log2(m) < tol (``_stop_threshold``, found once per
-    call), and takes log2 only of the gap it reports.  q starts at ``q0``,
-    or uniform when it is None.
+    Alternates the reproduction marginal q, started uniform, and the
+    optimal conditional for the kernel K = 2^(-beta * rho).  The stopping
+    rule is the Csiszar bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the
+    current free energy exceeds the optimum by at most gap = max_y log2
+    c(y), and a slope stops once gap < tol.  The loop tests max_y c(y) <= m
+    instead, where m is the largest double with log2(m) < tol
+    (``_stop_threshold``, found once per call), and takes log2 only of the
+    gap it reports.
 
-    ``classes``, when given, is an equitable partition (see
-    ``RdProblem.classes``): one label array for the rows and one for the
-    columns, each numbering its classes 0, 1, ... in first-occurrence
-    order.  p is constant on every row class R and q0 on every column
-    class C, every row of R sees the same multiset of distortions in C,
-    and every column of C the same multiset in R.  Then Z(x) is constant
-    on R and c(y) on C at every iteration, so the loop runs on the class
-    problem: source P(R) = sum of p over R, kernel Kbar(R, C) = (1/|R|)
-    sum over x in R of K(x, y_C), y_C the first column of C, and start
-    Q0(C) = sum of q0 over C.  Its c(C) is the common c(y) of C, so in
-    exact arithmetic its gaps and stopping iteration are the dense run's.
-    Rate and distortion are read on the dense arrays with q(y) = Q(C)/|C|:
-    columns that are equitable but not equal do not merge without
-    changing the rate.
+    ``classes`` is an equitable partition (see ``RdProblem.reduced``): one
+    label array for the rows and one for the columns, each numbering its
+    classes 0, 1, ... in first-occurrence order; None means identity
+    labels, every row and column a class of its own.  p is constant on
+    every row class R, every row of R sees the same multiset of
+    distortions in each column class C, and every column of C the same
+    multiset in R.  The uniform start is constant on C, so Z(x) is
+    constant on R and c(y) on C at every iteration, and the loop runs on
+    the class problem: source P(R) = sum of p over R, kernel Kbar(R, C) =
+    (1/|R|) sum over x in R of K(x, y_C), y_C the first column of C, and
+    start Q0(C) = |C|/ny.  Its c(C) is the common c(y) of C, so in exact
+    arithmetic its gaps and stopping iteration are the dense run's.  The
+    point is read with q(y) = Q(C)/|C| on one row per row class, over
+    every column, weighted by P(R): the optimal output marginal, like q,
+    is constant on each C, so every row of R sees the same multiset of
+    kernel values, q and output marginal in each C, and has the same rate
+    and distortion terms.  With identity labels this is the dense
+    arithmetic, bit for bit.
 
     All slopes iterate together as one stack of kernels.  Each slope's
     kernel and work vectors start on a 64-byte boundary (the
@@ -206,45 +210,32 @@ def ba_sweep(p, rho, betas, tol, max_iter, q0=None, classes=None):
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     rho = np.ascontiguousarray(rho, dtype=np.float64)
-    ny = rho.shape[1]
-    start = np.full(ny, 1.0 / ny) if q0 is None else np.asarray(q0, dtype=np.float64)
-    if classes is None:
-        ps, shape = p, rho.shape
+    nx, ny = rho.shape
+    rows, cols = (np.arange(nx), np.arange(ny)) if classes is None else classes
+    order, first, size = _runs(rows)
+    col_order, col_first, width = _runs(cols)
+    # the first column of each column class, rows grouped by class
+    rep = rho[np.ix_(order, col_order[col_first])]
+    ps = np.add.reduceat(p[order], first)
+    # the first row of each row class, every column: the point reads these
+    lead = rho[order[first]]
 
-        def fill(beta, out):
-            np.exp2(-beta * rho, out=out)
-    else:
-        rows, cols = classes
-        order, first, size = _runs(rows)
-        col_order, col_first, width = _runs(cols)
-        # the first column of each column class, rows grouped by class
-        rep = rho[np.ix_(order, col_order[col_first])]
-        ps, start = np.add.reduceat(p[order], first), np.bincount(cols, start)
-        shape = (len(size), len(width))
-
-        def fill(beta, out):
-            # the average, not the sum, over each row class: the iterates are
-            # the same, and Kbar <= 1, as the flush below needs
-            np.divide(np.add.reduceat(np.exp2(-beta * rep), first, axis=0), size[:, None],
-                      out=out)
-
-    def point(r, k, q, it, top, converged):
+    def point(k, q, it, top, converged):
         _flush(q)
-        if classes is None:
-            return _ba_point(p, rho, K[r], q, it, float(np.log2(top)), converged)
-        dense = np.multiply(rho, -betas[k])
-        np.exp2(dense, out=dense)
-        return _ba_point(p, rho, dense, (q / width)[cols], it, float(np.log2(top)), converged)
+        return _ba_point(ps, lead, betas[k], cols, width, q, it, float(np.log2(top)), converged)
 
     F = FLUSH_EVERY
     n = len(betas)
-    mx, my = shape
-    K = _aligned_stack(n, shape)
+    mx, my = len(size), len(width)
+    K = _aligned_stack(n, (mx, my))
     for k, beta in enumerate(betas):
-        fill(beta, K[k])
+        # the average, not the sum, over each row class: the iterates are
+        # the same, and Kbar <= 1, as the flush below needs
+        np.divide(np.add.reduceat(np.exp2(-beta * rep), first, axis=0), size[:, None],
+                  out=K[k])
     qs = _aligned_stack(F * n, (my,)).reshape(F, n, my)  # ring slot, slope
     cs = _aligned_stack(F * n, (my,)).reshape(F, n, my)
-    qs[0] = start
+    qs[0] = np.bincount(cols) / ny
     Z = _aligned_stack(n, (mx,))
     mass = np.empty(n)
     stop = _stop_threshold(tol)
@@ -286,10 +277,10 @@ def ba_sweep(p, rho, betas, tol, max_iter, q0=None, classes=None):
         # iteration it - m + j + 1 of block slot j left its q in slot j + 1
         for r, j in enumerate(np.argmax(hit, axis=0).tolist()):
             if hit[j, r]:
-                out[slot[r]] = point(r, slot[r], qs[(j + 1) % F, r], it - m + j + 1,
-                                     top[j, r], True)
+                out[slot[r]] = point(slot[r], qs[(j + 1) % F, r], it - m + j + 1, top[j, r],
+                                     True)
             elif it == max_iter:
-                out[slot[r]] = point(r, slot[r], qs[m % F, r], it, top[-1, r], False)
+                out[slot[r]] = point(slot[r], qs[m % F, r], it, top[-1, r], False)
             else:
                 keep.append(r)
         # move the slopes still running to the front, slice by slice, so
@@ -334,17 +325,22 @@ def _stop_threshold(tol) -> float:
     return float(m)
 
 
-def _ba_point(p, rho, K, q, it, gap, converged):
-    """Rate and distortion of the optimal conditional for marginal q."""
+def _ba_point(P, rho, beta, cols, width, Q, it, gap, converged):
+    """Rate and distortion of the optimal conditional for the class
+    marginal Q, read on one row per row class (``rho`` at those rows, every
+    column) weighted by the class masses P."""
+    K = np.exp2(-beta * rho)
+    q = (Q / width)[cols]
     Z = K @ q
     cond = K * q[None, :] / Z[:, None]
-    qbar = p @ cond
+    # the output marginal is constant on each column class: its class mean
+    qbar = (np.bincount(cols, P @ cond) / width)[cols]
     ratio = np.divide(cond, qbar[None, :], out=np.ones_like(cond),
                       where=(cond > 0) & (qbar[None, :] > 0))
     # log2 in place: ratio is not read again, and the point holds one
-    # nx x ny array fewer at its peak
-    rate = float(np.sum(p[:, None] * cond * np.log2(ratio, out=ratio)))
-    dist = float(np.sum(p[:, None] * cond * rho))
+    # array of cond's size fewer at its peak
+    rate = float(np.sum(P[:, None] * cond * np.log2(ratio, out=ratio)))
+    dist = float(np.sum(P[:, None] * cond * rho))
     return rate, dist, it, gap, converged
 
 

@@ -3,13 +3,14 @@
 The curve is traced parametrically by the Lagrange slope: each run
 alternates the reproduction marginal and the optimal conditional for the
 kernel 2^(-slope * distortion) until the standard Csiszar gap drops
-below tolerance.  Initialisation is uniform, zero-probability source
-outcomes are dropped and equal distortion columns are lumped first, so
-the output is deterministic.  The iteration then runs on the lumped
-problem's symmetry quotient, its coarsest equitable partition
-(``RdProblem.classes``), and rate and distortion are read back on the
-lumped arrays.  A sweep runs its slopes as one stacked iteration, each
-slope on the same iterates as a run of its own.
+below tolerance.  Initialisation is uniform and zero-probability source
+outcomes are dropped, so the output is deterministic.  The iteration
+runs on the problem's symmetry quotient, its coarsest equitable
+partition (``RdProblem.reduced``): Z is constant on each row class and
+the reproduction marginal on each column class, so rate and distortion
+are read on one row per row class, every row of a class having the same
+terms.  A sweep runs its slopes as one stacked iteration, each slope on
+the same iterates as a run of its own.
 """
 
 from __future__ import annotations
@@ -59,18 +60,23 @@ class RdProblem:
         return self.distortion
 
     @cached_property
-    def lumped(self):
-        """(p, rho, q0): the problem Blahut-Arimoto runs, computed once.
+    def reduced(self):
+        """(p, rho, rows, cols): the problem Blahut-Arimoto runs, computed once.
 
-        Source outcomes of probability 0 are dropped.  Reproductions whose
-        distortion columns are then equal get equal c(y), hence equal
-        mass, on every iteration, so each group of equal columns is kept
-        once, in first-occurrence order, and ``q0`` starts it at its
-        multiplicity over the reproduction count.  The lumped iteration
-        follows the summed mass of each group, and rate and distortion
-        come out the same.  Without equal columns the arrays are the dense
-        ones and q0 is the uniform start 1/ny.  ``classes`` partitions
-        these arrays further, and rate and distortion are read on them.
+        Source outcomes of probability 0 are dropped: p and rho are the
+        remaining probabilities and distortion rows, over every
+        reproduction.  ``rows`` and ``cols`` label the coarsest equitable
+        partition of these arrays, each numbering its classes 0, 1, ... in
+        first-occurrence order.  The rows start in classes of equal p and
+        the columns in one class, since the start is uniform; then each
+        class is split until every row of a class sees the same multiset of
+        distortions in each column class, and every column of a class the
+        same multiset in each row class.  Values are grouped by exact float
+        equality, -0.0 as 0.0, so equal columns always share a class.
+        ``kernels.ba_sweep`` runs Blahut-Arimoto on the class problem: 48x50
+        for the golden window problem's 125x512, 1x1 for a Bernoulli(1/2)
+        window's 512x512.  A partition into single rows and columns gives
+        identity labels, and the run takes the dense arrays bit for bit.
         """
         p = self.source.prob_array()
         keep = p > 0
@@ -78,57 +84,20 @@ class RdProblem:
             raise ValueError("source has no outcome with positive probability")
         p = p[keep]
         rho = self.distortion if keep.all() else self.distortion[keep, :]
-        ny = rho.shape[1]
-        # columns grouped by their bytes, in first-occurrence order; + 0.0
-        # maps -0.0 to 0.0
-        groups = {}
-        for j, col in enumerate(np.add(rho.T, 0.0, order="C")):
-            groups.setdefault(col.tobytes(), []).append(j)
-        # free the byte keys, a column's worth each, before allocating q0:
-        # an array allocated while they live keeps their heap from shrinking
-        groups = list(groups.values())
-        if len(groups) < ny:
-            rho = np.ascontiguousarray(rho[:, [g[0] for g in groups]])
-        q0 = np.array([len(g) for g in groups]) / ny
-        # every caller gets these same arrays
-        for a in (p, rho, q0):
-            a.setflags(write=False)
-        return p, rho, q0
-
-    @cached_property
-    def classes(self):
-        """The coarsest equitable partition of the ``lumped`` problem, computed
-        once, or None when it is trivial.
-
-        Two read-only label arrays, one per lumped row and one per lumped
-        column, each numbering its classes in first-occurrence order.  The
-        rows start in classes of equal p and the columns in classes of
-        equal q0; then each class is split until every row of a class sees
-        the same multiset of distortions in each column class, and every
-        column of a class the same multiset in each row class.  Values
-        are grouped by exact float equality.  ``kernels.ba_sweep`` runs
-        Blahut-Arimoto on the class problem: 48x50 for the golden window
-        problem's 125x127, 1x1 for a Bernoulli(1/2) window's 512x512.  When
-        every p is distinct, no column class can hold two of the lumped
-        columns, which are distinct, so the partition is trivial at once,
-        and the run takes the lumped arrays bit for bit.
-        """
-        p, rho, q0 = self.lumped
-        if len(set(p.tolist())) == len(p):
-            return None
         rows = _split(np.zeros(len(p), dtype=np.intp), p[:, None])
-        cols = _split(np.zeros(len(q0), dtype=np.intp), q0[:, None])
+        cols = np.zeros(rho.shape[1], dtype=np.intp)
         while True:
-            new_rows = _split(rows, _sorted_in_classes(rho, cols))
-            new_cols = _split(cols, _sorted_in_classes(rho.T, new_rows))
-            if new_rows.max() == rows.max() and new_cols.max() == cols.max():
+            rows = _refine(rows, rho, cols)
+            # the rows were just refined against these columns, so both
+            # sides are stable once the columns do not split
+            new_cols = _refine(cols, rho.T, rows)
+            if new_cols.max() == cols.max():
                 break
-            rows, cols = new_rows, new_cols
-        if rows.max() + 1 == len(p) and cols.max() + 1 == len(q0):
-            return None
-        for a in (rows, cols):
+            cols = new_cols
+        # every caller gets these same arrays
+        for a in (p, rho, rows, cols):
             a.setflags(write=False)
-        return rows, cols
+        return p, rho, rows, cols
 
     def __eq__(self, other):
         if not isinstance(other, RdProblem):
@@ -140,23 +109,27 @@ class RdProblem:
         return hash((self.source, self.reproductions))
 
 
-def _sorted_in_classes(a, labels) -> np.ndarray:
-    """A copy of ``a`` whose columns are grouped by their ``labels``, in
-    class order, with each row sorted within each class and -0.0 read as
-    0.0: two rows are equal exactly when they hold the same multiset of
-    values in every class.  The copy is the only array of a's size made."""
-    order = np.argsort(labels, kind="stable")
+def _refine(labels, a, other) -> np.ndarray:
+    """``labels`` of the rows of ``a`` refined by the multiset of values
+    each row holds in each class of ``other``, the labels of a's columns.
+    The rows are compared on a copy of ``a`` whose columns are grouped by
+    class, with each row sorted within each class and -0.0 read as 0.0,
+    the only array of a's size made.  Single rows split no further, so a
+    partition into them is returned as is."""
+    if labels.max() + 1 == len(labels):
+        return labels
+    order = np.argsort(other, kind="stable")
     # labels in first-occurrence order are sorted when no class interleaves
     # another, and a plain copy is faster than a take, most of all from a
     # transposed view
     grouped = (np.diff(order) == 1).all()
     out = np.array(a, order="C") if grouped else np.take(a, order, axis=1)
-    ends = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    ends = (np.flatnonzero(np.diff(other[order])) + 1).tolist()
     for lo, hi in zip([0] + ends, ends + [len(order)]):
         if hi - lo > 1:
             out[:, lo:hi].sort(axis=1)
     out += 0.0
-    return out
+    return _split(labels, out)
 
 
 def _split(labels, sig) -> np.ndarray:
@@ -173,7 +146,7 @@ def _split(labels, sig) -> np.ndarray:
     for members in groups.values():
         # a class of every row is read in place; its rows are equal when
         # each column's largest and smallest entries are
-        block = bits if len(members) == len(bits) else bits[members]
+        block = bits[members] if 1 < len(members) < len(bits) else bits
         if len(members) > 1 and not np.array_equal(np.maximum.reduce(block),
                                                     np.minimum.reduce(block)):
             exact = {}
@@ -183,9 +156,11 @@ def _split(labels, sig) -> np.ndarray:
         else:
             parts.append(members)
     parts.sort()
-    out = np.empty(len(labels), dtype=np.intp)
-    out[np.concatenate(parts)] = np.repeat(np.arange(len(parts)), [len(m) for m in parts])
-    return out
+    out = [0] * len(labels)
+    for k, members in enumerate(parts):
+        for i in members:
+            out[i] = k
+    return np.array(out, dtype=np.intp)
 
 
 def _mix(n) -> np.ndarray:
@@ -218,10 +193,9 @@ def blahut_arimoto(problem: RdProblem, slope: float, tol: float = 1e-9,
     gap does not fall below ``tol`` within ``max_iter`` iterations.
     """
     _check_run(slope, tol, max_iter)
-    p, rho, q0 = problem.lumped
+    p, rho, *classes = problem.reduced
     rate, dist, iters, gap, converged = kernels.ba_solve(p, rho, float(slope), float(tol),
-                                                         int(max_iter), q0=q0,
-                                                         classes=problem.classes)
+                                                         int(max_iter), classes)
     return _point(slope, tol, rate, dist, iters, gap, converged)
 
 
@@ -239,13 +213,12 @@ def rd_curve(problem: RdProblem, slopes: Sequence[float], tol: float = 1e-9,
     slopes = [float(s) for s in slopes]
     for s in slopes:
         _check_run(s, tol, max_iter)
-    p, rho, q0 = problem.lumped
-    classes = problem.classes
+    p, rho, *classes = problem.reduced
     chunk = max(1, kernels.BATCH_BYTES // kernels.slope_bytes(rho, classes))
     points = []
     for i in range(0, len(slopes), chunk):
         part = slopes[i:i + chunk]
-        runs = kernels.ba_sweep(p, rho, part, float(tol), int(max_iter), q0, classes)
+        runs = kernels.ba_sweep(p, rho, part, float(tol), int(max_iter), classes)
         points += [_point(s, tol, *run) for s, run in zip(part, runs)]
     return points
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,6 +8,8 @@ import pytest
 import meandim as md
 from meandim import FiniteDistribution, RdProblem, kernels
 from meandim.errors import NonConvergenceError
+
+from conftest import FIXTURES
 
 
 class TestBlahutArimoto:
@@ -86,10 +89,10 @@ class TestBlahutArimoto:
             md.blahut_arimoto(prob, slope=-1.0)
 
 
-def textbook_ba(p, rho, beta, tol, max_iter, q0=None):
+def textbook_ba(p, rho, beta, tol, max_iter):
     """Blahut-Arimoto as written before the subnormal flush; also returns q."""
     K = np.exp2(-beta * rho)
-    q = np.full(rho.shape[1], 1.0 / rho.shape[1]) if q0 is None else np.array(q0)
+    q = np.full(rho.shape[1], 1.0 / rho.shape[1])
     gap, it, converged = np.inf, 0, False
     while it < max_iter and not converged:
         it += 1
@@ -143,21 +146,32 @@ class TestSubnormalFlush:
         assert pt.iterations == 8504
 
 
+@functools.cache
+def golden_textbook(beta):
+    """``textbook_ba`` on the golden window problem's dense arrays at the
+    benchmark slope ``beta``, run once per session."""
+    measure = md.parse_measure(FIXTURES / "parry_golden.measure")
+    p, rho, *_ = md.rd_problem_from_measure(measure, 2, M=2).reduced
+    return textbook_ba(p, rho, beta, 1e-9, 20000)[0]
+
+
 class TestKernelBits:
-    def test_golden_window_matches_textbook_loop_at_benchmark_slopes(self, parry):
-        p, rho, q0 = md.rd_problem_from_measure(parry, 2, M=2).lumped
+    def test_golden_window_matches_textbook_loop_at_benchmark_slopes(self, fixtures_dir):
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        p, rho, *_ = md.rd_problem_from_measure(measure, 2, M=2).reduced
         for beta in (0.5, 1, 2, 4, 8, 16):
-            want, _ = textbook_ba(p, rho, beta, 1e-9, 20000, q0)
-            assert kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0) == want
+            want = golden_textbook(beta)
+            # identity labels: the dense arithmetic, bit for bit
+            assert kernels.ba_solve(p, rho, beta, 1e-9, 20000) == want
             if beta == 0.5:
                 assert want[2] == 20000 and not want[4] and f"{want[3]:.3e}" == "3.669e-09"
 
     def test_hamming_sweep_matches_single_slope_runs(self):
         p0 = float(np.random.default_rng(11).uniform(0.2, 0.45))
-        p, rho, q0 = md.binary_hamming_problem(p0).lumped
+        p, rho, *classes = md.binary_hamming_problem(p0).reduced
         slopes = [0.2 + i * (8.0 - 0.2) / 399 for i in range(400)]
-        got = kernels.ba_sweep(p, rho, slopes, 1e-9, 20000, q0)
-        assert got == [kernels.ba_solve(p, rho, s, 1e-9, 20000, q0) for s in slopes]
+        got = kernels.ba_sweep(p, rho, slopes, 1e-9, 20000, classes)
+        assert got == [kernels.ba_solve(p, rho, s, 1e-9, 20000, classes) for s in slopes]
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 3.7, 1023.5, 1e6])
     def test_stop_threshold_is_the_last_double_under_tol(self, tol):
@@ -224,49 +238,126 @@ def planted_problem(seed, nx=12, distinct=7, ny=20, zero_rows=2):
     return RdProblem.build(src, tuple(range(ny)), rho), p, rho, len(set(pick))
 
 
+def relabel(keys):
+    """Class labels of ``keys`` in first-occurrence order."""
+    seen = {}
+    return [seen.setdefault(k, len(seen)) for k in keys]
+
+
+def assert_matches_textbook(prob, p, rho, beta):
+    """The reduced run of ``prob`` against ``textbook_ba`` on the full
+    arrays ``p``, ``rho``, zero-probability rows included."""
+    rp, rrho, *classes = prob.reduced
+    for tol, max_iter in ((1e-14, 40), (1e-10, 20000)):
+        want, _ = textbook_ba(p, rho, beta, tol, max_iter)
+        got = kernels.ba_solve(rp, rrho, beta, tol, max_iter, classes)
+        assert got[2:5:2] == want[2:5:2]  # iterations and converged
+        for k in (0, 1, 3):  # rate, distortion and gap
+            assert got[k] == pytest.approx(want[k], abs=1e-12)
+    if not want[4]:
+        with pytest.raises(NonConvergenceError, match=f"after {max_iter} iterations"):
+            md.blahut_arimoto(prob, beta, tol=1e-10)
+        return
+    pt = md.blahut_arimoto(prob, beta, tol=1e-10)
+    assert pt.iterations == want[2]
+    assert pt.rate == pytest.approx(max(want[0], 0.0), abs=1e-12)
+    assert pt.distortion == pytest.approx(want[1], abs=1e-12)
+
+
 class TestLumping:
+    """Equal distortion columns are lumped into one column class."""
+
     def test_lumped_run_matches_dense_textbook_loop(self):
         for seed in range(8):
             prob, p, rho, distinct = planted_problem(seed)
-            lp, lrho, q0 = prob.lumped
-            assert lrho.shape == (int((p > 0).sum()), distinct)
-            # one column per group, in first-occurrence order
-            firsts = {}
-            for j, col in enumerate(map(tuple, rho[p > 0].T)):
-                firsts.setdefault(col, j)
-            assert np.array_equal(lrho, rho[p > 0][:, sorted(firsts.values())])
-            assert q0.sum() == pytest.approx(1.0, abs=1e-15)
+            rp, rrho, rows, cols = prob.reduced
+            assert prob.reduced is prob.reduced  # computed once per problem
+            assert all(not a.flags.writeable for a in prob.reduced)
+            # zero-probability rows dropped, every column kept
+            assert np.array_equal(rp, p[p > 0]) and np.array_equal(rrho, rho[p > 0])
+            # distinct p: single rows, and one class per group of equal
+            # columns, in first-occurrence order
+            assert rows.tolist() == list(range(len(rp)))
+            assert cols.tolist() == relabel(map(tuple, rrho.T)) and cols.max() + 1 == distinct
             beta = float(np.random.default_rng(seed).uniform(0.5, 6.0))
-            for tol, max_iter in ((1e-14, 40), (1e-10, 20000)):
-                want, _ = textbook_ba(p[p > 0], rho[p > 0], beta, tol, max_iter)
-                got = kernels.ba_solve(lp, lrho, beta, tol, max_iter, q0=q0)
-                assert got[2:5:2] == want[2:5:2]  # iterations and converged
-                assert got[0] == pytest.approx(want[0], abs=1e-12)
-                assert got[1] == pytest.approx(want[1], abs=1e-12)
-                assert got[3] == pytest.approx(want[3], abs=1e-12)
-            pt = md.blahut_arimoto(prob, beta, tol=1e-10)
-            assert want[4] and pt.iterations == want[2]
-            assert pt.rate == pytest.approx(max(want[0], 0.0), abs=1e-12)
-            assert pt.distortion == pytest.approx(want[1], abs=1e-12)
+            for b in (0.5, beta, 12.0):
+                assert_matches_textbook(prob, p, rho, b)
 
     def test_distinct_columns_run_the_dense_arrays(self):
-        src = FiniteDistribution(("a", "b", "z"), (0.5, 0.5, 0.0))
+        src = FiniteDistribution(("a", "b", "z"), (0.6, 0.4, 0.0))
         prob = RdProblem.build(src, ("a", "b"), [[0, 1], [1, 0], [7, 7]])
-        p, rho, q0 = prob.lumped
-        assert rho.tolist() == [[0, 1], [1, 0]] and p.tolist() == [0.5, 0.5]
-        assert q0.tolist() == [0.5, 0.5]
-        assert prob.lumped is prob.lumped  # computed once per problem
-        # the uniform q0 is the dense run's own start, bit for bit
+        p, rho, rows, cols = prob.reduced
+        assert rho.tolist() == [[0, 1], [1, 0]] and p.tolist() == [0.6, 0.4]
+        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
+        # identity labels run the dense arithmetic, bit for bit
         for beta in (0.3, 2.0, 9.0):
-            assert kernels.ba_solve(p, rho, beta, 1e-12, 500, q0=q0) == \
-                kernels.ba_solve(p, rho, beta, 1e-12, 500)
+            want, _ = textbook_ba(p, rho, beta, 1e-12, 500)
+            assert kernels.ba_solve(p, rho, beta, 1e-12, 500, (rows, cols)) == want
+            assert kernels.ba_solve(p, rho, beta, 1e-12, 500) == want
 
     def test_golden_window_lumps_to_one_column_per_centre_symbol(self, parry):
         prob = md.rd_problem_from_measure(parry, 2.0, 2)
-        p, rho, q0 = prob.lumped
-        assert rho.shape == (125, 127)
-        # 387 inadmissible patterns lump into one column per centre symbol
-        assert sorted(q0 * 512) == [1.0] * 125 + [156.0, 231.0]
+        p, rho, rows, cols = prob.reduced
+        assert rho.shape == (125, 512)
+        # the 387 inadmissible patterns share one distortion column per
+        # centre symbol, and each of the two groups is a column class
+        groups = {}
+        for j, col in enumerate(map(tuple, rho.T)):
+            groups.setdefault(col, []).append(j)
+        equal = sorted((g for g in groups.values() if len(g) > 1), key=len)
+        assert [len(g) for g in equal] == [156, 231]
+        for g in equal:
+            assert np.flatnonzero(cols == cols[g[0]]).tolist() == g
+
+
+def signed_zero_problem(seed, nx=9, distinct=5, ny=12):
+    """Distinct p, one zero-probability row, and duplicate columns whose
+    zeros are stored as 0.0 in one copy and as -0.0 in another."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(nx)
+    p[0] = 0.0
+    p /= p.sum()
+    base = rng.choice([0.0, 0.5, 1.0, 2.0], (nx, distinct))
+    pick = np.concatenate([np.arange(distinct), rng.integers(0, distinct, ny - distinct)])
+    rho = base[:, pick]
+    for j in range(distinct, ny):
+        rho[rho[:, j] == 0.0, j] = -0.0
+    assert np.signbit(rho).any() and (rho == 0.0).any()
+    src = FiniteDistribution(tuple(range(nx)), tuple(p))
+    return RdProblem.build(src, tuple(range(ny)), rho), p, rho, len(set(pick.tolist()))
+
+
+def coarser_than_lumped_problem():
+    """Four rows of equal p; columns A, A, B, C, D, D, each with two 0s and
+    two 1s, and every row sees three of each.  The dense partition is one
+    class of each side, but lumping first (A and D of mass 2/6, B and C of
+    1/6) would start B and C apart from A and D."""
+    A, B, C, D = (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)
+    rho = np.array([A, A, B, C, D, D], dtype=np.float64).T
+    src = FiniteDistribution(tuple(range(4)), (0.25,) * 4)
+    return RdProblem.build(src, tuple(range(6)), rho)
+
+
+class TestPlantedDifferential:
+    """The reduced run against ``textbook_ba`` on the full arrays: the same
+    iterations and ``converged``, rate, distortion and gap within 1e-12
+    (with ``TestLumping``, which plants zero rows and equal columns)."""
+
+    def test_zeros_stored_as_either_sign(self):
+        for seed in range(6):
+            prob, p, rho, distinct = signed_zero_problem(seed)
+            _, rrho, rows, cols = prob.reduced
+            assert cols.tolist() == relabel(map(tuple, (rrho + 0.0).T))
+            assert cols.max() + 1 == distinct
+            for beta in (0.5, 3.0, 12.0):
+                assert_matches_textbook(prob, p, rho, beta)
+
+    def test_single_column_equitable_with_a_duplicated_one(self):
+        prob = coarser_than_lumped_problem()
+        p, rho, rows, cols = prob.reduced
+        assert rows.tolist() == [0] * 4 and cols.tolist() == [0] * 6
+        for beta in (0.5, 3.0, 12.0):
+            assert_matches_textbook(prob, p, rho, beta)
 
 
 class TestBatchedSweep:
@@ -279,7 +370,8 @@ class TestBatchedSweep:
             want = [md.blahut_arimoto(prob, s, tol=1e-10) for s in slopes]
             assert md.rd_curve(prob, slopes, tol=1e-10) == want
             # chunks of three slopes give the same points
-            monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * kernels.slope_bytes(prob.lumped[1]))
+            _, rho, *classes = prob.reduced
+            monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * kernels.slope_bytes(rho, classes))
             assert md.rd_curve(prob, slopes, tol=1e-10) == want
             monkeypatch.undo()
         assert md.rd_curve(probs[0], []) == []
@@ -294,9 +386,10 @@ class TestBatchedSweep:
             except NonConvergenceError as exc:
                 fails[s] = exc
         assert list(fails) == [0.62, 0.56]
+        _, rho, *classes = prob.reduced
         for chunk_slopes in (len(slopes), 1):
             monkeypatch.setattr(kernels, "BATCH_BYTES",
-                                chunk_slopes * kernels.slope_bytes(prob.lumped[1]))
+                                chunk_slopes * kernels.slope_bytes(rho, classes))
             with pytest.raises(NonConvergenceError) as ei:
                 md.rd_curve(prob, slopes, max_iter=300)
             assert str(ei.value) == str(fails[0.62]) and ei.value.gap == fails[0.62].gap
@@ -366,20 +459,17 @@ def symmetric_problem(seed, row_cycles=(3, 3, 3, 2, 2, 1), col_cycles=(3, 3, 3, 
     return RdProblem.build(src, tuple(range(ny)), rho), sigma
 
 
-def naive_classes(p, rho, q0):
-    """The coarsest equitable partition by colour refinement over tuples."""
+def naive_classes(p, rho):
+    """The coarsest equitable partition by colour refinement over tuples,
+    from rows in classes of equal p and the columns in one class."""
     vals = rho.tolist()
-
-    def relabel(keys):
-        seen = {}
-        return [seen.setdefault(k, len(seen)) for k in keys]
 
     def signature(label, sees, other):
         # for each class of `other`, the sorted values seen there
         return label, tuple(tuple(sorted(v for v, c in zip(sees, other) if c == k))
                             for k in range(max(other) + 1))
 
-    rows, cols = relabel(p.tolist()), relabel(q0.tolist())
+    rows, cols = relabel(p.tolist()), [0] * len(vals[0])
     while True:
         new_rows = relabel(signature(rows[x], vals[x], cols) for x in range(len(rows)))
         new_cols = relabel(signature(cols[y], [row[y] for row in vals], new_rows)
@@ -389,7 +479,7 @@ def naive_classes(p, rho, q0):
         rows, cols = new_rows, new_cols
 
 
-def assert_equitable(p, rho, q0, rows, cols):
+def assert_equitable(p, rho, rows, cols):
     """Counted per class pair and per distortion value: every row of a
     class sees each value equally often in each column class, and every
     column of a class equally often in each row class."""
@@ -399,7 +489,6 @@ def assert_equitable(p, rho, q0, rows, cols):
         assert len(set(p[xs].tolist())) == 1
         for C in range(cols.max() + 1):
             ys = np.flatnonzero(cols == C)
-            assert len(set(q0[ys].tolist())) == 1
             block = rho[np.ix_(xs, ys)]
             for v in np.unique(block):
                 assert len(set((block == v).sum(axis=1).tolist())) == 1
@@ -417,61 +506,62 @@ class TestSymmetryQuotient:
     def test_planted_symmetry_classes_are_the_coarsest_equitable_ones(self):
         for seed in range(8):
             prob, sigma = symmetric_problem(seed)
-            p, rho, q0 = prob.lumped
-            rows, cols = prob.classes
-            assert prob.classes is prob.classes  # computed once per problem
-            assert not rows.flags.writeable and not cols.flags.writeable
-            assert_equitable(p, rho, q0, rows, cols)
+            p, rho, rows, cols = prob.reduced
+            assert_equitable(p, rho, rows, cols)
             # every cycle of the planted symmetry lies inside one row class
             assert all(rows[x] == rows[sigma[x]] for x in range(len(sigma)))
-            assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho, q0)
+            assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho)
             assert rows.max() + 1 < len(p)
 
     def test_planted_symmetry_run_matches_the_dense_run(self):
         for seed in range(8):
             prob, _ = symmetric_problem(seed)
-            p, rho, q0 = prob.lumped
+            p, rho, *classes = prob.reduced
             for beta in (0.4, 3.0, 11.0):
                 for tol, max_iter in ((1e-14, 40), (1e-10, 20000)):
-                    want = kernels.ba_solve(p, rho, beta, tol, max_iter, q0)
-                    got = kernels.ba_solve(p, rho, beta, tol, max_iter, q0, prob.classes)
+                    want = kernels.ba_solve(p, rho, beta, tol, max_iter)
+                    got = kernels.ba_solve(p, rho, beta, tol, max_iter, classes)
                     assert_quotient_matches_dense(got, want)
             pt = md.blahut_arimoto(prob, 3.0, tol=1e-10)
-            want = kernels.ba_solve(p, rho, 3.0, 1e-10, 20000, q0)
+            want = kernels.ba_solve(p, rho, 3.0, 1e-10, 20000)
             assert pt.iterations == want[2]
             assert pt.rate == pytest.approx(max(want[0], 0.0), abs=1e-12)
             assert pt.distortion == pytest.approx(want[1], abs=1e-12)
 
     def test_hash_collisions_never_merge_classes(self, monkeypatch):
-        want = [symmetric_problem(seed)[0].classes for seed in range(4)]
+        want = [symmetric_problem(seed)[0].reduced[2:] for seed in range(4)]
         # every row hashes alike, so only the exact check tells rows apart
         monkeypatch.setattr(md.ratedistortion, "_mix",
                             lambda n: np.zeros(n, dtype=np.uint64))
         for seed, (rows, cols) in enumerate(want):
-            got_rows, got_cols = symmetric_problem(seed)[0].classes
+            got_rows, got_cols = symmetric_problem(seed)[0].reduced[2:]
             assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
 
-    def test_distinct_probabilities_give_no_classes(self):
-        # the Hamming and planted test problems run the lumped arrays bit for bit
-        for prob in (md.binary_hamming_problem(0.3), planted_problem(3)[0]):
-            assert prob.classes is None
-            p, rho, q0 = prob.lumped
+    def test_distinct_probabilities_give_identity_labels(self):
+        # the Hamming problems and a random dense one run the dense
+        # arithmetic bit for bit
+        rng = np.random.default_rng(5)
+        src = FiniteDistribution(tuple(range(30)), tuple(rng.dirichlet(np.ones(30))))
+        dense = RdProblem.build(src, tuple(range(40)), rng.uniform(0.0, 3.0, (30, 40)))
+        for prob in (md.binary_hamming_problem(0.3), dense):
+            p, rho, rows, cols = prob.reduced
+            assert rows.tolist() == list(range(len(p)))
+            assert cols.tolist() == list(range(rho.shape[1]))
             for beta in (0.7, 4.0):
                 pt = md.blahut_arimoto(prob, beta, tol=1e-10)
-                rate, dist, iters, _, _ = kernels.ba_solve(p, rho, beta, 1e-10, 20000, q0)
-                assert (pt.rate, pt.distortion, pt.iterations) == (max(rate, 0.0), dist, iters)
+                want, _ = textbook_ba(p, rho, beta, 1e-10, 20000)
+                assert (pt.rate, pt.distortion, pt.iterations) == \
+                    (max(want[0], 0.0), want[1], want[2])
 
     def test_golden_window_quotient(self, fixtures_dir):
         measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
         prob = md.rd_problem_from_measure(measure, 2, M=2)
-        p, rho, q0 = prob.lumped
-        rows, cols = prob.classes
+        p, rho, rows, cols = prob.reduced
         assert (rows.max() + 1, cols.max() + 1) == (48, 50)
-        assert_equitable(p, rho, q0, rows, cols)
+        assert_equitable(p, rho, rows, cols)
         for beta in (0.5, 1, 2, 4, 8, 16):
-            want, _ = textbook_ba(p, rho, beta, 1e-9, 20000, q0)
-            got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0, prob.classes)
-            assert_quotient_matches_dense(got, want)
+            got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, (rows, cols))
+            assert_quotient_matches_dense(got, golden_textbook(beta))
             if beta == 0.5:
                 assert got[2] == 20000 and not got[4] and f"{got[3]:.3e}" == "3.669e-09"
 
@@ -483,25 +573,23 @@ class TestSymmetryQuotient:
                    "bernoulli": md.MeasureSpec.bernoulli(binary, (0.3, 0.7)),
                    "markov": md.MeasureSpec.markov_row(binary, [[0.9, 0.1], [0.4, 0.6]])}[kind]
         prob = md.rd_problem_from_measure(measure, 2, M=2, norm="l2")
-        p, rho, q0 = prob.lumped
-        rows, cols = prob.classes
-        assert 1 < rows.max() + 1 < len(p) and 1 < cols.max() + 1 < len(q0)
-        assert_equitable(p, rho, q0, rows, cols)
-        assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho, q0)
+        p, rho, rows, cols = prob.reduced
+        assert 1 < rows.max() + 1 < len(p) and 1 < cols.max() + 1 < rho.shape[1]
+        assert_equitable(p, rho, rows, cols)
+        assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho)
         for beta in (0.5, 2.0, 8.0):
             assert_quotient_matches_dense(
-                kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0, prob.classes),
-                kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0))
+                kernels.ba_solve(p, rho, beta, 1e-9, 20000, (rows, cols)),
+                kernels.ba_solve(p, rho, beta, 1e-9, 20000))
 
     def test_bernoulli_window_is_one_class(self, bern_half):
         prob = md.rd_problem_from_measure(bern_half, 2, M=2)
-        p, rho, q0 = prob.lumped
-        rows, cols = prob.classes
+        p, rho, rows, cols = prob.reduced
         assert rows.tolist() == [0] * 512 and cols.tolist() == [0] * 512
         for beta in (0.5, 16):
-            got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0, prob.classes)
+            got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, (rows, cols))
             assert got[2] == 1 and got[4]
-            want = kernels.ba_solve(p, rho, beta, 1e-9, 20000, q0)
+            want = kernels.ba_solve(p, rho, beta, 1e-9, 20000)
             assert got[:2] == pytest.approx(want[:2], abs=1e-12)
 
     def test_sweep_matches_single_slope_runs(self):
@@ -509,10 +597,10 @@ class TestSymmetryQuotient:
         slopes = [4.0, 0.7, 2.5, 9.0, 0.3]
         want = [md.blahut_arimoto(prob, s, tol=1e-10) for s in slopes]
         assert md.rd_curve(prob, slopes, tol=1e-10) == want
-        p, rho, q0 = prob.lumped
+        p, rho, *classes = prob.reduced
         for max_iter in (37, 20000):
-            assert kernels.ba_sweep(p, rho, slopes, 1e-12, max_iter, q0, prob.classes) == \
-                [kernels.ba_solve(p, rho, s, 1e-12, max_iter, q0, prob.classes) for s in slopes]
+            assert kernels.ba_sweep(p, rho, slopes, 1e-12, max_iter, classes) == \
+                [kernels.ba_solve(p, rho, s, 1e-12, max_iter, classes) for s in slopes]
 
 
 class TestBlockStop:
@@ -523,7 +611,7 @@ class TestBlockStop:
 
     def test_stops_at_block_edges_as_the_textbook_loop(self):
         prob = planted_problem(0)[0]
-        p, rho, _ = prob.lumped
+        p, rho, *_ = prob.reduced
         beta = 2.0
         gaps = self.gaps(p, rho, beta, 17)
         tols = {1: 10.0}
@@ -542,7 +630,7 @@ class TestBlockStop:
 
     def test_max_iter_not_a_multiple_of_the_block(self):
         prob = planted_problem(2)[0]
-        p, rho, _ = prob.lumped
+        p, rho, *_ = prob.reduced
         for max_iter in (1, 5, 16, 17, 37, 100):
             want, _ = textbook_ba(p, rho, 1.5, 1e-15, max_iter)
             assert want[2] == max_iter and not want[4]
