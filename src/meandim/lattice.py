@@ -74,13 +74,13 @@ class IntRect:
 class LatticeSet:
     """A finite subset of Z^2 stored as ``bands`` (n0, n1, runs), in
     ascending n0: maximal blocks of consecutive rows sharing one tuple of
-    sorted, disjoint, non-adjacent column runs (lo, hi).  Equal sets have
-    equal bands; a rectangle is one band with one run.  The ``columns``
-    and from them the points are built on first use and iterated in
-    lexicographic (m, n) order, which numbers the cells column by column.
+    sorted, disjoint, non-adjacent column runs (lo, hi); ``size`` counts it
+    exactly, where ``len`` fails from 2^63.  Equal sets have equal bands; a
+    rectangle is one band with one run.  ``columns`` and the points are
+    built on first use, in lexicographic (m, n) order: cells column by column.
     """
 
-    __slots__ = ("bands", "_len", "_points", "_columns")
+    __slots__ = ("bands", "size", "_points", "_columns")
 
     def __init__(self, points: Iterable[Point] = (), *, _bands=None):
         if _bands is None:
@@ -89,7 +89,7 @@ class LatticeSet:
                 rows.setdefault(int(n), []).append((int(m), int(m)))
             _bands = _bands_of_rows(rows)
         self.bands: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...] = _bands
-        self._len = sum((n1 - n0 + 1) * sum(hi - lo + 1 for lo, hi in runs)
+        self.size = sum((n1 - n0 + 1) * sum(hi - lo + 1 for lo, hi in runs)
                         for n0, n1, runs in _bands)
         self._points = self._columns = None
 
@@ -113,7 +113,7 @@ class LatticeSet:
         return cls.of(rect)
 
     def __len__(self) -> int:
-        return self._len
+        return self.size
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -134,9 +134,9 @@ class LatticeSet:
         return hash(self.bands)
 
     def __repr__(self) -> str:
-        if self._len <= 8:
+        if self.size <= 8:
             return f"LatticeSet({list(self.points)})"
-        return f"LatticeSet(<{self._len} points>)"
+        return f"LatticeSet(<{self.size} points>)"
 
     @property
     def columns(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
@@ -409,8 +409,12 @@ class SweptWindow:
             raise ValueError(f"unknown norm {self.norm!r}")
 
     def __len__(self) -> int:
+        return self.size
+
+    @property
+    def size(self) -> int:
         if self.norm == "l2":
-            return len(self.lattice_set)
+            return self.lattice_set.size
         # the swept squares move monotonically, so the cells new at step n
         # are those of the step-n square outside the step-(n-1) one
         side = 2 * self.M - 1
@@ -424,15 +428,15 @@ class SweptWindow:
     def as_rect(self) -> IntRect | None:
         self.check()
         box = self.bounding_box()
-        return box if len(self) == box.cardinality() else None
+        return box if self.size == box.cardinality() else None
 
     def check(self) -> None:
-        """Refuse more than ``MAX_LAMBDA_POINTS`` points: ``len`` of them
+        """Refuse more than ``MAX_LAMBDA_POINTS`` points: ``size`` of them
         under the sup norm, N balls' worth under the Euclidean one."""
         M, N, r2 = self.M, self.N, (self.M - 1) ** 2
         # the disc holds the square of half-side isqrt(r^2 / 2), so the
         # exact count of its points runs only for radii of a few thousand
-        size = len(self) if self.norm == "linf" else N * (2 * math.isqrt(r2 // 2) + 1) ** 2
+        size = self.size if self.norm == "linf" else N * (2 * math.isqrt(r2 // 2) + 1) ** 2
         if self.norm == "l2" and size <= MAX_LAMBDA_POINTS:
             size = N * sum(2 * math.isqrt(r2 - m * m) + 1 for m in range(1 - M, M))
         if size > MAX_LAMBDA_POINTS:
@@ -477,7 +481,7 @@ def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet
 def lambda_count(a: int, b: int, M: int, N: int) -> int:
     """Exact cardinality of lambda_set(a, b, M, N), in closed form (see
     ``SweptWindow``), checked against enumeration in the test suite."""
-    return len(SweptWindow(a, b, M, N))
+    return SweptWindow(a, b, M, N).size
 
 
 def lambda_density(a: int, b: int, M: int, N: int) -> float:

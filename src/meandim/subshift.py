@@ -686,7 +686,7 @@ def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
     if algorithm not in ("auto", "backtracking"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     pts = support if isinstance(support, SweptWindow) else LatticeSet.of(support)
-    cells = len(pts)
+    cells = pts.size
     bits = cells * math.log2(sft.nsymbols)
     path = functools.partial(CountPlan, cells=cells, bits=bits)
     if cells == 0:

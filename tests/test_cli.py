@@ -516,6 +516,56 @@ class TestRunCommand:
         assert code == 1 and "guard" in rep["error"]
 
 
+class TestSupportsOfAtLeast2To63Cells:
+    """Supports of 2^63 cells or more, whose size ``len`` cannot return:
+    each is read as an exact int, then refused by its guard before work
+    or, for a closed form, reported."""
+
+    @staticmethod
+    def assert_refused(fixtures_dir, capsys, argv, message):
+        argv = [fx(fixtures_dir, a) if a.endswith(".sft") else a for a in argv]
+        t0 = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert re.match(r"meandim: error: .*guard", err) and message in err
+
+    @pytest.mark.parametrize("command", ["mmdim", "mhdim"])
+    def test_dimension_window_refused(self, fixtures_dir, capsys, command):
+        self.assert_refused(fixtures_dir, capsys, [
+            command, "--sft", "goldenrow.sft", "--action=100000,1", "--N-factor=100000"],
+            "lambda_set would hold up to 25000750007500150000 points")
+
+    def test_verify_theorem_count_refused(self, fixtures_dir, capsys):
+        self.assert_refused(fixtures_dir, capsys, [
+            "verify-theorem", "--sft", "fullshift2.sft", "--alpha", "3",
+            "--action=100000,1", "--N-factor=100000"],
+            "the count 2^25000750007500150000 has more bits")
+
+    def test_covering_window_refused(self, fixtures_dir, capsys):
+        self.assert_refused(fixtures_dir, capsys, [
+            "covering", "--sft", "goldenrow.sft", "--N", "10000000000000000000",
+            "--eps", "0.5"],
+            "lambda_set would hold up to 30000000000000000006 points")
+
+    def test_count_rect_refused(self, fixtures_dir, capsys):
+        self.assert_refused(fixtures_dir, capsys, [
+            "count", "--sft", "goldenrow.sft", "--rect", "0,10000000000000000000,0,1"],
+            "a row of 10000000000000000001 cells")
+
+    def test_lambda_density_reported(self, capsys):
+        # a closed form, so no guard is needed: the size is exact, the report
+        # correct
+        argv = ["lambda-density", "--a", "1", "--b", "1", "--M", "3",
+                "--N", "100000000000000000000"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and json.loads(out.out)["results"]["density"] == 3.0
+        assert md.lambda_count(1, 1, 3, 10 ** 20) == 25 + 9 * (10 ** 20 - 1) == \
+            md.lattice.SweptWindow(1, 1, 3, 10 ** 20).size
+
+
 class TestVerifyTheorem:
     def test_full_shift_passes(self, fixtures_dir):
         code, rep = run_command([

@@ -89,8 +89,12 @@ class TestBlahutArimoto:
             md.blahut_arimoto(prob, slope=-1.0)
 
 
-def textbook_ba(p, rho, beta, tol, max_iter):
-    """Blahut-Arimoto as written before the subnormal flush; also returns q."""
+def textbook_ba(p, rho, beta, tol, max_iter, renormalise=False):
+    """Blahut-Arimoto as written before the subnormal flush; also returns q.
+
+    q is not renormalised: q c sums to sum(p) whatever the scale of q.
+    ``renormalise`` divides each new q by its sum, as the kernel once did.
+    """
     K = np.exp2(-beta * rho)
     q = np.full(rho.shape[1], 1.0 / rho.shape[1])
     gap, it, converged = np.inf, 0, False
@@ -100,7 +104,8 @@ def textbook_ba(p, rho, beta, tol, max_iter):
         c = (p / Z) @ K
         gap = float(np.log2(np.max(c)))
         q = q * c
-        q /= q.sum()
+        if renormalise:
+            q /= q.sum()
         converged = gap < tol
     Z = K @ q
     cond = K * q[None, :] / Z[:, None]
@@ -116,12 +121,7 @@ class TestSubnormalFlush:
     def test_matches_textbook_loop_where_q_underflows(self):
         tiny = np.finfo(np.float64).tiny
         flushed = 0
-        for seed in range(12):
-            rng = np.random.default_rng(seed)
-            p = rng.random(30)
-            p /= p.sum()
-            rho = rng.uniform(0.0, 3.0, (30, 60))
-            beta = float(rng.uniform(8.0, 40.0))
+        for p, rho, beta in underflow_problems():
             want, q = textbook_ba(p, rho, beta, 1e-9, 20000)
             assert kernels.ba_solve(p, rho, beta, 1e-9, 20000) == want
             flushed += bool(((q > 0) & (q < tiny)).any())
@@ -146,25 +146,58 @@ class TestSubnormalFlush:
         assert pt.iterations == 8504
 
 
+GOLDEN_SLOPES = (0.5, 1, 2, 4, 8, 16)
+
+
 @functools.cache
-def golden_textbook(beta):
+def golden_textbook(beta, renormalise=False):
     """``textbook_ba`` on the golden window problem's dense arrays at the
     benchmark slope ``beta``, run once per session."""
     measure = md.parse_measure(FIXTURES / "parry_golden.measure")
     p, rho, *_ = md.rd_problem_from_measure(measure, 2, M=2).reduced
-    return textbook_ba(p, rho, beta, 1e-9, 20000)[0]
+    return textbook_ba(p, rho, beta, 1e-9, 20000, renormalise)[0]
+
+
+def underflow_problems():
+    """Twelve random problems, as (p, rho, beta), on most of which some
+    reproduction mass sinks below the smallest normal double."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        p = rng.random(30)
+        p /= p.sum()
+        rho = rng.uniform(0.0, 3.0, (30, 60))
+        yield p, rho, float(rng.uniform(8.0, 40.0))
 
 
 class TestKernelBits:
     def test_golden_window_matches_textbook_loop_at_benchmark_slopes(self, fixtures_dir):
         measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
         p, rho, *_ = md.rd_problem_from_measure(measure, 2, M=2).reduced
-        for beta in (0.5, 1, 2, 4, 8, 16):
+        for beta in GOLDEN_SLOPES:
             want = golden_textbook(beta)
             # identity labels: the dense arithmetic, bit for bit
             assert kernels.ba_solve(p, rho, beta, 1e-9, 20000) == want
             if beta == 0.5:
                 assert want[2] == 20000 and not want[4] and f"{want[3]:.3e}" == "3.669e-09"
+
+    def test_golden_window_iterations_pinned(self):
+        counts = [golden_textbook(beta)[2] for beta in GOLDEN_SLOPES]
+        assert counts == [20000, 11574, 6298, 3513, 8504, 1977]
+
+    def test_matches_the_renormalised_loop(self, fixtures_dir):
+        # the loop that divided q by its sum at every iteration: the same
+        # iterates up to rounding
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        p, rho, *_ = md.rd_problem_from_measure(measure, 2, M=2).reduced
+        runs = [((p, rho, beta), golden_textbook(beta, True)) for beta in GOLDEN_SLOPES]
+        runs += [(args, textbook_ba(*args, 1e-9, 20000, True)[0])
+                 for args in underflow_problems()]
+        got = [kernels.ba_solve(*args, 1e-9, 20000) for args, _ in runs]
+        for new, (_, want) in zip(got, runs):
+            assert new[2:5:2] == want[2:5:2]  # iterations and converged
+            for k in (0, 1, 3):  # rate, distortion and gap
+                assert new[k] == pytest.approx(want[k], abs=1e-12)
+        assert f"{got[0][3]:.3e}" == f"{runs[0][1][3]:.3e}" == "3.669e-09"  # slope 0.5
 
     def test_hamming_sweep_matches_single_slope_runs(self):
         p0 = float(np.random.default_rng(11).uniform(0.2, 0.45))
@@ -559,7 +592,7 @@ class TestSymmetryQuotient:
         p, rho, rows, cols = prob.reduced
         assert (rows.max() + 1, cols.max() + 1) == (48, 50)
         assert_equitable(p, rho, rows, cols)
-        for beta in (0.5, 1, 2, 4, 8, 16):
+        for beta in GOLDEN_SLOPES:
             got = kernels.ba_solve(p, rho, beta, 1e-9, 20000, (rows, cols))
             assert_quotient_matches_dense(got, golden_textbook(beta))
             if beta == 0.5:
