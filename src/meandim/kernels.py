@@ -1,10 +1,10 @@
 """Hot numeric kernels: the backtracking pattern search and Blahut-Arimoto.
 
-Both are plain code with one implementation each: the search walks
-Python lists (list indexing is cheaper than numpy scalar indexing in an
-interpreted loop), and Blahut-Arimoto is vectorised numpy.  Exact
-rectangle counts do not live here: subshift.py counts them by rank over
-GF(p) for linear specs and by the big-integer transfer sweep otherwise.
+Both are vectorised numpy with one implementation each.  The search
+extends whole blocks of admissible prefixes by one cell per step, with a
+few array operations a block.  Exact rectangle counts do not live here:
+subshift.py counts them by rank over GF(p) for linear specs and by the
+big-integer transfer sweep otherwise.
 """
 
 from collections import Counter
@@ -13,9 +13,14 @@ import numpy as np
 
 from .errors import ResourceGuardError
 
-# descents one backtracking search may make; the largest search in the
-# test suite makes about 5e5 node visits
+# descents (admissible prefixes shorter than the support) one search may
+# make; at 30-50 ns a descent, a walk refused here ran 0.12-0.21 s (2-core Xeon VM)
 MAX_NODES = 1 << 22
+
+# prefixes in one block, split before it is extended so that its children
+# fit in BLOCK_ROWS rows (n_symbols, if more).  One block a cell is live: at most
+# n_cells^2 x BLOCK_ROWS symbols of a byte (more from 256 symbols), 16 MiB at 64 cells
+BLOCK_ROWS = 4096
 
 
 def backtrack(n_cells, n_symbols, groups):
@@ -25,55 +30,20 @@ def backtrack(n_cells, n_symbols, groups):
     lists the forbidden placements that complete at cell ``i``, each a
     sequence of (cell index, required symbol) pairs whose largest cell
     index is ``i``.  A placement is checked as soon as its last cell
-    receives a value, so the search prunes a branch the moment a
+    receives a value, so the search prunes a prefix the moment a
     forbidden pattern completes.  Assignments come in lexicographic
-    order, each as the same list of symbol indices, updated in place
-    after the yield.  Raises ``ResourceGuardError`` after ``MAX_NODES``
-    descents, since the search visits every admissible pattern and its
-    run time grows with the count.
+    order, each a new list of symbol indices.  Raises
+    ``ResourceGuardError`` past ``MAX_NODES`` descents, since the search
+    visits every admissible pattern and its run time grows with the count.
     """
     if n_cells == 0:
         yield []
         return
-    # checks[i][s]: the other cells of each placement that completes at
-    # cell i with symbol s; an empty tuple forbids s at i outright
-    checks = [[[] for _ in range(n_symbols)] for _ in range(n_cells)]
-    for i, group in enumerate(groups):
-        for placement in group:
-            rest = tuple((c, s) for c, s in placement if c != i)
-            checks[i][dict(placement)[i]].append(rest)
-    assign = [0] * n_cells
-    trial = [0] * n_cells
-    last = n_cells - 1
-    level = 0
-    budget = MAX_NODES
-    while level >= 0:
-        s = trial[level]
-        if s >= n_symbols:
-            level -= 1
-            continue
-        trial[level] = s + 1
-        assign[level] = s
-        blocked = False
-        for rest in checks[level][s]:
-            for c, t in rest:
-                if assign[c] != t:
-                    break
-            else:
-                blocked = True
-                break
-        if blocked:
-            continue
-        if level == last:
-            yield assign
-        else:
-            budget -= 1
-            if budget < 0:
-                raise ResourceGuardError(
-                    f"backtracking made {MAX_NODES} descents, above the search guard; "
-                    f"the {n_cells}-cell support has too many admissible patterns")
-            level += 1
-            trial[level] = 0
+    for block, allowed in _walk(n_cells, n_symbols, groups):
+        rows, syms = np.nonzero(allowed)
+        leaves = np.take(block, rows, axis=0)
+        leaves[:, -1] = syms
+        yield from leaves.tolist()
 
 
 def backtrack_count(n_cells, n_symbols, groups) -> int:
@@ -91,7 +61,52 @@ def backtrack_count(n_cells, n_symbols, groups) -> int:
                 f"backtracking would make at least {free}^{n_cells - 1} descents, above "
                 f"the search guard of {MAX_NODES}; the {n_cells}-cell support has too "
                 f"many admissible patterns")
-    return sum(1 for _ in backtrack(n_cells, n_symbols, groups))
+    return sum(int(a.sum()) for _, a in _walk(n_cells, n_symbols, groups)) if n_cells else 1
+
+
+def _walk(n_cells, n_symbols, groups):
+    """``backtrack``'s walk in blocks: yields, in lexicographic order, each block
+    of admissible prefixes of n_cells - 1 cells and its ``allowed[row, symbol]``."""
+    dtype = np.min_scalar_type(n_symbols)
+    cols, syms = _cell_tests(n_symbols, groups, dtype)
+    piece = max(1, BLOCK_ROWS // n_symbols)
+    descents = 0
+    stack = [(0, np.zeros((1, n_cells), dtype))]
+    while stack:
+        i, block = stack.pop()
+        if len(block) > piece:
+            stack.append((i, block[piece:]))
+            block = block[:piece]
+        allowed = ~np.logical_or.reduce(np.logical_and.reduce(block.T[cols[i]] == syms[i])).T
+        if i == n_cells - 1:
+            yield block, allowed
+            continue
+        rows, at = np.nonzero(allowed)
+        if (descents := descents + len(rows)) > MAX_NODES:
+            raise ResourceGuardError(
+                f"backtracking made {MAX_NODES} descents, above the search guard; "
+                f"the {n_cells}-cell support has too many admissible patterns")
+        if len(rows):
+            children = np.take(block, rows, axis=0)
+            children[:, i] = at
+            stack.append((i + 1, children))
+
+
+def _cell_tests(n_symbols, groups, dtype):
+    """(cols, syms), [i, :, j, s] the other cells and symbols of the j-th placement
+    completing at cell i with s.  Cell i is 0 in the prefixes extended at i, so
+    the padding (i, 0) always holds, and (i, n_symbols), for no placement, never."""
+    rests = [[[] for _ in range(n_symbols)] for _ in groups]
+    for i, group in enumerate(groups):
+        for placement in group:
+            rests[i][dict(placement)[i]].append([(c, t) for c, t in placement if c != i])
+    k = max([1] + [len(rest) for cell in rests for by in cell for rest in by])
+    m = max([1] + [len(by) for cell in rests for by in cell])
+    table = np.array([[[rest + [(i, 0)] * (k - len(rest)) for rest in by]
+                       + [[(i, n_symbols)] * k] * (m - len(by)) for by in cell]
+                      for i, cell in enumerate(rests)])
+    cols, syms = table.transpose(4, 0, 3, 2, 1).copy()
+    return cols, syms[..., None].astype(dtype)
 
 
 def _free_symbols(n_symbols, groups) -> set:

@@ -219,34 +219,50 @@ def object_sweep_totals(sweep, width):
     return totals
 
 
+def reference_walk(n_cells, n_symbols, groups):
+    """Every admissible assignment in lexicographic order, and the number of
+    descents (admissible prefixes shorter than n_cells), from a recursive
+    walk that checks the placements completing at a cell once it has its
+    symbol: the reference for ``kernels.backtrack``'s blocks."""
+    found, assign, descents = [], [], 0
+
+    def rec():
+        nonlocal descents
+        level = len(assign)
+        if level == n_cells:
+            found.append(list(assign))
+            return
+        for s in range(n_symbols):
+            assign.append(s)
+            if not any(all(assign[c] == t for c, t in pl) for pl in groups[level]):
+                descents += level + 1 < n_cells
+                rec()
+            assign.pop()
+
+    rec()
+    return found, descents
+
+
 def recursive_enumeration(sft, support):
-    """Locally admissible patterns on ``support`` from a recursive walk over
-    the same placement groups: the oracle for the stream of
-    ``enumerate_locally_admissible``, which runs ``kernels.backtrack``."""
+    """Locally admissible patterns on ``support`` from ``reference_walk``
+    over the placement groups of ``oracle_placement_groups``: the oracle
+    for the stream of ``enumerate_locally_admissible``."""
     points = LatticeSet.of(support).points
-    n = len(points)
-    if n == 0:
-        yield Pattern(())
-        return
-    groups = oracle_placement_groups(sft, points)
     syms = sft.alphabet.symbols
-    assign = [0] * n
+    found, _ = reference_walk(len(points), len(syms), oracle_placement_groups(sft, points))
+    for assign in found:
+        yield Pattern(tuple(zip(points, (syms[s] for s in assign))))
 
-    def ok_at(level):
-        return not any(all(assign[c] == s for c, s in placement)
-                       for placement in groups[level])
 
-    def rec(level):
-        for s in range(len(syms)):
-            assign[level] = s
-            if not ok_at(level):
-                continue
-            if level == n - 1:
-                yield Pattern(tuple((points[i], syms[assign[i]]) for i in range(n)))
-            else:
-                yield from rec(level + 1)
-
-    yield from rec(0)
+@st.composite
+def walk_specs(draw):
+    """``small_specs`` on 1 to 3 symbols, half of them with a one-cell
+    forbidden pattern added, so that a symbol is forbidden outright."""
+    sft = draw(small_specs())
+    if draw(st.booleans()):
+        one = Pattern.from_dict({(0, 0): draw(st.sampled_from(sft.alphabet.symbols))})
+        sft = md.SftSpec(2, sft.alphabet, sft.forbidden + (one,))
+    return sft
 
 
 class TestPatterns:
@@ -557,6 +573,66 @@ class TestEnumeration:
         with pytest.raises(ResourceGuardError, match="descents"):
             for _ in md.enumerate_locally_admissible(threedot, box):
                 pass
+
+
+class TestWalk:
+    """``kernels.backtrack`` extends blocks of prefixes; against a recursive
+    walk one assignment at a time, with blocks split down to single rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_specs(), st.one_of(
+        st.builds(IntRect, st.just(0), st.integers(0, 3), st.just(0), st.integers(0, 3)),
+        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(md.bowen_window,
+                  st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
+                  st.integers(1, 3), st.integers(1, 2)),
+        st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                      max_size=10))),
+        st.sampled_from([1, 3, kernels.BLOCK_ROWS]))
+    def test_walk_matches_recursive_reference(self, sft, support, rows):
+        pts = LatticeSet.of(support)
+        n, q = len(pts), sft.nsymbols
+        assume(q ** n <= 2 ** 12)
+        groups = _placement_groups(sft, pts)
+        want, descents = reference_walk(n, q, groups)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_ROWS", rows)
+            # the walk passes at its own descent total and refuses one below
+            mp.setattr(kernels, "MAX_NODES", descents)
+            assert list(kernels.backtrack(n, q, groups)) == want
+            assert kernels.backtrack_count(n, q, groups) == len(want)
+            if descents:
+                mp.setattr(kernels, "MAX_NODES", descents - 1)
+                with pytest.raises(ResourceGuardError, match="made .* descents"):
+                    list(kernels.backtrack(n, q, groups))
+                with pytest.raises(ResourceGuardError, match="descents"):
+                    kernels.backtrack_count(n, q, groups)
+
+    def test_empty_and_one_cell_walks(self):
+        assert list(kernels.backtrack(0, 2, [])) == [[]]
+        assert kernels.backtrack_count(0, 2, []) == 1
+        assert list(kernels.backtrack(1, 3, [[((0, 1),)]])) == [[0], [2]]
+        assert kernels.backtrack_count(1, 3, [[((0, 1),)]]) == 2
+        assert list(kernels.backtrack(1, 1, [[((0, 0),)]])) == []
+
+    @pytest.mark.parametrize("rows", [5, 300])
+    def test_work_guard_independent_of_block_splits(self, threedot, monkeypatch, rows):
+        # the 7x7 three-dot box makes 56,574 descents however its blocks split
+        box = IntRect(0, 6, 0, 6)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(kernels, "MAX_NODES", 56_574)
+        assert md.count_locally_admissible(threedot, box, algorithm="backtracking") == 2 ** 13
+        monkeypatch.setattr(kernels, "MAX_NODES", 56_573)
+        with pytest.raises(ResourceGuardError, match="descents"):
+            md.count_locally_admissible(threedot, box, algorithm="backtracking")
+
+    def test_hard_squares_6x6_backtracking_refused(self, hardsquares):
+        # the free symbols are {0}, so the bound read before the walk is 1
+        # and the walk starts; the 6x6 box's 5,598,861 patterns take more
+        # than MAX_NODES descents
+        with pytest.raises(ResourceGuardError, match="descents"):
+            md.count_locally_admissible(hardsquares, IntRect(0, 5, 0, 5),
+                                        algorithm="backtracking")
 
 
 class TestTransferEntropy:
