@@ -7,10 +7,8 @@ codes: 0 success, 2 verification failure, 1 error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import re
 import sys
 import time
 
@@ -19,9 +17,10 @@ from .dimensions import (ActionSpec, MetricSpec, bowen_table, check_mmdim_start,
                          hausdorff_bracket_1d, m_schedule, mhdim_bounds,
                          minkowski_estimate_1d, mmdim_estimate, covering_number,
                          tame_growth_check, DEFAULT_M_SCHEDULE_1D)
-from .errors import MeandimError
+from .errors import CliError, MeandimError
 from .estimates import DimensionEstimate
 from .files import parse_measure, parse_rects, parse_sft
+from .flags import is_flag, read_flags, resolve
 from .information import (MeasureSpec, default_rdim_schedule, ks_entropy,
                           parry_measure, rdim_bounds)
 from .lattice import (IntRect, LatticeSet, greedy_disjoint_subcover,
@@ -31,15 +30,6 @@ from .subshift import (SftSpec, base_of_row_lift,
                        transfer_matrix_entropy_1d)
 
 SCHEMA = 1
-
-
-class CliError(MeandimError):
-    """Command-line usage problem (unknown flag, missing value, ...)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); 2 is reserved
-        raise CliError(message)
 
 
 def _int_list(text: str) -> list[int]:
@@ -55,7 +45,7 @@ def _finite_float(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise CliError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -65,71 +55,60 @@ def _at_least_one(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+        raise CliError(f"expected an integer of at least 1, got {text!r}")
     return value
 
 
 def _action(text: str) -> ActionSpec:
     parts = _int_list(text)
     if len(parts) != 2:
-        raise CliError(f"--action expects 'a,b', got {text!r}")
+        raise CliError(f"expected 'a,b', got {text!r}")
     return ActionSpec(parts[0], parts[1])
 
 
 # flags several commands read; each command declares the ones it reads
+# (a flag's keywords are described in meandim.flags)
 _SHARED = {
     "--sft": dict(required=True, help="subshift file (.sft)"),
     "--measure": dict(help="measure file (.measure)"),
     "--alpha": dict(type=_finite_float, default=2.0),
     "--action": dict(type=_action, default=ActionSpec(1, 0),
                      help="shift direction a,b (default 1,0)"),
-    "--M-schedule": dict(dest="M_schedule", type=_int_list,
-                         help="comma-separated resolution depths"),
-    "--N-factor": dict(dest="N_factor", type=_at_least_one, default=16),
+    "--M-schedule": dict(type=_int_list, help="comma-separated resolution depths"),
+    "--N-factor": dict(type=_at_least_one, default=16),
 }
 _BOWEN = ("--alpha", "--action", "--M-schedule", "--N-factor")
+# every command takes these besides its own flags
+_OUTPUTS = (("--out", dict(help="write the JSON report here instead of stdout")),
+            ("--csv", dict(help="write per-scale tables as CSV")))
 
 
-def _action_values(argv) -> list[str]:
-    """``argv`` with ``--action -3,2`` joined into ``--action=-3,2``:
-    argparse takes a token that starts with '-' for a flag, so a negative
-    first component would leave ``--action`` without its value."""
-    out = []
-    for token in argv:
-        if out and out[-1] == "--action" and re.match(r"-[0-9]", token):
-            out[-1] = f"--action={token}"
-        else:
-            out.append(token)
-    return out
+def _read_flags(name: str, argv):
+    """``argv`` read against the flags of command ``name``: its own from
+    ``_COMMANDS``, then --out and --csv."""
+    help_line, _, own = _COMMANDS[name]
+    flags = dict((flag, _SHARED[flag]) if isinstance(flag, str) else flag
+                 for flag in own + _OUTPUTS)
+    return read_flags(f"meandim {name}", help_line, flags, argv)
 
 
-def _command_parser(name: str) -> _Parser:
-    """The parser of one command: its flags from ``_COMMANDS``, then
-    ``--out`` and ``--csv``, which every command takes."""
-    help_line, handler, flags = _COMMANDS[name]
-    p = _Parser(prog=f"meandim {name}", description=help_line)
-    p.set_defaults(handler=handler)
-    for flag in flags:
-        flag, kwargs = (flag, _SHARED[flag]) if isinstance(flag, str) else flag
-        p.add_argument(flag, **kwargs)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--csv", help="write per-scale tables as CSV")
-    return p
-
-
-def _top_parser() -> _Parser:
-    """The parser for argv that names no command: it prints the version or
-    the command list and exits 0, or refuses a missing or unknown command."""
-    listing = "\n".join(f"  {name:<16}{help_line}"
-                        for name, (help_line, _, _) in _COMMANDS.items())
-    p = _Parser(prog="meandim", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter,
-                epilog=f"commands:\n{listing}\n\n"
-                       "'meandim COMMAND --help' lists a command's flags.")
-    p.add_argument("--version", action="version", version=f"meandim {__version__}")
-    p.add_argument("command", choices=_COMMANDS, metavar="command",
-                   help="one of the commands below")
-    return p
+def _no_command(word: str | None) -> None:
+    """Argv whose first word ``word`` names no command: print the command
+    list or the version and exit 0, or refuse a missing or unknown command."""
+    if word is not None and not is_flag(word):
+        raise CliError(f"argument command: invalid choice: {word!r} "
+                       f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    flag = resolve(("--help", "--version"), word) if word not in (None, "--") else None
+    if flag == ("--help", None):
+        listing = "".join(f"\n  {name:<16}{help_line}"
+                          for name, (help_line, _, _) in _COMMANDS.items())
+        print(f"usage: meandim [-h] [--version] command [flags]\n\n{__doc__.strip()}\n\n"
+              f"commands:{listing}\n\n'meandim COMMAND --help' lists a command's flags.")
+        raise SystemExit(0)
+    if flag == ("--version", None):
+        print(f"meandim {__version__}")
+        raise SystemExit(0)
+    raise CliError("the following arguments are required: command")
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +166,15 @@ def _write_report(report: dict, fh) -> None:
 def run_command(argv) -> tuple[int, dict]:
     """Run one subcommand; returns (exit code, JSON-ready report).
 
-    Only the named command's parser is built.  Argv naming no command goes
-    to the top-level parser, which handles ``--help`` and ``--version``.
+    Only the named command's flags are read.  Argv naming no command goes
+    to ``_no_command``, which handles ``--help`` and ``--version``.
     """
     started = time.perf_counter()
     try:
         if not argv or argv[0] not in _COMMANDS:
-            _top_parser().parse_args(argv[:1])  # exits, or raises CliError
-        args = _command_parser(argv[0]).parse_args(_action_values(argv[1:]))
-        report = args.handler(args)
+            _no_command(argv[0] if argv else None)  # exits, or raises CliError
+        args = _read_flags(argv[0], argv[1:])
+        report = _COMMANDS[argv[0]][1](args)
         code = report.pop("_exit_code", 0)
     except (MeandimError, ValueError, OSError) as exc:
         report = {"schema": SCHEMA, "command": argv[0] if argv else "",
@@ -560,7 +539,7 @@ def _cmd_verify(args) -> dict:
 
 
 # each command: its help line, its handler and the flags it reads besides
-# --out and --csv (a name from _SHARED, or the flag with its argparse keywords)
+# --out and --csv (a name from _SHARED, or the flag with its keywords)
 _COMMANDS = {
     "count": ("pattern count on a finite support", _cmd_count, (
         "--sft",

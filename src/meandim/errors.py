@@ -5,6 +5,10 @@ class MeandimError(Exception):
     """Base class for library-specific failures."""
 
 
+class CliError(MeandimError):
+    """Command-line usage problem (unknown flag, missing value, ...)."""
+
+
 class ResourceGuardError(MeandimError):
     """A computation would exceed its configured resource guard.
 

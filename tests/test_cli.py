@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meandim as md
+from meandim import cli
 from meandim import run_command
-from meandim.cli import _COMMANDS, main
+from meandim.cli import _COMMANDS, CliError, main
 from meandim.errors import ParseError
 from meandim.files import (parse_measure_text, parse_sft_text, write_measure,
                            write_sft)
@@ -495,6 +499,41 @@ class TestRunCommand:
         assert code == 1 and rep["error"].startswith("unrecognized arguments: ")
         assert flag in rep["error"]
 
+    @pytest.mark.parametrize("flag,argv,message", [
+        ("--rect", ["count", "--sft", "threedot.sft", "--rect", "a,b"],
+         "expected a comma-separated integer list, got 'a,b'"),
+        ("--M-schedule", ["mmdim", "--sft", "fullshift2.sft", "--M-sch", "2,x"],
+         "expected a comma-separated integer list, got '2,x'"),
+        ("--action", ["covering", "--sft", "fullshift2.sft", "--N", "1", "--eps", "0.5",
+                      "--action=1,2,3"], "expected 'a,b', got '1,2,3'"),
+        ("--box", ["count", "--sft", "threedot.sft", "--box", "x"], "invalid int value: 'x'"),
+        ("--algorithm", ["count", "--sft", "threedot.sft", "--box", "4", "--alg", "dp"],
+         "invalid choice: 'dp' (choose from 'auto', 'backtracking')"),
+    ])
+    def test_refused_values_name_their_flag(self, fixtures_dir, flag, argv, message):
+        argv = [fx(fixtures_dir, a) if a.endswith(".sft") else a for a in argv]
+        assert run_command(argv) == (1, {"schema": 1, "command": argv[0],
+                                         "error": f"argument {flag}: {message}"})
+
+    def test_negative_values_of_every_flag_in_either_spelling(self, fixtures_dir):
+        # a word of '-' and a digit or '.' is a value, whatever flag it follows
+        reports = []
+        for rect in (["--rect", "-3,2,0,1"], ["--rect=-3,2,0,1"]):
+            code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft"), *rect])
+            assert code == 0
+            rep.pop("wall_time_s")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert reports[0]["results"] == {"count": 128, "log2_count": 7.0, "cells": 12}
+        for flag, value in (("--M-schedule", "-2,8"), ("--alpha", "-1e5"), ("--alpha", "-.5"),
+                            ("--N-factor", "-3")):
+            spellings = ([flag, value], [f"{flag}={value}"])
+            read = [outcome(lambda a: cli._read_flags("mhdim", a), ["--sft", "f", *words],
+                            CliError) for words in spellings]
+            assert read[0] == read[1]
+        assert read[0] == ("CliError",
+                           "argument --N-factor: expected an integer of at least 1, got '-3'")
+
     @pytest.mark.parametrize("command", ["mmdim", "verify-theorem"])
     def test_depth_one_start_refused_before_any_window(self, fixtures_dir, monkeypatch,
                                                        command):
@@ -630,7 +669,6 @@ class TestVerifyTheorem:
         assert rep["results"]["action_factor"] == 4
 
     def test_negative_action_in_either_spelling(self, fixtures_dir, capsys):
-        # argparse would read the -3,2 of "--action -3,2" as a flag
         argv = ["verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"), "--alpha", "2"]
         printed = []
         for spelling in (["--action", "-3,2"], ["--action=-3,2"]):
@@ -747,6 +785,19 @@ class TestTopLevel:
             assert f" {flag} " in out
         assert "--M-schedule" not in out
 
+    @pytest.mark.parametrize("argv,printed", [
+        (["-h"], "usage: meandim "), (["--he", "x"], "usage: meandim "),
+        (["--vers"], f"meandim {md.__version__}\n")])
+    def test_top_level_flags_abbreviated(self, capsys, argv, printed):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 0 and capsys.readouterr().out.startswith(printed)
+
+    @pytest.mark.parametrize("word", ["--frob", "--", "--version=1"])
+    def test_top_level_flag_without_command(self, word):
+        assert run_command([word, "count"])[1]["error"] \
+            == "the following arguments are required: command"
+
     def test_missing_command(self):
         assert run_command([]) == (1, {
             "schema": 1, "command": "",
@@ -759,20 +810,188 @@ class TestTopLevel:
         assert re.findall(r"\w[\w-]*", rep["error"].split("choose from", 1)[1]) \
             == list(_COMMANDS)
 
-    def test_a_run_adds_only_its_own_flags(self, monkeypatch):
-        added = []
-        real = argparse.ArgumentParser.add_argument
+    def test_a_run_loads_no_argparse(self):
+        # a fresh interpreter, as every command-line run is
+        code = ("import sys\n"
+                "from meandim.cli import main\n"
+                "code = main(['lambda-density', '--a', '1', '--b', '0', '--M', '8',\n"
+                "             '--N', '512'])\n"
+                "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=meandim_env())
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
-        def recording(self, *names, **kwargs):
-            added.append(names)
-            return real(self, *names, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
-        code, _ = run_command(["lambda-density", "--a", "1", "--b", "0",
-                               "--M", "8", "--N", "512"])
-        assert code == 0
-        assert sorted(added) == sorted([("-h", "--help"), ("--a",), ("--b",), ("--M",),
-                                        ("--N",), ("--out",), ("--csv",)])
+# the flag reader against the argparse parser each command had before it:
+# the same flags and keywords, with --action's negative value joined to it
+# by '=' as the parser's caller did.  The type functions that raised
+# argparse.ArgumentTypeError then raise CliError now.
+class Refused(Exception):
+    pass
+
+
+class OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise Refused(message)
+
+
+def argparse_type(kind):
+    if kind not in (cli._finite_float, cli._at_least_one):
+        return kind
+
+    def typed(text):
+        try:
+            return kind(text)
+        except CliError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return typed
+
+
+def oracle_flags(name: str) -> dict:
+    flags = {}
+    for flag in _COMMANDS[name][2]:
+        flag, kwargs = (flag, cli._SHARED[flag]) if isinstance(flag, str) else flag
+        flags[flag] = kwargs
+    return {**flags, "--out": {}, "--csv": {}}
+
+
+def oracle_read(name: str, argv: list[str]):
+    p = OracleParser(prog=f"meandim {name}")
+    for flag, kwargs in oracle_flags(name).items():
+        p.add_argument(flag, **{k: argparse_type(v) if k == "type" else v
+                                for k, v in kwargs.items()})
+    return outcome(p.parse_args, action_values(argv), (Refused, CliError))
+
+
+def action_values(argv: list[str]) -> list[str]:
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--action" and re.match(r"-[0-9]", token):
+            joined[-1] = f"--action={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
+def outcome(read, argv, refusals):
+    """("ok", attributes), ("exit", code) or (exception name, message)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(read(argv))
+    except refusals as exc:
+        return type(exc).__name__, str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def negatives_joined(name: str, argv: list[str]) -> list[str]:
+    """``argv`` with every flag that takes a value, in full or by a unique
+    prefix, joined by '=' to a following word of '-' and a digit or '.'."""
+    flags = oracle_flags(name)
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        named = [prev] if prev in flags else \
+            [f for f in flags if f.startswith(prev)] if prev.startswith("--") else []
+        if (len(named) == 1 and "=" not in prev and "action" not in flags[named[0]]
+                and re.match(r"-[0-9.]", token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+FLAG_NAMES = sorted({flag for name in _COMMANDS for flag in oracle_flags(name)})
+# values each type reads, and values it refuses
+VALUES = {int: (["3", "-3", "0"], ["x", "2.5"]),
+          cli._finite_float: (["2.5", "-.5", "1e3", "-1e5"], ["nan", "-inf", "-1."]),
+          cli._at_least_one: (["3"], ["0", "-3"]),
+          cli._int_list: (["1,2", "-2,8", "-3,2,0,1"], ["a,b"]),
+          cli._action: (["1,1", "-3,2"], ["1,2,3", "x"]),
+          None: (["f.sft", "-", ""], [])}
+# the required flags of each command
+REQUIRED = {name: [f for f, kwargs in oracle_flags(name).items() if kwargs.get("required")]
+            for name in _COMMANDS}
+
+
+@st.composite
+def command_argv(draw):
+    """A command and argv for it: mostly its own flags with values their
+    types read, in full or abbreviated, with '=' or as the next word;
+    among them other commands' flags, unknown and ambiguous ones,
+    refused values, flags without a value, --strict=1, -h and --."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    flags = oracle_flags(name)
+
+    @st.composite
+    def own(draw, flag=None):
+        flag = flag or draw(st.sampled_from(list(flags)))
+        kwargs = flags[flag]
+        spelled = flag[:draw(st.integers(3, len(flag)))]
+        if "action" in kwargs:
+            return [spelled]
+        good, bad = (list(kwargs["choices"]), ["dp"]) if "choices" in kwargs \
+            else VALUES[kwargs.get("type")]
+        value = draw(st.sampled_from(good * 3 + bad))
+        return draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]]))
+
+    other = st.builds(lambda f, n: f[:n] if f.startswith("--") else f,
+                      st.sampled_from(FLAG_NAMES + ["--frob", "-h", "--help"]),
+                      st.integers(3, 13))
+    value = st.sampled_from(sum((good + bad for good, bad in VALUES.values()), ["-x"]))
+    stray = st.one_of(
+        st.tuples(other, value).map(list),
+        st.builds(lambda f, v: [f"{f}={v}"], other, value),
+        other.map(lambda f: [f]),  # a flag without its value
+        value.map(lambda v: [v]),
+        st.sampled_from([["--"], ["--strict=1"], ["-h"], ["--he"]]))
+    words = draw(st.lists(own(), max_size=4))
+    if draw(st.integers(0, 3)):
+        words += [draw(own(flag)) for flag in REQUIRED[name]]
+    if draw(st.booleans()):
+        words += draw(st.lists(stray, min_size=1, max_size=3))
+    words = draw(st.permutations(words))
+    return name, [token for w in words for token in w]
+
+
+class TestFlagReader:
+    @settings(max_examples=300, deadline=None)
+    @given(command_argv())
+    def test_matches_argparse(self, drawn):
+        name, argv = drawn
+        new = outcome(lambda a: cli._read_flags(name, a), argv, CliError)
+        words = str(new[1]).partition("unrecognized arguments: ")[2]
+        if words:  # as the oracle names them, --action joined to its value
+            words = " ".join(action_values(words.split(" ")))
+            new = ("CliError", f"unrecognized arguments: {words}")
+
+        def agrees(old):
+            if old[0] == "CliError":
+                # a list flag's bad value went past argparse without naming
+                # its flag; now every refused value names it
+                return new[0] == "CliError" and bool(
+                    re.fullmatch(rf"argument --[\w-]+: {re.escape(old[1])}", new[1]))
+            return new == (("CliError", old[1]) if old[0] == "Refused" else old)
+
+        # argparse took "-3,2" or "-1e5" after a flag for a flag, and only
+        # --action's caller joined it; now every flag reads it as its value
+        olds = [oracle_read(name, argv), oracle_read(name, negatives_joined(name, argv))]
+        assert agrees(olds[0]) or agrees(olds[1]), (new, olds)
+
+    def test_accepts_and_refuses(self):
+        # the drawn runs are accepted and refused, about 1 in 3 accepted
+        kinds = set()
+
+        @settings(max_examples=100, deadline=None)
+        @given(command_argv())
+        def collect(drawn):
+            kinds.add(outcome(lambda a: cli._read_flags(drawn[0], a), drawn[1], CliError)[0])
+
+        collect()
+        assert {"ok", "CliError"} <= kinds
 
 
 class TestReportContract:
