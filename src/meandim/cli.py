@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 
@@ -103,10 +104,11 @@ def _no_command(word: str | None) -> None:
         listing = "".join(f"\n  {name:<16}{help_line}"
                           for name, (help_line, _, _) in _COMMANDS.items())
         print(f"usage: meandim [-h] [--version] command [flags]\n\n{__doc__.strip()}\n\n"
-              f"commands:{listing}\n\n'meandim COMMAND --help' lists a command's flags.")
+              f"commands:{listing}\n\n'meandim COMMAND --help' lists a command's flags.",
+              flush=True)
         raise SystemExit(0)
     if flag == ("--version", None):
-        print(f"meandim {__version__}")
+        print(f"meandim {__version__}", flush=True)
         raise SystemExit(0)
     raise CliError("the following arguments are required: command")
 
@@ -197,10 +199,17 @@ def main(argv=None) -> int:
     if "error" in report:
         print(f"meandim: error: {report['error']}", file=sys.stderr)
     written = report.pop("_written_to", None)
-    if written:
-        print(f"report written to {written}")
-    else:
-        _write_report(report, sys.stdout)
+    try:
+        if written:
+            print(f"report written to {written}")
+        else:
+            _write_report(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader has gone: flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if "error" not in report:
+            print(f"meandim: error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

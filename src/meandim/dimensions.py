@@ -30,7 +30,7 @@ from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_dep
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
 from .lattice import (IntRect, LatticeSet, SweptWindow, lambda_set, min_norm_outside,
                       site_norm)
-from .subshift import Pattern, SftSpec, count_locally_admissible, plan, word_count_1d
+from .subshift import Pattern, SftSpec, plan, word_count_1d
 
 
 @dataclass(frozen=True)
@@ -120,30 +120,24 @@ def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf", *,
     return swept.lattice_set
 
 
-def _planned(sft: SftSpec, action: ActionSpec, N: int, M: int, norm: str) -> SweptWindow:
-    """The ``SweptWindow`` of one Bowen window, planned: ``plan`` raises here
-    when its count would be refused, and a window it builds stays built."""
-    swept = SweptWindow(action.a, action.b, M, N, norm)
-    plan(sft, swept)
-    return swept
-
-
 def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
                     epsilon: float) -> int:
     """Minimum number of sets of d_N-diameter below epsilon covering X.
 
     Computed as the locally admissible pattern count on the Bowen window
-    W(M, N), M the resolution index of epsilon, planned before it is
-    built: exact for certified fixtures, an upper bound otherwise.  Any
-    epsilon above the space's diameter returns 1.
+    W(M, N), M the resolution index of epsilon, planned before
+    ``bowen_window`` builds it: exact for certified fixtures, an upper
+    bound otherwise.  Any epsilon above the space's diameter returns 1.
     """
     if sft.dimension != 2:
         raise ValueError("covering_number works on 2D specs")
     if epsilon > 1:
         return 1
     M = resolution_depth(spec.alpha, epsilon)
-    swept = _planned(sft, action, N, M, spec.norm)
-    return count_locally_admissible(sft, bowen_window(action, N, M, spec.norm, swept=swept))
+    swept = SweptWindow(action.a, action.b, M, N, spec.norm)
+    how = plan(sft, swept)
+    bowen_window(action, N, M, spec.norm, swept=swept)  # builds what the run reads
+    return how.run()
 
 
 def m_schedule(action: ActionSpec, Mschedule: Sequence[int] | None = None) -> list[int]:
@@ -214,7 +208,8 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
 
     Depth M has the windows N = Nfactor*M // 2 and Nfactor*M (8M and 16M by
     default).  The schedule is checked, or defaulted, by ``m_schedule``.
-    Every window is planned from its geometry before any is built.
+    Every window is planned once, from its geometry, before any is built
+    by ``bowen_window``; each count runs its window's plan.
     """
     if sft.dimension != 2:
         raise ValueError("bowen_table works on 2D specs, got a 1D spec")
@@ -229,16 +224,17 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
         lo, hi = max(1, Nfactor * M // 2), Nfactor * M
         if lo == hi:
             raise ValueError("N schedule degenerate; increase Nfactor")
-        planned[M] = {N: _planned(sft, action, N, M, spec.norm) for N in (lo, hi)}
+        swept = {N: SweptWindow(action.a, action.b, M, N, spec.norm) for N in (lo, hi)}
+        planned[M] = {N: (w, plan(sft, w)) for N, w in swept.items()}
     rows = {}
     for M in depths:
         # a depth's windows are let go once they are counted and weighed
-        swept = planned.pop(M)
-        Ns = tuple(swept)
-        windows = [bowen_window(action, N, M, spec.norm, swept=w) for N, w in swept.items()]
+        row = planned.pop(M)
+        Ns = tuple(row)
+        windows = [bowen_window(action, N, M, spec.norm, swept=w) for N, (w, _) in row.items()]
         counts = masses = None
         if M in Ms:
-            counts = tuple(_log2_count(count_locally_admissible(sft, w)) for w in windows)
+            counts = tuple(_log2_count(how.run()) for _, how in row.values())
         if measure is not None:
             masses = tuple(-max_cylinder_log2_prob(measure, w) for w in windows)
         rows[M] = BowenRow(Ns, counts, masses)
@@ -341,8 +337,10 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
 
     Uses the static metric (no dynamics): the window at resolution M is
     the radius-(M-1) norm ball, the one-step ``SweptWindow``, for the sup
-    norm the (2M-1) x (2M-1) square.  Verdict "consistent" when the tail
-    of the sequence is nonincreasing.
+    norm the (2M-1) x (2M-1) square.  The depths are planned once each, in
+    order, before any is counted: the guards grow with M, so a refused
+    Mmax is refused at its first refused depth.  Verdict "consistent" when
+    the tail of the sequence is nonincreasing.
     """
     if sft.dimension != 2:
         raise ValueError("tame_growth_check reads 2D window counts; got a 1D spec")
@@ -355,23 +353,18 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
             f"Mmax {Mmax} is above the tame-check guard {MAX_TAME_M}; the window at "
             f"depth M has (2M-1)^2 cells, and the full shift counts q^((2M-1)^2) on it")
 
-    def at_depth(step, M):
+    def at_depth(M, step):
         try:
-            return step(sft, SweptWindow(1, 0, M, 1, spec.norm))
+            return step()
         except ResourceGuardError as err:
             raise ResourceGuardError(
                 f"tame-check cannot count the window at depth M = {M} ({err}); "
                 f"the largest Mmax it can count on this subshift is {M - 1}") from err
 
-    # the guards grow with M: a refused Mmax window is refused before any
-    # count, at the first depth whose plan is refused
-    try:
-        plan(sft, SweptWindow(1, 0, Mmax, 1, spec.norm))
-    except ResourceGuardError:
-        for M in range(1, Mmax + 1):
-            at_depth(plan, M)
-    rows = [(M, spec.epsilon_at(M) ** delta * _log2_count(at_depth(count_locally_admissible, M)))
-            for M in range(1, Mmax + 1)]
+    plans = [at_depth(M, lambda: plan(sft, SweptWindow(1, 0, M, 1, spec.norm)))
+             for M in range(1, Mmax + 1)]
+    rows = [(M, spec.epsilon_at(M) ** delta * _log2_count(at_depth(M, how.run)))
+            for M, how in enumerate(plans, 1)]
     tail = max(2, Mmax // 4)
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
     verdict = "consistent" if all(d <= 1e-12 for d in diffs[-tail:]) else "inconclusive"

@@ -77,7 +77,7 @@ def read_flags(prog: str, description: str, flags: dict, argv) -> SimpleNamespac
                 raise CliError(f"argument {'-h/' * (flag == '--help')}{flag}: "
                                f"ignored explicit argument {joined!r}")
             if flag == "--help":
-                print(_help(prog, description, flags))
+                print(_help(prog, description, flags), flush=True)
                 raise SystemExit(0)
             values[flag] = True
         else:

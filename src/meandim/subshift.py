@@ -8,7 +8,7 @@ builds the exactly tractable fixture families used as ground truth:
 full shifts, row-lifts of 1D SFTs, and the three-dot parity system.
 
 Counts are arbitrary-precision integers.  ``plan`` chooses the first
-path that applies, and ``count_locally_admissible`` runs its engine:
+path that applies, and its ``run`` counts by that path's engine:
 
 1. the closed form q^cells when no forbidden pattern fits the support's
    bounding box;
@@ -29,7 +29,7 @@ path that applies, and ``count_locally_admissible`` runs its engine:
    moment a forbidden pattern completes.
 
 Guards fire before work, ``plan`` firing each that can before a count
-starts; the engines call the same checks.  Counts above
+starts; no engine checks or walks a support again.  Counts above
 ``MAX_COUNT_BITS`` bits are refused before they are formed, an
 elimination's cells x bandwidth is bounded by ``MAX_ELIMINATION_WORK``,
 the sweep's profile q^L by ``MAX_STATES`` and its work by
@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -420,10 +420,10 @@ class _LinearSpec:
         return lead, coef
 
     def check(self, cells: int, support) -> None:
-        """Refuse a count on ``support``, of ``cells`` cells, over
-        ``MAX_COUNT_BITS`` bits, then its elimination over the work guard.
-        The support's ``bandwidth`` is read only when ``cells``, which
-        bounds it, do not keep the work under the guard."""
+        """Refuse, for ``plan``, a count on ``support`` of ``cells`` cells
+        over ``MAX_COUNT_BITS`` bits, then its elimination over the work
+        guard.  The support's ``bandwidth`` is read only when ``cells``,
+        which bounds it, do not keep the work under the guard."""
         bits = cells * math.log2(self.q)
         if bits > MAX_COUNT_BITS:
             raise ResourceGuardError(
@@ -454,7 +454,6 @@ class _LinearSpec:
         """The count on ``support``, after ``check``: one row per stack of
         placements and equation, shifted to each of the stack's placements."""
         pts = LatticeSet.of(support)
-        self.check(len(pts), pts)
 
         def rows():
             for shape, eqs in self.shapes:
@@ -529,8 +528,8 @@ class RectCounter:
         self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
     def try_count(self, ncols: int, nrows: int) -> int | None:
-        """The count on an ncols x nrows rectangle: by rank for a linear spec,
-        otherwise by the sweep ``sweep_for`` picks, or None if it picks none."""
+        """The count on an ncols x nrows rectangle that ``plan`` checked: by rank
+        for a linear spec, otherwise by the sweep ``sweep_for`` picks, or None."""
         if self.linear is not None:
             return self.linear.count(IntRect(0, ncols - 1, 0, nrows - 1))
         picked = self.sweep_for(ncols, nrows)
@@ -538,19 +537,11 @@ class RectCounter:
 
     def sweep_for(self, ncols: int, nrows: int) -> "tuple[_CellSweep, int] | None":
         """The sweep with the smaller profile q^L and its width, or None above
-        ``MAX_STATES``; refused, before it runs, above ``MAX_SWEEP_WORK``."""
+        ``MAX_STATES``; ``plan`` bounds its work by ``MAX_SWEEP_WORK``."""
         # ties keep the column sweep, min() returning the first minimum
         sweep, width = min((self._sweep(False, nrows), ncols),
                            (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
-        states = self.sft.nsymbols ** sweep.span
-        if states > MAX_STATES:
-            return None
-        bits = ncols * nrows * math.log2(self.sft.nsymbols)
-        if width * bits * states > MAX_SWEEP_WORK:
-            raise ResourceGuardError(
-                f"a sweep of {width} columns over {states} states with counts of up to "
-                f"{bits:.0f} bits is above the sweep guard of {MAX_SWEEP_WORK}")
-        return sweep, width
+        return None if self.sft.nsymbols ** sweep.span > MAX_STATES else (sweep, width)
 
     def _sweep(self, transposed: bool, height: int) -> "_CellSweep":
         key = (transposed, height)
@@ -670,11 +661,13 @@ class _CellSweep:
 
 
 class CountPlan(NamedTuple):
-    """A path of ``plan``; ``bits`` = cells x log2 q bounds log2 of the count."""
+    """A path of ``plan`` and ``run``, its engine bound to what the plan
+    read; ``bits`` = cells x log2 q bounds log2 of the count."""
 
     path: str
     cells: int
     bits: float
+    run: Callable[[], int]
 
 
 def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
@@ -690,7 +683,7 @@ def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
     bits = cells * math.log2(sft.nsymbols)
     path = functools.partial(CountPlan, cells=cells, bits=bits)
     if cells == 0:
-        return path("empty")
+        return path("empty", run=functools.partial(pow, sft.nsymbols, 0))
     box = pts.bounding_box()
     if sft.dimension == 1 and (box.c, box.d) != (0, 0):
         raise ValueError("1D supports must lie on the horizontal axis")
@@ -700,24 +693,39 @@ def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
             raise ResourceGuardError(
                 f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
                 f"{MAX_COUNT_BITS}")
-        return path("closed form")
+        return path("closed form", run=functools.partial(pow, sft.nsymbols, cells))
     if algorithm == "auto":
-        lengths = _row_lengths(sft, pts)
-        if lengths is not None:
-            if bits > MAX_COUNT_BITS:  # q^cells does not bound the count under the guard
-                _row_counts(sft, lengths)
-            return path("row product")
-        counter = rect_counter(sft)
-        if counter.linear is not None:
-            counter.linear.check(cells, pts.as_rect() or pts)
-            return path("rank")
         rect = pts.as_rect()
-        if rect is not None and counter.sweep_for(rect.ncols, rect.nrows) is not None:
-            return path("sweep")
+        lengths = _row_lengths(sft, pts, rect)
+        if lengths is not None:
+            # q^cells does not bound the count under the guard: form it now
+            counts = _row_counts(sft, lengths) if bits > MAX_COUNT_BITS else None
+            return path("row product",
+                        run=functools.partial(_row_product, sft, lengths, counts))
+        counter = rect_counter(sft)
+        on_rect = rect and functools.partial(counter.try_count, rect.ncols, rect.nrows)
+        if counter.linear is not None:
+            counter.linear.check(cells, rect or pts)
+            return path("rank", run=on_rect or functools.partial(counter.linear.count, pts))
+        picked = rect and counter.sweep_for(rect.ncols, rect.nrows)
+        if picked:
+            sweep, width = picked
+            states = sft.nsymbols ** sweep.span
+            if width * bits * states > MAX_SWEEP_WORK:
+                raise ResourceGuardError(
+                    f"a sweep of {width} columns over {states} states with counts of up "
+                    f"to {bits:.0f} bits is above the sweep guard of {MAX_SWEEP_WORK}")
+            return path("sweep", run=on_rect)
     if cells > MAX_FREE_CELLS:
         raise ResourceGuardError(
             f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
-    return path("backtracking")
+
+    def backtrack():
+        # a rectangle's cells reach the walk through from_rect, the builder
+        # that perfbench/tracer.py counts cells at
+        walk = LatticeSet.from_rect(box) if pts.as_rect() is not None else LatticeSet.of(pts)
+        return kernels.backtrack_count(len(walk), sft.nsymbols, _placement_groups(sft, walk))
+    return path("backtracking", run=backtrack)
 
 
 def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") -> int:
@@ -725,34 +733,19 @@ def count_locally_admissible(sft: SftSpec, support, *, algorithm: str = "auto") 
 
     Equals |A|^|support| for the full shift and upper-bounds the number of
     restrictions of genuine subshift points; the two coincide for the
-    certified fixture families.  Counted by the engine of the path
-    ``plan`` names, on the support as one ``LatticeSet``.
+    certified fixture families.  ``plan(...).run()``: the engine of the
+    path ``plan`` names, bound to what the plan read of the support.
     """
-    support = support if isinstance(support, SweptWindow) else LatticeSet.of(support)
-    how = plan(sft, support, algorithm)
-    if how.path in ("empty", "closed form"):
-        return sft.nsymbols ** how.cells
-    pts = LatticeSet.of(support)
-    if how.path == "row product":
-        return _row_product(sft, pts)
-    rect = pts.as_rect()
-    if how.path == "backtracking":
-        # a rectangle's cells reach the walk through from_rect, the builder
-        # that perfbench/tracer.py counts cells at
-        pts = LatticeSet.from_rect(rect) if rect is not None else pts
-        return kernels.backtrack_count(len(pts), sft.nsymbols, _placement_groups(sft, pts))
-    if rect is None:
-        return rect_counter(sft).linear.count(pts)
-    return rect_counter(sft).try_count(rect.ncols, rect.nrows)
+    return plan(sft, support, algorithm).run()
 
 
-def _row_lengths(sft: SftSpec, pts) -> dict[int, int] | None:
-    """Runs per length in the rows of ``pts``; None unless every forbidden
-    pattern lies in one row, no two runs of a row are closer than the widest
-    and the base's block graph is under its guard.  Refuses long runs."""
+def _row_lengths(sft: SftSpec, pts, rect: IntRect | None) -> dict[int, int] | None:
+    """Runs per length in the rows of ``pts``, or of ``rect``; None unless
+    every forbidden pattern lies in one row, no two runs of a row are closer
+    than the widest and the base's block graph is under its guard.  Refuses
+    long runs."""
     if any(f.nrows_extent > 1 for f in sft.forbidden):
         return None
-    rect = pts.as_rect()
     if rect is not None:
         lengths = {rect.ncols: rect.nrows}
     else:
@@ -776,15 +769,12 @@ def _row_lengths(sft: SftSpec, pts) -> dict[int, int] | None:
     return lengths
 
 
-def _row_product(sft: SftSpec, pts: LatticeSet) -> int | None:
-    """The count of a spec whose forbidden patterns each lie in one row,
-    as the product over the runs of the support's rows of the 1D base's
-    word count at each run's length (a 1D interval is one run of one row),
-    or None when ``_row_lengths`` is."""
-    lengths = _row_lengths(sft, pts)
-    if lengths is None:
-        return None
-    counts = _row_counts(sft, lengths)
+def _row_product(sft: SftSpec, lengths: dict[int, int],
+                 counts: dict[int, int] | None) -> int:
+    """The count of a spec whose forbidden patterns each lie in one row: the
+    product over the runs of the support's rows, ``lengths``, of the 1D base's
+    word count at each run's length, ``counts`` if the plan formed them."""
+    counts = _row_counts(sft, lengths) if counts is None else counts
     return math.prod(counts[length] ** k for length, k in lengths.items())
 
 
@@ -985,17 +975,16 @@ def box_entropy_estimate(sft: SftSpec, Nmax: int) -> list[tuple[int, float]]:
     """log2(count on the N x N box)/N^2 for N = 1..Nmax.
 
     The sequence upper-bounds the Z^2 topological entropy; for certified
-    fixtures the infimum over N is the entropy itself.  The Nmax box is
-    planned first: the counting guards grow with N, so a box they refuse
-    is refused before any box is counted.
+    fixtures the infimum over N is the entropy itself.  Each box is planned
+    once, the Nmax box first: the counting guards grow with N, so a box
+    they refuse is refused before any box is counted.
     """
     if sft.dimension != 2:
         raise ValueError("box_entropy_estimate expects a 2D spec")
     if Nmax < 1:
         raise ValueError("Nmax must be positive")
-    plan(sft, IntRect(0, Nmax - 1, 0, Nmax - 1))
-    return [(N, math.log2(count_locally_admissible(sft, IntRect(0, N - 1, 0, N - 1)))
-             / (N * N)) for N in range(1, Nmax + 1)]
+    plans = [plan(sft, IntRect(0, N - 1, 0, N - 1)) for N in range(Nmax, 0, -1)]
+    return [(N, math.log2(how.run()) / (N * N)) for N, how in enumerate(reversed(plans), 1)]
 
 
 def _one_d_extendable(base: SftSpec) -> bool:

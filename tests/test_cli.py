@@ -706,9 +706,10 @@ class TestVerifyTheorem:
             assert code == 1 and "M = 3" in rep["error"]
 
     def test_each_window_built_once(self, fixtures_dir, monkeypatch):
-        # five depths with two windows each; when each estimator counted its
-        # own windows, three-dot took 20 builds and the golden row with its
-        # measure 30
+        # five depths with two windows each, each built and planned once;
+        # when each estimator counted its own windows, three-dot took 20
+        # builds and the golden row with its measure 30, and when each
+        # count planned its window again, 20 plans
         calls = {}
 
         def counted(name, fn):
@@ -717,7 +718,7 @@ class TestVerifyTheorem:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(f"meandim.dimensions.{name}", wrapper)
 
-        for name in ("bowen_window", "count_locally_admissible", "max_cylinder_log2_prob"):
+        for name in ("bowen_window", "plan", "max_cylinder_log2_prob"):
             counted(name, getattr(md.dimensions, name))
         for sft, measure, want in (
                 ("threedot.sft", None, (10, 10, 0)),
@@ -728,8 +729,32 @@ class TestVerifyTheorem:
                                      measure and md.parse_measure(fx(fixtures_dir, measure)),
                                      2.0, None)
             assert body["verdict"] == "PASS"
-            assert (calls.get("bowen_window", 0), calls.get("count_locally_admissible", 0),
+            assert (calls.get("bowen_window", 0), calls.get("plan", 0),
                     calls.get("max_cylinder_log2_prob", 0)) == want
+
+    def test_each_skew_window_walked_once(self, fixtures_dir, monkeypatch):
+        # three-dot's ten windows along (7, 5) are counted by rank: nine are
+        # past the bound that their cells set on the elimination, so their
+        # plans walk their bandwidth, and each elimination walks its window's
+        # placements; the certificate's 2x2 to 4x4 boxes walk theirs once.
+        # When each count planned and checked its window again, the
+        # bandwidth walk ran 27 times and the placements walk 40
+        calls = {}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(md.subshift._LinearSpec, "bandwidth")
+        counted(md.LatticeSet, "placements")
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
+                                 "--alpha", "2", "--action", "7,5"])
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert calls == {"bandwidth": 9, "placements": 22}
 
     def test_skew_action_constrained_system_refused(self, fixtures_dir, tmp_path):
         # three-dot's skew windows are counted by rank; hard squares are not
@@ -1040,6 +1065,24 @@ class TestReportContract:
         assert proc.returncode == 0 and proc.stderr == ""
         rep = json.loads(proc.stdout)
         assert rep["command"] == "lambda-density"
+
+    @pytest.mark.parametrize("argv", [
+        ["lambda-density", "--a", "1", "--b", "1", "--M", "3", "--N", "5"],
+        ["verify-theorem", "--help"]], ids=["report", "help"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_with_one_error_line(self, argv, unbuffered):
+        # the reading end of stdout is closed before the child writes
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "meandim", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=meandim_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("meandim: error: ") and "Broken pipe" in lines[0]
 
     @pytest.mark.parametrize("value", ["numba", "bogus"])
     def test_former_backend_variable_is_ignored(self, fixtures_dir, value):

@@ -14,7 +14,7 @@ from meandim.lattice import SweptWindow
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
                               _one_d_extendable, _placement_groups, _recoding_width,
-                              _row_product, _squaring_pays,
+                              _squaring_pays,
                               _walks_by_iteration, _walks_by_squaring,
                               base_of_row_lift, transfer_graph_1d)
 
@@ -449,7 +449,9 @@ class TestCounts:
     def test_row_product_matches_sweep_and_backtracking(self, sft, support):
         pts = LatticeSet.of(support)
         assume(sft.nsymbols ** len(pts) <= 2 ** 13)
-        product = _row_product(sft, pts)
+        how = md.subshift.plan(sft, pts)
+        # a support that no pattern fits takes the closed form, the product's value
+        product = how.run() if how.path in ("closed form", "row product") else None
         rows: dict[int, list[int]] = {}
         for m, n in pts:
             rows.setdefault(n, []).append(m)
@@ -470,7 +472,9 @@ class TestCounts:
         # fits across a gap between them
         assume(sft.nsymbols ** len(columns) <= 2 ** 12)
         pts = LatticeSet((m, 0) for m in columns)
-        product = _row_product(sft, pts)
+        how = md.subshift.plan(sft, pts)
+        # the empty support and one that no word fits take the closed form
+        product = how.run() if how.path in ("empty", "closed form", "row product") else None
         wide = max(f.ncols_extent for f in sft.forbidden)
         cols = sorted(columns)
         if all(b - a == 1 or b - a >= wide for a, b in zip(cols, cols[1:])):
@@ -487,7 +491,7 @@ class TestCounts:
         bad = Pattern.from_dict({(0, 0): "1", (2, 0): "1"})
         sft = md.SftSpec(2, md.alphabet("0", "1"), (bad,))
         gapped = LatticeSet([(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
-        assert _row_product(sft, gapped) is None
+        assert md.subshift.plan(sft, gapped).path == "backtracking"
         assert md.count_locally_admissible(sft, gapped) == 3 * 6 == \
             len(list(md.enumerate_locally_admissible(sft, gapped)))
 
@@ -497,8 +501,25 @@ class TestCounts:
         # fits across a gap and each run counts on its own
         window = md.bowen_window(md.ActionSpec(4, 1), 2, 2)
         assert window.as_rect() is None
-        assert _row_product(goldenrow, window) == 15625 == \
+        how = md.subshift.plan(goldenrow, window)
+        assert how.path == "row product" and how.run() == 15625 == \
             md.count_locally_admissible(goldenrow, window, algorithm="backtracking")
+
+    def test_row_product_forms_each_word_count_once(self, goldenrow, monkeypatch):
+        # the 150,000 x 2 count has 208,274 bits, above what q^cells keeps
+        # under the guard, so the plan forms its word count to check it; the
+        # run multiplies out that count instead of forming it again
+        base = base_of_row_lift(goldenrow)
+        word = md.word_count_1d(base, 150_000)
+        formed = []
+
+        def counted(sft, length):
+            formed.append(length)
+            return word
+        monkeypatch.setattr(md.subshift, "word_count_1d", counted)
+        count = md.count_locally_admissible(goldenrow, IntRect(0, 149_999, 0, 1))
+        assert count == word ** 2 and count.bit_length() == 208_274
+        assert formed == [150_000]
 
     def test_count_bit_guard(self, goldenrow):
         # a row longer than the guard is refused before its 1D count is
@@ -909,7 +930,7 @@ class TestLinear:
         monkeypatch.setattr(_LinearSpec, "_solve", no_solve)
         # the 300,000 x 2 rectangle may count up to 600,000 bits
         with pytest.raises(ResourceGuardError, match="bits"):
-            RectCounter(threedot).try_count(300_000, 2)
+            md.count_locally_admissible(threedot, IntRect(0, 299_999, 0, 1))
         # 300 x 300 cells at bandwidth 301, and a window's bandwidth read
         # from the runs of its columns
         with pytest.raises(ResourceGuardError, match="elimination guard"):
@@ -924,11 +945,12 @@ class TestLinear:
         # over primes above 2 a step passes over a whole row: the 5 x 5
         # square has 25 rows at bandwidth 6, the 5 x 4 one 20 at bandwidth 5
         monkeypatch.setattr(md.subshift, "MAX_ELIMINATION_WORK", 25 * 6 * 6 - 1)
-        ternary = RectCounter(parity_spec(3, ((0, 0), (1, 0), (0, 1)))).linear
+        ternary = parity_spec(3, ((0, 0), (1, 0), (0, 1)))
+        assert RectCounter(ternary).linear is not None
         with pytest.raises(ResourceGuardError, match="elimination guard"):
-            ternary.count(IntRect(0, 4, 0, 4))
+            md.count_locally_admissible(ternary, IntRect(0, 4, 0, 4))
         with pytest.raises(AssertionError, match="elimination ran"):
-            ternary.count(IntRect(0, 4, 0, 3))
+            md.count_locally_admissible(ternary, IntRect(0, 4, 0, 3))
 
 
 class TestRectCounter:
