@@ -7,10 +7,9 @@ __version__ = "0.1.0"
 from .errors import (EmptyLanguageError, MeandimError, NonConvergenceError,
                      NotTotallyOrderedError, ParseError, ResourceGuardError)
 from .estimates import DimensionEstimate, fit_limit
-from .lattice import (IntRect, LatticeSet, boundary_set, greedy_disjoint_subcover,
-                      interior_set, lambda_count, lambda_density, lambda_set,
-                      norm_ball, rect_leq, rect_triple)
-from .subshift import (Alphabet, Pattern, RectCounter, SftSpec, alphabet,
+from .lattice import (IntRect, LatticeSet, greedy_disjoint_subcover, lambda_count,
+                      lambda_density, lambda_set, norm_ball, rect_leq, rect_triple)
+from .subshift import (Alphabet, Pattern, SftSpec, alphabet,
                        base_of_row_lift, box_entropy_estimate,
                        count_locally_admissible, enumerate_locally_admissible,
                        full_shift, golden_mean_1d, row_interval,
@@ -27,11 +26,10 @@ from .information import (FiniteDistribution, JointDistribution, MeasureSpec,
                           mutual_information, mutual_information_of, parry_measure,
                           rd_lower_bound,
                           rd_upper_bound, rd_upper_limit, rdim_bounds,
-                          shannon_entropy, window_entropy, window_marginal)
+                          window_entropy, window_marginal)
 from .ratedistortion import (RdPoint, RdProblem, binary_hamming_problem,
                              blahut_arimoto, rd_curve, rd_problem_from_measure,
                              slope_for_hamming_distortion)
 from .files import (parse_measure, parse_measure_text, parse_rects,
-                    parse_rects_text, parse_sft, parse_sft_text, write_measure,
-                    write_sft)
+                    parse_rects_text, parse_sft, parse_sft_text)
 from .cli import run_command, verify_theorem

@@ -1,9 +1,8 @@
 """Shift ultrametrics, Bowen windows, covering numbers and the dimension
 estimators.
 
-The metric on A^(Z^2) is alpha^-(smallest norm of a disagreement site),
-with the norm either sup (the default) or Euclidean.  Its value set is
-discrete, so for a distortion epsilon with resolution index M (meaning
+The metric on A^(Z^2) is alpha^-(smallest sup norm of a disagreement
+site).  Its value set is discrete, so for a distortion epsilon with resolution index M (meaning
 alpha^-M < epsilon <= alpha^-(M-1)) the sets of diameter below epsilon
 are exactly the cylinders over the Bowen window W(M, N), and the
 covering number is an exact pattern count.  That identity drives every
@@ -35,15 +34,13 @@ from .subshift import Pattern, SftSpec, plan, word_count_1d
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Base alpha > 1 and the norm weighting disagreement sites."""
+    """Base alpha > 1 of the metric; disagreement sites are weighted by
+    their sup norm."""
 
     alpha: float
-    norm: str = "linf"
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.norm not in ("linf", "l2"):
-            raise ValueError(f"unknown norm {self.norm!r}")
 
     @property
     def log2_alpha(self) -> float:
@@ -95,28 +92,27 @@ def metric_eval(spec: MetricSpec, p: Pattern, q: Pattern) -> MetricValue:
     best = None
     for (pt, a), (_, b) in zip(pc, qc):
         if a != b:
-            nv = site_norm(pt, spec.norm)
+            nv = site_norm(pt)
             if best is None or nv < best:
                 best = nv
     if best is not None:
         return MetricValue(spec.alpha ** (-best), True)
-    return MetricValue(spec.alpha ** (-min_norm_outside(p.domain(), spec.norm)), False)
+    return MetricValue(spec.alpha ** (-min_norm_outside(p.domain())), False)
 
 
-def bowen_window(action: ActionSpec, N: int, M: int, norm: str = "linf", *,
-                 swept: SweptWindow | None = None) -> LatticeSet:
+def bowen_window(action: ActionSpec, N: int, M: int, *, swept: SweptWindow | None = None) -> LatticeSet:
     """Determining window of the N-step Bowen metric at resolution M.
 
     The union of the radius-(M-1) norm ball translated along
     (na, nb) for 0 <= n < N, i.e. ``lambda_set``: two points are closer
     than any epsilon with resolution index M iff they agree on this set.
-    For the horizontal action and the sup norm this is the rectangle
+    For the horizontal action this is the rectangle
     [-(M-1), N+M-2] x [-(M-1), M-1].  ``swept``, this window's
     ``SweptWindow`` when the caller has already planned it, is the one
     built, so that a window planned and then counted is built once.
     """
     if swept is None:
-        return lambda_set(action.a, action.b, M, N, norm)
+        return lambda_set(action.a, action.b, M, N)
     return swept.lattice_set
 
 
@@ -134,9 +130,9 @@ def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
     if epsilon > 1:
         return 1
     M = resolution_depth(spec.alpha, epsilon)
-    swept = SweptWindow(action.a, action.b, M, N, spec.norm)
+    swept = SweptWindow(action.a, action.b, M, N)
     how = plan(sft, swept)
-    bowen_window(action, N, M, spec.norm, swept=swept)  # builds what the run reads
+    bowen_window(action, N, M, swept=swept)  # builds what the run reads
     return how.run()
 
 
@@ -224,14 +220,14 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
         lo, hi = max(1, Nfactor * M // 2), Nfactor * M
         if lo == hi:
             raise ValueError("N schedule degenerate; increase Nfactor")
-        swept = {N: SweptWindow(action.a, action.b, M, N, spec.norm) for N in (lo, hi)}
+        swept = {N: SweptWindow(action.a, action.b, M, N) for N in (lo, hi)}
         planned[M] = {N: (w, plan(sft, w)) for N, w in swept.items()}
     rows = {}
     for M in depths:
         # a depth's windows are let go once they are counted and weighed
         row = planned.pop(M)
         Ns = tuple(row)
-        windows = [bowen_window(action, N, M, spec.norm, swept=w) for N, (w, _) in row.items()]
+        windows = [bowen_window(action, N, M, swept=w) for N, (w, _) in row.items()]
         counts = masses = None
         if M in Ms:
             counts = tuple(_log2_count(how.run()) for _, how in row.values())
@@ -336,8 +332,8 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
     """Check eps^delta * log2 #(X, d, eps) along eps_M = alpha^-(M-1).
 
     Uses the static metric (no dynamics): the window at resolution M is
-    the radius-(M-1) norm ball, the one-step ``SweptWindow``, for the sup
-    norm the (2M-1) x (2M-1) square.  The depths are planned once each, in
+    the radius-(M-1) norm ball, the one-step ``SweptWindow``: the
+    (2M-1) x (2M-1) square.  The depths are planned once each, in
     order, before any is counted: the guards grow with M, so a refused
     Mmax is refused at its first refused depth.  Verdict "consistent" when
     the tail of the sequence is nonincreasing.
@@ -361,7 +357,7 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
                 f"tame-check cannot count the window at depth M = {M} ({err}); "
                 f"the largest Mmax it can count on this subshift is {M - 1}") from err
 
-    plans = [at_depth(M, lambda: plan(sft, SweptWindow(1, 0, M, 1, spec.norm)))
+    plans = [at_depth(M, lambda: plan(sft, SweptWindow(1, 0, M, 1)))
              for M in range(1, Mmax + 1)]
     rows = [(M, spec.epsilon_at(M) ** delta * _log2_count(at_depth(M, how.run)))
             for M, how in enumerate(plans, 1)]

@@ -20,8 +20,7 @@ Measure files (.measure)::
     stationary: 0.7236 0.2764  # optional; computed when absent
 
 Rectangle files for the greedy-cover demo hold one ``a b c d`` quadruple
-per line.  Parsers report the offending line number; writers emit the
-canonical form (sorted cells, single spaces) and round-trip.
+per line.  Parsers report the offending line number.
 """
 
 from __future__ import annotations
@@ -127,23 +126,6 @@ def parse_sft(path) -> SftSpec:
     return parse_sft_text(Path(path).read_text(encoding="utf-8"))
 
 
-def write_sft(sft: SftSpec) -> str:
-    """Canonical text form; parse(write(s)) == s and write is a fixpoint."""
-    lines = [f"dimension: {sft.dimension}",
-             "alphabet: " + " ".join(sft.alphabet.symbols)]
-    if sft.certified:
-        lines.append(f"certified: {sft.certified}")
-    lines.append("forbidden:")
-    pats = sorted(sft.forbidden, key=lambda p: p.cells)
-    for p in pats:
-        toks = []
-        for (m, n), sym in p.cells:
-            coord = f"({m})" if sft.dimension == 1 else f"({m},{n})"
-            toks.append(f"{coord}={sym}")
-        lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
-
-
 def parse_measure_text(text: str) -> MeasureSpec:
     kind = None
     alph: Alphabet | None = None
@@ -223,19 +205,6 @@ def _parse_floats(text: str, lineno: int) -> list[float]:
 
 def parse_measure(path) -> MeasureSpec:
     return parse_measure_text(Path(path).read_text(encoding="utf-8"))
-
-
-def write_measure(measure: MeasureSpec) -> str:
-    lines = [f"type: {measure.kind}",
-             "alphabet: " + " ".join(measure.alphabet.symbols)]
-    if measure.kind == "bernoulli":
-        lines.append("weights: " + " ".join(repr(w) for w in measure.weights))
-    else:
-        lines.append("transition:")
-        for row in measure.transition:
-            lines.append(" ".join(repr(x) for x in row))
-        lines.append("stationary: " + " ".join(repr(x) for x in measure.stationary))
-    return "\n".join(lines) + "\n"
 
 
 def parse_rects_text(text: str) -> list[IntRect]:

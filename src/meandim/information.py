@@ -59,11 +59,6 @@ class FiniteDistribution:
         return np.asarray(self.probs, float)
 
 
-def shannon_entropy(dist: FiniteDistribution) -> float:
-    """Entropy of a finite distribution in bits."""
-    return entropy_bits(dist.prob_array())
-
-
 def binary_entropy(delta: float) -> float:
     """H(delta) in bits; symmetric about 1/2, zero at the endpoints."""
     if not 0.0 <= delta <= 1.0:

@@ -2,18 +2,17 @@
 
 Rectangles in Z^2 with the triple dilation and the width/height
 pre-order, finite sets as rows of column runs (``LatticeSet``, the one
-support type of every counter and cylinder-mass reader) with window
-boundaries and interiors, the greedy disjoint-subfamily covering
-algorithm, and the swept windows Lambda_{a,b}(M,N) of a norm ball along
-a lattice direction, built as runs.  Everything here is exact integer
-arithmetic; all functions are pure.
+support type of every counter and cylinder-mass reader), the greedy
+disjoint-subfamily covering algorithm, and the swept windows
+Lambda_{a,b}(M,N) of a sup-norm ball along a lattice direction, built as
+runs.  Everything here is exact integer arithmetic; all functions are
+pure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -218,12 +217,6 @@ class LatticeSet:
             return self.bounding_box()
         return None
 
-    def union(self, other: "LatticeSet") -> "LatticeSet":
-        return LatticeSet(self.points + other.points)
-
-    def difference(self, other: "LatticeSet") -> "LatticeSet":
-        return LatticeSet(p for p in self.points if p not in other)
-
 
 def _bands_of_rows(rows: dict[int, list[tuple[int, int]]]):
     """Canonical bands of {n: column spans (lo, hi)}: each row's spans
@@ -272,34 +265,6 @@ def rect_leq(r: IntRect, s: IntRect) -> bool:
     return r.width <= s.width and r.height <= s.height
 
 
-def boundary_set(omega: LatticeSet, lam: LatticeSet) -> LatticeSet:
-    """Window boundary of omega relative to the window lam.
-
-    Returns the set of u such that the translated window u + lam meets
-    both omega and its complement.  Note the boundary is generally NOT a
-    subset of omega: translates anchored just outside can still straddle
-    it.  Raises ValueError on an empty window.
-    """
-    if len(lam) == 0:
-        raise ValueError("boundary is undefined for an empty window")
-    omega_pts = set(omega.points)
-    lam_pts = lam.points
-    # Candidates with (u + lam) meeting omega are exactly the pointwise
-    # differences omega - lam; any other u has u + lam inside the complement.
-    candidates = {(w[0] - v[0], w[1] - v[1]) for w in omega_pts for v in lam_pts}
-    out = []
-    for u in candidates:
-        inside_all = all((u[0] + v[0], u[1] + v[1]) in omega_pts for v in lam_pts)
-        if not inside_all:
-            out.append(u)
-    return LatticeSet(out)
-
-
-def interior_set(omega: LatticeSet, lam: LatticeSet) -> LatticeSet:
-    """omega minus its window boundary."""
-    return omega.difference(boundary_set(omega, lam))
-
-
 def check_totally_ordered(rects: list[IntRect]) -> None:
     """Raise NotTotallyOrderedError naming a violating pair, if any."""
     for i in range(len(rects)):
@@ -343,45 +308,31 @@ def greedy_disjoint_subcover(rects: Iterable[IntRect]) -> list[int]:
     return selected
 
 
-def norm_ball(radius: int, norm: str = "linf") -> LatticeSet:
-    """Integer points u with |u| <= radius in the sup or Euclidean norm,
-    one run of columns per row.
-
-    The Euclidean run of row n is |m| <= isqrt(radius^2 - n^2), so
-    membership is exact.  A negative radius gives the empty set.
-    """
+def norm_ball(radius: int) -> LatticeSet:
+    """Integer points u with |u| <= radius in the sup norm: the square of
+    side 2 radius + 1 at the origin.  A negative radius gives the empty set."""
     if radius < 0:
         return LatticeSet(())
-    if norm == "linf":
-        return LatticeSet.of(IntRect(-radius, radius, -radius, radius))
-    if norm != "l2":
-        raise ValueError(f"unknown norm {norm!r}")
-    r2 = radius * radius
-    return LatticeSet(_bands=_bands_of_rows(
-        {n: [(-math.isqrt(r2 - n * n), math.isqrt(r2 - n * n))]
-         for n in range(-radius, radius + 1)}))
+    return LatticeSet.of(IntRect(-radius, radius, -radius, radius))
 
 
-def site_norm(u: Point, norm: str = "linf") -> float:
-    """The sup or Euclidean norm of one site."""
-    if norm == "linf":
-        return float(max(abs(u[0]), abs(u[1])))
-    return math.sqrt(u[0] * u[0] + u[1] * u[1])
+def site_norm(u: Point) -> float:
+    """The sup norm of one site."""
+    return float(max(abs(u[0]), abs(u[1])))
 
 
-def min_norm_outside(support: LatticeSet, norm: str = "linf") -> float:
+def min_norm_outside(support: LatticeSet) -> float:
     """Smallest site norm over the complement of the support.
 
     With the origin inside the support, clamping any far point into the
     one-cell ring around the bounding box never increases its norm, so
-    scanning that ring finds the minimum.  For the radius-r ball it is
-    r + 1 under the sup norm and sqrt(r^2 + 1) under the Euclidean one.
+    scanning that ring finds the minimum: r + 1 for the radius-r ball.
     """
     if (0, 0) not in support:
         return 0.0
     box = support.bounding_box()
     ring = IntRect(box.a - 1, box.b + 1, box.c - 1, box.d + 1)
-    return min(site_norm(u, norm) for u in ring.points() if u not in support)
+    return min(site_norm(u) for u in ring.points() if u not in support)
 
 
 # largest window a SweptWindow builds, in points; one at the bound takes up
@@ -392,29 +343,24 @@ MAX_LAMBDA_POINTS = 2 ** 20
 @dataclass(frozen=True)
 class SweptWindow:
     """(an, bn) + u for 0 <= n < N, u in the radius-(M-1) norm ball, unbuilt:
-    size (sup norm) and box in closed form, the rest after ``check``."""
+    size and box in closed form, the rest after ``check``."""
 
     a: int
     b: int
     M: int
     N: int
-    norm: str = "linf"
 
     def __post_init__(self):
         if (self.a, self.b) == (0, 0):
             raise ValueError("direction (a, b) must be nonzero")
         if self.M < 1 or self.N < 1:
             raise ValueError("M and N must be positive")
-        if self.norm not in ("linf", "l2"):
-            raise ValueError(f"unknown norm {self.norm!r}")
 
     def __len__(self) -> int:
         return self.size
 
     @property
     def size(self) -> int:
-        if self.norm == "l2":
-            return self.lattice_set.size
         # the swept squares move monotonically, so the cells new at step n
         # are those of the step-n square outside the step-(n-1) one
         side = 2 * self.M - 1
@@ -431,17 +377,10 @@ class SweptWindow:
         return box if self.size == box.cardinality() else None
 
     def check(self) -> None:
-        """Refuse more than ``MAX_LAMBDA_POINTS`` points: ``size`` of them
-        under the sup norm, N balls' worth under the Euclidean one."""
-        M, N, r2 = self.M, self.N, (self.M - 1) ** 2
-        # the disc holds the square of half-side isqrt(r^2 / 2), so the
-        # exact count of its points runs only for radii of a few thousand
-        size = self.size if self.norm == "linf" else N * (2 * math.isqrt(r2 // 2) + 1) ** 2
-        if self.norm == "l2" and size <= MAX_LAMBDA_POINTS:
-            size = N * sum(2 * math.isqrt(r2 - m * m) + 1 for m in range(1 - M, M))
-        if size > MAX_LAMBDA_POINTS:
+        """Refuse more than ``MAX_LAMBDA_POINTS`` points."""
+        if self.size > MAX_LAMBDA_POINTS:
             raise ResourceGuardError(
-                f"lambda_set would hold up to {size} points, above the guard "
+                f"lambda_set would hold up to {self.size} points, above the guard "
                 f"{MAX_LAMBDA_POINTS}; use lambda_count/lambda_density for "
                 "cardinalities at this size")
 
@@ -451,7 +390,7 @@ class SweptWindow:
         w its half-width at row y - bn: a horizontal window costs O(M)."""
         self.check()
         a, b, r, N = self.a, self.b, self.M - 1, self.N
-        half = {y: runs[0][1] for y0, y1, runs in norm_ball(r, self.norm).bands
+        half = {y: runs[0][1] for y0, y1, runs in norm_ball(r).bands
                 for y in range(y0, y1 + 1)}
         box = self.bounding_box()
         rows: dict[int, list[tuple[int, int]]] = {}
@@ -461,21 +400,20 @@ class SweptWindow:
             n0, n1 = (0, N - 1) if b == 0 else (max(0, -(-lo // b)), min(N - 1, hi // b))
             if n0 > n1:
                 continue
-            if b == 0 or self.norm == "linf":
-                # one half-width w on the whole row: the steps' runs, |a|
-                # apart, join into one when |a| <= 2w + 1
-                w = half[y - b * n0]
-                if abs(a) <= 2 * w + 1:
-                    rows[y] = [(min(a * n0, a * n1) - w, max(a * n0, a * n1) + w)]
-                    continue
+            # one half-width w on the whole row: the steps' runs, |a|
+            # apart, join into one when |a| <= 2w + 1
+            w = half[y - b * n0]
+            if abs(a) <= 2 * w + 1:
+                rows[y] = [(min(a * n0, a * n1) - w, max(a * n0, a * n1) + w)]
+                continue
             rows[y] = [(a * n - half[y - b * n], a * n + half[y - b * n])
                        for n in range(n0, n1 + 1)]
         return LatticeSet(_bands=_bands_of_rows(rows))
 
 
-def lambda_set(a: int, b: int, M: int, N: int, norm: str = "linf") -> LatticeSet:
+def lambda_set(a: int, b: int, M: int, N: int) -> LatticeSet:
     """The window swept along direction (a, b), see ``SweptWindow``."""
-    return SweptWindow(a, b, M, N, norm).lattice_set
+    return SweptWindow(a, b, M, N).lattice_set
 
 
 def lambda_count(a: int, b: int, M: int, N: int) -> int:

@@ -257,24 +257,21 @@ def slope_for_hamming_distortion(D: float) -> float:
 MAX_PROBLEM_OUTCOMES = 4096
 
 
-def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
-                            norm: str = "linf") -> RdProblem:
+def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int) -> RdProblem:
     """Process-level problem on depth-M window patterns.
 
     Source and reproduction outcomes are the patterns on the radius-(M-1)
     norm ball; the distortion is the truncated metric, alpha^-(smallest
     disagreement norm).  Two patterns that agree on the whole window get
     the agreement level alpha^-(smallest norm outside the window), the
-    value ``metric_eval`` certifies: alpha^-M under the sup norm and
-    alpha^-sqrt((M-1)^2 + 1), above alpha^-M from M = 2 on, under the
-    Euclidean one.  The truncation upper-bounds the true distortion,
+    value ``metric_eval`` certifies: alpha^-M.  The truncation upper-bounds the true distortion,
     so rates computed from it stay valid upper bounds.  Refused before any
     work above ``MAX_PROBLEM_OUTCOMES`` outcomes.
     """
     check_alpha(alpha)
     if M < 1:
         raise ValueError(f"window depth M must be at least 1, got {M}")
-    window = norm_ball(M - 1, norm)
+    window = norm_ball(M - 1)
     pts = window.points
     q = len(measure.alphabet)
     n_out = q ** len(pts)
@@ -282,7 +279,7 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
         raise ResourceGuardError(f"window problem would have {n_out} outcomes, above "
                                  f"the guard MAX_PROBLEM_OUTCOMES = {MAX_PROBLEM_OUTCOMES}")
     source = window_marginal(measure, window)
-    norms = np.array([site_norm(u, norm) for u in pts])
+    norms = np.array([site_norm(u) for u in pts])
     # outcome k's symbol index at cell i is base-q digit i of k, the first
     # cell most significant (window_marginal's canonical order)
     place = q ** np.arange(len(pts))[::-1]
@@ -290,7 +287,7 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int,
     levels = sorted(set(norms.tolist()))
     # the agreement level where the whole window agrees, then, from the
     # largest level down, alpha^-level where the restrictions to that level differ
-    agree = min_norm_outside(window, norm)
+    agree = min_norm_outside(window)
     table = alpha ** -np.array(levels + [agree], dtype=np.float64)
     dist = np.full((n_out, n_out), table[-1])
     differ = np.empty(dist.shape, dtype=bool)

@@ -138,13 +138,6 @@ class Pattern:
     def translate(self, u: Point) -> "Pattern":
         return Pattern(tuple(((m + u[0], n + u[1]), sym) for (m, n), sym in self.cells))
 
-    def restrict(self, omega: LatticeSet) -> "Pattern":
-        mine = {pt for pt, _ in self.cells}
-        for pt in omega:
-            if pt not in mine:
-                raise ValueError(f"restriction target contains {pt}, outside the pattern support")
-        return Pattern(tuple((pt, sym) for pt, sym in self.cells if pt in omega))
-
     def anchored(self) -> "Pattern":
         """Translate so the support's minimum column and row are both 0."""
         if not self.cells:
@@ -905,10 +898,6 @@ def _walks_by_iteration(T: np.ndarray, steps: int) -> int:
     return sum(vec)
 
 
-def spectral_radius(T: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(T.astype(float)))))
-
-
 def transfer_matrix_entropy_1d(sft: SftSpec) -> float:
     """Topological entropy of a 1D SFT in bits per symbol.
 
@@ -919,7 +908,7 @@ def transfer_matrix_entropy_1d(sft: SftSpec) -> float:
     nodes, T = transfer_graph_1d(sft)
     if len(nodes) == 0:
         raise EmptyLanguageError("no admissible blocks: the subshift is empty")
-    rho = spectral_radius(T)
+    rho = float(np.max(np.abs(np.linalg.eigvals(T.astype(float)))))
     # An integer matrix has spectral radius 0 (nilpotent, finite language)
     # or at least 1 (contains a cycle).
     if rho < 0.5:

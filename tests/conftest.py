@@ -17,6 +17,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 
 
+def disc(radius: int, a: int = 0, b: int = 0, N: int = 1) -> md.LatticeSet:
+    """The lattice points of the closed Euclidean disc of ``radius``, swept
+    along (a, b) for N steps: supports that are not rectangles and whose
+    rows have runs of several lengths."""
+    r = radius
+    return md.LatticeSet((a * n + x, b * n + y) for n in range(N)
+                         for x in range(-r, r + 1) for y in range(-r, r + 1)
+                         if x * x + y * y <= r * r)
+
+
 @pytest.fixture(scope="session")
 def full2():
     return md.full_shift(("0", "1"))

@@ -48,16 +48,6 @@ class TestMetricEval:
         p, q = pattern_pair(ball, a, b)
         assert md.metric_eval(spec2, p, q) == (0.25, True)
 
-    def test_euclidean_weighting(self):
-        spec = MetricSpec(2.0, "l2")
-        ball = md.norm_ball(2, "l2")
-        a = ["0"] * len(ball)
-        b = list(a)
-        b[ball.points.index((1, 1))] = "1"
-        p, q = pattern_pair(ball, a, b)
-        val, exact = md.metric_eval(spec, p, q)
-        assert exact and abs(val - 2 ** -math.sqrt(2)) < 1e-15
-
     def test_certificate_on_agreement(self, spec2):
         ball = md.norm_ball(2)
         p, _ = pattern_pair(ball, ["0"] * len(ball), ["0"] * len(ball))
@@ -163,24 +153,20 @@ class TestBowenWindow:
     def test_skew_equals_lambda_set(self):
         # the union of the radius-(M-1) balls at (na, nb), 0 <= n < N, built
         # as runs, is the swept point set found by brute force
-        for norm in ("linf", "l2"):
-            for a in range(-2, 3):
-                for b in range(-2, 3):
-                    if (a, b) == (0, 0):
-                        continue
-                    for M in range(1, 5):
-                        r = M - 1
-                        ball = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
-                                if (max(abs(x), abs(y)) <= r if norm == "linf"
-                                    else x * x + y * y <= r * r)]
-                        assert md.norm_ball(r, norm) == LatticeSet(ball)
-                        for N in range(1, 7):
-                            swept = {(a * n + x, b * n + y) for n in range(N) for x, y in ball}
-                            window = md.bowen_window(ActionSpec(a, b), N, M, norm)
-                            assert window == md.lambda_set(a, b, M, N, norm) == \
-                                LatticeSet(swept)
-                            assert window.points == tuple(sorted(swept))
-                            assert len(window) == len(swept)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                if (a, b) == (0, 0):
+                    continue
+                for M in range(1, 5):
+                    r = M - 1
+                    ball = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)]
+                    assert md.norm_ball(r) == LatticeSet(ball)
+                    for N in range(1, 7):
+                        swept = {(a * n + x, b * n + y) for n in range(N) for x, y in ball}
+                        window = md.bowen_window(ActionSpec(a, b), N, M)
+                        assert window == md.lambda_set(a, b, M, N) == LatticeSet(swept)
+                        assert window.points == tuple(sorted(swept))
+                        assert len(window) == len(swept)
 
     def test_window_characterises_distance(self, spec2, act10):
         # Single-site disagreements give the Bowen distance exactly:
@@ -237,7 +223,7 @@ class TestEntropyAtResolution:
         assert count_slope(table, 2) == 1.0
 
     def test_each_window_built_once(self, goldenrow, threedot, parry, spec2, monkeypatch):
-        # planning a skew or l2 window of a row or linear spec builds it; the
+        # planning a skew window of a row or linear spec builds it; the
         # count and the weight then read that build, not a second one
         builds = []
         build = md.lattice.SweptWindow.__dict__["lattice_set"].func
@@ -249,12 +235,11 @@ class TestEntropyAtResolution:
         prop = functools.cached_property(counted)
         prop.__set_name__(md.lattice.SweptWindow, "lattice_set")
         monkeypatch.setattr(md.lattice.SweptWindow, "lattice_set", prop)
-        for sft, measure, action, norm in ((goldenrow, None, ActionSpec(1, 1), "linf"),
-                                           (goldenrow, parry, ActionSpec(2, 1), "linf"),
-                                           (threedot, None, ActionSpec(1, 1), "linf"),
-                                           (goldenrow, parry, ActionSpec(1, 0), "l2")):
+        for sft, measure, action in ((goldenrow, None, ActionSpec(1, 1)),
+                                     (goldenrow, parry, ActionSpec(2, 1)),
+                                     (threedot, None, ActionSpec(1, 1))):
             builds.clear()
-            table = md.bowen_table(sft, measure, MetricSpec(2.0, norm), action)
+            table = md.bowen_table(sft, measure, spec2, action)
             assert sorted(builds) == sorted((M, N) for M, row in table.rows.items()
                                             for N in row.Ns)
         builds.clear()
@@ -305,7 +290,7 @@ class TestMmdim:
         lifted = md.row_lift(base)
         assert lifted.certified == "row-lift"
         rect = md.IntRect(0, 3, 0, 2)
-        assert (md.RectCounter(lifted).try_count(rect.ncols, rect.nrows)
+        assert (md.subshift.RectCounter(lifted).try_count(rect.ncols, rect.nrows)
                 == md.count_locally_admissible(lifted, rect, algorithm="backtracking"))
         est = mmdim(lifted, spec2, Mschedule=(2, 3, 4), Nfactor=8)
         assert abs(est.value - 2 * h) < 1e-6
@@ -372,7 +357,7 @@ class TestMhdim:
             == [3, 5, 7]
 
 
-class TestSkewAndEuclidean:
+class TestSkew:
     def test_full_shift_skew_density_trend(self, full2, spec2):
         # covering exponents of the skew actions per iterate and per
         # log(1/eps) climb down to 2(|a|+|b|) * log2|A| / log2(alpha)
@@ -411,20 +396,6 @@ class TestSkewAndEuclidean:
         assert m_schedule(ActionSpec(1, 0)) == [2, 3, 4, 5, 6]
         assert m_schedule(ActionSpec(1, 0), (3, 1, 2, 2)) == [1, 2, 3]
 
-    def test_full_shift_euclidean_mmdim(self, full2):
-        # the Euclidean-ball windows gain one full vertical diameter per
-        # iterate, so the full-shift sequence and limit match the sup norm
-        est = mmdim(full2, MetricSpec(2.0, "l2"))
-        assert abs(est.value - 2.0) < 1e-9
-
-    def test_euclidean_covering_count(self, full2, act10):
-        spec = MetricSpec(2.0, "l2")
-        w = md.bowen_window(act10, 1, 3, "l2")
-        assert md.covering_number(full2, spec, act10, 1, spec.epsilon_at(3)) == \
-            2 ** len(w)
-        assert len(w) == 13  # disc of radius 2
-
-
 class TestTameGrowth:
     def test_full_shift_closed_form(self, full2, spec2):
         res = md.tame_growth_check(full2, spec2, 0.1, 32)
@@ -435,16 +406,13 @@ class TestTameGrowth:
         assert md.tame_growth_check(full2, spec2, 0.1, 64).verdict == "consistent"
         assert md.tame_growth_check(full2, spec2, 1.0, 16).verdict == "consistent"
 
-    def test_square_route_matches_point_sets(self, full2, goldenrow, threedot):
-        # sup-norm balls are counted as squares; l2 balls are not rectangles
-        # and go to backtracking, which visits every golden-row pattern
+    def test_square_route_matches_point_sets(self, full2, goldenrow, threedot, spec2):
+        # sup-norm balls are counted as squares
         for sft in (full2, goldenrow, threedot):
-            for norm, Mmax in (("linf", 6), ("l2", 3)):
-                spec = md.MetricSpec(2.0, norm)
-                res = md.tame_growth_check(sft, spec, 0.1, Mmax)
-                for M, v in res.table:
-                    c = md.count_locally_admissible(sft, md.norm_ball(M - 1, norm))
-                    assert v == spec.epsilon_at(M) ** 0.1 * math.log2(c)
+            res = md.tame_growth_check(sft, spec2, 0.1, 6)
+            for M, v in res.table:
+                c = md.count_locally_admissible(sft, md.norm_ball(M - 1))
+                assert v == spec2.epsilon_at(M) ** 0.1 * math.log2(c)
 
     def test_refusal_planned_before_any_count(self, threedot, spec2, monkeypatch):
         # the 203 x 203 square at M = 102 is over the elimination guard, so

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 import meandim as md
 from meandim import FiniteDistribution, IntRect, JointDistribution, MeasureSpec
 from meandim.errors import MeandimError
+from meandim.information import entropy_bits
 from meandim.subshift import perron_eigendata
 
-from conftest import LOG2_PHI
+from conftest import LOG2_PHI, disc
 
 
 def random_joint(rng, nx, ny):
@@ -20,12 +21,9 @@ def random_joint(rng, nx, ny):
 
 class TestDistributions:
     def test_entropy_examples(self):
-        uni8 = FiniteDistribution(tuple(range(8)), (0.125,) * 8)
-        assert md.shannon_entropy(uni8) == 3.0
-        point = FiniteDistribution(("a", "b"), (1.0, 0.0))
-        assert md.shannon_entropy(point) == 0.0
-        skew = FiniteDistribution(("a", "b"), (0.25, 0.75))
-        assert abs(md.shannon_entropy(skew) - 0.811278) < 1e-6
+        assert entropy_bits(np.full(8, 0.125)) == 3.0
+        assert entropy_bits(np.array([1.0, 0.0])) == 0.0
+        assert abs(entropy_bits(np.array([0.25, 0.75])) - 0.811278) < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -67,10 +65,7 @@ class TestMutualInformation:
             I = md.mutual_information(joint)
             assert I >= -1e-9
             assert abs(I - md.mutual_information(JointDistribution.from_array(m.T))) < 1e-9
-            hx = md.shannon_entropy(FiniteDistribution(tuple(range(nx)),
-                                                       tuple(m.sum(axis=1))))
-            hy = md.shannon_entropy(FiniteDistribution(tuple(range(ny)),
-                                                       tuple(m.sum(axis=0))))
+            hx, hy = entropy_bits(m.sum(axis=1)), entropy_bits(m.sum(axis=0))
             assert I <= min(hx, hy) + 1e-9
 
     def test_data_processing(self):
@@ -246,7 +241,7 @@ class TestWindowMarginals:
         for measure in (parry, bern_half):
             for support in (md.row_interval(4), IntRect(0, 3, -1, 1),
                             md.LatticeSet([(0, 0), (2, 0), (3, 0), (0, 2)])):
-                enum = md.shannon_entropy(md.window_marginal(measure, support))
+                enum = entropy_bits(md.window_marginal(measure, support).prob_array())
                 closed = md.window_entropy(measure, support)
                 assert abs(enum - closed) < 1e-9
 
@@ -320,8 +315,7 @@ class TestRateDistortionBounds:
                     yd = [(y // B ** i) % B for i in range(N)]
                     mism += joint[x, y] * sum(a != b for a, b in zip(xd, yd))
             assert mism < delta * N
-            HX = md.shannon_entropy(
-                FiniteDistribution(tuple(range(nx)), tuple(joint.sum(axis=1))))
+            HX = entropy_bits(joint.sum(axis=1))
             bound = md.mi_lower_bound_lemma(HX, N, delta, B)
             assert md.mutual_information_of(joint) > bound - 1e-9
 
@@ -459,7 +453,7 @@ class TestOneChainPath:
             measures.append(MeasureSpec.markov_row(md.alphabet(*map(str, range(q))),
                                                    P / P.sum(axis=1, keepdims=True)))
         for m in measures:
-            supports = [md.norm_ball(1), md.norm_ball(2, "l2"),
+            supports = [md.norm_ball(1), disc(2),
                         md.LatticeSet.from_rect(IntRect(0, 3, 0, 1)),
                         md.bowen_window(md.ActionSpec(3, 0), 3, 1)]
             supports += [random_support(rng, k) for k in (2, 4, 6)]
@@ -587,7 +581,7 @@ class TestChainSteps:
     def supports(self, rng):
         out = [IntRect(0, 7, 0, 2), IntRect(-3, 40, -2, 1), IntRect(5, 5, 3, 3),
                md.bowen_window(md.ActionSpec(1, 0), 12, 3),
-               md.bowen_window(md.ActionSpec(2, 1), 5, 2), md.norm_ball(3, "l2")]
+               md.bowen_window(md.ActionSpec(2, 1), 5, 2), disc(3)]
         for _ in range(6):
             pts = {(int(m), int(n)) for m, n in rng.integers(-6, 12, (20, 2))}
             out.append(md.LatticeSet(pts))
@@ -644,7 +638,6 @@ class TestOutcomeGuards:
         from meandim.ratedistortion import MAX_PROBLEM_OUTCOMES
         assert MAX_PROBLEM_OUTCOMES == 4096
         monkeypatch.setattr("meandim.ratedistortion.window_marginal", None)
-        # 25 cells at depth 3, 13 on the depth-3 Euclidean ball
-        for M, norm in ((3, "linf"), (3, "l2")):
-            with pytest.raises(md.ResourceGuardError, match="MAX_PROBLEM_OUTCOMES"):
-                md.rd_problem_from_measure(bern_half, 2.0, M, norm)
+        # 25 cells at depth 3
+        with pytest.raises(md.ResourceGuardError, match="MAX_PROBLEM_OUTCOMES"):
+            md.rd_problem_from_measure(bern_half, 2.0, 3)

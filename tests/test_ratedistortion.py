@@ -8,8 +8,9 @@ import pytest
 import meandim as md
 from meandim import FiniteDistribution, RdProblem, kernels
 from meandim.errors import NonConvergenceError
+from meandim.information import entropy_bits
 
-from conftest import FIXTURES
+from conftest import FIXTURES, disc
 
 
 class TestBlahutArimoto:
@@ -25,7 +26,7 @@ class TestBlahutArimoto:
         prob = RdProblem.build(src, ("a", "b", "c"),
                                [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         pt = md.blahut_arimoto(prob, slope=40.0, tol=1e-11)
-        assert abs(pt.rate - md.shannon_entropy(src)) < 1e-6
+        assert abs(pt.rate - entropy_bits(src.prob_array())) < 1e-6
         assert pt.distortion < 1e-9
 
     def test_large_distortion_gives_zero_rate(self):
@@ -600,12 +601,15 @@ class TestSymmetryQuotient:
 
     @pytest.mark.parametrize("kind", ["parry", "bernoulli", "markov"])
     def test_l2_window_problems_match_the_dense_run(self, parry, kind):
-        # window problems whose classes are neither trivial nor one class
+        # window problems whose classes are neither trivial nor one class:
+        # the distortion alpha^-(Euclidean norm) on the radius-1 disc
         binary = md.alphabet("0", "1")
         measure = {"parry": parry,
                    "bernoulli": md.MeasureSpec.bernoulli(binary, (0.3, 0.7)),
                    "markov": md.MeasureSpec.markov_row(binary, [[0.9, 0.1], [0.4, 0.6]])}[kind]
-        prob = md.rd_problem_from_measure(measure, 2, M=2, norm="l2")
+        source = md.window_marginal(measure, disc(1))
+        prob = RdProblem.build(source, source.outcomes,
+                               loop_distortion(measure, 2, disc(1), euclidean))
         p, rho, rows, cols = prob.reduced
         assert 1 < rows.max() + 1 < len(p) and 1 < cols.max() + 1 < rho.shape[1]
         assert_equitable(p, rho, rows, cols)
@@ -700,20 +704,25 @@ class TestInputGuards:
                 md.rd_problem_from_measure(bern_half, alpha, 2)
 
 
-def loop_distortion(measure, alpha, M, norm):
-    """The distortion build as a loop of masked row reductions."""
-    window = md.norm_ball(M - 1, norm)
+def sup_norm(u):
+    return float(max(abs(u[0]), abs(u[1])))
+
+
+def euclidean(u):
+    return math.sqrt(u[0] * u[0] + u[1] * u[1])
+
+
+def loop_distortion(measure, alpha, window, norm_of):
+    """The distortion of the patterns on a window about the origin,
+    alpha^-(smallest norm_of of a disagreement site), as a loop of masked
+    row reductions."""
     pats = md.window_marginal(measure, window).outcomes
     pts = window.points
-
-    def norm_of(u):
-        m, n = u
-        return float(max(abs(m), abs(n))) if norm == "linf" else math.sqrt(m * m + n * n)
-
     norms = np.array([norm_of(u) for u in pts])
     # agreeing patterns get alpha^-(smallest norm outside the window),
     # searched over a square around it
-    agree = min(norm_of(u) for u in itertools.product(range(-M - 1, M + 2), repeat=2)
+    r = window.bounding_box().b + 2
+    agree = min(norm_of(u) for u in itertools.product(range(-r, r + 1), repeat=2)
                 if u not in window)
     arrays = np.array([[measure.alphabet.index(pat[pt]) for pt in pts] for pat in pats])
     dist = np.empty((len(pats), len(pats)))
@@ -725,28 +734,26 @@ def loop_distortion(measure, alpha, M, norm):
 
 
 @pytest.mark.parametrize("name", ["bern12", "parry_golden"])
-@pytest.mark.parametrize("norm", ["linf", "l2"])
 @pytest.mark.parametrize("M", [1, 2])
-def test_distortion_build_matches_row_loop(fixtures_dir, name, norm, M):
+def test_distortion_build_matches_row_loop(fixtures_dir, name, M):
     measure = md.parse_measure(fixtures_dir / f"{name}.measure")
     for alpha in (2, 1.7):
-        got = md.rd_problem_from_measure(measure, alpha, M, norm).distortion_array()
-        want = loop_distortion(measure, alpha, M, norm)
+        got = md.rd_problem_from_measure(measure, alpha, M).distortion_array()
+        want = loop_distortion(measure, alpha, md.norm_ball(M - 1), sup_norm)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 @pytest.mark.parametrize("name", ["bern12", "parry_golden"])
-@pytest.mark.parametrize("norm,M,step", [("l2", 1, 1), ("l2", 2, 1), ("linf", 2, 37)])
-def test_window_problem_agrees_with_metric_eval(fixtures_dir, name, norm, M, step):
-    # each entry is metric_eval's value on its pair of patterns; under l2 two
-    # equal M = 2 patterns are alpha^-sqrt 2 apart at most, not alpha^-2
+def test_window_problem_agrees_with_metric_eval(fixtures_dir, name):
+    # each entry, on every 37th source pattern, is metric_eval's value on
+    # its pair of patterns
     measure = md.parse_measure(fixtures_dir / f"{name}.measure")
-    spec = md.MetricSpec(2.0, norm)
-    prob = md.rd_problem_from_measure(measure, 2.0, M, norm)
+    spec = md.MetricSpec(2.0)
+    prob = md.rd_problem_from_measure(measure, 2.0, 2)
     dist = prob.distortion_array()
     pats = prob.source.outcomes
-    for i in range(0, len(pats), step):
+    for i in range(0, len(pats), 37):
         for j, q in enumerate(prob.reproductions):
             want = md.metric_eval(spec, pats[i], q).value
             assert abs(dist[i, j] - want) <= 1e-15 * want, (i, j)

@@ -18,7 +18,7 @@ from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSp
                               _walks_by_iteration, _walks_by_squaring,
                               base_of_row_lift, transfer_graph_1d)
 
-from conftest import LOG2_PHI
+from conftest import LOG2_PHI, disc
 
 
 def fib_count(n):
@@ -186,9 +186,10 @@ def wide_supports(draw):
                          for m in range(min(a, b), max(a, b) + 1)
                          for n in range(min(c, d), max(c, d) + 1))
     else:
-        action = md.ActionSpec(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-        pts = md.bowen_window(action, draw(st.integers(3, 5)), draw(st.integers(2, 5)),
-                              draw(st.sampled_from(["linf", "l2"])))
+        a, b, N, M = (draw(st.integers(-3, 3)), draw(st.integers(1, 3)),
+                      draw(st.integers(3, 5)), draw(st.integers(2, 5)))
+        pts = (md.bowen_window(md.ActionSpec(a, b), N, M) if draw(st.booleans())
+               else disc(M - 1, a, b, N))
     assume(64 < len(pts) <= 400)
     return pts
 
@@ -266,19 +267,6 @@ def walk_specs(draw):
 
 
 class TestPatterns:
-    def test_restrict_identity_and_cases(self):
-        p = Pattern.from_dict({(0, 0): "a", (1, 0): "b", (0, 1): "a"})
-        assert p.restrict(p.domain()) == p
-        assert p.restrict(LatticeSet([(1, 0)])).cells == (((1, 0), "b"),)
-        empty = p.restrict(LatticeSet(()))
-        q = Pattern.from_dict({(0, 0): "x"})
-        assert empty == q.restrict(LatticeSet(()))
-
-    def test_restrict_outside_support_rejected(self):
-        p = Pattern.from_dict({(0, 0): "a"})
-        with pytest.raises(ValueError):
-            p.restrict(LatticeSet([(5, 5)]))
-
     def test_duplicate_cell_rejected(self):
         with pytest.raises(ValueError):
             Pattern((((0, 0), "a"), ((0, 0), "b")))
@@ -344,7 +332,7 @@ class TestCounts:
 
     @settings(max_examples=300, deadline=None)
     @given(small_specs(), st.one_of(
-        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(disc, st.integers(0, 2)),
         st.builds(md.bowen_window,
                   st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2))))
@@ -371,7 +359,7 @@ class TestCounts:
     def test_restriction_stays_admissible(self, goldenrow):
         support = LatticeSet.from_rect(IntRect(0, 3, 0, 1))
         sub = LatticeSet.from_rect(IntRect(0, 2, 0, 0))
-        subpats = {p.restrict(sub) for p in
+        subpats = {Pattern(tuple(cell for cell in p.cells if cell[0] in sub)) for p in
                    md.enumerate_locally_admissible(goldenrow, support)}
         allowed = set(md.enumerate_locally_admissible(goldenrow, sub))
         assert subpats <= allowed
@@ -388,7 +376,7 @@ class TestCounts:
     def test_log_subadditive_on_disjoint_rows(self, goldenrow, full2):
         r1 = LatticeSet.from_rect(IntRect(0, 4, 0, 0))
         r2 = LatticeSet.from_rect(IntRect(0, 4, 2, 2))
-        both = r1.union(r2)
+        both = LatticeSet(r1.points + r2.points)
         for sft, exact in ((goldenrow, True), (full2, True)):
             c1 = md.count_locally_admissible(sft, r1)
             c2 = md.count_locally_admissible(sft, r2)
@@ -436,13 +424,13 @@ class TestCounts:
         # the backtracking guard; rows of the golden row are independent
         assert md.count_locally_admissible(goldenrow, IntRect(0, 49, 0, 49)) == \
             fib_count(50) ** 50
-        # the 29-cell l2 ball, whose backtracking visits every pattern
-        assert md.count_locally_admissible(goldenrow, md.norm_ball(3, "l2")) == 3884296
+        # the 29-cell disc, whose backtracking visits every pattern
+        assert md.count_locally_admissible(goldenrow, disc(3)) == 3884296
 
     @settings(max_examples=300, deadline=None)
     @given(row_specs(), st.one_of(
         st.builds(IntRect, st.just(0), st.integers(0, 4), st.just(0), st.integers(0, 4)),
-        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(disc, st.integers(0, 2)),
         st.builds(md.bowen_window,
                   st.builds(md.ActionSpec, st.integers(-5, 5), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2))))
@@ -572,7 +560,7 @@ class TestEnumeration:
     @settings(max_examples=300, deadline=None)
     @given(small_specs(), st.one_of(
         st.builds(IntRect, st.just(0), st.integers(0, 3), st.just(0), st.integers(0, 3)),
-        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(disc, st.integers(0, 2)),
         st.builds(md.bowen_window,
                   st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2)),
@@ -603,7 +591,7 @@ class TestWalk:
     @settings(max_examples=300, deadline=None)
     @given(walk_specs(), st.one_of(
         st.builds(IntRect, st.just(0), st.integers(0, 3), st.just(0), st.integers(0, 3)),
-        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(disc, st.integers(0, 2)),
         st.builds(md.bowen_window,
                   st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2)),
@@ -795,7 +783,7 @@ class TestLinear:
         st.builds(IntRect, st.just(0), st.integers(0, 3), st.just(0), st.integers(0, 3)),
         st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                                       min_size=1, max_size=8)),
-        st.builds(md.norm_ball, st.integers(0, 2), st.just("l2")),
+        st.builds(disc, st.integers(0, 2)),
         st.builds(md.bowen_window,
                   st.builds(md.ActionSpec, st.integers(-2, 2), st.integers(1, 2)),
                   st.integers(1, 3), st.integers(1, 2))))
@@ -815,7 +803,9 @@ class TestLinear:
                                       min_size=1, max_size=20)),
         st.builds(md.bowen_window,
                   st.builds(md.ActionSpec, st.integers(-3, 3), st.integers(1, 2)),
-                  st.integers(1, 6), st.integers(1, 3), st.sampled_from(["linf", "l2"]))))
+                  st.integers(1, 6), st.integers(1, 3)),
+        st.builds(lambda a, b, N, M: disc(M - 1, a, b, N), st.integers(-3, 3),
+                  st.integers(1, 2), st.integers(1, 6), st.integers(1, 3))))
     def test_bandwidth_from_runs_matches_the_columns(self, sft, pts):
         # the exact span of the rows, at most the points in as many
         # neighbouring columns as a shape spans
@@ -873,10 +863,9 @@ class TestLinear:
         for N in (13, 47, 100):
             assert md.count_locally_admissible(threedot, IntRect(0, N - 1, 0, N - 1)) == \
                 2 ** (2 * N - 1)
-        # skew and l2 windows past the backtracking guard, against the rank
-        # of the dense matrix of every placement's equation
-        for window in (md.bowen_window(md.ActionSpec(1, 1), 30, 3),
-                       md.bowen_window(md.ActionSpec(2, 1), 12, 4, "l2")):
+        # a skew window and a swept disc past the backtracking guard, against
+        # the rank of the dense matrix of every placement's equation
+        for window in (md.bowen_window(md.ActionSpec(1, 1), 30, 3), disc(3, 2, 1, 12)):
             assert len(window) > 64 and window.as_rect() is None
             assert md.count_locally_admissible(threedot, window) == \
                 2 ** (len(window) - dense_gf2_rank(window, ((0, 0), (1, 0), (0, 1))))
@@ -1029,13 +1018,13 @@ class TestPlan:
 
     @staticmethod
     def windows():
-        norms = st.sampled_from(["linf", "l2"])
         short = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
-                          st.integers(1, 30), norms).filter(lambda w: w[:2] != (0, 0))
+                          st.integers(1, 30)).filter(lambda w: w[:2] != (0, 0))
         # horizontal windows past the guards, cheap to build row by row
         long = st.tuples(st.sampled_from([-1, 1, 2]), st.just(0), st.integers(1, 3),
-                         st.sampled_from([10 ** 4, 10 ** 5, 4 * 10 ** 5]), norms)
-        return st.one_of(short, long).map(lambda w: SweptWindow(*w))
+                         st.sampled_from([10 ** 4, 10 ** 5, 4 * 10 ** 5]))
+        discs = short.map(lambda w: disc(w[2] - 1, w[0], w[1], w[3]))
+        return st.one_of(st.one_of(short, long).map(lambda w: SweptWindow(*w)), discs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(small_specs(), linear_specs()), st.one_of(
