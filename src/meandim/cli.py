@@ -240,6 +240,8 @@ def _cmd_count(args) -> dict:
         support = IntRect(0, args.length - 1, 0, 0)
         desc = f"[0,{args.length})x{{0}}"
     elif args.box is not None:
+        if args.box < 1:
+            raise CliError("--box must be positive")
         support = IntRect(0, args.box - 1, 0, args.box - 1)
         desc = f"[0,{args.box - 1}]^2"
     else:
@@ -311,7 +313,7 @@ def _cmd_mhdim(args) -> dict:
         "command": "mhdim",
         "inputs": {"sft": args.sft, "measure": args.measure,
                    "alpha": args.alpha, "M_schedule": list(table.schedule),
-                   "N_factor": args.N_factor},
+                   "N_factor": args.N_factor, "action": [args.action.a, args.action.b]},
         "results": {"mhdim_upper": _estimate_dict(upper),
                     "mhdim_lower": _estimate_dict(lower)},
         "tables": tables,
@@ -432,6 +434,9 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
                        "two_sided": two_sided, "ok": bool(ok)})
 
     if sft.dimension == 1:
+        if (action.a, action.b) != (1, 0):
+            raise MeandimError(f"a 1D subshift is verified along the shift 1,0 only, "
+                               f"got the action {action.a},{action.b}")
         h = transfer_matrix_entropy_1d(sft)
         rhs = h / spec.log2_alpha
         sched = list(Mschedule) if Mschedule else list(DEFAULT_M_SCHEDULE_1D)
@@ -539,7 +544,7 @@ def _cmd_verify(args) -> dict:
         "inputs": {"sft": args.sft, "measure": args.measure,
                    "alpha": args.alpha, "tolerance": args.tolerance,
                    "N_factor": args.N_factor, "delta": args.delta,
-                   "strict": args.strict},
+                   "strict": args.strict, "action": [args.action.a, args.action.b]},
         **body,
     }
     if body["verdict"] == "FAIL":

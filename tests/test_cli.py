@@ -335,7 +335,13 @@ class TestRunCommand:
         assert code == 1 and "error" in rep
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
                                  "--length", "0"])
-        assert code == 1 and "positive" in rep["error"]
+        assert code == 1 and rep["error"] == "--length must be positive"
+
+    def test_box_below_one_named(self, fixtures_dir):
+        for value in ("0", "-2"):
+            code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft"),
+                                     "--box", value])
+            assert code == 1 and rep["error"] == "--box must be positive"
 
     def test_entropy_box_on_three_dot_past_the_sweep(self, fixtures_dir):
         # the 13 x 13 box and up are over the sweep's state guard; three-dot
@@ -589,6 +595,25 @@ class TestVerifyTheorem:
             "--alpha", "2"])
         assert code == 0 and rep["verdict"] == "PASS"
         assert abs(rep["rhs"] - 0.69424) < 1e-5
+
+    @pytest.mark.parametrize("action", ["3,0", "0,1", "-1,0", "1,1"])
+    def test_one_dimensional_refuses_other_actions(self, fixtures_dir, monkeypatch, action):
+        # the 1D check has no action factor: it used to PASS (3,0) against
+        # the horizontal rhs; it is refused before any count
+        def no_count(*args):
+            raise AssertionError("a count ran")
+        monkeypatch.setattr("meandim.cli.transfer_matrix_entropy_1d", no_count)
+        monkeypatch.setattr("meandim.dimensions.word_count_1d", no_count)
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
+                                 "--alpha", "2", "--action", action])
+        assert code == 1 and rep["error"] == (
+            f"a 1D subshift is verified along the shift 1,0 only, got the action {action}")
+
+    @pytest.mark.parametrize("command", ["mhdim", "verify-theorem"])
+    def test_action_recorded_in_inputs(self, fixtures_dir, command):
+        code, rep = run_command([command, "--sft", fx(fixtures_dir, "fullshift2.sft"),
+                                 "--action", "2,1"])
+        assert code == 0 and rep["inputs"]["action"] == [2, 1]
 
     @pytest.mark.parametrize("sft", ["goldenmean1d.sft", "goldenrow.sft"])
     def test_unsupported_measure_is_error(self, fixtures_dir, sft):
