@@ -2,12 +2,12 @@
 estimators.
 
 The metric on A^(Z^2) is alpha^-(smallest sup norm of a disagreement
-site).  Its value set is discrete, so for a distortion epsilon with resolution index M (meaning
-alpha^-M < epsilon <= alpha^-(M-1)) the sets of diameter below epsilon
-are exactly the cylinders over the Bowen window W(M, N), and the
-covering number is an exact pattern count.  That identity drives every
-estimator here; a brute-force minimal-cover oracle in the test suite
-checks it on miniature systems.
+site).  Its value set is discrete, so for a distortion epsilon with
+resolution index M (meaning alpha^-M < epsilon <= alpha^-(M-1)) the
+sets of diameter below epsilon are exactly the cylinders over the Bowen
+window W(M, N), and the covering number is an exact pattern count.  That
+identity drives every estimator here; a brute-force minimal-cover oracle
+in the test suite checks it on miniature systems.
 
 The estimators take integer depths M and never form an epsilon.  The
 metric mean dimension divides by log2(1/eps_M) = (M-1) log2 alpha, at
@@ -100,7 +100,8 @@ def metric_eval(spec: MetricSpec, p: Pattern, q: Pattern) -> MetricValue:
     return MetricValue(spec.alpha ** (-min_norm_outside(p.domain())), False)
 
 
-def bowen_window(action: ActionSpec, N: int, M: int, *, swept: SweptWindow | None = None) -> LatticeSet:
+def bowen_window(action: ActionSpec, N: int, M: int, *,
+                 swept: SweptWindow | None = None) -> LatticeSet:
     """Determining window of the N-step Bowen metric at resolution M.
 
     The union of the radius-(M-1) norm ball translated along

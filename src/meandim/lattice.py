@@ -387,11 +387,10 @@ class SweptWindow:
     @functools.cached_property
     def lattice_set(self) -> LatticeSet:
         """Row y takes [an - w, an + w] from each step n whose ball meets it,
-        w its half-width at row y - bn: a horizontal window costs O(M)."""
+        w the ball's half-side: a horizontal window costs O(M)."""
         self.check()
         a, b, r, N = self.a, self.b, self.M - 1, self.N
-        half = {y: runs[0][1] for y0, y1, runs in norm_ball(r).bands
-                for y in range(y0, y1 + 1)}
+        w = norm_ball(r).bounding_box().b
         box = self.bounding_box()
         rows: dict[int, list[tuple[int, int]]] = {}
         for y in range(box.c, box.d + 1):
@@ -400,14 +399,11 @@ class SweptWindow:
             n0, n1 = (0, N - 1) if b == 0 else (max(0, -(-lo // b)), min(N - 1, hi // b))
             if n0 > n1:
                 continue
-            # one half-width w on the whole row: the steps' runs, |a|
-            # apart, join into one when |a| <= 2w + 1
-            w = half[y - b * n0]
+            # the steps' runs, |a| apart, join into one when |a| <= 2w + 1
             if abs(a) <= 2 * w + 1:
                 rows[y] = [(min(a * n0, a * n1) - w, max(a * n0, a * n1) + w)]
-                continue
-            rows[y] = [(a * n - half[y - b * n], a * n + half[y - b * n])
-                       for n in range(n0, n1 + 1)]
+            else:
+                rows[y] = [(a * n - w, a * n + w) for n in range(n0, n1 + 1)]
         return LatticeSet(_bands=_bands_of_rows(rows))
 
 

@@ -119,13 +119,8 @@ def differences(want, got, where: str = "") -> list[str]:
             return [f"{where}: length {len(want)} != {len(got)}"]
         return [d for i, (w, g) in enumerate(zip(want, got))
                 for d in differences(w, g, f"{where}[{i}]")]
-    if isinstance(want, float):
-        if want == got or (math.isnan(want) and math.isnan(got)) \
-                or math.isclose(want, got, rel_tol=FLOAT_RTOL, abs_tol=0.0):
-            return []
-    elif want == got:
-        return []
-    return [f"{where}: {want!r} != {got!r}"]
+    same = math.isclose(want, got, rel_tol=FLOAT_RTOL) if isinstance(want, float) else want == got
+    return [] if same else [f"{where}: {want!r} != {got!r}"]
 
 
 def main() -> None:
