@@ -24,11 +24,10 @@ from .files import parse_measure, parse_rects, parse_sft
 from .flags import is_flag, read_flags, resolve
 from .information import (MeasureSpec, default_rdim_schedule, ks_entropy,
                           parry_measure, rdim_bounds)
-from .lattice import (IntRect, LatticeSet, greedy_disjoint_subcover,
-                      lambda_density, rect_triple)
-from .subshift import (SftSpec, base_of_row_lift,
-                       box_entropy_estimate, count_locally_admissible,
-                       transfer_matrix_entropy_1d)
+from .lattice import (IntRect, greedy_disjoint_subcover, lambda_density, rect_triple,
+                      union_cells)
+from .subshift import (SftSpec, base_of_row_lift, box_entropy_estimate, certified_entropy,
+                       count_locally_admissible, transfer_matrix_entropy_1d)
 
 SCHEMA = 1
 
@@ -169,7 +168,9 @@ def run_command(argv) -> tuple[int, dict]:
     """Run one subcommand; returns (exit code, JSON-ready report).
 
     Only the named command's flags are read.  Argv naming no command goes
-    to ``_no_command``, which handles ``--help`` and ``--version``.
+    to ``_no_command``, which handles ``--help`` and ``--version``.  A
+    refusal, or a --csv or --out file that cannot be written, gives exit
+    code 1 and a report holding the error.
     """
     started = time.perf_counter()
     try:
@@ -178,18 +179,18 @@ def run_command(argv) -> tuple[int, dict]:
         args = _read_flags(argv[0], argv[1:])
         report = _COMMANDS[argv[0]][1](args)
         code = report.pop("_exit_code", 0)
+        report.setdefault("schema", SCHEMA)
+        report["wall_time_s"] = time.perf_counter() - started
+        if args.csv and report.get("tables"):
+            _write_csv(args.csv, report["tables"])
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write_report(report, fh)
+            report["_written_to"] = args.out
     except (MeandimError, ValueError, OSError) as exc:
         report = {"schema": SCHEMA, "command": argv[0] if argv else "",
                   "error": str(exc)}
         return 1, report
-    report.setdefault("schema", SCHEMA)
-    report["wall_time_s"] = time.perf_counter() - started
-    if args.csv and report.get("tables"):
-        _write_csv(args.csv, report["tables"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_report(report, fh)
-        report["_written_to"] = args.out
     return code, report
 
 
@@ -356,9 +357,7 @@ def _cmd_lambda_density(args) -> dict:
 def _cmd_cover_demo(args) -> dict:
     rects = parse_rects(args.rects)
     chosen = greedy_disjoint_subcover(rects)
-    union_all = set()
-    for r in rects:
-        union_all.update(r.points())
+    union = union_cells(rects)
     selected_cells = sum(rects[i].cardinality() for i in chosen)
     covered = all(any(rect_triple(rects[i]).contains(r) for i in chosen) for r in rects)
     return {
@@ -367,9 +366,9 @@ def _cmd_cover_demo(args) -> dict:
         "results": {
             "selected_indices": chosen,
             "selected_cells": selected_cells,
-            "union_cells": len(union_all),
+            "union_cells": union,
             "triple_cover_holds": covered,
-            "one_ninth_holds": 9 * selected_cells >= len(union_all),
+            "one_ninth_holds": 9 * selected_cells >= union,
         },
     }
 
@@ -391,23 +390,6 @@ def _cmd_tame_check(args) -> dict:
 # ---------------------------------------------------------------------------
 # verify-theorem
 # ---------------------------------------------------------------------------
-
-
-def _certified_entropy(sft: SftSpec) -> float:
-    """Topological entropy of a certified fixture, in bits per site."""
-    if sft.certified == "full":
-        return math.log2(len(sft.alphabet))
-    if sft.certified == "row-lift":
-        return transfer_matrix_entropy_1d(base_of_row_lift(sft))
-    if sft.certified == "three-dot":
-        # Re-verify the boundary-determined count law on small boxes.
-        for N in range(1, 5):
-            c = count_locally_admissible(sft, LatticeSet.from_rect(IntRect(0, N - 1, 0, N - 1)))
-            if c != 2 ** (2 * N - 1):
-                raise MeandimError(
-                    f"three-dot certificate failed its count re-check at N={N}")
-        return 0.0
-    raise MeandimError(f"no entropy formula for certificate {sft.certified!r}")
 
 
 def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
@@ -468,7 +450,7 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             "PASS/FAIL verdict under --strict (drop --strict for bounds only)")
 
     skew = (action.a, action.b) != (1, 0)
-    if skew and sft.certified not in ("full", "row-lift", "three-dot"):
+    if skew and not certified:
         raise MeandimError(
             "skew-action verification is supported for full shifts, row-lifts and "
             "three-dot only: skew Bowen windows are not rectangles in general, and "
@@ -493,7 +475,7 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
                 "results": results, "tables": tables,
                 "note": "no exactness certificate: values are bounds, not estimates"}
 
-    h_top = _certified_entropy(sft)
+    h_top = certified_entropy(sft)
     # the dimension of the rank-one subaction along (a, b) carries the
     # window-density factor 2(|a|+|b|); the horizontal action gives 2
     factor = 2 * (abs(action.a) + abs(action.b))

@@ -1,12 +1,11 @@
 """Shift-invariant measures, entropies, mutual information and the
 finite-scale rate-distortion bounds.
 
-Measures come in two generator families, both invariant under the full
-Z^2 shift action: ``markov-row`` (rows are independent copies of one
-stationary 1D Markov chain) and Bernoulli (iid sites), which is the
-rank-one row chain whose transition rows all equal its weights.  Every
-computation reads a measure only through ``P()`` and ``pi()``, so both
-families share one code path: window marginals are outer products of
+A measure, invariant under the full Z^2 shift action, is stored as one
+stationary 1D Markov chain whose independent copies are its rows; a
+Bernoulli measure (iid sites) is the rank-one chain whose transition
+rows all equal its weights.  Every computation reads a measure only
+through ``P()`` and ``pi()``: window marginals are outer products of
 per-row chain laws, and entropies follow from the chain rule.  The
 rate-distortion bounds combine them with a resolution bracket and the
 binary-entropy penalty term.  All information quantities are in bits.
@@ -18,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,73 +118,54 @@ def _stationary_of(P: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A shift-invariant measure generator on A^(Z^2).
-
-    kind "bernoulli": iid sites with the given symbol weights.
-    kind "markov-row": each row an independent stationary Markov chain
-    with transition matrix ``transition`` and stationary vector
-    ``stationary`` (rows are iid copies).
-
-    ``P()`` and ``pi()`` give the row chain of either kind; a bernoulli
-    measure is the chain whose transition rows all equal its weights.
-    The kind is a label for validation and the file format only.
+    """A shift-invariant measure on A^(Z^2) whose rows are independent
+    copies of one stationary Markov chain, with transition matrix
+    ``transition`` and stationary vector ``stationary``; ``P()`` and
+    ``pi()`` read them as arrays.  A Bernoulli measure (iid sites) is
+    stored as its rank-one chain: every transition row, and the
+    stationary vector, equal its weights.
     """
 
-    kind: str
     alphabet: Alphabet
-    weights: tuple[float, ...] | None = None
-    transition: tuple[tuple[float, ...], ...] | None = None
-    stationary: tuple[float, ...] | None = None
+    transition: tuple[tuple[float, ...], ...]
+    stationary: tuple[float, ...]
 
     def __post_init__(self):
         q = len(self.alphabet)
-        if self.kind == "bernoulli":
-            if self.weights is None or len(self.weights) != q:
-                raise ValueError("bernoulli measure needs one weight per symbol")
-            w = np.asarray(self.weights, float)
-            if (w < -SUM_TOL).any() or abs(w.sum() - 1.0) > SUM_TOL:
-                raise ValueError("weights must be nonnegative and sum to 1")
-        elif self.kind == "markov-row":
-            if self.transition is None:
-                raise ValueError("markov-row measure needs a transition matrix")
-            P = np.asarray(self.transition, float)
-            if P.shape != (q, q):
-                raise ValueError(f"transition matrix must be {q}x{q}")
-            if (P < -SUM_TOL).any():
-                raise ValueError("negative transition probability")
-            if np.abs(P.sum(axis=1) - 1.0).max() > SUM_TOL:
-                raise ValueError("transition rows must sum to 1")
-            if self.stationary is None:
-                raise ValueError("markov-row measure needs its stationary vector")
-            pi = np.asarray(self.stationary, float)
-            if pi.shape != (q,) or (pi < -SUM_TOL).any() or abs(pi.sum() - 1.0) > SUM_TOL:
-                raise ValueError("stationary vector must be a distribution")
-            if np.abs(pi @ P - pi).max() > STATIONARY_TOL:
-                raise ValueError("stationary vector does not satisfy pi P = pi")
-        else:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+        P = self.P()
+        if P.shape != (q, q):
+            raise ValueError(f"transition matrix must be {q}x{q}")
+        if (P < -SUM_TOL).any():
+            raise ValueError("negative transition probability")
+        if np.abs(P.sum(axis=1) - 1.0).max() > SUM_TOL:
+            raise ValueError("transition rows must sum to 1")
+        pi = self.pi()
+        if pi.shape != (q,) or (pi < -SUM_TOL).any() or abs(pi.sum() - 1.0) > SUM_TOL:
+            raise ValueError("stationary vector must be a distribution")
+        if np.abs(pi @ P - pi).max() > STATIONARY_TOL:
+            raise ValueError("stationary vector does not satisfy pi P = pi")
 
     @classmethod
     def bernoulli(cls, alph: Alphabet, weights: Sequence[float]) -> "MeasureSpec":
-        return cls("bernoulli", alph, weights=tuple(float(w) for w in weights))
+        w = tuple(float(x) for x in weights)
+        if len(w) != len(alph):
+            raise ValueError("bernoulli measure needs one weight per symbol")
+        if min(w) < -SUM_TOL or abs(np.sum(w) - 1.0) > SUM_TOL:
+            raise ValueError("weights must be nonnegative and sum to 1")
+        return cls(alph, (w,) * len(w), w)
 
     @classmethod
     def markov_row(cls, alph: Alphabet, transition, stationary=None) -> "MeasureSpec":
         P = np.asarray(transition, float)
         if stationary is None:
             stationary = _stationary_of(P)
-        return cls("markov-row", alph,
-                   transition=tuple(tuple(float(x) for x in row) for row in P),
-                   stationary=tuple(float(x) for x in np.asarray(stationary, float)))
+        return cls(alph, tuple(tuple(float(x) for x in row) for row in P),
+                   tuple(float(x) for x in np.asarray(stationary, float)))
 
     def P(self) -> np.ndarray:
-        if self.kind == "bernoulli":
-            return np.tile(self.pi(), (len(self.alphabet), 1))
         return np.asarray(self.transition, float)
 
     def pi(self) -> np.ndarray:
-        if self.kind == "bernoulli":
-            return np.asarray(self.weights, float)
         return np.asarray(self.stationary, float)
 
 
@@ -393,7 +373,7 @@ def rd_upper_bound(measure: MeasureSpec, alpha: float, M: int, N: int) -> float:
 
 def rd_upper_limit(measure: MeasureSpec, M: int) -> float:
     """Large-N limit of rd_upper_bound: (2M-1) rows times the per-site
-    entropy (exact for both measure families)."""
+    entropy (exact for every row-chain measure)."""
     return (2 * M - 1) * ks_entropy(measure)
 
 
@@ -409,17 +389,12 @@ def mi_lower_bound_lemma(HX: float, N: int, delta: float, Bsize: int) -> float:
     return HX - N * binary_entropy(delta) - delta * N * math.log2(Bsize)
 
 
-class RdLowerBound(float):
-    """rd_lower_bound result: a float (clamped at 0) carrying diagnostics."""
+class RdLowerBound(NamedTuple):
+    """rd_lower_bound's bound ``value`` clamped at 0, ``raw`` unclamped, at strip ``M``."""
 
+    value: float
     raw: float
     M: int
-
-    def __new__(cls, value: float, raw: float, M: int):
-        obj = super().__new__(cls, value)
-        obj.raw = raw
-        obj.M = M
-        return obj
 
 
 def rd_lower_bound(measure: MeasureSpec, alpha: float, epsilon: float,
@@ -429,7 +404,7 @@ def rd_lower_bound(measure: MeasureSpec, alpha: float, epsilon: float,
     Uses the strip of half-height M from the bracket
     delta*alpha^-(M+1) < epsilon <= delta*alpha^-M:
     (2M+1) * per-site entropy - H(delta) - delta (2M+1) log2 |A|,
-    clamped at zero (the raw value stays available as ``.raw``).
+    clamped at zero in ``.value`` (the raw value stays available as ``.raw``).
     """
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
@@ -493,10 +468,10 @@ def rdim_bounds(measure: MeasureSpec, alpha: float, eps_schedule,
         log_inv = math.log2(1.0 / eps)
         Mu = resolution_depth(alpha, eps)
         up = rd_upper_limit(measure, Mu) / log_inv
-        low = rd_lower_bound(measure, alpha, eps, delta) / log_inv
+        low = rd_lower_bound(measure, alpha, eps, delta).value / log_inv
         xs.append(1.0 / log_inv)
         uppers.append(up)
-        lowers.append(float(low))
+        lowers.append(low)
         sched.append((eps, delta, Mu))
     u_inf, uc = fit_limit(xs, uppers)
     l_inf, lc = fit_limit(xs, lowers)

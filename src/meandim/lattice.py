@@ -1,6 +1,6 @@
 """Exact integer-lattice geometry.
 
-Rectangles in Z^2 with the triple dilation and the width/height
+Rectangles in Z^2 with the triple dilation and the columns/rows
 pre-order, finite sets as rows of column runs (``LatticeSet``, the one
 support type of every counter and cylinder-mass reader), the greedy
 disjoint-subfamily covering algorithm, and the swept windows
@@ -35,15 +35,6 @@ class IntRect:
     def __post_init__(self):
         if self.a > self.b or self.c > self.d:
             raise ValueError(f"degenerate rectangle [{self.a},{self.b}]x[{self.c},{self.d}]")
-
-    @property
-    def width(self) -> int:
-        """Horizontal extent b - a (one less than the number of columns)."""
-        return self.b - self.a
-
-    @property
-    def height(self) -> int:
-        return self.d - self.c
 
     @property
     def ncols(self) -> int:
@@ -261,8 +252,8 @@ def rect_triple(r: IntRect) -> IntRect:
 
 
 def rect_leq(r: IntRect, s: IntRect) -> bool:
-    """Pre-order on rectangles: r <= s iff r's width and height are each <= s's."""
-    return r.width <= s.width and r.height <= s.height
+    """Pre-order on rectangles: r <= s iff r's columns and rows are each at most s's."""
+    return r.ncols <= s.ncols and r.nrows <= s.nrows
 
 
 def check_totally_ordered(rects: list[IntRect]) -> None:
@@ -306,6 +297,23 @@ def greedy_disjoint_subcover(rects: Iterable[IntRect]) -> list[int]:
             if available[i] and r.intersects(chosen):
                 available[i] = False
     return selected
+
+
+def union_cells(rects: Iterable[IntRect]) -> int:
+    """Cells in the union of ``rects``, read from their corners: per slab
+    of rows between consecutive row bounds, the merged column spans of the
+    rectangles covering it, times the slab's height."""
+    rects = list(rects)
+    bounds = sorted({n for r in rects for n in (r.c, r.d + 1)})
+    total = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        width, end = 0, None
+        for a, b in sorted((r.a, r.b) for r in rects if r.c <= lo and hi <= r.d + 1):
+            start = a if end is None else max(a, end + 1)
+            if b >= start:
+                width, end = width + b - start + 1, b
+        total += width * (hi - lo)
+    return total
 
 
 def norm_ball(radius: int) -> LatticeSet:

@@ -174,7 +174,8 @@ class SftSpec:
     ``certified`` marks the shipped fixture families for which locally
     admissible patterns coincide with restrictions of genuine points of
     the subshift ("full", "row-lift", "three-dot"); the structural shape
-    of the forbidden set is re-verified at construction.
+    of the forbidden set is re-verified at construction.  Each forbidden
+    pattern is stored anchored: its least column and row are 0.
     """
 
     dimension: int
@@ -192,9 +193,9 @@ class SftSpec:
                 self.alphabet.index(sym)
                 if self.dimension == 1 and n != 0:
                     raise ValueError("1D forbidden patterns must live on the horizontal axis")
-        # canonical order so equal specs compare equal regardless of input order
-        object.__setattr__(self, "forbidden",
-                           tuple(sorted(set(self.forbidden), key=lambda p: p.cells)))
+        # anchored and in canonical order: specs equal up to offsets and order are equal
+        object.__setattr__(self, "forbidden", tuple(sorted(
+            {f.anchored() for f in self.forbidden}, key=lambda p: p.cells)))
         _check_certificate(self)
 
     @property
@@ -220,11 +221,28 @@ def _check_certificate(sft: SftSpec) -> None:
     elif cert == "three-dot":
         if sft.dimension != 2 or len(sft.alphabet) != 2:
             raise ValueError("'three-dot' certificate requires a binary 2D spec")
-        have = {tuple(sorted(f.anchored().cells)) for f in sft.forbidden}
+        have = {f.cells for f in sft.forbidden}
         if have != set(_three_dot_cells(*sft.alphabet.symbols)):
             raise ValueError("'three-dot' certificate does not match the parity family")
     else:
         raise ValueError(f"unknown certificate {cert!r}")
+
+
+def certified_entropy(sft: SftSpec) -> float:
+    """Topological entropy of a certified fixture, in bits per site."""
+    if sft.certified == "full":
+        return math.log2(len(sft.alphabet))
+    if sft.certified == "row-lift":
+        return transfer_matrix_entropy_1d(base_of_row_lift(sft))
+    if sft.certified == "three-dot":
+        # Re-verify the boundary-determined count law on small boxes.
+        for N in range(1, 5):
+            c = count_locally_admissible(sft, LatticeSet.from_rect(IntRect(0, N - 1, 0, N - 1)))
+            if c != 2 ** (2 * N - 1):
+                raise MeandimError(
+                    f"three-dot certificate failed its count re-check at N={N}")
+        return 0.0
+    raise MeandimError(f"no entropy formula for certificate {sft.certified!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +282,9 @@ def three_dot() -> SftSpec:
 @functools.cache
 def base_of_row_lift(sft: SftSpec) -> SftSpec:
     """Extract the 1D base of a spec whose forbidden patterns are single rows."""
-    pats = []
-    for f in sft.forbidden:
-        if f.nrows_extent > 1:
-            raise ValueError("forbidden pattern spans several rows; not a row-lift")
-        pats.append(f.anchored())
-    return SftSpec(1, sft.alphabet, tuple(pats))
+    if any(f.nrows_extent > 1 for f in sft.forbidden):
+        raise ValueError("forbidden pattern spans several rows; not a row-lift")
+    return SftSpec(1, sft.alphabet, sft.forbidden)
 
 
 def row_interval(length: int) -> LatticeSet:
@@ -288,9 +303,8 @@ def _placement_groups(sft: SftSpec, pts: LatticeSet):
     major) index at which they complete."""
     groups: list[set[tuple[tuple[int, int], ...]]] = [set() for _ in range(len(pts))]
     for f in sft.forbidden:
-        cells = f.anchored().cells
-        syms = [sft.alphabet.index(sym) for _, sym in cells]
-        for first, k, shifts in pts.placements(tuple(pt for pt, _ in cells)):
+        syms = [sft.alphabet.index(sym) for _, sym in f.cells]
+        for first, k, shifts in pts.placements(tuple(pt for pt, _ in f.cells)):
             for d in (c + j for c in shifts for j in range(k)):
                 groups[first[-1] + d].add(tuple((i + d, s) for i, s in zip(first, syms)))
     return [sorted(g) for g in groups]
@@ -367,9 +381,8 @@ class _LinearSpec:
             return None
         bad: dict[tuple[Point, ...], set[tuple[int, ...]]] = {}
         for f in sft.forbidden:
-            cells = f.anchored().cells
-            bad.setdefault(tuple(pt for pt, _ in cells), set()).add(
-                tuple(sft.alphabet.index(sym) for _, sym in cells))
+            bad.setdefault(tuple(pt for pt, _ in f.cells), set()).add(
+                tuple(sft.alphabet.index(sym) for _, sym in f.cells))
         shapes = []
         for shape, vecs in bad.items():
             k = len(shape)
@@ -587,7 +600,7 @@ class _CellSweep:
                 continue
             cells = sorted(((n * height + m, m) if transposed else (m * height + n, n))
                            + (sft.alphabet.index(sym),)
-                           for (m, n), sym in f.anchored().cells)
+                           for (m, n), sym in f.cells)
             last, last_row, _ = cells[-1]
             self.patterns.append((rows, last_row,
                                   tuple((last - off, s) for off, _, s in cells)))
@@ -832,9 +845,22 @@ def _recoding_width(sft: SftSpec) -> int:
 
 
 def _words(sft: SftSpec, length: int) -> list[tuple[str, ...]]:
-    """Locally admissible words of a 1D spec in lexicographic order."""
-    return [tuple(sym for _, sym in p.cells)
-            for p in enumerate_locally_admissible(sft, row_interval(length))]
+    """Locally admissible words of a 1D spec in lexicographic order, built
+    a letter at a time: a word is dropped when the letters at a forbidden
+    shape ending at its last letter spell one of that shape's forbidden
+    words."""
+    bad: dict[tuple[int, ...], set[tuple[str, ...]]] = {}
+    for f in sft.forbidden:
+        bad.setdefault(tuple(m for (m, _), _ in f.cells), set()).add(
+            tuple(sym for _, sym in f.cells))
+    words: list[tuple[str, ...]] = [()]
+    for n in range(1, length + 1):
+        # each shape placed to end at letter n - 1, as the letters it reads
+        ends = [(tuple(n - 1 - shape[-1] + m for m in shape), spelled)
+                for shape, spelled in bad.items() if shape[-1] < n]
+        words = [w for word in words for w in (word + (s,) for s in sft.alphabet.symbols)
+                 if not any(tuple(w[i] for i in at) in spelled for at, spelled in ends)]
+    return words
 
 
 def word_count_1d(sft: SftSpec, length: int) -> int:
@@ -842,7 +868,8 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
 
     From length k-1 on this is 1^T T^(length-k+1) 1 over the block graph
     (see ``transfer_graph_1d``), computed in Python ints by repeated
-    squaring when ``_squaring_pays`` and by stepping a vector otherwise.
+    squaring when ``_squaring_pays`` and by stepping a vector otherwise;
+    shorter words are listed by ``_words``.
     """
     if sft.dimension != 1:
         raise ValueError("word_count_1d expects a 1D spec")
@@ -851,8 +878,7 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
     nodes, T = transfer_graph_1d(sft)
     k1 = _recoding_width(sft) - 1
     if length < k1:
-        return count_locally_admissible(sft, row_interval(length),
-                                        algorithm="backtracking")
+        return len(_words(sft, length))
     if not nodes:
         return 0  # every word this long contains a (k-1)-block, none admissible
     steps = length - k1

@@ -61,14 +61,17 @@ ARGV = [shlex.split(line) for line in """
     covering --sft fixtures/threedot.sft --action 1,1 --N 1600 --eps 2.5e-5
     covering --help
     mmdim --sft fixtures/goldenrow.sft --alpha 2 --M-schedule 2,3,4,5,6
+    mmdim --sft fixtures/goldenrow.sft --csv /nonexistent/dir/x.csv
     mhdim --sft fixtures/goldenrow.sft --measure fixtures/parry_golden.measure
     mhdim --sft fixtures/fullshift2.sft --action 2,1
     rdim --measure fixtures/bern12.measure --alpha 2 --delta 0.01
     lambda-density --a 1 --b 1 --M 64 --N 4096
     lambda-density --a 1 --b 0 --M 8 --N 512
+    lambda-density --a 1 --b 0 --M 8 --N 512 --out fixtures
     lambda-density --a 1 --b 1 --M 3 --N 5
     lambda-density --a 1 --b 1 --M 3 --N 100000000000000000000
     cover-demo --rects fixtures/demo.rects
+    cover-demo --rects fixtures/huge.rects
     tame-check --sft fixtures/fullshift2.sft --delta 0.1 --Mmax 64
     tame-check --sft fixtures/threedot.sft
     tame-check --sft fixtures/threedot.sft --Mmax 256

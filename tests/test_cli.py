@@ -81,7 +81,7 @@ class TestSftFiles:
 class TestMeasureFiles:
     def test_bernoulli(self):
         m = parse_measure_text("type: bernoulli\nweights: 0.25 0.75\n")
-        assert m.kind == "bernoulli" and m.weights == (0.25, 0.75)
+        assert m.transition == ((0.25, 0.75), (0.25, 0.75)) and m.stationary == (0.25, 0.75)
         assert m.alphabet.symbols == ("0", "1")
 
     def test_markov_row_with_computed_stationary(self):
@@ -384,6 +384,15 @@ class TestRunCommand:
         res = rep["results"]
         assert res["selected_indices"] == [0, 2]
         assert res["triple_cover_holds"] and res["one_ninth_holds"]
+
+    def test_cover_demo_counts_the_union_from_corners(self, tmp_path, monkeypatch):
+        rects = tmp_path / "huge.rects"
+        rects.write_text("0 999999 0 999999\n0 1 0 1\n")
+        monkeypatch.setattr(md.IntRect, "points", None)
+        code, rep = run_command(["cover-demo", "--rects", str(rects)])
+        assert code == 0
+        assert rep["results"]["union_cells"] == 10 ** 12
+        assert rep["results"]["selected_cells"] == 10 ** 12
 
     def test_tame_check(self, fixtures_dir, tmp_path):
         code, rep = run_command(["tame-check", "--sft", fx(fixtures_dir, "fullshift2.sft"),
@@ -1038,6 +1047,23 @@ class TestReportContract:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "table,key,value"
         assert len(lines) == 6  # five scheduled depths
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, fixtures_dir, capsys):
+        for target in (tmp_path / "missing" / "x.json", fixtures_dir):
+            code = main(["lambda-density", "--a", "1", "--b", "0", "--M", "8", "--N", "512",
+                         "--out", str(target)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith("meandim: error: ")
+            assert str(target) in err
+
+    def test_unwritable_csv_is_one_error_line(self, tmp_path, fixtures_dir, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = main(["mmdim", "--sft", fx(fixtures_dir, "goldenrow.sft"), "--csv", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("meandim: error: ")
+        assert str(target) in err and not target.parent.exists()
 
     def test_console_entry_point(self, fixtures_dir):
         proc = subprocess.run(

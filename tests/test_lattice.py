@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import meandim as md
 from meandim import IntRect, LatticeSet
+from meandim.lattice import union_cells
 from meandim.errors import NotTotallyOrderedError, ResourceGuardError
 
 
@@ -161,6 +162,22 @@ class TestGreedyCover:
                     assert not fam[a].intersects(fam[b])
             for r in fam:
                 assert any(md.rect_triple(fam[i]).contains(r) for i in sel)
+
+
+class TestUnionCells:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 5),
+                              st.integers(-6, 6), st.integers(0, 5)), max_size=6))
+    def test_matches_the_point_set(self, corners):
+        rects = [IntRect(a, a + w, c, c + h) for a, w, c, h in corners]
+        assert union_cells(rects) == len({u for r in rects for u in r.points()})
+
+    def test_empty_family(self):
+        assert union_cells([]) == 0
+
+    def test_read_from_corners(self):
+        rects = [IntRect(0, 10 ** 12 - 1, 0, 10 ** 12 - 1), IntRect(-1, 0, -1, 0)]
+        assert union_cells(rects) == 10 ** 24 + 3
 
 
 def translated_balls(a, b, M, N):

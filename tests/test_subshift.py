@@ -14,9 +14,9 @@ from meandim.lattice import SweptWindow
 from meandim.errors import EmptyLanguageError, ResourceGuardError
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
                               _one_d_extendable, _placement_groups, _recoding_width,
-                              _squaring_pays,
+                              _squaring_pays, _words,
                               _walks_by_iteration, _walks_by_squaring,
-                              base_of_row_lift, transfer_graph_1d)
+                              base_of_row_lift, rect_counter, transfer_graph_1d)
 
 from conftest import LOG2_PHI, disc
 
@@ -274,6 +274,29 @@ class TestPatterns:
     def test_unknown_symbol_rejected_in_spec(self):
         with pytest.raises(ValueError):
             md.SftSpec(1, md.alphabet("0", "1"), (Pattern.from_dict({(0, 0): "2"}),))
+
+    def test_offset_forbidden_patterns_are_anchored(self, goldenrow):
+        binary = md.alphabet("0", "1")
+        offset = md.SftSpec(2, binary, (Pattern.from_dict({(3, 2): "1", (4, 2): "1"}),))
+        anchored = md.SftSpec(2, binary, (Pattern.from_dict({(0, 0): "1", (1, 0): "1"}),))
+        assert offset == anchored and hash(offset) == hash(anchored)
+        assert offset.forbidden == anchored.forbidden == goldenrow.forbidden
+        assert offset.forbidden[0].cells == (((0, 0), "1"), ((1, 0), "1"))
+        assert rect_counter(offset) is rect_counter(anchored)
+        for support in (IntRect(0, 5, 0, 3), IntRect(-2, 2, 1, 1), disc(2)):
+            assert (md.count_locally_admissible(offset, support)
+                    == md.count_locally_admissible(anchored, support)
+                    == md.count_locally_admissible(offset, support, algorithm="backtracking"))
+        nodes, T = transfer_graph_1d(base_of_row_lift(offset))
+        want_nodes, want_T = transfer_graph_1d(base_of_row_lift(anchored))
+        assert nodes == want_nodes and (T == want_T).all()
+        # a 1D pattern off the horizontal axis is still refused
+        with pytest.raises(ValueError, match="horizontal axis"):
+            md.SftSpec(1, binary, (Pattern.from_dict({(3, 2): "1", (4, 2): "1"}),))
+        one_d = md.SftSpec(1, binary, (Pattern.from_dict({(3, 0): "1", (4, 0): "1"}),))
+        assert one_d == md.golden_mean_1d()
+        assert [md.word_count_1d(one_d, n) for n in range(1, 8)] == \
+            [fib_count(n) for n in range(1, 8)]
 
 
 class TestCounts:
@@ -697,6 +720,20 @@ class TestTransferEntropy:
         if steps + k1 <= 12:
             assert want == md.count_locally_admissible(sft, md.row_interval(steps + k1),
                                                        algorithm="backtracking")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3,
+                                                unique=True), max_size=4),
+           st.integers(0, 6), st.data())
+    def test_words_match_the_enumeration(self, q, shapes, length, data):
+        # words of a 1D spec whose forbidden words may have holes, built a
+        # letter at a time: the enumeration's words, in its order
+        pats = tuple(Pattern.from_dict(
+            {(m, 0): str(data.draw(st.integers(0, q - 1))) for m in cols}) for cols in shapes)
+        sft = md.SftSpec(1, md.alphabet(*(str(s) for s in range(q))), pats)
+        assert _words(sft, length) == [
+            tuple(sym for _, sym in p.cells)
+            for p in md.enumerate_locally_admissible(sft, md.row_interval(length))]
 
     def test_gapped_forbidden_pattern(self):
         # forbid 1?1: occupied cells two apart, middle free
