@@ -7,9 +7,11 @@ codes: 0 success, 2 verification failure, 1 error.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -148,6 +150,28 @@ def _write_csv(path: str, tables: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error that ``open(path, "w")`` gives for a folder at
+    ``path``, or for a folder to hold it that is missing or read-only,
+    without creating or truncating a file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            is_folder = stat.S_ISDIR(os.stat(folder).st_mode)
+        except OSError as exc:
+            code = exc.errno
+        else:
+            if not is_folder:
+                code = errno.ENOTDIR
+            elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+                code = errno.EACCES
+            else:
+                return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_report(report: dict, fh) -> None:
     """Write a report as indented JSON.  Exact counts can exceed Python's
     int-to-str digit limit, so the limit is lifted for the encoding only."""
@@ -170,13 +194,17 @@ def run_command(argv) -> tuple[int, dict]:
     Only the named command's flags are read.  Argv naming no command goes
     to ``_no_command``, which handles ``--help`` and ``--version``.  A
     refusal, or a --csv or --out file that cannot be written, gives exit
-    code 1 and a report holding the error.
+    code 1 and a report holding the error; both files are checked before
+    the command runs.
     """
     started = time.perf_counter()
     try:
         if not argv or argv[0] not in _COMMANDS:
             _no_command(argv[0] if argv else None)  # exits, or raises CliError
         args = _read_flags(argv[0], argv[1:])
+        for path in (args.csv, args.out):
+            if path:
+                _check_writable(path)
         report = _COMMANDS[argv[0]][1](args)
         code = report.pop("_exit_code", 0)
         report.setdefault("schema", SCHEMA)

@@ -29,7 +29,7 @@ from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_dep
 from .information import MeasureSpec, check_support, max_cylinder_log2_prob
 from .lattice import (IntRect, LatticeSet, SweptWindow, lambda_set, min_norm_outside,
                       site_norm)
-from .subshift import Pattern, SftSpec, plan, word_count_1d
+from .subshift import Pattern, SftSpec, plan
 
 
 @dataclass(frozen=True)
@@ -382,15 +382,16 @@ def minkowski_sequence_1d(sft: SftSpec, spec: MetricSpec,
 
     Sampled at epsilon just above alpha^-M, where the covering sets are
     the depth-M cylinders: c(M) words, each of diameter at most alpha^-M.
+    Every depth is planned before any is counted, so a refused depth is
+    refused before the work of the others.
     """
     if sft.dimension != 1:
         raise ValueError("minkowski_sequence_1d expects a 1D spec")
-    out = []
-    for M in sorted(set(int(M) for M in Mschedule)):
-        if M < 1:
-            raise ValueError("depths must be positive")
-        out.append((M, _log2_count(word_count_1d(sft, M)) / (M * spec.log2_alpha)))
-    return out
+    Ms = sorted(set(int(M) for M in Mschedule))
+    if any(M < 1 for M in Ms):
+        raise ValueError("depths must be positive")
+    plans = [plan(sft, IntRect(0, M - 1, 0, 0)) for M in Ms]
+    return [(M, _log2_count(how.run()) / (M * spec.log2_alpha)) for M, how in zip(Ms, plans)]
 
 
 def minkowski_estimate_1d(sft: SftSpec, spec: MetricSpec,
@@ -416,6 +417,6 @@ def hausdorff_bracket_1d(sft: SftSpec, measure: MeasureSpec, spec: MetricSpec,
     if sft.dimension != 1:
         raise ValueError("hausdorff_bracket_1d expects a 1D spec")
     check_support(measure, sft)
-    upper = _log2_count(word_count_1d(sft, M)) / (M * spec.log2_alpha)
+    upper = _log2_count(plan(sft, IntRect(0, M - 1, 0, 0)).run()) / (M * spec.log2_alpha)
     lower = -max_cylinder_log2_prob(measure, IntRect(0, M - 1, 0, 0)) / (M * spec.log2_alpha)
     return lower, upper

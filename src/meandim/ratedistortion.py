@@ -46,6 +46,8 @@ class RdProblem:
         d = np.array(self.distortion, dtype=np.float64)
         d.setflags(write=False)
         object.__setattr__(self, "distortion", d)
+        if not self.reproductions:
+            raise ValueError("the reproduction alphabet is empty")
         if d.shape != (len(self.source.outcomes), len(self.reproductions)):
             raise ValueError("distortion matrix shape does not match the alphabets")
         if not np.isfinite(d).all() or (d < 0).any():
@@ -71,8 +73,9 @@ class RdProblem:
         the columns in one class, since the start is uniform; then each
         class is split until every row of a class sees the same multiset of
         distortions in each column class, and every column of a class the
-        same multiset in each row class.  Values are grouped by exact float
-        equality, -0.0 as 0.0, so equal columns always share a class.
+        same multiset in each row class.  Each refinement sorts a row's
+        values within each class and groups the rows by their exact bytes,
+        -0.0 read as 0.0, so equal columns always share a class.
         ``kernels.ba_sweep`` runs Blahut-Arimoto on the class problem: 48x50
         for the golden window problem's 125x512, 1x1 for a Bernoulli(1/2)
         window's 512x512.  A partition into single rows and columns gives
@@ -134,41 +137,11 @@ def _refine(labels, a, other) -> np.ndarray:
 
 def _split(labels, sig) -> np.ndarray:
     """``labels`` refined by the rows of ``sig``: two rows stay in one class
-    when they shared one and their ``sig`` rows are equal bit for bit.
+    when they shared one and their ``sig`` rows are equal byte for byte.
     Classes are numbered in first-occurrence order."""
-    bits = sig.view(np.uint64)
-    # a hash of each row modulo 2^64 proposes the classes, and each
-    # proposed class is checked bit for bit
-    groups = {}
-    for i, key in enumerate(zip(labels.tolist(), (bits @ _mix(bits.shape[1])).tolist())):
-        groups.setdefault(key, []).append(i)
-    parts = []
-    for members in groups.values():
-        # a class of every row is read in place; its rows are equal when
-        # each column's largest and smallest entries are
-        block = bits[members] if 1 < len(members) < len(bits) else bits
-        if len(members) > 1 and not np.array_equal(np.maximum.reduce(block),
-                                                    np.minimum.reduce(block)):
-            exact = {}
-            for i in members:
-                exact.setdefault(bits[i].tobytes(), []).append(i)
-            parts += exact.values()
-        else:
-            parts.append(members)
-    parts.sort()
-    out = [0] * len(labels)
-    for k, members in enumerate(parts):
-        for i in members:
-            out[i] = k
-    return np.array(out, dtype=np.intp)
-
-
-def _mix(n) -> np.ndarray:
-    """n scrambled 64-bit words, the splitmix64 outputs of 1, ..., n."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    classes = {}
+    return np.array([classes.setdefault((label, row.tobytes()), len(classes))
+                     for label, row in zip(labels.tolist(), sig)], dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import meandim as md
 from meandim import cli
 from meandim import run_command
 from meandim.cli import _COMMANDS, CliError, main
-from meandim.errors import ParseError
+from meandim.errors import ParseError, ResourceGuardError
 from meandim.files import parse_measure_text, parse_sft_text
 
 from conftest import LOG2_PHI
@@ -232,6 +232,19 @@ class TestRunCommand:
         # F(L+2) = round(phi^(L+2) / sqrt 5) golden-mean words of length L
         want = 262146 * LOG2_PHI - math.log2(5) / 2
         assert abs(rep["results"]["log2_count"] - want) < 1e-6
+
+    def test_1d_verify_deep_schedule_refused_before_any_count(self, fixtures_dir, monkeypatch):
+        # the 1D estimators count each depth through plan, so a depth whose
+        # row is over the bit guard is refused before the shallower ones run
+        def no_count(*args):
+            raise AssertionError("a count ran")
+        monkeypatch.setattr("meandim.subshift.word_count_1d", no_count)
+        t0 = time.perf_counter()
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
+                                 "--alpha", "2", "--M-schedule", "4,2000000"])
+        assert code == 1 and rep["error"] == (
+            "a row of 2000000 cells may count above the guard of 262144 bits")
+        assert time.perf_counter() - t0 < 1.0
 
     def test_dp_algorithm_refused(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft"),
@@ -612,7 +625,7 @@ class TestVerifyTheorem:
         def no_count(*args):
             raise AssertionError("a count ran")
         monkeypatch.setattr("meandim.cli.transfer_matrix_entropy_1d", no_count)
-        monkeypatch.setattr("meandim.dimensions.word_count_1d", no_count)
+        monkeypatch.setattr("meandim.dimensions.plan", no_count)
         code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
                                  "--alpha", "2", "--action", action])
         assert code == 1 and rep["error"] == (
@@ -1064,6 +1077,28 @@ class TestReportContract:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("meandim: error: ")
         assert str(target) in err and not target.parent.exists()
+
+    def test_unwritable_paths_refused_before_the_command_runs(self, tmp_path, fixtures_dir,
+                                                               monkeypatch):
+        def no_count(*args, **kwargs):
+            raise ResourceGuardError("a count ran")
+        monkeypatch.setattr("meandim.cli.bowen_table", no_count)
+        monkeypatch.setattr("meandim.cli.count_locally_admissible", no_count)
+        sft = fx(fixtures_dir, "goldenrow.sft")
+        missing = tmp_path / "missing" / "x.csv"
+        # count writes no table, yet its unwritable --csv is refused too
+        for argv in (["mmdim", "--sft", sft], ["count", "--sft", sft, "--box", "3"]):
+            for flag, target, error in (
+                    ("--csv", missing, f"[Errno 2] No such file or directory: '{missing}'"),
+                    ("--out", tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'")):
+                code, rep = run_command(argv + [flag, str(target)])
+                assert code == 1 and rep["error"] == error
+            # paths that can be written are neither made nor emptied when the command fails
+            old = tmp_path / "old.json"
+            old.write_text("kept")
+            code, rep = run_command(argv + ["--out", str(old), "--csv", str(tmp_path / "t.csv")])
+            assert code == 1 and rep["error"] == "a count ran"
+            assert old.read_text() == "kept" and not (tmp_path / "t.csv").exists()
 
     def test_console_entry_point(self, fixtures_dir):
         proc = subprocess.run(

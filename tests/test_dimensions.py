@@ -463,6 +463,16 @@ class TestOneDimensional:
         assert lo <= up
         assert abs(lo - LOG2_PHI) < 0.02 and abs(up - LOG2_PHI) < 0.02
 
+    def test_deep_depths_refused_before_any_count(self, golden1d, parry, spec2, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("a count ran")
+        monkeypatch.setattr(md.subshift, "word_count_1d", no_count)
+        guard = "a row of 2000000 cells may count above the guard of 262144 bits"
+        with pytest.raises(ResourceGuardError, match=guard):
+            md.minkowski_sequence_1d(golden1d, spec2, [4, 2000000])
+        with pytest.raises(ResourceGuardError, match=guard):
+            md.hausdorff_bracket_1d(golden1d, parry, spec2, 2000000)
+
     def test_full_shift_1d(self, spec2):
         fs1 = md.full_shift(("0", "1"), dimension=1)
         est = md.minkowski_estimate_1d(fs1, spec2)

@@ -85,6 +85,8 @@ class TestBlahutArimoto:
             RdProblem.build(src, ("a",), [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             RdProblem.build(src, ("a", "b"), [[0, -1], [1, 0]])
+        with pytest.raises(ValueError, match="the reproduction alphabet is empty"):
+            RdProblem.build(src, (), np.zeros((2, 0)))
         prob = RdProblem.build(src, ("a", "b"), [[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             md.blahut_arimoto(prob, slope=-1.0)
@@ -546,6 +548,14 @@ class TestSymmetryQuotient:
             assert all(rows[x] == rows[sigma[x]] for x in range(len(sigma)))
             assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho)
             assert rows.max() + 1 < len(p)
+        # rows one ulp apart in one entry split; rows apart only in the sign
+        # of a zero do not
+        src = FiniteDistribution(tuple(range(3)), (0.25, 0.25, 0.5))
+        for second, same in ((np.nextafter(1.0, 2.0), False), (1.0, True)):
+            rho = np.array([[0.0, 1.0], [-0.0 if same else 0.0, second], [0.0, 3.0]])
+            p, rho, rows, cols = RdProblem.build(src, (0, 1), rho).reduced
+            assert (rows.tolist(), cols.tolist()) == naive_classes(p, rho)
+            assert (rows[0] == rows[1]) == same
 
     def test_planted_symmetry_run_matches_the_dense_run(self):
         for seed in range(8):
@@ -561,15 +571,6 @@ class TestSymmetryQuotient:
             assert pt.iterations == want[2]
             assert pt.rate == pytest.approx(max(want[0], 0.0), abs=1e-12)
             assert pt.distortion == pytest.approx(want[1], abs=1e-12)
-
-    def test_hash_collisions_never_merge_classes(self, monkeypatch):
-        want = [symmetric_problem(seed)[0].reduced[2:] for seed in range(4)]
-        # every row hashes alike, so only the exact check tells rows apart
-        monkeypatch.setattr(md.ratedistortion, "_mix",
-                            lambda n: np.zeros(n, dtype=np.uint64))
-        for seed, (rows, cols) in enumerate(want):
-            got_rows, got_cols = symmetric_problem(seed)[0].reduced[2:]
-            assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
 
     def test_distinct_probabilities_give_identity_labels(self):
         # the Hamming problems and a random dense one run the dense
