@@ -464,7 +464,8 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
             lo, up = hausdorff_bracket_1d(sft, measure, spec, depth)
             results["hausdorff_bracket"] = {"depth": depth, "lower": lo, "upper": up}
             add("hausdorff_upper_at_depth", up, rhs, tolerance)
-            add("hausdorff_lower_at_depth", lo, rhs, tolerance)
+            add("hausdorff_lower_at_depth", lo, rhs, tolerance,
+                two_sided=abs(ks_entropy(measure) - h) <= 1e-6)
         results["entropy_bits"] = h
         results["rhs"] = rhs
         verdict = "PASS" if all(c["ok"] for c in checks) else "FAIL"

@@ -134,7 +134,7 @@ def parse_measure_text(text: str) -> MeasureSpec:
     stationary = None
     in_transition = False
     for lineno, line in _meaningful_lines(text):
-        if ":" in line and not (in_transition and _is_number_row(line)):
+        if ":" in line:
             in_transition = False
             key, _, rest = line.partition(":")
             key = key.strip().lower()
@@ -152,18 +152,21 @@ def parse_measure_text(text: str) -> MeasureSpec:
             elif key == "weights":
                 weights = _parse_floats(rest, lineno)
             elif key == "transition":
-                if rest:
-                    rows.append(_parse_floats(rest, lineno))
                 in_transition = True
             elif key == "stationary":
                 stationary = _parse_floats(rest, lineno)
             else:
                 raise ParseError(f"unknown key {key!r}", lineno)
-            continue
-        if in_transition:
-            rows.append(_parse_floats(line, lineno))
-            continue
-        raise ParseError(f"unexpected line {line!r}", lineno)
+            if not (in_transition and rest):
+                continue
+            line = rest  # a first row on the 'transition:' line
+        if not in_transition:
+            raise ParseError(f"unexpected line {line!r}", lineno)
+        row = _parse_floats(line, lineno)
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} numbers in each transition row, "
+                             f"got {len(row)}", lineno)
+        rows.append(row)
     if kind is None:
         raise ParseError("missing 'type:' line")
     if kind == "bernoulli":
@@ -183,14 +186,6 @@ def parse_measure_text(text: str) -> MeasureSpec:
         return MeasureSpec.markov_row(alph, rows, stationary)
     except ValueError as e:
         raise ParseError(str(e))
-
-
-def _is_number_row(line: str) -> bool:
-    try:
-        [float(t) for t in line.split()]
-        return True
-    except ValueError:
-        return False
 
 
 def _parse_floats(text: str, lineno: int) -> list[float]:

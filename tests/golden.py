@@ -4,14 +4,18 @@ Each file holds a CLI run's argv, exit code, stderr and report (its JSON
 stdout without ``wall_time_s``, or, for ``--help`` and ``--version``,
 the text printed).  ``test_golden.py`` reruns every argv in process and
 compares exit codes, ints, strings and booleans exactly and floats to a
-relative ``FLOAT_RTOL``.  The argv are the README's CLI commands and the
-CI console-script argv, refusals included.
+relative ``FLOAT_RTOL``.  The argv are the README's CLI commands, the
+benchmark's fixture commands and the guards and refusals of the CLI.
 
 Regenerate the corpus from the repository root with
 
     python3 tests/golden.py
 
 and name in CHANGES.md every field a change alters, with the reason.
+Rerun the corpus through the installed ``meandim`` script, one
+subprocess per argv, with
+
+    python3 -c 'import sys; sys.path.insert(0, "tests"); import golden; sys.exit(golden.check_script())'
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,6 +81,13 @@ ARGV = [shlex.split(line) for line in """
     tame-check --sft fixtures/fullshift2.sft --delta 0.1 --Mmax 64
     tame-check --sft fixtures/threedot.sft
     tame-check --sft fixtures/threedot.sft --Mmax 256
+    tame-check --sft fixtures/fullshift2.sft --Mmax 96
+    count --sft fixtures/goldenrow.sft --box 12
+    count --sft fixtures/threedot.sft --box 12
+    entropy --sft fixtures/threedot.sft --mode box --Nmax 10
+    count --sft fixtures/goldenmean1d.sft --length 100000
+    verify-theorem --sft fixtures/threedot.sft --alpha 2
+    rdim --measure fixtures/parry_golden.measure --alpha 2 --delta 0.01
     --version
 """.strip().splitlines()]
 
@@ -83,6 +95,40 @@ ARGV = [shlex.split(line) for line in """
 def file_of(argv: list[str]) -> Path:
     """The golden file of one argv, named after it."""
     return GOLDEN / (re.sub(r"[^A-Za-z0-9.,=+-]+", "_", "meandim " + " ".join(argv)) + ".json")
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift Python's int-to-str digit limit for the block only: exact
+    counts in reports can exceed it."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def load(argv: list[str]) -> dict:
+    """The golden file of one argv, read."""
+    with no_digit_limit():
+        return json.loads(file_of(argv).read_text(encoding="utf-8"))
+
+
+def entry(argv: list[str], code, out: str, err: str) -> dict:
+    """One run's exit code, stderr and report, as a golden file holds them."""
+    try:
+        with no_digit_limit():
+            report = json.loads(out)
+    except ValueError:
+        report = out
+    else:
+        report.pop("wall_time_s", None)
+    return {"argv": argv, "exit_code": code, "stderr": err, "report": report}
 
 
 def record(argv: list[str]) -> dict:
@@ -100,13 +146,7 @@ def record(argv: list[str]) -> dict:
         code = stop.code
     finally:
         os.chdir(cwd)
-    try:
-        report = json.loads(out.getvalue())
-    except ValueError:
-        report = out.getvalue()
-    else:
-        report.pop("wall_time_s", None)
-    return {"argv": argv, "exit_code": code, "stderr": err.getvalue(), "report": report}
+    return entry(argv, code, out.getvalue(), err.getvalue())
 
 
 def differences(want, got, where: str = "") -> list[str]:
@@ -127,13 +167,38 @@ def differences(want, got, where: str = "") -> list[str]:
     return [] if same else [f"{where}: {want!r} != {got!r}"]
 
 
+def check_script(script: str = "meandim", corpus=ARGV, timeout: float = 10.0) -> int:
+    """Run each argv of ``corpus`` as a subprocess of ``script``, from the
+    repository root, and compare it with its golden file.  Prints every
+    difference and returns the number of argv that differ or time out."""
+    failed = 0
+    for argv in corpus:
+        try:
+            run = subprocess.run([script, *argv], cwd=ROOT, capture_output=True,
+                                 text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            found = [f"no exit within {timeout:g} s"]
+        else:
+            with no_digit_limit():
+                found = differences(load(argv), entry(argv, run.returncode, run.stdout,
+                                                      run.stderr))
+        failed += bool(found)
+        print("FAIL" if found else "ok", "meandim", *argv, flush=True)
+        for d in found:
+            print("   ", d)
+    print(f"{len(corpus) - failed} of {len(corpus)} runs of {script} match tests/golden/")
+    return failed
+
+
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.glob("*.json"):
         old.unlink()
     for argv in ARGV:
-        file_of(argv).write_text(json.dumps(record(argv), indent=1) + "\n", encoding="utf-8")
+        with no_digit_limit():
+            text = json.dumps(record(argv), indent=1)
+        file_of(argv).write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(ARGV)} reports to {GOLDEN}")
 
 

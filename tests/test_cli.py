@@ -21,6 +21,7 @@ from meandim.cli import _COMMANDS, CliError, main
 from meandim.errors import ParseError, ResourceGuardError
 from meandim.files import parse_measure_text, parse_sft_text
 
+import golden
 from conftest import LOG2_PHI
 
 
@@ -96,6 +97,15 @@ class TestMeasureFiles:
                 "stationary: 0.5 0.5\n")
         with pytest.raises(ParseError):
             parse_measure_text(text)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("type: markov-row\ntransition:\n0.5 0.5\n0.5\n", 4),
+        ("type: markov-row\ntransition: 0.5 0.5\n0.5 0.25 0.25\n", 3)],
+        ids=["short", "long"])
+    def test_ragged_transition_rows_name_the_line(self, text, lineno):
+        with pytest.raises(ParseError) as err:
+            parse_measure_text(text)
+        assert err.value.line == lineno and "expected 2 numbers" in str(err.value)
 
 
 def fx(fixtures_dir, name):
@@ -654,6 +664,20 @@ class TestVerifyTheorem:
         assert "nearest-neighbour" in rep["results"]["hausdorff_bracket"]["skipped"]
         assert [c["name"] for c in rep["checks"]] == ["minkowski_extrapolation"]
 
+    @pytest.mark.parametrize("sft, check", [("goldenmean1d.sft", "hausdorff_lower_at_depth"),
+                                            ("goldenrow.sft", "mhdim_lower_consistent")])
+    def test_lower_bound_one_sided_for_a_measure_that_is_not_maximal(self, tmp_path,
+                                                                     fixtures_dir, sft, check):
+        # a measure that is not maximal bounds the dimension from below
+        # only: the 1D bracket's lower end reads 0.319 against the rhs 0.694
+        measure = tmp_path / "skewed.measure"
+        measure.write_text("type: markov-row\nalphabet: 0 1\ntransition:\n0.8 0.2\n1 0\n")
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, sft),
+                                 "--measure", str(measure), "--alpha", "2"])
+        lower, = (c for c in rep["checks"] if c["name"] == check)
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert not lower["two_sided"] and lower["lhs"] < lower["rhs"] - 0.1
+
     def test_skew_action_full_shift(self, fixtures_dir):
         # the rank-one subaction along (a,b) carries the factor 2(|a|+|b|)
         for ab, target in (("1,1", 4.0), ("2,1", 6.0)):
@@ -1165,10 +1189,9 @@ def readme_commands() -> list[list[str]]:
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_readme_cli_commands_run(argv, monkeypatch):
-    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-    code, rep = run_command(argv)
-    assert code == 0, rep.get("error")
+def test_readme_cli_commands_run(argv):
+    # test_golden.py reruns each corpus argv against its golden file
+    assert argv in golden.ARGV and golden.load(argv)["exit_code"] == 0
 
 
 def test_readme_library_example_runs(monkeypatch):
