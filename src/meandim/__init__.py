@@ -10,7 +10,7 @@ from .estimates import DimensionEstimate, fit_limit
 from .lattice import (IntRect, LatticeSet, greedy_disjoint_subcover, lambda_count,
                       lambda_density, lambda_set, norm_ball, rect_leq, rect_triple)
 from .subshift import (Alphabet, Pattern, SftSpec, alphabet,
-                       base_of_row_lift, box_entropy_estimate,
+                       base_of_row_lift, box_entropy_estimate, certificate_of,
                        count_locally_admissible, enumerate_locally_admissible,
                        full_shift, golden_mean_1d, row_interval,
                        row_lift, three_dot, transfer_matrix_entropy_1d,

@@ -5,7 +5,7 @@ Subshift files (.sft)::
     # comments and blank lines are ignored
     dimension: 2
     alphabet: 0 1
-    certified: row-lift        # optional exactness certificate
+    certified: row-lift        # optional; refused unless the patterns derive it
     forbidden:
     (0,0)=1 (1,0)=1            # one pattern per line; 1D cells are (m)=sym
 
@@ -13,11 +13,11 @@ Measure files (.measure)::
 
     type: bernoulli            # or markov-row
     alphabet: 0 1              # optional; defaults to 0 1 2 ...
-    weights: 0.5 0.5           # bernoulli
-    transition:                # markov-row: one row per line
+    weights: 0.5 0.5           # bernoulli only
+    transition:                # markov-row only: a square block, one row per line
     0.618033988749895 0.381966011250105
     1 0
-    stationary: 0.7236 0.2764  # optional; computed when absent
+    stationary: 0.7236 0.2764  # markov-row only, optional; computed when absent
 
 Rectangle files for the greedy-cover demo hold one ``a b c d`` quadruple
 per line.  Parsers report the offending line number.
@@ -43,7 +43,7 @@ def _meaningful_lines(text: str):
 def parse_sft_text(text: str) -> SftSpec:
     dimension = None
     alph: Alphabet | None = None
-    certified = None
+    declared = None
     forbidden: list[Pattern] = []
     in_forbidden = False
     for lineno, line in _meaningful_lines(text):
@@ -66,7 +66,7 @@ def parse_sft_text(text: str) -> SftSpec:
                     raise ParseError(str(e), lineno)
                 continue
             if key == "certified":
-                certified = rest
+                declared = (rest, lineno)
                 continue
             if key == "forbidden":
                 if rest:
@@ -85,9 +85,13 @@ def parse_sft_text(text: str) -> SftSpec:
     if alph is None:
         raise ParseError("missing 'alphabet:' line")
     try:
-        return SftSpec(dimension, alph, tuple(forbidden), certified=certified)
+        sft = SftSpec(dimension, alph, tuple(forbidden))
     except ValueError as e:
         raise ParseError(str(e))
+    if declared is not None and declared[0] != sft.certified:
+        raise ParseError(f"certified: {declared[0]!r} is false; the forbidden patterns "
+                         f"derive {sft.certified or 'no certificate'}", declared[1])
+    return sft
 
 
 def _parse_pattern_line(line: str, lineno: int, dimension: int, alph: Alphabet) -> Pattern:
@@ -133,12 +137,14 @@ def parse_measure_text(text: str) -> MeasureSpec:
     rows: list[list[float]] = []
     stationary = None
     in_transition = False
+    key_lines: dict[str, int] = {}
     for lineno, line in _meaningful_lines(text):
         if ":" in line:
             in_transition = False
             key, _, rest = line.partition(":")
             key = key.strip().lower()
             rest = rest.strip()
+            key_lines[key] = lineno
             if key == "type":
                 if rest not in ("bernoulli", "markov-row"):
                     raise ParseError(f"type must be bernoulli or markov-row, got {rest!r}",
@@ -169,6 +175,9 @@ def parse_measure_text(text: str) -> MeasureSpec:
         rows.append(row)
     if kind is None:
         raise ParseError("missing 'type:' line")
+    for key in {"bernoulli": ("transition", "stationary"), "markov-row": ("weights",)}[kind]:
+        if key in key_lines:
+            raise ParseError(f"a {kind} measure does not read '{key}:'", key_lines[key])
     if kind == "bernoulli":
         if weights is None:
             raise ParseError("bernoulli measure needs a 'weights:' line")
@@ -180,6 +189,9 @@ def parse_measure_text(text: str) -> MeasureSpec:
             raise ParseError(str(e))
     if not rows:
         raise ParseError("markov-row measure needs a 'transition:' block")
+    if len(rows) != len(rows[0]):
+        raise ParseError(f"transition block has {len(rows)} rows of {len(rows[0])} "
+                         f"numbers; it must be square", key_lines["transition"])
     if alph is None:
         alph = Alphabet(tuple(str(i) for i in range(len(rows))))
     try:

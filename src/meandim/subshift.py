@@ -171,17 +171,14 @@ def _three_dot_cells(zero: str, one: str) -> list[tuple]:
 class SftSpec:
     """A Z or Z^2 subshift of finite type: alphabet plus forbidden patterns.
 
-    ``certified`` marks the shipped fixture families for which locally
-    admissible patterns coincide with restrictions of genuine points of
-    the subshift ("full", "row-lift", "three-dot"); the structural shape
-    of the forbidden set is re-verified at construction.  Each forbidden
-    pattern is stored anchored: its least column and row are 0.
+    Each forbidden pattern is stored anchored: its least column and row
+    are 0.  ``certified`` is derived from the patterns when first read
+    (``certificate_of``), never declared, so equal patterns mean equal specs.
     """
 
     dimension: int
     alphabet: Alphabet
     forbidden: tuple[Pattern, ...]
-    certified: str | None = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -196,36 +193,30 @@ class SftSpec:
         # anchored and in canonical order: specs equal up to offsets and order are equal
         object.__setattr__(self, "forbidden", tuple(sorted(
             {f.anchored() for f in self.forbidden}, key=lambda p: p.cells)))
-        _check_certificate(self)
 
     @property
     def nsymbols(self) -> int:
         return len(self.alphabet)
 
+    @functools.cached_property
+    def certified(self) -> str | None:
+        return certificate_of(self)
 
-def _check_certificate(sft: SftSpec) -> None:
-    cert = sft.certified
-    if cert is None:
-        return
-    if cert == "full":
-        if sft.forbidden:
-            raise ValueError("'full' certificate requires an empty forbidden set")
-    elif cert == "row-lift":
-        if sft.dimension != 2:
-            raise ValueError("'row-lift' certificate requires dimension 2")
-        for f in sft.forbidden:
-            if f.nrows_extent > 1:
-                raise ValueError("'row-lift' certificate requires single-row forbidden patterns")
-        if not _one_d_extendable(base_of_row_lift(sft)):
-            raise ValueError("'row-lift' certificate requires an extendable 1D base")
-    elif cert == "three-dot":
-        if sft.dimension != 2 or len(sft.alphabet) != 2:
-            raise ValueError("'three-dot' certificate requires a binary 2D spec")
-        have = {f.cells for f in sft.forbidden}
-        if have != set(_three_dot_cells(*sft.alphabet.symbols)):
-            raise ValueError("'three-dot' certificate does not match the parity family")
-    else:
-        raise ValueError(f"unknown certificate {cert!r}")
+
+def certificate_of(sft: SftSpec) -> str | None:
+    """The family, read off the forbidden patterns, for which locally
+    admissible patterns are exactly the restrictions of points, or None."""
+    if not sft.forbidden:
+        return "full"
+    if sft.dimension != 2:
+        return None
+    if all(f.nrows_extent == 1 for f in sft.forbidden):
+        return "row-lift" if _one_d_extendable(base_of_row_lift(sft)) else None
+    syms = sft.alphabet.symbols
+    if len(syms) == 2 and {f.cells for f in sft.forbidden} in (
+            set(_three_dot_cells(*syms)), set(_three_dot_cells(*syms[::-1]))):
+        return "three-dot"
+    return None
 
 
 def certified_entropy(sft: SftSpec) -> float:
@@ -252,7 +243,7 @@ def certified_entropy(sft: SftSpec) -> float:
 
 def full_shift(symbols: Sequence[str] = ("0", "1"), dimension: int = 2) -> SftSpec:
     """The unconstrained shift on the given symbols."""
-    return SftSpec(dimension, Alphabet(tuple(symbols)), (), certified="full")
+    return SftSpec(dimension, Alphabet(tuple(symbols)), ())
 
 
 def golden_mean_1d() -> SftSpec:
@@ -269,14 +260,13 @@ def row_lift(base: SftSpec) -> SftSpec:
     """
     if base.dimension != 1:
         raise ValueError("row_lift expects a 1D base spec")
-    cert = "row-lift" if _one_d_extendable(base) else None
-    return SftSpec(2, base.alphabet, base.forbidden, certified=cert)
+    return SftSpec(2, base.alphabet, base.forbidden)
 
 
 def three_dot() -> SftSpec:
     """Ledrappier-style parity SFT: x(u) + x(u+e1) + x(u+e2) even everywhere."""
     pats = tuple(Pattern.from_dict(dict(cells)) for cells in _three_dot_cells("0", "1"))
-    return SftSpec(2, alphabet("0", "1"), pats, certified="three-dot")
+    return SftSpec(2, alphabet("0", "1"), pats)
 
 
 @functools.cache

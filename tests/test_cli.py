@@ -37,6 +37,17 @@ forbidden:
 
 HARD_SQUARES_TEXT = "dimension: 2\nalphabet: 0 1\nforbidden:\n(0,0)=1 (1,0)=1\n(0,0)=1 (0,1)=1\n"
 
+# three-dot with the roles of 0 and 1 swapped: x(u) + x(u+e1) + x(u+e2) odd
+SWAPPED_THREE_DOT_TEXT = """\
+dimension: 2
+alphabet: 0 1
+forbidden:
+(0,0)=0 (1,0)=0 (0,1)=0
+(0,0)=0 (1,0)=1 (0,1)=1
+(0,0)=1 (1,0)=0 (0,1)=1
+(0,0)=1 (1,0)=1 (0,1)=0
+"""
+
 
 def meandim_env(**extra) -> dict:
     """The environment for a ``python -m meandim`` child: it imports the
@@ -78,6 +89,24 @@ class TestSftFiles:
         sft = parse_sft_text("dimension: 1\nalphabet: 0 1\nforbidden:\n(0)=1 (1)=1\n")
         assert sft.forbidden[0].cells == (((0, 0), "1"), ((1, 0), "1"))
 
+    def test_certificate_is_derived_without_its_line(self):
+        labelled = parse_sft_text(GOLDEN_ROW_TEXT)
+        unlabelled = parse_sft_text(GOLDEN_ROW_TEXT.replace("certified: row-lift\n", ""))
+        assert unlabelled == labelled and unlabelled.certified == "row-lift"
+
+    @pytest.mark.parametrize("declared", ["full", "three-dot", "none", ""])
+    def test_false_certified_line_names_its_line(self, declared):
+        text = GOLDEN_ROW_TEXT.replace("row-lift", declared)
+        with pytest.raises(ParseError) as err:
+            parse_sft_text(text)
+        assert err.value.line == 4 and "derive row-lift" in str(err.value)
+
+    def test_certified_line_on_an_uncertified_spec_refused(self):
+        text = HARD_SQUARES_TEXT.replace("forbidden:", "certified: row-lift\nforbidden:")
+        with pytest.raises(ParseError) as err:
+            parse_sft_text(text)
+        assert err.value.line == 3 and "no certificate" in str(err.value)
+
 
 class TestMeasureFiles:
     def test_bernoulli(self):
@@ -106,6 +135,27 @@ class TestMeasureFiles:
         with pytest.raises(ParseError) as err:
             parse_measure_text(text)
         assert err.value.line == lineno and "expected 2 numbers" in str(err.value)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("type: markov-row\ntransition:\n0.5 0.25 0.25\n0.5 0.25 0.25\n", 2),
+        ("type: markov-row\ntransition: 0.5 0.5\n", 2),
+        ("type: markov-row\n# rows below\ntransition:\n1 0 0\n0 1 0\n0 0 1\n0 0 1\n", 3)],
+        ids=["wide", "one-row", "tall"])
+    def test_non_square_transition_block_names_its_line(self, text, lineno):
+        with pytest.raises(ParseError) as err:
+            parse_measure_text(text)
+        assert err.value.line == lineno and "square" in str(err.value)
+
+    @pytest.mark.parametrize("text, lineno, key", [
+        ("type: bernoulli\nweights: 0.5 0.5\ntransition:\n0.5 0.5\n0.5 0.5\n", 3,
+         "transition"),
+        ("stationary: 0.5 0.5\ntype: bernoulli\nweights: 0.5 0.5\n", 1, "stationary"),
+        ("type: markov-row\nweights: 0.5 0.5\ntransition:\n0.5 0.5\n1 0\n", 2, "weights")],
+        ids=["bernoulli-transition", "bernoulli-stationary", "markov-weights"])
+    def test_key_the_type_does_not_read_names_its_line(self, text, lineno, key):
+        with pytest.raises(ParseError) as err:
+            parse_measure_text(text)
+        assert err.value.line == lineno and f"'{key}:'" in str(err.value)
 
 
 def fx(fixtures_dir, name):
@@ -803,13 +853,37 @@ class TestVerifyTheorem:
         assert code == 2 and rep["verdict"] == "FAIL"
 
     def test_strict_refuses_uncertified(self, tmp_path):
-        # same constraints as the golden row but without the certificate line
-        p = tmp_path / "anon.sft"
-        p.write_text("dimension: 2\nalphabet: 0 1\nforbidden:\n(0,0)=1 (1,0)=1\n")
+        # hard squares derive no certificate: their patterns span two rows
+        p = tmp_path / "hard.sft"
+        p.write_text(HARD_SQUARES_TEXT)
         code, rep = run_command(["verify-theorem", "--sft", str(p), "--strict"])
         assert code == 1 and "certificate" in rep["error"]
         code, rep = run_command(["verify-theorem", "--sft", str(p)])
         assert code == 0 and rep["verdict"] == "BOUNDS-ONLY"
+
+    def test_unlabelled_golden_row_gets_the_labelled_report(self, tmp_path):
+        reports = []
+        for name, text in [("labelled", GOLDEN_ROW_TEXT),
+                           ("unlabelled", GOLDEN_ROW_TEXT.replace("certified: row-lift\n", ""))]:
+            p = tmp_path / f"{name}.sft"
+            p.write_text(text)
+            code, rep = run_command(["verify-theorem", "--sft", str(p), "--alpha", "2"])
+            assert code == 0 and rep["verdict"] == "PASS"
+            del rep["wall_time_s"], rep["inputs"]["sft"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
+    def test_swapped_three_dot_passes(self, tmp_path):
+        p = tmp_path / "swapped.sft"
+        p.write_text(SWAPPED_THREE_DOT_TEXT)
+        code, rep = run_command(["verify-theorem", "--sft", str(p), "--alpha", "2"])
+        assert code == 0 and rep["verdict"] == "PASS" and rep["rhs"] == 0.0
+
+    def test_false_certified_line_exits_1_with_its_line(self, tmp_path):
+        p = tmp_path / "false.sft"
+        p.write_text(GOLDEN_ROW_TEXT.replace("row-lift", "full"))
+        code, rep = run_command(["verify-theorem", "--sft", str(p), "--alpha", "2"])
+        assert code == 1 and rep["error"].startswith("line 4: certified: 'full'")
 
 
 class TestTopLevel:

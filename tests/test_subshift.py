@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 import meandim as md
 from meandim import IntRect, LatticeSet, Pattern, kernels
 from meandim.lattice import SweptWindow
-from meandim.errors import EmptyLanguageError, ResourceGuardError
+from meandim.errors import EmptyLanguageError, ParseError, ResourceGuardError
+from meandim.files import parse_sft_text
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
                               _one_d_extendable, _placement_groups, _recoding_width,
                               _squaring_pays, _words,
                               _walks_by_iteration, _walks_by_squaring,
-                              base_of_row_lift, rect_counter, transfer_graph_1d)
+                              base_of_row_lift, certificate_of, rect_counter,
+                              transfer_graph_1d)
 
 from conftest import LOG2_PHI, disc
 
@@ -1035,11 +1037,91 @@ class TestRectCounter:
         assert narrow.vec.dtype == np.int64
 
     def test_certificate_validation(self):
-        with pytest.raises(ValueError):
-            md.SftSpec(2, md.alphabet("0", "1"), (), certified="three-dot")
-        with pytest.raises(ValueError):
-            md.SftSpec(2, md.alphabet("0", "1"),
-                       (Pattern.from_dict({(0, 0): "1"}),), certified="full")
+        # a certified: line asserts the derived certificate, refused at its line
+        with pytest.raises(ParseError) as err:
+            parse_sft_text("dimension: 2\nalphabet: 0 1\ncertified: three-dot\nforbidden:\n")
+        assert err.value.line == 3
+        with pytest.raises(ParseError) as err:
+            parse_sft_text("dimension: 2\nalphabet: 0 1\ncertified: full\nforbidden:\n(0,0)=1\n")
+        assert err.value.line == 3
+
+
+@st.composite
+def certifiable_specs(draw):
+    """Small 2D specs with their forbidden patterns as plain cell dicts:
+    none, patterns in one row each, the three-dot family with either symbol
+    as 0 and perhaps one pattern dropped, or patterns in a 2x2 box."""
+    kind = draw(st.sampled_from(["full", "rows", "parity", "box"]))
+    q = 2 if kind == "parity" else draw(st.integers(1, 3))
+    if kind == "full":
+        raw = []
+    elif kind == "parity":
+        const = draw(st.integers(0, 1))
+        raw = [dict(zip([(0, 0), (1, 0), (0, 1)], v))
+               for v in itertools.product(range(2), repeat=3) if sum(v) % 2 != const]
+        if draw(st.booleans()):
+            raw.pop(draw(st.integers(0, len(raw) - 1)))
+    else:
+        rows = 1 if kind == "rows" else 2
+        raw = []
+        for _ in range(draw(st.integers(1, 3))):
+            row = draw(st.integers(0, 2))
+            cells = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, rows - 1)),
+                                  min_size=1, max_size=3, unique=True))
+            raw.append({(m, row + n): draw(st.integers(0, q - 1)) for m, n in cells})
+    sft = md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(
+        Pattern.from_dict({pt: str(x) for pt, x in cells.items()}) for cells in raw))
+    return kind, q, raw, sft
+
+
+def brute_word_count(q, raw, n):
+    """Words of length n on range(q) containing no translate of a pattern
+    of ``raw``, each of whose cells lies in one row."""
+    pats = [{m - min(m for m, _ in cells): x for (m, _), x in cells.items()} for cells in raw]
+    return sum(all(any(word[t + m] != x for m, x in p.items())
+                   for p in pats for t in range(n - max(p)))
+               for word in itertools.product(range(q), repeat=n))
+
+
+class TestCertificateOf:
+    """``certificate_of`` derives a spec's certificate from its patterns."""
+
+    # a derived family's count on small rectangles is its closed form,
+    # computed here from the drawn cells alone
+    @settings(max_examples=60, deadline=None)
+    @given(certifiable_specs(), st.integers(1, 4), st.integers(1, 4))
+    def test_derived_family_counts_its_closed_form(self, drawn, width, height):
+        kind, q, raw, sft = drawn
+        cert = certificate_of(sft)
+        if kind == "full":
+            assert cert == "full"
+        if kind == "parity" and len(raw) == 4:
+            assert cert == "three-dot"
+        expected = {"full": lambda: q ** (width * height),
+                    "row-lift": lambda: brute_word_count(q, raw, width) ** height,
+                    "three-dot": lambda: 2 ** (width + height - 1)}
+        if cert is not None:
+            assert md.count_locally_admissible(
+                sft, IntRect(0, width - 1, 0, height - 1)) == expected[cert]()
+
+    def test_swapped_three_dot_derives_three_dot(self, threedot):
+        swapped = md.SftSpec(2, md.alphabet("1", "0"), threedot.forbidden)
+        assert certificate_of(swapped) == swapped.certified == "three-dot"
+        assert swapped != threedot
+
+    def test_row_lift_of_a_full_shift_derives_full(self):
+        assert md.row_lift(md.full_shift(("0", "1", "2"), dimension=1)).certified == "full"
+
+    def test_patterns_in_1d_or_across_rows_derive_none(self, golden1d, hardsquares):
+        assert certificate_of(golden1d) is None and certificate_of(hardsquares) is None
+        assert md.full_shift(("0", "1"), dimension=1).certified == "full"
+
+    def test_certificate_is_read_lazily_and_not_compared(self, goldenrow):
+        fresh = md.SftSpec(2, goldenrow.alphabet, goldenrow.forbidden)
+        md.count_locally_admissible(fresh, IntRect(0, 5, 0, 5))
+        assert "certified" not in vars(fresh)
+        assert fresh == goldenrow and hash(fresh) == hash(goldenrow)
+        assert fresh.certified == "row-lift" and "certified" in vars(fresh)
 
 
 class TestPlan:
