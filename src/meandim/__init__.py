@@ -19,7 +19,7 @@ from .dimensions import (ActionSpec, BowenTable, MetricSpec, MetricValue,
                          bowen_table, bowen_window, covering_number,
                          hausdorff_bracket_1d, metric_eval, mhdim_bounds,
                          minkowski_estimate_1d, minkowski_sequence_1d,
-                         mmdim_estimate, tame_growth_check)
+                         mmdim_estimate, tame_growth_check, verify_theorem)
 from .information import (FiniteDistribution, JointDistribution, MeasureSpec,
                           binary_entropy, check_support, default_rdim_schedule,
                           ks_entropy, max_cylinder_log2_prob, mi_lower_bound_lemma,
@@ -32,4 +32,4 @@ from .ratedistortion import (RdPoint, RdProblem, binary_hamming_problem,
                              slope_for_hamming_distortion)
 from .files import (parse_measure, parse_measure_text, parse_rects,
                     parse_rects_text, parse_sft, parse_sft_text)
-from .cli import run_command, verify_theorem
+from .cli import run_command

@@ -1,4 +1,4 @@
-"""Command-line interface and the end-to-end theorem verification workflow.
+"""Command-line interface: one subcommand per estimator and verify-theorem.
 
 Every estimator is wrapped in a subcommand producing a JSON report
 (schema 1); per-scale tables can additionally be dumped as CSV.  Exit
@@ -16,20 +16,19 @@ import sys
 import time
 
 from . import __version__
-from .dimensions import (ActionSpec, MetricSpec, bowen_table, check_mmdim_start,
-                         hausdorff_bracket_1d, m_schedule, mhdim_bounds,
-                         minkowski_estimate_1d, mmdim_estimate, covering_number,
-                         tame_growth_check, DEFAULT_M_SCHEDULE_1D)
+from .dimensions import (ActionSpec, MetricSpec, bowen_table, check_mmdim_start, m_schedule,
+                         mhdim_bounds, mmdim_estimate, covering_number, tame_growth_check,
+                         verify_theorem)
 from .errors import CliError, MeandimError
-from .estimates import DimensionEstimate
+from .estimates import estimate_dict, estimate_table
 from .files import parse_measure, parse_rects, parse_sft
 from .flags import is_flag, read_flags, resolve
-from .information import (MeasureSpec, default_rdim_schedule, ks_entropy,
-                          parry_measure, rdim_bounds)
+from .information import (MeasureSpec, default_rdim_schedule, ks_entropy, rdim_bounds,
+                          rdim_delta_bias)
 from .lattice import (IntRect, greedy_disjoint_subcover, lambda_density, rect_triple,
                       union_cells)
-from .subshift import (SftSpec, base_of_row_lift, box_entropy_estimate, certified_entropy,
-                       count_locally_admissible, transfer_matrix_entropy_1d)
+from .subshift import (base_of_row_lift, box_entropy_estimate, count_locally_admissible,
+                       transfer_matrix_entropy_1d)
 
 SCHEMA = 1
 
@@ -117,27 +116,6 @@ def _no_command(word: str | None) -> None:
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
-
-
-def _estimate_dict(est: DimensionEstimate | None) -> dict | None:
-    if est is None:
-        return None
-    return {
-        "value": est.value,
-        "kind": est.kind,
-        "schedule": [list(s) for s in est.schedule],
-        "sequence": list(est.sequence),
-        "model": est.model,
-        "coefficients": list(est.coefficients),
-    }
-
-
-def _estimate_table(name: str, est: DimensionEstimate) -> dict:
-    return {
-        "columns": ["M", "value"],
-        "rows": [[list(s)[0], v] for s, v in zip(est.schedule, est.sequence)],
-        "name": name,
-    }
 
 
 def _write_csv(path: str, tables: dict) -> None:
@@ -327,24 +305,24 @@ def _cmd_mmdim(args) -> dict:
         "command": "mmdim",
         "inputs": {"sft": args.sft, "alpha": args.alpha, "M_schedule": list(table.schedule),
                    "N_factor": args.N_factor, "action": [args.action.a, args.action.b]},
-        "results": {"mmdim": _estimate_dict(est)},
-        "tables": {"mmdim": _estimate_table("mmdim", est)},
+        "results": {"mmdim": estimate_dict(est)},
+        "tables": {"mmdim": estimate_table("mmdim", est)},
     }
 
 
 def _cmd_mhdim(args) -> dict:
     table = _bowen_table(args, _load_measure(args))
     lower, upper = mhdim_bounds(table)
-    tables = {"mhdim_upper": _estimate_table("mhdim_upper", upper)}
+    tables = {"mhdim_upper": estimate_table("mhdim_upper", upper)}
     if lower is not None:
-        tables["mhdim_lower"] = _estimate_table("mhdim_lower", lower)
+        tables["mhdim_lower"] = estimate_table("mhdim_lower", lower)
     return {
         "command": "mhdim",
         "inputs": {"sft": args.sft, "measure": args.measure,
                    "alpha": args.alpha, "M_schedule": list(table.schedule),
                    "N_factor": args.N_factor, "action": [args.action.a, args.action.b]},
-        "results": {"mhdim_upper": _estimate_dict(upper),
-                    "mhdim_lower": _estimate_dict(lower)},
+        "results": {"mhdim_upper": estimate_dict(upper),
+                    "mhdim_lower": estimate_dict(lower)},
         "tables": tables,
     }
 
@@ -356,14 +334,13 @@ def _cmd_rdim(args) -> dict:
     ks = args.M_schedule if args.M_schedule else list(range(8, 17))
     eps, deltas = default_rdim_schedule(args.alpha, ks, args.delta)
     lower, upper = rdim_bounds(measure, args.alpha, eps, deltas)
-    bias = 2 * args.delta * math.log2(len(measure.alphabet)) / math.log2(args.alpha)
     return {
         "command": "rdim",
         "inputs": {"measure": args.measure, "alpha": args.alpha, "delta": args.delta,
                    "k_schedule": ks},
-        "results": {"rdim_lower": _estimate_dict(lower),
-                    "rdim_upper": _estimate_dict(upper),
-                    "lower_delta_bias": bias,
+        "results": {"rdim_lower": estimate_dict(lower),
+                    "rdim_upper": estimate_dict(upper),
+                    "lower_delta_bias": rdim_delta_bias(measure, args.alpha, args.delta),
                     "ks_entropy_bits": ks_entropy(measure)},
         "tables": {"rdim": {"columns": ["k", "lower", "upper"],
                             "rows": [[k, lo, up] for k, lo, up in
@@ -415,141 +392,10 @@ def _cmd_tame_check(args) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# verify-theorem
-# ---------------------------------------------------------------------------
-
-
-def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
-                   Mschedule, Nfactor: int = 16, tolerance: float = 0.1,
-                   delta: float = 0.01, strict: bool = False,
-                   action: ActionSpec = ActionSpec()) -> dict:
-    """Numerically check the dimension identities on one system.
-
-    2D certified inputs: metric mean dimension and the mean-Hausdorff
-    bracket against 2 h_top / log alpha, and (given a measure) the
-    rate-distortion sandwich against 2 h_mu / log alpha.  1D inputs check
-    the one-sided identity without the factor 2.  Lower bounds are
-    required to stay below their target; they must also reach it when the
-    measure is maximal (tightness is informational otherwise).
-    """
-    spec = MetricSpec(alpha)
-    checks: list[dict] = []
-    results: dict = {}
-    tables: dict = {}
-
-    def add(name, lhs, rhs, tol, two_sided=True):
-        ok = (abs(lhs - rhs) <= tol) if two_sided else (lhs <= rhs + tol)
-        checks.append({"name": name, "lhs": lhs, "rhs": rhs, "tolerance": tol,
-                       "two_sided": two_sided, "ok": bool(ok)})
-
-    if sft.dimension == 1:
-        if (action.a, action.b) != (1, 0):
-            raise MeandimError(f"a 1D subshift is verified along the shift 1,0 only, "
-                               f"got the action {action.a},{action.b}")
-        h = transfer_matrix_entropy_1d(sft)
-        rhs = h / spec.log2_alpha
-        sched = list(Mschedule) if Mschedule else list(DEFAULT_M_SCHEDULE_1D)
-        est = minkowski_estimate_1d(sft, spec, sched)
-        results["minkowski"] = _estimate_dict(est)
-        tables["minkowski"] = _estimate_table("minkowski", est)
-        add("minkowski_extrapolation", est.value, rhs, tolerance)
-        if measure is None:  # the bracket is skipped when no Parry measure exists
-            try:
-                measure = parry_measure(sft)
-            except ValueError as exc:
-                results["hausdorff_bracket"] = {"skipped": str(exc)}
-        if measure is not None:
-            depth = max(sched)
-            lo, up = hausdorff_bracket_1d(sft, measure, spec, depth)
-            results["hausdorff_bracket"] = {"depth": depth, "lower": lo, "upper": up}
-            add("hausdorff_upper_at_depth", up, rhs, tolerance)
-            add("hausdorff_lower_at_depth", lo, rhs, tolerance,
-                two_sided=abs(ks_entropy(measure) - h) <= 1e-6)
-        results["entropy_bits"] = h
-        results["rhs"] = rhs
-        verdict = "PASS" if all(c["ok"] for c in checks) else "FAIL"
-        return {"verdict": verdict, "rhs": rhs, "checks": checks,
-                "results": results, "tables": tables}
-
-    certified = sft.certified is not None
-    if not certified and strict:
-        raise MeandimError(
-            "input subshift carries no exactness certificate; refusing a "
-            "PASS/FAIL verdict under --strict (drop --strict for bounds only)")
-
-    skew = (action.a, action.b) != (1, 0)
-    if skew and not certified:
-        raise MeandimError(
-            "skew-action verification is supported for full shifts, row-lifts and "
-            "three-dot only: skew Bowen windows are not rectangles in general, and "
-            "for forbidden patterns that span rows and are not linear they are "
-            "counted by backtracking, which exceeds the search guards")
-
-    rdim_wanted = certified and measure is not None and not skew
-    if rdim_wanted:  # the k schedule is checked before any window is counted
-        eps, deltas = default_rdim_schedule(alpha, range(8, 17), delta)
-    check_mmdim_start(m_schedule(action, Mschedule or None))
-    table = bowen_table(sft, measure, spec, action, Mschedule or None, Nfactor)
-    mm = mmdim_estimate(table)
-    lower, upper = mhdim_bounds(table)
-    results["mmdim"] = _estimate_dict(mm)
-    results["mhdim_upper"] = _estimate_dict(upper)
-    results["mhdim_lower"] = _estimate_dict(lower)
-    tables["mmdim"] = _estimate_table("mmdim", mm)
-    tables["mhdim_upper"] = _estimate_table("mhdim_upper", upper)
-
-    if not certified:
-        return {"verdict": "BOUNDS-ONLY", "rhs": None, "checks": [],
-                "results": results, "tables": tables,
-                "note": "no exactness certificate: values are bounds, not estimates"}
-
-    h_top = certified_entropy(sft)
-    # the dimension of the rank-one subaction along (a, b) carries the
-    # window-density factor 2(|a|+|b|); the horizontal action gives 2
-    factor = 2 * (abs(action.a) + abs(action.b))
-    rhs = factor * h_top / spec.log2_alpha
-    results["entropy_bits"] = h_top
-    results["rhs"] = rhs
-    results["action_factor"] = factor
-    add("mmdim_extrapolation", mm.value, rhs, tolerance)
-    add("mhdim_upper_extrapolation", upper.value, rhs, tolerance)
-    h_mu = ks_entropy(measure) if measure is not None else None
-    maximal = h_mu is not None and abs(h_mu - h_top) <= 1e-6
-    if lower is not None:
-        add("mhdim_lower_consistent", lower.value, rhs, tolerance, two_sided=maximal)
-
-    if skew and measure is not None:
-        results["rdim_skipped"] = "rate-distortion dimension is computed for the horizontal action only"
-    if rdim_wanted:
-        rlo, rup = rdim_bounds(measure, alpha, eps, deltas)
-        rhs_mu = 2 * h_mu / spec.log2_alpha
-        bias = 2 * delta * math.log2(len(measure.alphabet)) / spec.log2_alpha
-        results["rdim_lower"] = _estimate_dict(rlo)
-        results["rdim_upper"] = _estimate_dict(rup)
-        results["rhs_measure"] = rhs_mu
-        results["rdim_lower_delta_bias"] = bias
-        results["ks_entropy_bits"] = h_mu
-        tables["rdim"] = {"columns": ["eps", "lower", "upper"],
-                          "rows": [[s[0], lo, up] for s, lo, up in
-                                   zip(rup.schedule, rlo.sequence, rup.sequence)]}
-        add("rdim_upper_extrapolation", rup.value, rhs_mu, tolerance)
-        add("rdim_lower_extrapolation", rlo.value + bias, rhs_mu, tolerance + bias)
-        for i, (lo, up) in enumerate(zip(rlo.sequence, rup.sequence)):
-            if not (lo <= rhs_mu + 1e-9 and up >= rhs_mu - 1e-9):
-                add(f"rdim_sandwich_scale_{i}", lo, rhs_mu, 0.0)
-                break
-
-    verdict = "PASS" if all(c["ok"] for c in checks) else "FAIL"
-    return {"verdict": verdict, "rhs": rhs, "checks": checks,
-            "results": results, "tables": tables}
-
-
 def _cmd_verify(args) -> dict:
-    sft = parse_sft(args.sft)
-    measure = _load_measure(args)
-    body = verify_theorem(sft, measure, args.alpha, args.M_schedule, args.N_factor,
-                          args.tolerance, args.delta, args.strict, args.action)
+    body = verify_theorem(parse_sft(args.sft), _load_measure(args), args.alpha,
+                          args.M_schedule, args.N_factor, args.tolerance, args.delta,
+                          args.strict, args.action)
     report = {
         "command": "verify-theorem",
         "inputs": {"sft": args.sft, "measure": args.measure,

@@ -16,6 +16,10 @@ Hausdorff exponents normalise by the cover depth M instead (their covers
 have diameter alpha^-M), which is why their extrapolation model uses the
 1/M abscissa while the metric mean dimension uses 1/(M-1).  Both read
 one ``BowenTable``, which builds and counts each window once.
+
+``verify_theorem`` runs these estimators, and the rate-distortion
+sandwich of ``meandim.information``, against the paper's identities in
+one pass, and names each check it does not run, with its reason.
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import EmptyLanguageError, InvertedBoundsError, ResourceGuardError
-from .estimates import DimensionEstimate, check_alpha, fit_limit, resolution_depth
-from .information import MeasureSpec, check_support, max_cylinder_log2_prob
+from .errors import EmptyLanguageError, InvertedBoundsError, MeandimError, ResourceGuardError
+from .estimates import (DimensionEstimate, check_alpha, estimate_dict, estimate_table,
+                        fit_limit, resolution_depth)
+from .information import (MeasureSpec, check_support, default_rdim_schedule,
+                          ks_entropy, max_cylinder_log2_prob, parry_measure, rdim_bounds,
+                          rdim_delta_bias)
 from .lattice import (IntRect, LatticeSet, SweptWindow, lambda_set, min_norm_outside,
                       site_norm)
-from .subshift import Pattern, SftSpec, plan
+from .subshift import Pattern, SftSpec, certified_entropy, plan, transfer_matrix_entropy_1d
 
 
 @dataclass(frozen=True)
@@ -420,3 +427,134 @@ def hausdorff_bracket_1d(sft: SftSpec, measure: MeasureSpec, spec: MetricSpec,
     upper = _log2_count(plan(sft, IntRect(0, M - 1, 0, 0)).run()) / (M * spec.log2_alpha)
     lower = -max_cylinder_log2_prob(measure, IntRect(0, M - 1, 0, 0)) / (M * spec.log2_alpha)
     return lower, upper
+
+
+# ---------------------------------------------------------------------------
+# the paper's identities, checked on one system
+# ---------------------------------------------------------------------------
+
+
+def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
+                   Mschedule, Nfactor: int = 16, tolerance: float = 0.1,
+                   delta: float = 0.01, strict: bool = False,
+                   action: ActionSpec = ActionSpec()) -> dict:
+    """Numerically check the paper's dimension identities on one system.
+
+    1D inputs check Furstenberg's Minkowski and Hausdorff identities
+    against h_top / log alpha.  2D inputs check the metric mean dimension
+    and the mean Hausdorff bracket against 2(|a|+|b|) h_top / log alpha,
+    and the rate-distortion sandwich against 2 h_mu / log alpha.  A lower
+    bound must stay below its target, and reach it when the measure is
+    maximal.  The action, --strict, the numbers and the schedules are
+    refused before any window is built.  Each check is in ``checks`` or,
+    with the reason it was not run, in ``skipped``; a 2D spec without a
+    certificate skips them all and gets BOUNDS-ONLY.
+    """
+    spec = MetricSpec(alpha)
+    one_d, certified = sft.dimension == 1, sft.certified is not None
+    skew = (action.a, action.b) != (1, 0)
+    if one_d and skew:
+        raise MeandimError(f"a 1D subshift is verified along the shift 1,0 only, "
+                           f"got the action {action.a},{action.b}")
+    if not (one_d or certified) and strict:
+        raise MeandimError(
+            "input subshift carries no exactness certificate; refusing a "
+            "PASS/FAIL verdict under --strict (drop --strict for bounds only)")
+    if skew and not certified:
+        raise MeandimError(
+            "skew-action verification is supported for full shifts, row-lifts and "
+            "three-dot only: skew Bowen windows are not rectangles in general, and "
+            "for forbidden patterns that span rows and are not linear they are "
+            "counted by backtracking, which exceeds the search guards")
+    if not tolerance >= 0:
+        raise ValueError(f"--tolerance must be at least 0, got {tolerance}")
+    # why each group of 2D checks is not run, or "" where it is
+    no_rhs = "" if certified else "no exactness certificate: values are bounds, not estimates"
+    no_measure = no_rhs or ("no measure given" if measure is None else "")
+    no_rdim = no_measure or ("rate-distortion dimension is computed for the horizontal "
+                             "action only" if skew else "")
+    # --delta is checked on every path, the k schedule where rdim is checked
+    eps, deltas = default_rdim_schedule(alpha, () if one_d or no_rdim else range(8, 17),
+                                        delta)
+    if not one_d:
+        check_mmdim_start(m_schedule(action, Mschedule or None))
+
+    checks, skipped, results, tables = [], [], {}, {}
+
+    def check(name, lhs, rhs, tol, two_sided=True):
+        ok = (abs(lhs - rhs) <= tol) if two_sided else (lhs <= rhs + tol)
+        checks.append({"name": name, "lhs": lhs, "rhs": rhs, "tolerance": tol,
+                       "two_sided": two_sided, "ok": bool(ok)})
+
+    def skip(*names, reason):
+        skipped.extend({"name": name, "reason": reason} for name in names)
+
+    rhs = None
+    if one_d:
+        h = transfer_matrix_entropy_1d(sft)
+        rhs = h / spec.log2_alpha
+        sched = list(Mschedule or DEFAULT_M_SCHEDULE_1D)
+        est = minkowski_estimate_1d(sft, spec, sched)
+        results.update(minkowski=estimate_dict(est), entropy_bits=h, rhs=rhs)
+        tables["minkowski"] = estimate_table("minkowski", est)
+        check("minkowski_extrapolation", est.value, rhs, tolerance)
+        if measure is None:  # the bracket then weighs words under the Parry measure
+            try:
+                measure = parry_measure(sft)
+            except ValueError as exc:
+                skip("hausdorff_upper_at_depth", "hausdorff_lower_at_depth", reason=str(exc))
+        if measure is not None:
+            depth = max(sched)
+            lo, up = hausdorff_bracket_1d(sft, measure, spec, depth)
+            results["hausdorff_bracket"] = {"depth": depth, "lower": lo, "upper": up}
+            check("hausdorff_upper_at_depth", up, rhs, tolerance)
+            check("hausdorff_lower_at_depth", lo, rhs, tolerance,
+                  two_sided=abs(ks_entropy(measure) - h) <= 1e-6)
+    else:
+        table = bowen_table(sft, measure, spec, action, Mschedule or None, Nfactor)
+        mm = mmdim_estimate(table)
+        lower, upper = mhdim_bounds(table)
+        results.update(mmdim=estimate_dict(mm), mhdim_upper=estimate_dict(upper),
+                       mhdim_lower=estimate_dict(lower))
+        tables.update(mmdim=estimate_table("mmdim", mm),
+                      mhdim_upper=estimate_table("mhdim_upper", upper))
+        if no_rhs:
+            skip("mmdim_extrapolation", "mhdim_upper_extrapolation", reason=no_rhs)
+        else:
+            h_top = certified_entropy(sft)
+            # the dimension of the rank-one subaction along (a, b) carries the
+            # window-density factor 2(|a|+|b|); the horizontal action gives 2
+            factor = 2 * (abs(action.a) + abs(action.b))
+            rhs = factor * h_top / spec.log2_alpha
+            results.update(entropy_bits=h_top, rhs=rhs, action_factor=factor)
+            check("mmdim_extrapolation", mm.value, rhs, tolerance)
+            check("mhdim_upper_extrapolation", upper.value, rhs, tolerance)
+        if no_measure:
+            skip("mhdim_lower_consistent", reason=no_measure)
+        else:
+            h_mu = ks_entropy(measure)
+            check("mhdim_lower_consistent", lower.value, rhs, tolerance,
+                  two_sided=abs(h_mu - h_top) <= 1e-6)
+        if no_rdim:
+            skip("rdim_upper_extrapolation", "rdim_lower_extrapolation", reason=no_rdim)
+        else:
+            rlo, rup = rdim_bounds(measure, alpha, eps, deltas)
+            rhs_mu = 2 * h_mu / spec.log2_alpha
+            bias = rdim_delta_bias(measure, alpha, delta)
+            results.update(rdim_lower=estimate_dict(rlo), rdim_upper=estimate_dict(rup),
+                           rhs_measure=rhs_mu, rdim_lower_delta_bias=bias,
+                           ks_entropy_bits=h_mu)
+            tables["rdim"] = {"columns": ["eps", "lower", "upper"],
+                              "rows": [[s[0], lo, up] for s, lo, up in
+                                       zip(rup.schedule, rlo.sequence, rup.sequence)]}
+            check("rdim_upper_extrapolation", rup.value, rhs_mu, tolerance)
+            check("rdim_lower_extrapolation", rlo.value + bias, rhs_mu, tolerance + bias)
+            for i, (lo, up) in enumerate(zip(rlo.sequence, rup.sequence)):
+                if not (lo <= rhs_mu + 1e-9 and up >= rhs_mu - 1e-9):
+                    check(f"rdim_sandwich_scale_{i}", lo, rhs_mu, 0.0)
+                    break
+
+    verdict = ("BOUNDS-ONLY" if rhs is None
+               else "PASS" if all(c["ok"] for c in checks) else "FAIL")
+    return {"verdict": verdict, "rhs": rhs, "checks": checks, "skipped": skipped,
+            "results": results, "tables": tables}

@@ -27,6 +27,29 @@ class DimensionEstimate:
     coefficients: tuple[float, float] = (0.0, 0.0)
 
 
+def estimate_dict(est: DimensionEstimate | None) -> dict | None:
+    """An estimate as a report holds it: its fields in JSON types."""
+    if est is None:
+        return None
+    return {
+        "value": est.value,
+        "kind": est.kind,
+        "schedule": [list(s) for s in est.schedule],
+        "sequence": list(est.sequence),
+        "model": est.model,
+        "coefficients": list(est.coefficients),
+    }
+
+
+def estimate_table(name: str, est: DimensionEstimate) -> dict:
+    """An estimate's per-scale table, one (M, value) row per scale."""
+    return {
+        "columns": ["M", "value"],
+        "rows": [[list(s)[0], v] for s, v in zip(est.schedule, est.sequence)],
+        "name": name,
+    }
+
+
 def fit_limit(xs, vs) -> tuple[float, float]:
     """Least-squares fit v = v_inf + c*x; returns (v_inf, c).
 

@@ -20,7 +20,8 @@ Measure files (.measure)::
     stationary: 0.7236 0.2764  # markov-row only, optional; computed when absent
 
 Rectangle files for the greedy-cover demo hold one ``a b c d`` quadruple
-per line.  Parsers report the offending line number.
+per line.  Parsers report the offending line number; a key given twice
+is refused at its second line.
 """
 
 from __future__ import annotations
@@ -40,17 +41,26 @@ def _meaningful_lines(text: str):
             yield i, line
 
 
+def _first_use(key: str, key_lines: dict[str, int], lineno: int) -> None:
+    """Record ``key`` at ``lineno``, or refuse it there if it was given before."""
+    if key_lines.setdefault(key, lineno) != lineno:
+        raise ParseError(f"'{key}:' is given twice; its first line is {key_lines[key]}",
+                         lineno)
+
+
 def parse_sft_text(text: str) -> SftSpec:
     dimension = None
     alph: Alphabet | None = None
     declared = None
     forbidden: list[Pattern] = []
     in_forbidden = False
+    key_lines: dict[str, int] = {}
     for lineno, line in _meaningful_lines(text):
         if not in_forbidden and ":" in line:
             key, _, rest = line.partition(":")
             key = key.strip().lower()
             rest = rest.strip()
+            _first_use(key, key_lines, lineno)
             if key == "dimension":
                 if rest not in ("1", "2"):
                     raise ParseError(f"dimension must be 1 or 2, got {rest!r}", lineno)
@@ -144,7 +154,7 @@ def parse_measure_text(text: str) -> MeasureSpec:
             key, _, rest = line.partition(":")
             key = key.strip().lower()
             rest = rest.strip()
-            key_lines[key] = lineno
+            _first_use(key, key_lines, lineno)
             if key == "type":
                 if rest not in ("bernoulli", "markov-row"):
                     raise ParseError(f"type must be bernoulli or markov-row, got {rest!r}",

@@ -448,7 +448,7 @@ def rdim_bounds(measure: MeasureSpec, alpha: float, eps_schedule,
     sequence is rd_lower_bound over log2(1/eps).  Both are extrapolated
     linearly in 1/log2(1/eps).  With a fixed delta the lower limit is
     2*(h - delta log2|A|)/log2(alpha), i.e. sits below the upper limit
-    2h/log2(alpha) by the documented delta bias.
+    2h/log2(alpha) by ``rdim_delta_bias``.
     """
     eps_schedule = list(eps_schedule)
     delta_schedule = list(delta_schedule)
@@ -481,3 +481,9 @@ def rdim_bounds(measure: MeasureSpec, alpha: float, eps_schedule,
     lower = DimensionEstimate(l_inf, "lower-bound", tuple(sched), tuple(lowers),
                               model, (l_inf, lc))
     return lower, upper
+
+
+def rdim_delta_bias(measure: MeasureSpec, alpha: float, delta: float) -> float:
+    """2 delta log2|A| / log2 alpha: how far the lower limit of
+    ``rdim_bounds`` sits below the upper one at a fixed delta."""
+    return 2 * delta * math.log2(len(measure.alphabet)) / math.log2(alpha)

@@ -87,6 +87,8 @@ ARGV = [shlex.split(line) for line in """
     entropy --sft fixtures/threedot.sft --mode box --Nmax 10
     count --sft fixtures/goldenmean1d.sft --length 100000
     verify-theorem --sft fixtures/threedot.sft --alpha 2
+    verify-theorem --sft fixtures/hardsquares.sft --alpha 2
+    count --sft fixtures/hardsquares.sft --box 12
     rdim --measure fixtures/parry_golden.measure --alpha 2 --delta 0.01
     --version
 """.strip().splitlines()]

@@ -49,6 +49,14 @@ forbidden:
 """
 
 
+# the checks verify-theorem makes on a 1D and a 2D spec, in report order
+VERIFY_CHECKS_1D = ["minkowski_extrapolation", "hausdorff_upper_at_depth",
+                    "hausdorff_lower_at_depth"]
+VERIFY_CHECKS_2D = ["mmdim_extrapolation", "mhdim_upper_extrapolation",
+                    "mhdim_lower_consistent", "rdim_upper_extrapolation",
+                    "rdim_lower_extrapolation"]
+
+
 def meandim_env(**extra) -> dict:
     """The environment for a ``python -m meandim`` child: it imports the
     meandim this test run imported, whether or not PYTHONPATH names it."""
@@ -107,6 +115,19 @@ class TestSftFiles:
             parse_sft_text(text)
         assert err.value.line == 3 and "no certificate" in str(err.value)
 
+    @pytest.mark.parametrize("text, lineno, key", [
+        ("dimension: 1\ndimension: 2\nalphabet: 0 1\n", 2, "dimension"),
+        ("dimension: 2\nalphabet: 0 1\n# again\nalphabet: 0 1 2\nforbidden:\n", 4,
+         "alphabet"),
+        (GOLDEN_ROW_TEXT.replace("forbidden:", "certified: row-lift\nforbidden:"), 5,
+         "certified")],
+        ids=["dimension", "alphabet", "certified"])
+    def test_repeated_key_refused_at_its_second_line(self, text, lineno, key):
+        # a second 'dimension:' line used to win: '1' then '2' was read as 2D
+        with pytest.raises(ParseError) as err:
+            parse_sft_text(text)
+        assert err.value.line == lineno and f"'{key}:' is given twice" in str(err.value)
+
 
 class TestMeasureFiles:
     def test_bernoulli(self):
@@ -156,6 +177,22 @@ class TestMeasureFiles:
         with pytest.raises(ParseError) as err:
             parse_measure_text(text)
         assert err.value.line == lineno and f"'{key}:'" in str(err.value)
+
+    @pytest.mark.parametrize("text, lineno, key", [
+        ("type: bernoulli\nweights: 0.5 0.5\ntype: markov-row\n", 3, "type"),
+        ("alphabet: 0 1\ntype: bernoulli\nalphabet: a b\nweights: 0.5 0.5\n", 3,
+         "alphabet"),
+        ("type: bernoulli\nweights: 0.5 0.5\nweights: 0.25 0.75\n", 3, "weights"),
+        ("type: markov-row\ntransition:\n1 0\ntransition:\n0 1\n", 4, "transition"),
+        ("type: markov-row\ntransition:\n0.5 0.5\n1 0\nstationary: 0.6 0.4\n"
+         "stationary: 0.7 0.3\n", 6, "stationary")],
+        ids=["type", "alphabet", "weights", "transition", "stationary"])
+    def test_repeated_key_refused_at_its_second_line(self, text, lineno, key):
+        # a second 'transition:' block used to append its rows to the first,
+        # so '1 0' then '0 1' parsed as the identity chain
+        with pytest.raises(ParseError) as err:
+            parse_measure_text(text)
+        assert err.value.line == lineno and f"'{key}:' is given twice" in str(err.value)
 
 
 def fx(fixtures_dir, name):
@@ -306,6 +343,19 @@ class TestRunCommand:
             "a row of 2000000 cells may count above the guard of 262144 bits")
         assert time.perf_counter() - t0 < 1.0
 
+    def test_hard_squares_box_12_matches_a_row_transfer(self, fixtures_dir):
+        # the 377 rows of width 12 without two adjacent ones, stacked so that
+        # no column holds two adjacent ones either
+        rows = [r for r in range(1 << 12) if r & (r >> 1) == 0]
+        assert len(rows) == 377
+        ways = [1] * len(rows)
+        for _ in range(11):
+            ways = [sum(w for r2, w in zip(rows, ways) if r & r2 == 0) for r in rows]
+        code, rep = run_command(["count", "--sft", fx(fixtures_dir, "hardsquares.sft"),
+                                 "--box", "12"])
+        assert code == 0 and rep["results"]["count"] == sum(ways) == \
+            162481813349792588536582997
+
     def test_dp_algorithm_refused(self, fixtures_dir):
         code, rep = run_command(["count", "--sft", fx(fixtures_dir, "threedot.sft"),
                                  "--box", "4", "--algorithm", "dp"])
@@ -370,6 +420,25 @@ class TestRunCommand:
         code, rep = run_command(["mmdim", "--sft", fx(fixtures_dir, "fullshift2.sft"),
                                  "--N-factor", factor])
         assert code == 1 and "guard" in rep["error"]
+
+    @pytest.mark.parametrize("sft, flags, message", [
+        ("goldenrow.sft", ["--tolerance", "-1"], "--tolerance must be at least 0, got -1.0"),
+        ("goldenrow.sft", ["--delta", "-3"], "--delta must lie in (0, 1/2), got -3.0"),
+        ("goldenmean1d.sft", ["--tolerance", "-1"],
+         "--tolerance must be at least 0, got -1.0"),
+        ("goldenmean1d.sft", ["--delta", "0.5"], "--delta must lie in (0, 1/2), got 0.5")])
+    def test_verify_numbers_refused_before_any_window(self, fixtures_dir, monkeypatch,
+                                                       sft, flags, message):
+        # --tolerance -1 used to count every window and end FAIL; --delta was
+        # read only when the rdim rows ran, so --delta -3 without a measure
+        # exited 0
+        def no_window(*args):
+            raise AssertionError("a window was built")
+        for name in ("bowen_window", "plan", "transfer_matrix_entropy_1d"):
+            monkeypatch.setattr(f"meandim.dimensions.{name}", no_window)
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, sft),
+                                 "--alpha", "2", *flags])
+        assert code == 1 and rep["error"] == message
 
     def test_long_sweep_refused_before_work(self, tmp_path):
         # hard squares at height 12 leave int64 early, and each further
@@ -684,7 +753,7 @@ class TestVerifyTheorem:
         # the horizontal rhs; it is refused before any count
         def no_count(*args):
             raise AssertionError("a count ran")
-        monkeypatch.setattr("meandim.cli.transfer_matrix_entropy_1d", no_count)
+        monkeypatch.setattr("meandim.dimensions.transfer_matrix_entropy_1d", no_count)
         monkeypatch.setattr("meandim.dimensions.plan", no_count)
         code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
                                  "--alpha", "2", "--action", action])
@@ -711,8 +780,51 @@ class TestVerifyTheorem:
         spec.write_text("dimension: 1\nalphabet: 0 1\nforbidden:\n(0)=0 (1)=0 (2)=0\n")
         code, rep = run_command(["verify-theorem", "--sft", str(spec)])
         assert code == 0 and rep["verdict"] == "PASS"
-        assert "nearest-neighbour" in rep["results"]["hausdorff_bracket"]["skipped"]
         assert [c["name"] for c in rep["checks"]] == ["minkowski_extrapolation"]
+        assert [s["name"] for s in rep["skipped"]] == ["hausdorff_upper_at_depth",
+                                                      "hausdorff_lower_at_depth"]
+        assert all("nearest-neighbour" in s["reason"] for s in rep["skipped"])
+        assert "hausdorff_bracket" not in rep["results"]
+
+    @pytest.mark.parametrize("argv, skipped", [
+        (["goldenrow.sft", "--measure", "parry_golden.measure"], 0),
+        (["goldenrow.sft"], 3),
+        (["goldenrow.sft", "--action", "1,1"], 3),
+        (["fullshift2.sft", "--measure", "bern12.measure", "--action", "2,1"], 2),
+        (["threedot.sft"], 3),
+        (["fullshift2.sft", "--measure", "bern12.measure"], 0),
+        (["hardsquares.sft"], 5),
+        (["goldenmean1d.sft"], 0),
+        (["no000"], 2)],
+        ids=["goldenrow-parry", "goldenrow", "goldenrow-1,1", "fullshift2-bern12-2,1",
+             "threedot", "fullshift2-bern12", "hardsquares", "goldenmean1d", "no000"])
+    def test_every_identity_checked_or_skipped_once(self, fixtures_dir, tmp_path, argv,
+                                                    skipped):
+        # each run lists every check of its dimension once, in order: the
+        # ones run in checks, then the ones not run in skipped
+        spec = tmp_path / "no000.sft"
+        spec.write_text("dimension: 1\nalphabet: 0 1\nforbidden:\n(0)=0 (1)=0 (2)=0\n")
+        argv = [str(spec) if a == "no000" else fx(fixtures_dir, a) if "." in a else a
+                for a in argv]
+        code, rep = run_command(["verify-theorem", "--sft", *argv, "--alpha", "2"])
+        assert code == 0 and len(rep["skipped"]) == skipped
+        checked = [c["name"] for c in rep["checks"]
+                   if not c["name"].startswith("rdim_sandwich_scale_")]
+        want = (VERIFY_CHECKS_1D if md.parse_sft(argv[0]).dimension == 1
+                else VERIFY_CHECKS_2D)
+        assert checked + [s["name"] for s in rep["skipped"]] == want
+        assert all(s["reason"] for s in rep["skipped"])
+
+    def test_a_measure_leaves_the_count_checks_as_they_are(self, fixtures_dir):
+        entries = []
+        for extra in ([], ["--measure", fx(fixtures_dir, "parry_golden.measure")]):
+            code, rep = run_command(["verify-theorem", "--sft",
+                                     fx(fixtures_dir, "goldenrow.sft"), "--alpha", "2",
+                                     *extra])
+            assert code == 0
+            entries.append([c for c in rep["checks"] if c["name"] in
+                            ("mmdim_extrapolation", "mhdim_upper_extrapolation")])
+        assert len(entries[0]) == 2 and entries[0] == entries[1]
 
     @pytest.mark.parametrize("sft, check", [("goldenmean1d.sft", "hausdorff_lower_at_depth"),
                                             ("goldenrow.sft", "mhdim_lower_consistent")])
