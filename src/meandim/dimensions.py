@@ -478,6 +478,8 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
                                         delta)
     if not one_d:
         check_mmdim_start(m_schedule(action, Mschedule or None))
+    elif measure is not None:
+        check_support(measure, sft)
 
     checks, skipped, results, tables = [], [], {}, {}
 

@@ -13,6 +13,7 @@ binary-entropy penalty term.  All information quantities are in bits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -326,32 +327,112 @@ def window_entropy(measure: MeasureSpec, support) -> float:
     return total
 
 
+class _RowChain:
+    """What the chain readers reuse of one measure's row chain: log2 pi,
+    the log2 step matrices {g: log2 P^g} formed so far, the entropy rate,
+    and the max-plus DP along unit gaps, ``best[L - 1]`` being the largest
+    log2 mass of a contiguous row of L cells and ``vec`` the DP vector at
+    the longest L reached.  Each value is formed by the same operations in
+    the same order as a fresh DP from log2 pi, so a warm read gives the
+    bits of a cold one."""
+
+    def __init__(self, measure: MeasureSpec):
+        self.measure = measure
+        with np.errstate(divide="ignore"):
+            self.logpi = np.log2(measure.pi())
+        self.log_steps: dict[int, np.ndarray] = {}
+        self.vec = self.logpi
+        self.best = [float(np.maximum.reduce(self.vec))]
+
+    @functools.cached_property
+    def rate(self) -> float:
+        return _cond_entropy(self.measure.pi(), _chain_steps(self.measure, [(0, 1)])[1])
+
+    def steps(self, gaps) -> dict[int, np.ndarray]:
+        """{g: log2 P^g}, with every gap of ``gaps`` formed."""
+        missing = set(gaps) - self.log_steps.keys()
+        if missing:
+            self.log_steps.update(_chain_steps(self.measure, [(0, g) for g in missing],
+                                               log=True))
+        return self.log_steps
+
+    def contiguous(self, length: int) -> float:
+        """The largest log2 mass of a row of ``length`` adjacent cells; the
+        DP is stepped only past the longest length reached so far."""
+        if length > len(self.best):
+            step = self.steps({1})[1]
+            vec = self.vec
+            for _ in range(length - len(self.best)):
+                vec = np.maximum.reduce(vec[:, None] + step)
+                self.best.append(float(np.maximum.reduce(vec)))
+            self.vec = vec
+        return self.best[length - 1]
+
+
+# one _RowChain per measure, kept for the life of the process
+_row_chain = functools.cache(_RowChain)
+
+
 def ks_entropy(measure: MeasureSpec) -> float:
     """Entropy per site in bits: the entropy rate of the row chain,
     the conditional entropy of one gap-1 step (H(weights) for a Bernoulli
-    measure)."""
-    return _cond_entropy(measure.pi(), _chain_steps(measure, [(0, 1)])[1])
+    measure).
+
+    The rate is formed once per measure and kept in the measure's
+    row-chain cache (see ``max_cylinder_log2_prob``), so ``rdim_bounds``
+    forms the gap-1 step once however many scales it reads.
+    """
+    return _row_chain(measure).rate
+
+
+def _row_key(runs) -> tuple:
+    """A key that orders rows as their sorted column lists do, read from
+    their runs.  At the first run where two rows differ, the smaller lo
+    comes first; with equal lo, a row that ends there comes before one
+    that goes on, and of two that go on, the longer run comes first, its
+    next column hi + 1 being smaller than the other's next start."""
+    *inner, (lo, hi) = runs
+    return tuple(x for a, b in inner for x in (a, 1, -b)) + (lo, 0, hi)
 
 
 def max_cylinder_log2_prob(measure: MeasureSpec, support) -> float:
     """log2 of the largest cylinder mass over patterns on ``support``.
 
-    Per-row max-product dynamic programming over the row chain.
+    Per-row max-plus dynamic programming over the row chain, read from
+    the support's bands without listing their columns.  A row of adjacent
+    cells takes its value from the measure's row-chain cache
+    (``_row_chain``, one per measure for the life of the process).  It
+    holds log2 pi, the log2 step matrices, the entropy rate and the DP
+    along unit gaps: one float per contiguous length reached plus one
+    q-vector, no more than the column lists of the rows it has seen.  A
+    row with a wider gap runs its DP from log2 pi, once per run pattern.
+    Row values are added in the order of the rows' sorted column lists.
     """
-    rows = _rows_of(support)
-    log_steps = _chain_steps(measure, rows.values(), log=True)
-    with np.errstate(divide="ignore"):
-        logpi = np.log2(measure.pi())
-    best: dict[tuple[int, ...], float] = {}
+    chain = _row_chain(measure)
+    gapped: dict[tuple[tuple[int, int], ...], float] = {}
+    rows = []
+    for n0, n1, runs in LatticeSet.of(support).bands:
+        if len(runs) == 1:
+            value = chain.contiguous(runs[0][1] - runs[0][0] + 1)
+        else:
+            # (gap, repeats) pairs along the row: b - a unit gaps inside a
+            # run (a, b), then one gap to the next run's start
+            shape = tuple((g, k) for (a, b), (c, _) in zip(runs, runs[1:])
+                          for g, k in ((1, b - a), (c - b, 1)) if k)
+            shape += ((1, runs[-1][1] - runs[-1][0]),)
+            if shape not in gapped:
+                log_steps = chain.steps(g for g, _ in shape)
+                vec = chain.logpi
+                for g, k in shape:
+                    for _ in range(k):
+                        vec = np.maximum.reduce(vec[:, None] + log_steps[g])
+                gapped[shape] = float(np.maximum.reduce(vec))
+            value = gapped[shape]
+        rows.append((_row_key(runs), value, n1 - n0 + 1))
     total = 0.0
-    for xs in sorted(rows.values(), key=tuple):
-        gaps = tuple(map(operator.sub, xs[1:], xs))
-        if gaps not in best:
-            vec = logpi
-            for g in gaps:
-                vec = np.maximum.reduce(vec[:, None] + log_steps[g])
-            best[gaps] = float(np.maximum.reduce(vec))
-        total += best[gaps]
+    for _, value, count in sorted(rows):
+        for _ in range(count):
+            total += value
     return total
 
 

@@ -138,10 +138,16 @@ def _refine(labels, a, other) -> np.ndarray:
 def _split(labels, sig) -> np.ndarray:
     """``labels`` refined by the rows of ``sig``: two rows stay in one class
     when they shared one and their ``sig`` rows are equal byte for byte.
-    Classes are numbered in first-occurrence order."""
-    classes = {}
-    return np.array([classes.setdefault((label, row.tobytes()), len(classes))
-                     for label, row in zip(labels.tolist(), sig)], dtype=np.intp)
+    Classes are numbered in first-occurrence order.  A row whose bytes
+    equal those of its class's first row keeps that row's class without
+    being hashed; only the other rows are hashed."""
+    classes, firsts = {}, {}
+    out = []
+    for label, row in zip(labels.tolist(), sig):
+        b = row.tobytes()
+        key = label if firsts.setdefault(label, b) == b else (label, b)
+        out.append(classes.setdefault(key, len(classes)))
+    return np.array(out, dtype=np.intp)
 
 
 @dataclass(frozen=True)

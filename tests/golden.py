@@ -41,6 +41,7 @@ ARGV = [shlex.split(line) for line in """
     verify-theorem --sft fixtures/goldenmean1d.sft --alpha 2
     verify-theorem --sft fixtures/goldenmean1d.sft --alpha 2 --action 3,0
     verify-theorem --sft fixtures/goldenmean1d.sft --alpha 2 --M-schedule 4,2000000
+    verify-theorem --sft fixtures/goldenmean1d.sft --measure fixtures/bern12.measure --alpha 2
     verify-theorem --sft fixtures/fullshift2.sft --alpha 2 --action 4,1
     verify-theorem --sft fixtures/goldenrow.sft --alpha 2 --action 4,1
     verify-theorem --sft fixtures/goldenrow.sft --measure fixtures/parry_golden.measure --action 1,1

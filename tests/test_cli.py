@@ -774,6 +774,17 @@ class TestVerifyTheorem:
         assert code == 1 and rep["error"] == ("measure puts positive mass on a forbidden "
                                               "pattern; it is not supported on this subshift")
 
+    @pytest.mark.parametrize("sft", ["goldenmean1d.sft", "goldenrow.sft"])
+    def test_unsupported_measure_refused_before_any_count(self, fixtures_dir, monkeypatch, sft):
+        def no_count(*args):
+            raise AssertionError("a count ran")
+        monkeypatch.setattr("meandim.dimensions.transfer_matrix_entropy_1d", no_count)
+        monkeypatch.setattr("meandim.dimensions.plan", no_count)
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, sft),
+                                 "--measure", fx(fixtures_dir, "bern12.measure")])
+        assert code == 1 and rep["error"] == ("measure puts positive mass on a forbidden "
+                                              "pattern; it is not supported on this subshift")
+
     def test_1d_bracket_skipped_without_a_parry_measure(self, tmp_path):
         # forbidding 000 leaves no nearest-neighbour presentation for the Parry measure
         spec = tmp_path / "no000.sft"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -621,8 +622,70 @@ class TestChainSteps:
         steps = md.information._chain_steps
         monkeypatch.setattr(md.information, "_chain_steps",
                             lambda *a, **k: {g: Q.T for g, Q in steps(*a, **k).items()})
+        # an empty per-measure cache for the patched powers, dropped with the patch
+        monkeypatch.setattr(md.information, "_row_chain",
+                            functools.cache(md.information._RowChain))
         after = [f() for f in readers]
         assert all(a != b for a, b in zip(before, after))
+
+
+class TestRowChainCache:
+    """The per-measure row-chain cache returns, warm, the bits each reader
+    returns from a cold one, in any order of measures and supports."""
+
+    def test_warm_cache_reads_cold_bits(self, fixtures_dir, monkeypatch):
+        rng = np.random.default_rng(9)
+        chain_steps = TestChainSteps()
+        measures = chain_steps.measures(fixtures_dir)
+        supports = chain_steps.supports(rng) + [
+            md.bowen_window(md.ActionSpec(1, 1), 7, 3),
+            md.bowen_window(md.ActionSpec(-2, 1), 4, 2),
+            IntRect(0, 60, 0, 0), IntRect(2, 3, -1, 4)]
+        readers = [(i, None) for i in range(len(measures))]
+        readers += [(i, j) for i in range(len(measures)) for j in range(len(supports))]
+
+        def read(i, j):
+            m = measures[i]
+            return md.ks_entropy(m) if j is None else \
+                md.max_cylinder_log2_prob(m, supports[j])
+
+        cold = {}
+        for key in readers:
+            monkeypatch.setattr(md.information, "_row_chain",
+                                functools.cache(md.information._RowChain))
+            cold[key] = read(*key)
+        for order in range(3):
+            monkeypatch.setattr(md.information, "_row_chain",
+                                functools.cache(md.information._RowChain))
+            # measures interleaved, each support read twice
+            for k in rng.permutation(2 * len(readers)):
+                key = readers[k % len(readers)]
+                assert same_bits(read(*key), cold[key]), key
+
+    def test_rows_summed_in_column_order(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            pts = {(int(m), int(n)) for m, n in rng.integers(0, 7, (12, 2))}
+            bands = md.LatticeSet(pts).bands
+            want = sorted(tuple(m for lo, hi in runs for m in range(lo, hi + 1))
+                          for n0, n1, runs in bands)
+            got = [tuple(m for lo, hi in runs for m in range(lo, hi + 1))
+                   for runs in sorted((runs for _, _, runs in bands),
+                                      key=md.information._row_key)]
+            assert got == want
+
+    def test_rdim_bounds_forms_the_steps_once(self, parry, monkeypatch):
+        monkeypatch.setattr(md.information, "_row_chain",
+                            functools.cache(md.information._RowChain))
+        calls = []
+        steps = md.information._chain_steps
+        monkeypatch.setattr(md.information, "_chain_steps",
+                            lambda *a, **k: calls.append(a) or steps(*a, **k))
+        eps, deltas = md.default_rdim_schedule(2.0)
+        lower, upper = md.rdim_bounds(parry, 2.0, eps, deltas)
+        assert len(upper.sequence) == 9 and len(calls) == 1
+        md.rdim_bounds(parry, 2.0, eps, deltas)
+        assert len(calls) == 1
 
 
 class TestOutcomeGuards:

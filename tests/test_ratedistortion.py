@@ -641,6 +641,46 @@ class TestSymmetryQuotient:
                 [kernels.ba_solve(p, rho, s, 1e-12, max_iter, classes) for s in slopes]
 
 
+def old_split(labels, sig):
+    """``ratedistortion._split`` as it was when it hashed every row, kept
+    as an oracle for its labels."""
+    classes = {}
+    return np.array([classes.setdefault((label, row.tobytes()), len(classes))
+                     for label, row in zip(labels.tolist(), sig)], dtype=np.intp)
+
+
+class TestSplit:
+    """Rows equal to their class's first row are not hashed, and the labels
+    are those of hashing every row."""
+
+    def test_quotients_match_hashing_every_row(self, fixtures_dir, monkeypatch):
+        probs = [md.rd_problem_from_measure(md.parse_measure(fixtures_dir / f"{name}.measure"),
+                                            2, M=2)
+                 for name in ("bern12", "parry_golden")]
+        probs.append(md.binary_hamming_problem(0.3))
+        probs += [symmetric_problem(seed)[0] for seed in range(6)]
+        probs += [signed_zero_problem(seed)[0] for seed in range(4)]
+        probs += [planted_problem(seed)[0] for seed in range(4)]
+        for prob in probs:
+            got = prob.reduced
+            with monkeypatch.context() as patch:
+                patch.setattr(md.ratedistortion, "_split", old_split)
+                want = RdProblem.build(prob.source, prob.reproductions,
+                                       prob.distortion).reduced
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_labels_with_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n, m = rng.integers(1, 40), rng.integers(1, 5)
+            labels = np.array(relabel(rng.integers(0, 4, n).tolist()), dtype=np.intp)
+            sig = rng.choice([0.0, -0.0, 1.0, 2.5], (n, m))
+            got = md.ratedistortion._split(labels, sig)
+            assert got.dtype == np.intp
+            assert got.tolist() == old_split(labels, sig).tolist()
+
+
 class TestBlockStop:
     @staticmethod
     def gaps(p, rho, beta, n):
