@@ -126,18 +126,26 @@ def _free_symbols(n_symbols, groups) -> set:
 
 
 # bytes of kernel matrices and ring slots one stacked Blahut-Arimoto run
-# may hold; a longer slope schedule is run in chunks of at most this much
+# may hold (a longer slope schedule is run in chunks of at most this
+# much), and bytes of the arrays one stacked reading of points may hold
 BATCH_BYTES = 1 << 23
 
 # iterations in one block: the stop test and the subnormal flush run at
-# block ends
-FLUSH_EVERY = 16
+# block ends, and each slope has a ring of this many c and q slots.  32,
+# 48 and 64 ran as fast as each other, 16 and 128 slower, and 32 holds
+# the smallest ring of the three (2-core Xeon VM)
+FLUSH_EVERY = 32
+
+# a stack of this many slopes or fewer runs its slopes alone, one after
+# another; 1-4 ran fastest on the Hamming sweeps and golden window sweeps,
+# 8 and 12 slower (2-core Xeon VM)
+LONE_SLOPES = 3
 
 
 def slope_bytes(rho, classes=None) -> int:
     """Bytes one slope of a stacked ``ba_sweep`` run holds: its kernel, on
     the class problem when ``classes`` is given, and its ring of
-    ``FLUSH_EVERY`` c and q slots."""
+    ``FLUSH_EVERY`` slots for c and as many for q."""
     mx, my = rho.shape if classes is None else (int(c.max()) + 1 for c in classes)
     return 8 * (mx * my + 2 * FLUSH_EVERY * my)
 
@@ -185,27 +193,32 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     and distortion terms.  With identity labels this is the dense
     arithmetic, bit for bit.
 
-    All slopes iterate together as one stack of kernels.  Each slope's
-    kernel and work vectors start on a 64-byte boundary (the
-    matrix-vector products run about a fifth faster on an aligned K), and
-    the stacked products call the same BLAS matrix-vector routine per
-    slope as a lone product would, so every slope follows the same
-    iterates, bit for bit, whatever else is in the stack.  A stack of one
-    slope (every ``ba_solve`` call, and a sweep's tail) runs the same loop
-    body on plain views through ``np.dot``: the same BLAS routine, at 0.9
-    instead of 1.2 us per call on a 48x50 kernel.  The caller bounds the
-    stack's size (see ``BATCH_BYTES`` and ``slope_bytes``).
+    The slopes iterate together as one stack of kernels while more than
+    ``LONE_SLOPES`` of them run.  Each slope's kernel and work vectors
+    start on a 64-byte boundary (the matrix-vector products run about a
+    fifth faster on an aligned K), and the stacked products call the same
+    BLAS matrix-vector routine per slope as a lone product would, so every
+    slope follows the same iterates, bit for bit, whatever else is in the
+    stack.  A stacked iteration costs a fixed overhead of several lone
+    ones, so once the stack is down to ``LONE_SLOPES`` slopes (at once,
+    for every ``ba_solve`` call), each slope left runs alone, one after
+    another, from the stack's iteration count: the same loop body on plain
+    views of the stack's first slice, through the bound ``dot`` of K and
+    Z.  The caller bounds the stack's size (see ``BATCH_BYTES`` and
+    ``slope_bytes``).
 
     The loop runs in blocks of ``FLUSH_EVERY`` iterations (the last one
     shorter when ``max_iter`` is not a multiple), and each iteration
-    writes its c and q into its own slot of a ring of that many slots.
-    The stop test runs once per block: one maximum over the block's c
-    rows gives every iteration's max_y c(y), and a slope stops at the
-    first iteration whose maximum passes, with that iteration's q: the
-    stopping iteration and the bits of a test on every iteration.  A slope
-    that stops inside a block runs on to the block's end on its own
-    kernel and slots, which changes nothing its point reads, and the stack
-    drops it there.
+    writes its c and q into its own slot of a ring of ``FLUSH_EVERY``
+    slots per slope.  The stop test runs once per block: one maximum over
+    the block's c rows gives every iteration's max_y c(y), and a slope
+    stops at the first iteration whose maximum passes, with that
+    iteration's q: the stopping iteration and the bits of a test on every
+    iteration.  A slope that stops inside a block runs on to the block's
+    end on its own kernel and slots, which changes nothing its point
+    reads, and the stack drops it there.  Every block starts at a
+    multiple of ``FLUSH_EVERY``, stacked or alone.  The points are read
+    once every slope has stopped, in stacks of slopes (``_ba_points``).
 
     Reproductions the source does not use lose mass geometrically, and
     their q(y) would sink into subnormal doubles, where every product
@@ -234,12 +247,6 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     # the first column of each column class, rows grouped by class
     rep = rho[np.ix_(order, col_order[col_first])]
     ps = np.add.reduceat(p[order], first)
-    # the first row of each row class, every column: the point reads these
-    lead = rho[order[first]]
-
-    def point(k, q, it, top, converged):
-        _flush(q)
-        return _ba_point(ps, lead, betas[k], cols, width, q, it, float(np.log2(top)), converged)
 
     F = FLUSH_EVERY
     n = len(betas)
@@ -255,54 +262,85 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     qs[0] = np.bincount(cols) / ny
     Z = _aligned_stack(n, (mx,))
     stop = _stop_threshold(tol)
-    slot = list(range(n))  # the index in betas of each stacked slope
-    out = [None] * n
+    # per slope in the order of betas: the q its point reads, its
+    # iterations, its last tested max_y c(y) and whether it converged
+    Q, iters, top, converged = np.empty((n, my)), np.empty(n, int), np.empty(n), np.empty(n, bool)
+    slot = np.arange(n)  # the index in betas of each stacked slope
     it = 0
-    while slot and it < max_iter:
+    while len(slot) > LONE_SLOPES and it < max_iter:
         n = len(slot)
-        if n == 1:
-            product, Kv, Zv = np.dot, K[0], Z[0]  # matmul's gemv, cheaper to call
-            Z3 = W3 = Zv
-            ring = [(qs[j, 0], qs[j, 0], cs[j, 0], cs[j, 0], qs[(j + 1) % F, 0])
-                    for j in range(F)]
-        else:
-            product, Kv, Zv = np.matmul, K[:n], Z[:n]
-            Z3, W3 = Zv[:, :, None], Zv[:, None, :]
-            ring = [(qs[j, :n], qs[j, :n, :, None], cs[j, :n], cs[j, :n, None, :],
-                     qs[(j + 1) % F, :n]) for j in range(F)]
+        Kv, Zv = K[:n], Z[:n]
+        Z3, W3 = Zv[:, :, None], Zv[:, None, :]
+        ring = [(qs[j, :n], qs[j, :n, :, None], cs[j, :n], cs[j, :n, None, :],
+                 qs[(j + 1) % F, :n]) for j in range(F)]
         # each block starts at a multiple of F, reading its q from slot 0
-        while it < max_iter:
+        while True:
             m = min(F, max_iter - it)
             for qi, q3, ci, c3, qo in ring[:m]:
-                product(Kv, q3, out=Z3)
-                np.divide(ps, Zv, out=Zv)
-                product(W3, Kv, out=c3)
-                np.multiply(qi, ci, out=qo)
+                np.matmul(Kv, q3, Z3)
+                np.divide(ps, Zv, Zv)
+                np.matmul(W3, Kv, c3)
+                np.multiply(qi, ci, qo)
             it += m
-            top = np.maximum.reduce(cs[:m, :n], axis=-1)  # per iteration and slope
-            hit = top <= stop
+            tops = np.maximum.reduce(cs[:m, :n], axis=-1)  # per iteration and slope
+            hit = tops <= stop
             if hit.any() or it == max_iter:
                 break
             _flush(qs[0, :n])
-        keep = []
-        # iteration it - m + j + 1 of block slot j left its q in slot j + 1
-        for r, j in enumerate(np.argmax(hit, axis=0).tolist()):
-            if hit[j, r]:
-                out[slot[r]] = point(slot[r], qs[(j + 1) % F, r], it - m + j + 1, top[j, r],
-                                     True)
-            elif it == max_iter:
-                out[slot[r]] = point(slot[r], qs[m % F, r], it, top[-1, r], False)
-            else:
-                keep.append(r)
-        # move the slopes still running to the front, slice by slice, so
-        # that every slice keeps its alignment
-        for dst, src in enumerate(keep):
-            if dst != src:
-                K[dst] = K[src]
-                qs[0, dst] = qs[0, src]
-        slot = [slot[r] for r in keep]
+        # iteration it - m + j + 1 of block slot j left its q in slot j + 1;
+        # a slope that never passed ends at max_iter, block slot m - 1
+        j = np.argmax(hit, axis=0)
+        passed = hit[j, np.arange(n)]
+        j[~passed] = m - 1
+        done = passed | (it == max_iter)
+        r, k = np.flatnonzero(done), slot[done]
+        Q[k] = qs[(j[r] + 1) % F, r]
+        iters[k], top[k], converged[k] = it - m + j[r] + 1, tops[j[r], r], passed[r]
+        # move the slopes still running to the front
+        keep = np.flatnonzero(~done)
+        K[:len(keep)] = K[keep]
+        qs[0, :len(keep)] = qs[0, keep]
+        slot = slot[keep]
         _flush(qs[0, :len(slot)])
-    return out
+    if len(slot):
+        # the slopes left run one after another in the stack's first slice
+        ring = [(qs[j, 0], cs[j, 0], qs[(j + 1) % F, 0]) for j in range(F)]
+        for r, k in enumerate(slot.tolist()):
+            K[0], qs[0, 0] = K[r], qs[0, r]
+            Q[k], iters[k], top[k], converged[k] = _run_alone(K[0], Z[0], ps, ring, cs[:, 0],
+                                                              it, max_iter, stop)
+    _flush(Q)
+    lead, betas = rho[order[first]], np.asarray(betas, dtype=np.float64)
+    # a reading holds at most four float arrays of lead's size per slope
+    step = max(1, BATCH_BYTES // (32 * lead.size))
+    points = []
+    for s in range(0, len(betas), step):
+        points += _ba_points(ps, lead, betas[s:s + step], cols, width, Q[s:s + step])
+    runs = zip(iters.tolist(), np.log2(top).tolist(), converged.tolist())
+    return [point + run for point, run in zip(points, runs)]
+
+
+def _run_alone(K, Z, ps, ring, cs, it, max_iter, stop):
+    """One slope's loop from iteration ``it`` (a block start, its q in the
+    ring's slot 0) to its stop: (q, iterations, max_y c(y), converged)."""
+    F = len(ring)
+    Kdot, Zdot, divide, multiply = K.dot, Z.dot, np.divide, np.multiply
+    while True:
+        m = min(F, max_iter - it)
+        for qi, ci, qo in ring[:m]:
+            Kdot(qi, Z)
+            divide(ps, Z, Z)
+            Zdot(K, ci)
+            multiply(qi, ci, qo)
+        it += m
+        tops = np.maximum.reduce(cs[:m], axis=-1)
+        hit = tops <= stop
+        if hit.any():
+            j = int(np.argmax(hit))
+            return ring[j][2], it - m + j + 1, tops[j], True
+        if it == max_iter:
+            return ring[m - 1][2], it, tops[-1], False
+        _flush(ring[0][0])
 
 
 def _runs(labels):
@@ -336,23 +374,33 @@ def _stop_threshold(tol) -> float:
     return float(m)
 
 
-def _ba_point(P, rho, beta, cols, width, Q, it, gap, converged):
-    """Rate and distortion of the optimal conditional for the class
-    marginal Q, read on one row per row class (``rho`` at those rows, every
-    column) weighted by the class masses P."""
-    K = np.exp2(-beta * rho)
-    q = (Q / width)[cols]
-    Z = K @ q
-    cond = K * q[None, :] / Z[:, None]
+def _ba_points(P, rho, betas, cols, width, Q):
+    """(rate, distortion) of the optimal conditional for each class
+    marginal Q[k] at slope betas[k], read on one row per row class
+    (``rho`` at those rows, every column) weighted by the class masses P.
+    The stack is read with a lone slope's arithmetic, bit for bit: the
+    same BLAS matrix-vector routine per slope, the other steps elementwise
+    or in index order, and each sum over one slope's contiguous slice."""
+    n, nc = len(betas), len(width)
+    K = np.exp2(-betas[:, None, None] * rho)
+    q = (Q / width)[:, cols]
+    Z = np.matmul(K, q[:, :, None])
+    # the conditional K q / Z, formed in K
+    cond = K
+    cond *= q[:, None, :]
+    cond /= Z
     # the output marginal is constant on each column class: its class mean
-    qbar = (np.bincount(cols, P @ cond) / width)[cols]
-    ratio = np.divide(cond, qbar[None, :], out=np.ones_like(cond),
-                      where=(cond > 0) & (qbar[None, :] > 0))
-    # log2 in place: ratio is not read again, and the point holds one
-    # array of cond's size fewer at its peak
-    rate = float(np.sum(P[:, None] * cond * np.log2(ratio, out=ratio)))
-    dist = float(np.sum(P[:, None] * cond * rho))
-    return rate, dist, it, gap, converged
+    at = np.arange(n)[:, None] * nc + cols
+    qbar = np.bincount(at.ravel(), np.matmul(P, cond).ravel(), n * nc).reshape(n, nc)
+    qbar = (qbar / width)[:, None, cols]
+    ratio = np.divide(cond, qbar, out=np.ones_like(cond), where=(cond > 0) & (qbar > 0))
+    terms = P[:, None] * cond
+    # log2 in place: ratio is not read again
+    terms *= np.log2(ratio, out=ratio)
+    rates = np.add.reduce(terms.reshape(n, -1), axis=1)
+    terms = np.multiply(P[:, None], cond, out=terms)
+    terms *= rho
+    return list(zip(rates.tolist(), np.add.reduce(terms.reshape(n, -1), axis=1).tolist()))
 
 
 def _aligned_stack(n, shape) -> np.ndarray:

@@ -528,16 +528,15 @@ class RectCounter:
         for a linear spec, otherwise by the sweep ``sweep_for`` picks, or None."""
         if self.linear is not None:
             return self.linear.count(IntRect(0, ncols - 1, 0, nrows - 1))
-        picked = self.sweep_for(ncols, nrows)
-        return None if picked is None else picked[0].total(picked[1])
+        sweep, width = self.sweep_for(ncols, nrows)
+        return None if self.sft.nsymbols ** sweep.span > MAX_STATES else sweep.total(width)
 
-    def sweep_for(self, ncols: int, nrows: int) -> "tuple[_CellSweep, int] | None":
-        """The sweep with the smaller profile q^L and its width, or None above
-        ``MAX_STATES``; ``plan`` bounds its work by ``MAX_SWEEP_WORK``."""
+    def sweep_for(self, ncols: int, nrows: int) -> "tuple[_CellSweep, int]":
+        """The sweep with the smaller profile q^L and its width; ``plan`` refuses
+        a profile above ``MAX_STATES`` and bounds the work by ``MAX_SWEEP_WORK``."""
         # ties keep the column sweep, min() returning the first minimum
-        sweep, width = min((self._sweep(False, nrows), ncols),
-                           (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
-        return None if self.sft.nsymbols ** sweep.span > MAX_STATES else (sweep, width)
+        return min((self._sweep(False, nrows), ncols),
+                   (self._sweep(True, ncols), nrows), key=lambda sw: sw[0].span)
 
     def _sweep(self, transposed: bool, height: int) -> "_CellSweep":
         key = (transposed, height)
@@ -690,6 +689,7 @@ def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
                 f"the count {sft.nsymbols}^{cells} has more bits than the guard of "
                 f"{MAX_COUNT_BITS}")
         return path("closed form", run=functools.partial(pow, sft.nsymbols, cells))
+    refused = ""  # why the sweep refused a rectangle, if it did
     if algorithm == "auto":
         rect = pts.as_rect()
         lengths = _row_lengths(sft, pts, rect)
@@ -703,18 +703,21 @@ def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
         if counter.linear is not None:
             counter.linear.check(cells, rect or pts)
             return path("rank", run=on_rect or functools.partial(counter.linear.count, pts))
-        picked = rect and counter.sweep_for(rect.ncols, rect.nrows)
-        if picked:
-            sweep, width = picked
+        if rect:
+            sweep, width = counter.sweep_for(rect.ncols, rect.nrows)
             states = sft.nsymbols ** sweep.span
-            if width * bits * states > MAX_SWEEP_WORK:
-                raise ResourceGuardError(
-                    f"a sweep of {width} columns over {states} states with counts of up "
-                    f"to {bits:.0f} bits is above the sweep guard of {MAX_SWEEP_WORK}")
-            return path("sweep", run=on_rect)
+            if states <= MAX_STATES:
+                if width * bits * states > MAX_SWEEP_WORK:
+                    raise ResourceGuardError(
+                        f"a sweep of {width} columns over {states} states with counts of "
+                        f"up to {bits:.0f} bits is above the sweep guard of {MAX_SWEEP_WORK}")
+                return path("sweep", run=on_rect)
+            refused = (f"; the transfer sweep would need {sft.nsymbols}^{sweep.span} states, "
+                       f"above its guard {MAX_STATES}")
     if cells > MAX_FREE_CELLS:
         raise ResourceGuardError(
-            f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}")
+            f"support has {cells} cells, above the backtracking guard {MAX_FREE_CELLS}"
+            + refused)
 
     def backtrack():
         # a rectangle's cells reach the walk through from_rect, the builder

@@ -90,6 +90,7 @@ ARGV = [shlex.split(line) for line in """
     verify-theorem --sft fixtures/threedot.sft --alpha 2
     verify-theorem --sft fixtures/hardsquares.sft --alpha 2
     count --sft fixtures/hardsquares.sft --box 12
+    count --sft fixtures/hardsquares.sft --box 30
     rdim --measure fixtures/parry_golden.measure --alpha 2 --delta 0.01
     --version
 """.strip().splitlines()]

@@ -397,6 +397,11 @@ class TestPlantedDifferential:
 
 
 class TestBatchedSweep:
+    @pytest.fixture(autouse=True)
+    def stacked(self, monkeypatch):
+        # every stack of two or more slopes iterates stacked, not alone
+        monkeypatch.setattr(kernels, "LONE_SLOPES", 1)
+
     def test_matches_single_slope_runs(self, monkeypatch):
         probs = [md.binary_hamming_problem(0.3), planted_problem(3)[0],
                  RdProblem.build(FiniteDistribution(("a", "b", "c"), (0.6, 0.3, 0.1)),
@@ -407,9 +412,9 @@ class TestBatchedSweep:
             assert md.rd_curve(prob, slopes, tol=1e-10) == want
             # chunks of three slopes give the same points
             _, rho, *classes = prob.reduced
-            monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * kernels.slope_bytes(rho, classes))
-            assert md.rd_curve(prob, slopes, tol=1e-10) == want
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "BATCH_BYTES", 3 * kernels.slope_bytes(rho, classes))
+                assert md.rd_curve(prob, slopes, tol=1e-10) == want
         assert md.rd_curve(probs[0], []) == []
 
     def test_first_failing_slope_in_schedule_order_is_raised(self, monkeypatch):
@@ -456,6 +461,102 @@ class TestBatchedSweep:
         with pytest.raises(NonConvergenceError, match="slope 0.62"):
             md.rd_curve(prob, [3.0, 0.62, 5.0], max_iter=300)
         assert seen == [3.0, 0.62]
+
+
+class TestLoneSlopes:
+    def test_stack_shrinks_into_lone_slopes(self, monkeypatch):
+        # the fast slopes stop within 84 iterations; the three slow ones then
+        # run alone from the end of that block, two of them to max_iter
+        prob = md.binary_hamming_problem(0.4)
+        p, rho, *classes = prob.reduced
+        slow = [0.62, 1.0, 0.7]
+        slopes = [3.0, 0.62, 2.0, 1.0, 4.0, 5.0, 0.7, 6.0, 2.5, 8.0, 1.5, 3.5, 7.0, 9.0, 10.0]
+        assert len(slow) <= kernels.LONE_SLOPES < len(slopes)
+        starts = []
+        run_alone = kernels._run_alone
+
+        def spy(K, Z, ps, ring, cs, it, *rest):
+            starts.append(it)
+            return run_alone(K, Z, ps, ring, cs, it, *rest)
+
+        monkeypatch.setattr(kernels, "_run_alone", spy)
+        runs = kernels.ba_sweep(p, rho, slopes, 1e-9, 300, classes)
+        assert len(starts) == len(slow) and len(set(starts)) == 1
+        assert 0 < starts[0] < 300 and starts[0] % kernels.FLUSH_EVERY == 0
+        assert runs == [kernels.ba_solve(p, rho, s, 1e-9, 300, classes) for s in slopes]
+        ends = {s: run[2:5:2] for s, run in zip(slopes, runs) if s in slow}
+        assert ends[0.62] == ends[0.7] == (300, False)
+        assert starts[0] < ends[1.0][0] < 300 and ends[1.0][1]
+        with pytest.raises(NonConvergenceError) as single:
+            md.blahut_arimoto(prob, 0.62, max_iter=300)
+        with pytest.raises(NonConvergenceError) as sweep:
+            md.rd_curve(prob, slopes, max_iter=300)
+        assert str(sweep.value) == str(single.value) and sweep.value.gap == single.value.gap
+
+
+def ba_point(P, rho, beta, cols, width, Q):
+    """The lone reading of one point that ``kernels.ba_sweep`` once made per
+    slope, kept as the oracle for ``kernels._ba_points``: (rate, distortion)."""
+    K = np.exp2(-beta * rho)
+    q = (Q / width)[cols]
+    Z = K @ q
+    cond = K * q[None, :] / Z[:, None]
+    qbar = (np.bincount(cols, P @ cond) / width)[cols]
+    ratio = np.divide(cond, qbar[None, :], out=np.ones_like(cond),
+                      where=(cond > 0) & (qbar[None, :] > 0))
+    rate = float(np.sum(P[:, None] * cond * np.log2(ratio, out=ratio)))
+    dist = float(np.sum(P[:, None] * cond * rho))
+    return rate, dist
+
+
+def class_reading(p, rho, classes):
+    """What ``kernels.ba_sweep`` reads its points from: the row class
+    masses, one row of rho per row class, the column labels and the
+    column class sizes."""
+    rows, cols = classes
+    order, first, _ = kernels._runs(rows)
+    return np.add.reduceat(p[order], first), rho[order[first]], cols, kernels._runs(cols)[2]
+
+
+class TestPointReading:
+    def test_stacked_reading_has_the_lone_bits(self, fixtures_dir):
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        problems = [(md.rd_problem_from_measure(measure, 2, M=2), GOLDEN_SLOPES)]
+        problems += [(planted_problem(seed)[0], (0.5, 2.0, 3.3, 12.0)) for seed in range(6)]
+        problems += [(md.binary_hamming_problem(p0), (0.3, 1.0, 4.0, 9.0))
+                     for p0 in (0.1, 0.3, 0.45)]
+        rng = np.random.default_rng(7)
+        for prob, slopes in problems:
+            p, rho, *classes = prob.reduced
+            P, lead, cols, width = class_reading(p, rho, classes)
+            # class marginals summing to 1, some of them without mass
+            Q = rng.dirichlet(np.ones(len(width)), len(slopes))
+            empty = rng.random(Q.shape) < 0.2
+            empty[:, 0] = False
+            Q[empty] = 0.0
+            got = kernels._ba_points(P, lead, np.array(slopes, dtype=float), cols, width, Q)
+            assert got == [ba_point(P, lead, float(s), cols, width, Q[k])
+                           for k, s in enumerate(slopes)]
+
+    def test_reading_is_split_by_batch_bytes(self, fixtures_dir, monkeypatch):
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        p, rho, *classes = md.rd_problem_from_measure(measure, 2, M=2).reduced
+        slopes = [16.0 + k / 4 for k in range(11)]
+        want = [kernels.ba_solve(p, rho, s, 1e-9, 20000, classes) for s in slopes]
+        # a reading of three slopes fits, at 32 bytes per slope and entry of
+        # the rows it reads
+        lead = class_reading(p, rho, classes)[1]
+        monkeypatch.setattr(kernels, "BATCH_BYTES", 3 * 32 * lead.size + 100)
+        seen = []
+        read = kernels._ba_points
+
+        def spy(P, rho, betas, *rest):
+            seen.append(len(betas))
+            return read(P, rho, betas, *rest)
+
+        monkeypatch.setattr(kernels, "_ba_points", spy)
+        assert kernels.ba_sweep(p, rho, slopes, 1e-9, 20000, classes) == want
+        assert seen == [3, 3, 3, 2]
 
 
 def symmetric_problem(seed, row_cycles=(3, 3, 3, 2, 2, 1), col_cycles=(3, 3, 3, 2, 2, 1)):
@@ -687,13 +788,16 @@ class TestBlockStop:
         """The textbook gap after each of the first n iterations."""
         return [textbook_ba(p, rho, beta, -np.inf, k)[0][3] for k in range(1, n + 1)]
 
-    def test_stops_at_block_edges_as_the_textbook_loop(self):
+    def test_stops_at_block_edges_as_the_textbook_loop(self, monkeypatch):
+        # every stack of two or more slopes iterates stacked, not alone
+        monkeypatch.setattr(kernels, "LONE_SLOPES", 1)
         prob = planted_problem(0)[0]
         p, rho, *_ = prob.reduced
         beta = 2.0
-        gaps = self.gaps(p, rho, beta, 17)
+        F = kernels.FLUSH_EVERY
+        gaps = self.gaps(p, rho, beta, F + 1)
         tols = {1: 10.0}
-        for stop in (15, 16, 17):
+        for stop in (F - 1, F, F + 1):
             # a tol above the gap after iteration `stop`, below every earlier one
             assert gaps[stop - 1] < min(gaps[:stop - 1])
             tols[stop] = (gaps[stop - 1] + min(gaps[:stop - 1])) / 2
@@ -706,10 +810,12 @@ class TestBlockStop:
             assert runs == [kernels.ba_solve(p, rho, s, tol, 20000) for s in (0.3, beta, 7.0)]
             assert runs[1] == want
 
-    def test_max_iter_not_a_multiple_of_the_block(self):
+    def test_max_iter_not_a_multiple_of_the_block(self, monkeypatch):
+        monkeypatch.setattr(kernels, "LONE_SLOPES", 1)
         prob = planted_problem(2)[0]
         p, rho, *_ = prob.reduced
-        for max_iter in (1, 5, 16, 17, 37, 100):
+        F = kernels.FLUSH_EVERY
+        for max_iter in (1, 5, F - 1, F, F + 1, 2 * F + 5, 6 * F + 4):
             want, _ = textbook_ba(p, rho, 1.5, 1e-15, max_iter)
             assert want[2] == max_iter and not want[4]
             assert kernels.ba_solve(p, rho, 1.5, 1e-15, max_iter) == want

@@ -1083,6 +1083,19 @@ def brute_word_count(q, raw, n):
                for word in itertools.product(range(q), repeat=n))
 
 
+    def test_refused_rectangle_names_the_sweep_guard(self, hardsquares):
+        # the 30x30 box is past both guards; its sweep profile 2^30 is what stops it
+        with pytest.raises(ResourceGuardError) as ei:
+            md.subshift.plan(hardsquares, IntRect(0, 29, 0, 29))
+        assert str(ei.value) == (
+            "support has 900 cells, above the backtracking guard 64; the transfer sweep "
+            f"would need 2^30 states, above its guard {md.subshift.MAX_STATES}")
+        # a skew window has no sweep to name
+        with pytest.raises(ResourceGuardError) as ei:
+            md.subshift.plan(hardsquares, md.lambda_set(1, 1, 3, 30))
+        assert "sweep" not in str(ei.value)
+
+
 class TestCertificateOf:
     """``certificate_of`` derives a spec's certificate from its patterns."""
 
