@@ -213,7 +213,8 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     Depth M has the windows N = Nfactor*M // 2 and Nfactor*M (8M and 16M by
     default).  The schedule is checked, or defaulted, by ``m_schedule``.
     Every window is planned once, from its geometry, before any is built
-    by ``bowen_window``; each count runs its window's plan.
+    by ``bowen_window``; each count runs its window's plan.  A window that
+    ``plan`` refuses is named, with its depth and N, in the error.
     """
     if sft.dimension != 2:
         raise ValueError("bowen_table works on 2D specs, got a 1D spec")
@@ -223,13 +224,22 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     if measure is not None:
         check_support(measure, sft)
     depths = range(Ms[0], Ms[-1] + 1) if measure is not None else Ms
+
+    def planned_window(M, N):
+        w = SweptWindow(action.a, action.b, M, N)
+        try:
+            return w, plan(sft, w)
+        except ResourceGuardError as err:
+            raise ResourceGuardError(
+                f"cannot count the Bowen window W(M={M}, N={N}) along "
+                f"({action.a},{action.b}): {err}") from err
+
     planned = {}
     for M in depths:
         lo, hi = max(1, Nfactor * M // 2), Nfactor * M
         if lo == hi:
             raise ValueError("N schedule degenerate; increase Nfactor")
-        swept = {N: SweptWindow(action.a, action.b, M, N) for N in (lo, hi)}
-        planned[M] = {N: (w, plan(sft, w)) for N, w in swept.items()}
+        planned[M] = {N: planned_window(M, N) for N in (lo, hi)}
     rows = {}
     for M in depths:
         # a depth's windows are let go once they are counted and weighed
@@ -446,8 +456,10 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
     and the rate-distortion sandwich against 2 h_mu / log alpha.  A lower
     bound must stay below its target, and reach it when the measure is
     maximal.  The action, --strict, the numbers and the schedules are
-    refused before any window is built.  Each check is in ``checks`` or,
-    with the reason it was not run, in ``skipped``; a 2D spec without a
+    refused before any window is built.  Along any action ``plan``
+    decides which Bowen windows can be counted: ``bowen_table`` plans
+    them all before it counts any.  Each check is in ``checks`` or, with
+    the reason it was not run, in ``skipped``; a 2D spec without a
     certificate skips them all and gets BOUNDS-ONLY.
     """
     spec = MetricSpec(alpha)
@@ -460,12 +472,6 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
         raise MeandimError(
             "input subshift carries no exactness certificate; refusing a "
             "PASS/FAIL verdict under --strict (drop --strict for bounds only)")
-    if skew and not certified:
-        raise MeandimError(
-            "skew-action verification is supported for full shifts, row-lifts and "
-            "three-dot only: skew Bowen windows are not rectangles in general, and "
-            "for forbidden patterns that span rows and are not linear they are "
-            "counted by backtracking, which exceeds the search guards")
     if not tolerance >= 0:
         raise ValueError(f"--tolerance must be at least 0, got {tolerance}")
     # why each group of 2D checks is not run, or "" where it is

@@ -143,11 +143,13 @@ LONE_SLOPES = 3
 
 
 def slope_bytes(rho, classes=None) -> int:
-    """Bytes one slope of a stacked ``ba_sweep`` run holds: its kernel, on
-    the class problem when ``classes`` is given, and its ring of
-    ``FLUSH_EVERY`` slots for c and as many for q."""
+    """Bytes one slope of a stacked ``ba_sweep`` run holds, on the class
+    problem when ``classes`` is given: its kernel, its ring of
+    ``FLUSH_EVERY`` slots for c and as many for q, its Z and the q its
+    point reads, each slice padded as ``_aligned_stack`` pads it (its
+    iteration count, gap and flag, 17 bytes, are not counted)."""
     mx, my = rho.shape if classes is None else (int(c.max()) + 1 for c in classes)
-    return 8 * (mx * my + 2 * FLUSH_EVERY * my)
+    return 8 * (_stride(mx * my) + (2 * FLUSH_EVERY + 1) * _stride(my) + _stride(mx))
 
 
 def ba_solve(p, rho, beta, tol, max_iter, classes=None):
@@ -264,7 +266,8 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     stop = _stop_threshold(tol)
     # per slope in the order of betas: the q its point reads, its
     # iterations, its last tested max_y c(y) and whether it converged
-    Q, iters, top, converged = np.empty((n, my)), np.empty(n, int), np.empty(n), np.empty(n, bool)
+    Q = _aligned_stack(n, (my,))
+    iters, top, converged = np.empty(n, int), np.empty(n), np.empty(n, bool)
     slot = np.arange(n)  # the index in betas of each stacked slope
     it = 0
     while len(slot) > LONE_SLOPES and it < max_iter:
@@ -403,11 +406,17 @@ def _ba_points(P, rho, betas, cols, width, Q):
     return list(zip(rates.tolist(), np.add.reduce(terms.reshape(n, -1), axis=1).tolist()))
 
 
+def _stride(size) -> int:
+    """Doubles between the starts of two slices of ``size`` doubles in an
+    ``_aligned_stack``: the size rounded up to a multiple of 8, 64 bytes."""
+    return -(-size // 8) * 8
+
+
 def _aligned_stack(n, shape) -> np.ndarray:
     """An uninitialised float64 array of shape (n, *shape) whose n slices
     are C-contiguous and each start on a 64-byte boundary."""
     size = int(np.prod(shape))
-    stride = -(-size // 8) * 8
+    stride = _stride(size)
     buf = np.empty(8 * (n * stride + 8), dtype=np.uint8)
     start = -buf.ctypes.data % 64
     flat = buf[start:start + 8 * n * stride].view(np.float64)

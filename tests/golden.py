@@ -89,6 +89,8 @@ ARGV = [shlex.split(line) for line in """
     count --sft fixtures/goldenmean1d.sft --length 100000
     verify-theorem --sft fixtures/threedot.sft --alpha 2
     verify-theorem --sft fixtures/hardsquares.sft --alpha 2
+    verify-theorem --sft fixtures/hardsquares.sft --alpha 2 --action 0,1
+    verify-theorem --sft fixtures/hardsquares.sft --alpha 2 --action 1,1
     count --sft fixtures/hardsquares.sft --box 12
     count --sft fixtures/hardsquares.sft --box 30
     rdim --measure fixtures/parry_golden.measure --alpha 2 --delta 0.01

@@ -959,7 +959,8 @@ class TestVerifyTheorem:
 
     def test_skew_action_constrained_system_refused(self, fixtures_dir, tmp_path):
         # three-dot's skew windows are counted by rank; hard squares are not
-        # linear, and their skew windows would be backtracked
+        # linear, so their diagonal windows would be backtracked past the
+        # guard, while their vertical windows are rectangles
         code, rep = run_command([
             "verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
             "--action", "1,1"])
@@ -967,7 +968,11 @@ class TestVerifyTheorem:
         hard = tmp_path / "hard.sft"
         hard.write_text(HARD_SQUARES_TEXT)
         code, rep = run_command(["verify-theorem", "--sft", str(hard), "--action", "1,1"])
-        assert code == 1 and "full shifts, row-lifts and three-dot only" in rep["error"]
+        assert code == 1 and rep["error"].startswith(
+            "cannot count the Bowen window W(M=2, N=16) along (1,1): ")
+        assert "above the backtracking guard 64" in rep["error"]
+        code, rep = run_command(["verify-theorem", "--sft", str(hard), "--action", "0,1"])
+        assert code == 0 and rep["verdict"] == "BOUNDS-ONLY"
 
     def test_wrong_tolerance_fails_with_exit_2(self, fixtures_dir):
         code, rep = run_command([

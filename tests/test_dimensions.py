@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meandim as md
 from meandim import ActionSpec, IntRect, LatticeSet, MetricSpec, Pattern
 from meandim.errors import ResourceGuardError
-from meandim.estimates import resolution_depth
+from meandim.estimates import estimate_dict, resolution_depth
 
 from conftest import LOG2_PHI
+from test_subshift import linear_specs, row_specs, small_specs
 
 
 def mmdim(sft, spec, **kw):
@@ -395,6 +397,26 @@ class TestSkew:
         # horizontal runs keep their schedules, depth 1 included
         assert m_schedule(ActionSpec(1, 0)) == [2, 3, 4, 5, 6]
         assert m_schedule(ActionSpec(1, 0), (3, 1, 2, 2)) == [1, 2, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sft=st.one_of(small_specs(), row_specs(), linear_specs()),
+           action=st.sampled_from([(0, 1), (-1, 0), (0, -1), (1, 1), (-2, 1), (1, -3)]))
+    def test_verify_theorem_counts_what_plan_accepts(self, sft, action):
+        # verify-theorem refuses a skew run exactly where the Bowen table
+        # does, with its message, and otherwise reports the table's estimates
+        act, spec = ActionSpec(*action), MetricSpec(2.0)
+        try:
+            table = md.bowen_table(sft, None, spec, act, Nfactor=2)
+            mm, (_, upper) = md.mmdim_estimate(table), md.mhdim_bounds(table)
+        except md.MeandimError as err:
+            with pytest.raises(type(err)) as refused:
+                md.verify_theorem(sft, None, 2.0, None, Nfactor=2, action=act)
+            assert str(refused.value) == str(err)
+            return
+        rep = md.verify_theorem(sft, None, 2.0, None, Nfactor=2, action=act)
+        assert rep["results"]["mmdim"] == estimate_dict(mm)
+        assert rep["results"]["mhdim_upper"] == estimate_dict(upper)
+        assert (rep["verdict"] == "BOUNDS-ONLY") == (sft.certified is None)
 
 class TestTameGrowth:
     def test_full_shift_closed_form(self, full2, spec2):

@@ -494,6 +494,40 @@ class TestLoneSlopes:
         assert str(sweep.value) == str(single.value) and sweep.value.gap == single.value.gap
 
 
+class TestSlopeBytes:
+    def test_counts_every_stacked_array_of_a_sweep(self, monkeypatch, fixtures_dir):
+        # the float arrays ba_sweep holds per slope are each an _aligned_stack
+        # of one or FLUSH_EVERY slices per slope; slope_bytes is the sum of
+        # their per-slope strides on every problem shape
+        rng = np.random.default_rng(7)
+        measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
+        p, rho, rows, cols = md.rd_problem_from_measure(measure, 2, M=2).reduced
+        assert (rows.max() + 1, cols.max() + 1) == (48, 50)
+        problems = [(np.ones(1), np.zeros((1, 1)), None),
+                    (np.array([0.3, 0.7]), np.array([[0.0, 1.0], [1.0, 0.0]]), None),
+                    (rng.dirichlet(np.ones(3)), rng.random((3, 5)), None),
+                    (p, rho, (rows, cols)),
+                    (rng.dirichlet(np.ones(125)), rng.random((125, 512)), None)]
+        betas = [0.5, 1.0, 2.0, 4.0, 8.0]
+        assert len(betas) > kernels.LONE_SLOPES
+        stacks = []
+        aligned_stack = kernels._aligned_stack
+
+        def spy(n, shape):
+            stacks.append(aligned_stack(n, shape))
+            return stacks[-1]
+
+        monkeypatch.setattr(kernels, "_aligned_stack", spy)
+        for p, rho, classes in problems:
+            stacks.clear()
+            kernels.ba_sweep(p, rho, betas, 1e-9, 64, classes)
+            assert {len(a) for a in stacks} == {len(betas), kernels.FLUSH_EVERY * len(betas)}
+            held = sum(len(a) // len(betas) * a.strides[0] for a in stacks)
+            assert held == kernels.slope_bytes(rho, classes)
+        # a binary slope: K, Z and Q at one 64-byte line each, 64 ring slots
+        assert kernels.slope_bytes(np.zeros((2, 2))) == 64 * (3 + 2 * kernels.FLUSH_EVERY)
+
+
 def ba_point(P, rho, beta, cols, width, Q):
     """The lone reading of one point that ``kernels.ba_sweep`` once made per
     slope, kept as the oracle for ``kernels._ba_points``: (rate, distortion)."""
