@@ -329,44 +329,52 @@ def window_entropy(measure: MeasureSpec, support) -> float:
 
 class _RowChain:
     """What the chain readers reuse of one measure's row chain: log2 pi,
-    the log2 step matrices {g: log2 P^g} formed so far, the entropy rate,
-    and the max-plus DP along unit gaps, ``best[L - 1]`` being the largest
-    log2 mass of a contiguous row of L cells and ``vec`` the DP vector at
-    the longest L reached.  Each value is formed by the same operations in
-    the same order as a fresh DP from log2 pi, so a warm read gives the
-    bits of a cold one."""
+    the columns of the log2 step matrices {g: log2 P^g} formed so far, the
+    entropy rate, and the max-plus DP along unit gaps, ``best[L - 1]``
+    being the largest log2 mass of a contiguous row of L cells and ``vec``
+    the DP vector at the longest L reached.  Each value is formed by the
+    same operations in the same order as a fresh DP from log2 pi, so a warm
+    read gives the bits of a cold one."""
 
     def __init__(self, measure: MeasureSpec):
         self.measure = measure
         with np.errstate(divide="ignore"):
-            self.logpi = np.log2(measure.pi())
-        self.log_steps: dict[int, np.ndarray] = {}
+            self.logpi = np.log2(measure.pi()).tolist()
+        self.log_cols: dict[int, list[list[float]]] = {}
         self.vec = self.logpi
-        self.best = [float(np.maximum.reduce(self.vec))]
+        self.best = [max(self.vec)]
 
     @functools.cached_property
     def rate(self) -> float:
         return _cond_entropy(self.measure.pi(), _chain_steps(self.measure, [(0, 1)])[1])
 
-    def steps(self, gaps) -> dict[int, np.ndarray]:
-        """{g: log2 P^g}, with every gap of ``gaps`` formed."""
-        missing = set(gaps) - self.log_steps.keys()
+    def cols(self, gaps) -> dict[int, list[list[float]]]:
+        """{g: the columns of log2 P^g}, with every gap of ``gaps`` formed."""
+        missing = set(gaps) - self.log_cols.keys()
         if missing:
-            self.log_steps.update(_chain_steps(self.measure, [(0, g) for g in missing],
-                                               log=True))
-        return self.log_steps
+            self.log_cols.update((g, step.T.tolist()) for g, step in _chain_steps(
+                self.measure, [(0, g) for g in missing], log=True).items())
+        return self.log_cols
 
     def contiguous(self, length: int) -> float:
         """The largest log2 mass of a row of ``length`` adjacent cells; the
         DP is stepped only past the longest length reached so far."""
         if length > len(self.best):
-            step = self.steps({1})[1]
+            cols = self.cols({1})[1]
             vec = self.vec
             for _ in range(length - len(self.best)):
-                vec = np.maximum.reduce(vec[:, None] + step)
-                self.best.append(float(np.maximum.reduce(vec)))
+                vec = _max_plus(vec, cols)
+                self.best.append(max(vec))
             self.vec = vec
         return self.best[length - 1]
+
+
+def _max_plus(vec: list[float], cols: list[list[float]]) -> list[float]:
+    """One max-plus step in Python floats: entry j is the largest vec[i] +
+    log2 P^g(i, j), ``cols`` being the columns of log2 P^g.  Each term is
+    one IEEE sum and the maximum is exact, so the bits are those of the
+    same step in numpy, without its two calls' overhead on a q-vector."""
+    return [max([v + s for v, s in zip(vec, col)]) for col in cols]
 
 
 # one _RowChain per measure, kept for the life of the process
@@ -421,12 +429,12 @@ def max_cylinder_log2_prob(measure: MeasureSpec, support) -> float:
                           for g, k in ((1, b - a), (c - b, 1)) if k)
             shape += ((1, runs[-1][1] - runs[-1][0]),)
             if shape not in gapped:
-                log_steps = chain.steps(g for g, _ in shape)
+                log_cols = chain.cols(g for g, _ in shape)
                 vec = chain.logpi
                 for g, k in shape:
                     for _ in range(k):
-                        vec = np.maximum.reduce(vec[:, None] + log_steps[g])
-                gapped[shape] = float(np.maximum.reduce(vec))
+                        vec = _max_plus(vec, log_cols[g])
+                gapped[shape] = max(vec)
             value = gapped[shape]
         rows.append((_row_key(runs), value, n1 - n0 + 1))
     total = 0.0

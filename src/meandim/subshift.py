@@ -21,17 +21,19 @@ path that applies, and its ``run`` counts by that path's engine:
    patterns an affine subspace of GF(q)^shape, as for three-dot), q^(cells
    - rank) of the shapes' equations at every placement inside the
    support: the admissible patterns of an SFT that is a group form a
-   linear code (Kitchens and Schmidt, 1989);
+   linear code (Kitchens and Schmidt, 1989), a rectangle's read from the
+   rank strip of its height (``_RankStrip``);
 4. for any other spec's rectangle, a transfer sweep that adds a cell at a
    time (the transfer-matrix count of Calkin and Wilf for the hard-square
-   model); ``RectCounter`` holds it and the rank count for rectangles;
+   model); ``RectCounter`` holds the sweeps and the rank strips;
 5. otherwise backtracking (``kernels.backtrack``) with pruning at the
    moment a forbidden pattern completes.
 
 Guards fire before work, ``plan`` firing each that can before a count
 starts; no engine checks or walks a support again.  Counts above
-``MAX_COUNT_BITS`` bits are refused before they are formed, an
-elimination's cells x bandwidth is bounded by ``MAX_ELIMINATION_WORK``,
+``MAX_COUNT_BITS`` bits are refused before they are formed, a word
+count's walk by ``MAX_WALK_WORK``, an elimination's cells x bandwidth
+is bounded by ``MAX_ELIMINATION_WORK``,
 the sweep's profile q^L by ``MAX_STATES`` and its work by
 ``MAX_SWEEP_WORK``, and backtracking takes at most ``MAX_FREE_CELLS``
 cells and ``kernels.MAX_NODES`` descents.  Enumeration runs the same
@@ -62,6 +64,13 @@ MAX_COUNT_BITS = 1 << 18
 # 1,000 columns on (2-core Xeon VM, Python 3.11, numpy 2.4), so the guard
 # bounds a sweep to about 1.3 s there; 836 such columns fit, 837 do not.
 MAX_SWEEP_WORK = 1 << 35
+# largest cheaper side of the cost rule of ``word_count_1d`` (``_walk_costs``,
+# in small big-int products) that one word count of a plan may take.
+# Iteration took 70-145 ns per unit on a 64-node block graph from 30 to
+# 10,000 steps, squaring 52-99 ns on the golden mean from 10,000 to 262,143
+# (2-core Xeon VM, Python 3.11), so the guard bounds a word count to about
+# 2 s there.
+MAX_WALK_WORK = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -448,7 +457,8 @@ class _LinearSpec:
 
     def count(self, support) -> int:
         """The count on ``support``, after ``check``: one row per stack of
-        placements and equation, shifted to each of the stack's placements."""
+        placements and equation, shifted to each of the stack's placements,
+        q^(cells - rank) or 0 when they are inconsistent."""
         pts = LatticeSet.of(support)
 
         def rows():
@@ -460,16 +470,17 @@ class _LinearSpec:
                         for d in range(shift, shift + k):
                             for lead, row, const in templates:
                                 yield lead + d, row, const
-        return self._solve(len(pts), rows())
-
-    def _solve(self, cells: int, rows) -> int:
-        """q^(cells - rank) of ``rows``, (first cell, coefficients, constant)
-        triples, or 0 when they are inconsistent.  A pivot row is kept per
-        first cell; a row is reduced by the pivot at its first cell until
-        it is new there or vanishes, and a vanishing row with a nonzero
-        constant says 0 = 1."""
-        q = self.q
         pivots: dict[int, tuple] = {}
+        return self.q ** (len(pts) - len(pivots)) if self._eliminate(pivots, rows()) else 0
+
+    def _eliminate(self, pivots: dict[int, tuple], rows) -> bool:
+        """Reduce ``rows``, (first cell, coefficients, constant) triples,
+        into ``pivots``, one (row, constant) per first cell, each row 1 at
+        its first cell (a tuple over larger primes); False, with the rows
+        after it unread, at a row that says 0 = 1.  A row is reduced by the
+        pivot at its first cell until it is new there or vanishes, so a
+        pivot is read only by rows that start at or before its first cell."""
+        q = self.q
         for lead, row, const in rows:
             while lead in pivots:
                 prow, pconst = pivots[lead]
@@ -493,12 +504,96 @@ class _LinearSpec:
             else:
                 if q != 2:
                     inv = pow(row[0], q - 2, q)
-                    row, const = [x * inv % q for x in row], const * inv % q
+                    row, const = tuple([x * inv % q for x in row]), const * inv % q
                 pivots[lead] = (row, const)
                 continue
             if const:
-                return 0
-        return q ** (cells - len(pivots))
+                return False
+        return True
+
+
+class _RankStrip:
+    """Rank counts of a linear spec's rectangles of one height, every
+    width from one elimination along the strip of that height.
+
+    The strip's rows, one per equation and placement of each shape that
+    fits the height, reach ``_LinearSpec._eliminate`` column by column,
+    by the column where the placement ends, so that the rows of the first
+    W columns are the W-wide rectangle's and ``ranks[W]`` is their rank.
+    A row's first cell only moves right as it is reduced, so after each
+    column the pivots left of every later row's first cell are retired:
+    counted, and no longer kept.  Once every shape is in play (column at
+    least the widest shape's width minus 1), each column adds the rows of
+    the one before shifted by the height, so the live pivots, with their
+    first cells read from the column's, decide every later column.  At
+    the first repeat of that state, ``repeat`` = (W0, period, growth):
+    from width W0 on, the rank grows by ``growth`` every ``period``
+    columns, exactly.  A row that says 0 = 1 makes every width from
+    ``zero_from`` on count 0.  The strip holds the ranks up to the
+    repeat, and the live pivots and the states seen until it.
+    """
+
+    def __init__(self, linear: _LinearSpec, height: int):
+        self.linear = linear
+        self.height = height
+        # per equation and anchor row of each shape that fits: the first
+        # column its placements end in, and its rows' first cell there,
+        # coefficients and constant, the first cell relative to the column's
+        self.rows = []
+        for shape, eqs in linear.shapes:
+            last_col, top = shape[-1][0], max(n for _, n in shape)
+            if top >= height:
+                continue
+            for terms, const in eqs:
+                lead, row = linear._row([(shape[i][0] * height + shape[i][1], c)
+                                         for i, c in terms])
+                self.rows += [(last_col, lead + n - last_col * height, row, const)
+                              for n in range(height - top)]
+        self.start = max((first for first, _, _, _ in self.rows), default=0)
+        # a later column's rows start at least this far past its column's first cell
+        self.reach = min((rel for _, rel, _, _ in self.rows), default=0)
+        self.ranks = [0]
+        self.repeat: tuple[int, int, int] | None = None
+        self.zero_from = math.inf
+        self._pivots: dict | None = {}
+        self._retired = 0
+        self._seen: dict = {}
+
+    def count(self, width: int) -> int:
+        """The count on the ``width`` x height rectangle."""
+        while width >= len(self.ranks) and self._pivots is not None:
+            self._column()
+        if width >= self.zero_from:
+            return 0
+        if width < len(self.ranks):
+            rank = self.ranks[width]
+        else:
+            start, period, growth = self.repeat
+            k, r = divmod(width - start, period)
+            rank = self.ranks[start + r] + k * growth
+        return self.linear.q ** (width * self.height - rank)
+
+    def _column(self) -> None:
+        col = len(self.ranks) - 1
+        base = col * self.height
+        pivots = self._pivots
+        if not self.linear._eliminate(pivots, [(base + rel, row, const)
+                                               for first, rel, row, const in self.rows
+                                               if first <= col]):
+            self.zero_from = col + 1
+            self._pivots = self._seen = None
+            return
+        reach = base + self.height + self.reach
+        for lead in [lead for lead in pivots if lead < reach]:
+            del pivots[lead]
+            self._retired += 1
+        self.ranks.append(self._retired + len(pivots))
+        if col >= self.start:
+            state = tuple(sorted((lead - base, *pivot) for lead, pivot in pivots.items()))
+            first = self._seen.setdefault(state, col + 1)
+            if first <= col:
+                self.repeat = (first, col + 1 - first, self.ranks[-1] - self.ranks[first])
+                self._pivots = self._seen = None
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +607,26 @@ class RectCounter:
 
     Counts depend only on the rectangle's column/row numbers.  The spec's
     equations are detected once, at construction (see ``_LinearSpec``).
-    Sweeps (see ``_CellSweep``) are cached per orientation and height
-    with a total per column, so asking for (W, H) after (W', H) with
-    W' > W is free.  ``rect_counter`` keeps one per spec for the life of
-    the process.
+    Rank strips (see ``_RankStrip``) are cached per height, sweeps (see
+    ``_CellSweep``) per orientation and height, each with a result per
+    column, so asking for (W, H) after (W', H) with W' > W is free.
+    ``rect_counter`` keeps one per spec for the life of the process.
     """
 
     def __init__(self, sft: SftSpec):
         self.sft = sft
         self.linear = _LinearSpec.detect(sft)
+        self._strips: dict[int, _RankStrip] = {}
         self._sweeps: dict[tuple[bool, int], _CellSweep] = {}
 
     def try_count(self, ncols: int, nrows: int) -> int | None:
-        """The count on an ncols x nrows rectangle that ``plan`` checked: by rank
-        for a linear spec, otherwise by the sweep ``sweep_for`` picks, or None."""
+        """The count on an ncols x nrows rectangle that ``plan`` checked: by the
+        rank strip of its height for a linear spec, otherwise by the sweep
+        ``sweep_for`` picks, or None."""
         if self.linear is not None:
-            return self.linear.count(IntRect(0, ncols - 1, 0, nrows - 1))
+            if nrows not in self._strips:
+                self._strips[nrows] = _RankStrip(self.linear, nrows)
+            return self._strips[nrows].count(ncols)
         sweep, width = self.sweep_for(ncols, nrows)
         return None if self.sft.nsymbols ** sweep.span > MAX_STATES else sweep.total(width)
 
@@ -761,10 +860,19 @@ def _row_lengths(sft: SftSpec, pts, rect: IntRect | None) -> dict[int, int] | No
     if longest * math.log2(sft.nsymbols) > MAX_COUNT_BITS:
         raise ResourceGuardError(
             f"a row of {longest} cells may count above the guard of {MAX_COUNT_BITS} bits")
+    base = base_of_row_lift(sft)
     try:
-        transfer_graph_1d(base_of_row_lift(sft))
+        nodes, _ = transfer_graph_1d(base)
     except ResourceGuardError:
         return None
+    steps = longest - (_recoding_width(sft) - 1)
+    if nodes and steps > 0:
+        work = min(_walk_costs(base, steps))
+        if work > MAX_WALK_WORK:
+            raise ResourceGuardError(
+                f"a row of {longest} cells takes a walk of {steps} steps on {len(nodes)} "
+                f"block nodes, about {work:.3g} units of work, above the walk guard of "
+                f"{MAX_WALK_WORK}")
     return lengths
 
 
@@ -861,7 +969,8 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
 
     From length k-1 on this is 1^T T^(length-k+1) 1 over the block graph
     (see ``transfer_graph_1d``), computed in Python ints by repeated
-    squaring when ``_squaring_pays`` and by stepping a vector otherwise;
+    squaring or by stepping a vector, whichever ``_walk_costs`` rates
+    cheaper;
     shorter words are listed by ``_words``.
     """
     if sft.dimension != 1:
@@ -875,23 +984,31 @@ def word_count_1d(sft: SftSpec, length: int) -> int:
     if not nodes:
         return 0  # every word this long contains a (k-1)-block, none admissible
     steps = length - k1
-    if _squaring_pays(len(nodes), int(T.sum()), int(T.sum(axis=1).max()), steps):
-        return _walks_by_squaring(T, steps)
-    return _walks_by_iteration(T, steps)
+    squaring, iteration = _walk_costs(sft, steps)
+    return (_walks_by_squaring if squaring < iteration else _walks_by_iteration)(T, steps)
 
 
-def _squaring_pays(nodes: int, edges: int, degree: int, steps: int) -> bool:
-    """The cost rule of ``word_count_1d``, in units of one small big-int
-    product.  Squaring makes about nodes^3 log2(steps) products, and its
+def _walk_costs(sft: SftSpec, steps: int) -> tuple[float, float]:
+    """The cost rule of ``word_count_1d`` on the block graph of the 1D spec
+    ``sft``, as the costs of squaring and of iteration in units of one
+    small big-int product.  Squaring makes about nodes^3 log2(steps) products, and its
     last doublings multiply numbers of about ``bits`` bits (Karatsuba, so
     bits^1.585); iteration makes steps * edges sums of numbers of up to
     ``bits`` bits, each about twice a small product.  ``bits`` is steps *
     log2(largest out-degree), which bounds the count's growth.  The
     constants are fitted to timings of both methods on 1D specs with 2 to
     64 block nodes at 3 to 10^5 steps."""
+    nodes, edges, degree = _graph_sizes(sft)
     bits = steps * math.log2(max(degree, 1))
-    return nodes ** 3 * (steps.bit_length() + bits ** 1.585 / 10 ** 4) < \
-        steps * edges * (2 + bits / 4000)
+    return (nodes ** 3 * (steps.bit_length() + bits ** 1.585 / 10 ** 4),
+            steps * edges * (2 + bits / 4000))
+
+
+@functools.cache
+def _graph_sizes(sft: SftSpec) -> tuple[int, int, int]:
+    """Nodes, edges and largest out-degree of the spec's block graph."""
+    nodes, T = transfer_graph_1d(sft)
+    return len(nodes), int(T.sum()), int(T.sum(axis=1).max(initial=0))
 
 
 def _walks_by_squaring(T: np.ndarray, steps: int) -> int:

@@ -23,6 +23,7 @@ from meandim.files import parse_measure_text, parse_sft_text
 
 import golden
 from conftest import LOG2_PHI
+from test_subshift import dense_1d_spec
 
 
 GOLDEN_ROW_TEXT = """\
@@ -285,6 +286,20 @@ class TestRunCommand:
         assert code == 1 and rep["error"] == ("a linear count on 300006 cells may have up "
                                               "to 300006 bits, above the guard of 262144")
         assert time.perf_counter() - t0 < 0.05
+
+    def test_long_word_count_refused_by_the_walk_guard(self, tmp_path):
+        # a 64-node block graph's 29,997-step walk took 7.6 s and exited 0
+        # before the guard
+        spec = tmp_path / "dense.sft"
+        spec.write_text("dimension: 1\nalphabet: 0 1 2 3\nforbidden:\n" + "".join(
+            " ".join(f"({m})={s}" for (m, _), s in f.cells) + "\n"
+            for f in dense_1d_spec().forbidden))
+        t0 = time.perf_counter()
+        code, rep = run_command(["count", "--sft", str(spec), "--length", "30000"])
+        assert code == 1 and rep["error"] == (
+            "a row of 30000 cells takes a walk of 29997 steps on 64 block nodes, about "
+            "9.99e+07 units of work, above the walk guard of 16777216")
+        assert time.perf_counter() - t0 < 1.0
 
     def test_rectangle_count_never_builds_points(self, fixtures_dir, monkeypatch):
         # ten columns by 10^9 + 1 rows: a product of rows, refused from the
@@ -937,9 +952,10 @@ class TestVerifyTheorem:
         # three-dot's ten windows along (7, 5) are counted by rank: nine are
         # past the bound that their cells set on the elimination, so their
         # plans walk their bandwidth, and each elimination walks its window's
-        # placements; the certificate's 2x2 to 4x4 boxes walk theirs once.
-        # When each count planned and checked its window again, the
-        # bandwidth walk ran 27 times and the placements walk 40
+        # placements; the certificate's 2x2 to 4x4 boxes are rectangles, read
+        # from rank strips that walk none.  When each count planned and
+        # checked its window again, the bandwidth walk ran 27 times and the
+        # placements walk 40; before the strips, the boxes made it 22
         calls = {}
 
         def counted(owner, name):
@@ -955,7 +971,7 @@ class TestVerifyTheorem:
         code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "threedot.sft"),
                                  "--alpha", "2", "--action", "7,5"])
         assert code == 0 and rep["verdict"] == "PASS"
-        assert calls == {"bandwidth": 9, "placements": 22}
+        assert calls == {"bandwidth": 9, "placements": 19}
 
     def test_skew_action_constrained_system_refused(self, fixtures_dir, tmp_path):
         # three-dot's skew windows are counted by rank; hard squares are not

@@ -441,7 +441,9 @@ class TestTameGrowth:
         # Mmax = 256 is refused before the 101 squares under it are counted
         def no_solve(*args):
             raise AssertionError("a window was counted")
-        monkeypatch.setattr(md.subshift._LinearSpec, "_solve", no_solve)
+        monkeypatch.setattr(md.subshift._LinearSpec, "_eliminate", no_solve)
+        monkeypatch.setattr(md.subshift, "rect_counter",
+                            functools.cache(md.subshift.RectCounter))
         with pytest.raises(ResourceGuardError, match=r"depth M = 102 \(eliminating .* "
                            r"elimination guard .*largest Mmax it can count on this "
                            r"subshift is 101$"):

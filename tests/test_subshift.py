@@ -1,7 +1,9 @@
 import collections
 import contextlib
+import functools
 import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -14,9 +16,8 @@ from meandim.lattice import SweptWindow
 from meandim.errors import EmptyLanguageError, ParseError, ResourceGuardError
 from meandim.files import parse_sft_text
 from meandim.subshift import (MAX_COUNT_BITS, RectCounter, _CellSweep, _LinearSpec,
-                              _one_d_extendable, _placement_groups, _recoding_width,
-                              _squaring_pays, _words,
-                              _walks_by_iteration, _walks_by_squaring,
+                              _RankStrip, _one_d_extendable, _placement_groups, _recoding_width,
+                              _walk_costs, _walks_by_iteration, _walks_by_squaring, _words,
                               base_of_row_lift, certificate_of, rect_counter,
                               transfer_graph_1d)
 
@@ -89,6 +90,13 @@ def linear_specs(draw):
     return md.SftSpec(2, md.alphabet(*(str(s) for s in range(q))), tuple(pats))
 
 
+def dense_1d_spec():
+    """The 1D spec on 4 symbols forbidding 60 random four-letter words."""
+    words = random.Random(1).sample(list(itertools.product("0123", repeat=4)), 60)
+    return md.SftSpec(1, md.alphabet(*"0123"), tuple(
+        Pattern.from_dict({(i, 0): s for i, s in enumerate(w)}) for w in words))
+
+
 def parity_spec(q, cells, const=0):
     """The spec forbidding every pattern on ``cells`` whose symbols do not
     sum to ``const`` mod q."""
@@ -153,8 +161,10 @@ def point_index_rows(linear, pts):
 def oracle_count(linear, pts):
     """A linear spec's count from ``point_index_rows``: the reference for
     ``_LinearSpec.count``, which walks column runs."""
-    return linear._solve(len(LatticeSet.of(pts)), (
-        (*linear._row(indexed), const) for indexed, const in point_index_rows(linear, pts)))
+    pivots = {}
+    rows = ((*linear._row(indexed), const) for indexed, const in point_index_rows(linear, pts))
+    return linear.q ** (len(LatticeSet.of(pts)) - len(pivots)) \
+        if linear._eliminate(pivots, rows) else 0
 
 
 def oracle_bandwidth(linear, pts):
@@ -703,8 +713,7 @@ class TestTransferEntropy:
     @given(small_specs(dimension=1), st.integers(1, 9), st.integers(-1, 0))
     def test_squaring_matches_iteration_and_backtracking(self, sft, length, side):
         nodes, T = transfer_graph_1d(sft)
-        edges, degree = int(T.sum()), int(T.sum(axis=1).max(initial=0))
-        assume(edges > 0)
+        assume(T.sum() > 0)
         k1 = _recoding_width(sft) - 1
         bt = md.count_locally_admissible(sft, md.row_interval(length),
                                          algorithm="backtracking")
@@ -713,10 +722,12 @@ class TestTransferEntropy:
             assert _walks_by_iteration(T, length - k1) == bt
         # the first step count at which the cost rule picks squaring, and
         # the one before, where it picks iteration
-        cross = next(s for s in itertools.count(1)
-                     if _squaring_pays(len(nodes), edges, degree, s))
+        def squaring_pays(steps):
+            squaring, iteration = _walk_costs(sft, steps)
+            return squaring < iteration
+        cross = next(s for s in itertools.count(1) if squaring_pays(s))
         steps = cross + side
-        assert _squaring_pays(len(nodes), edges, degree, steps) == (side == 0)
+        assert squaring_pays(steps) == (side == 0)
         want = _walks_by_iteration(T, steps)
         assert _walks_by_squaring(T, steps) == want == md.word_count_1d(sft, steps + k1)
         if steps + k1 <= 12:
@@ -754,6 +765,37 @@ class TestTransferEntropy:
         # a long interval stays cheap through the graph route
         assert md.count_locally_admissible(golden1d, md.row_interval(90)) == \
             fib_count(90)
+
+    def test_walk_guard_refuses_a_long_word_count_before_the_walk(self, golden1d,
+                                                                   monkeypatch):
+        # 4 symbols forbidding 60 of the 256 four-letter words: a 64-node
+        # block graph, whose 29,997-step walk took 7.6 s before the guard
+        dense = dense_1d_spec()
+        assert len(transfer_graph_1d(dense)[0]) == 64
+        lift = md.row_lift(dense)
+
+        def no_walk(*args):
+            raise AssertionError("the walk ran")
+        with monkeypatch.context() as mp:
+            mp.setattr(md.subshift, "_walks_by_iteration", no_walk)
+            mp.setattr(md.subshift, "_walks_by_squaring", no_walk)
+            for sft, support in ((dense, md.row_interval(30_000)),
+                                 (lift, IntRect(0, 29_999, 0, 2))):
+                t0 = time.perf_counter()
+                with pytest.raises(ResourceGuardError, match="above the walk guard of 16777216"):
+                    md.count_locally_admissible(sft, support)
+                assert time.perf_counter() - t0 < 1.0
+            # the cheaper side of the cost rule is what the guard reads
+            work = min(_walk_costs(dense, 300 - 3))
+            mp.setattr(md.subshift, "MAX_WALK_WORK", math.ceil(work) - 1)
+            with pytest.raises(ResourceGuardError, match="walk guard"):
+                md.count_locally_admissible(dense, md.row_interval(300))
+            mp.setattr(md.subshift, "MAX_WALK_WORK", math.ceil(work))
+            with pytest.raises(AssertionError, match="the walk ran"):
+                md.count_locally_admissible(dense, md.row_interval(300))
+        # the golden mean's longest row under the bit guard squares well under it
+        assert md.count_locally_admissible(golden1d, md.row_interval(MAX_COUNT_BITS)) == \
+            fib_count(MAX_COUNT_BITS)
 
     def test_empty_block_graph_counts_zero(self):
         # forbid 0, 11 and 0?1: no 2-block is admissible, so the block graph
@@ -864,7 +906,7 @@ class TestLinear:
             # over the points, by each placement's first cell
             seen = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_LinearSpec, "_solve", lambda self, cells, rows: seen.extend(rows))
+                mp.setattr(_LinearSpec, "_eliminate", lambda self, pivots, rows: seen.extend(rows))
                 linear.count(pts)
             assert seen == [(*linear._row(indexed), const)
                             for indexed, const in point_index_rows(linear, pts)]
@@ -895,6 +937,57 @@ class TestLinear:
         assume(sft.nsymbols ** sweep.span <= 4096)
         assert RectCounter(sft).linear is not None
         assert RectCounter(sft).try_count(w, h) == sweep.total(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_specs(), st.integers(1, 5),
+           st.lists(st.integers(1, 30), min_size=1, max_size=6), st.data())
+    def test_rank_strip_matches_elimination_at_any_width(self, sft, height, widths, data):
+        # widths asked in random order, then past the strip's repeat: the
+        # strip against the rectangle's own elimination and backtracking
+        rc = RectCounter(sft)
+        linear = rc.linear
+
+        def check(width):
+            rect = IntRect(0, width - 1, 0, height - 1)
+            got = rc.try_count(width, height)
+            assert got == linear.count(rect)
+            if sft.nsymbols ** rect.cardinality() <= 2 ** 12:
+                assert got == md.count_locally_admissible(sft, rect, algorithm="backtracking")
+        for width in widths:
+            check(width)
+        strip = rc._strips[height]
+        while strip.repeat is None and strip.zero_from == math.inf:
+            assert len(strip.ranks) < 100
+            check(len(strip.ranks))
+        if strip.repeat is not None:
+            start, period, _ = strip.repeat
+            assert start + period == len(strip.ranks) - 1
+        check(len(strip.ranks) + data.draw(st.integers(0, 40)))
+
+    def test_three_dot_strip_extrapolates(self, threedot):
+        # 2^(w + h - 1) on 10,000 x 3, read from the strip's first columns,
+        # and on 3 x 10,000 from its height's strip
+        rc = RectCounter(threedot)
+        assert rc.try_count(10_000, 3) == 2 ** 10_002
+        assert len(rc._strips[3].ranks) <= 4 and rc._strips[3].repeat[1:] == (1, 2)
+        assert md.count_locally_admissible(threedot, IntRect(0, 9_999, 0, 2)) == 2 ** 10_002
+        assert rc.try_count(3, 10_000) == 2 ** 10_002
+
+    def test_inconsistent_strip_counts_zero_at_every_width(self):
+        # every cell 0, and horizontal neighbours sum to 1 over GF(2): one
+        # column counts 1, every wider rectangle 0
+        zero = Pattern.from_dict({(0, 0): "1"})
+        pair = [Pattern.from_dict({(0, 0): a, (1, 0): b}) for a, b in ("00", "11")]
+        sft = md.SftSpec(2, md.alphabet("0", "1"), (zero, *pair))
+        rc = RectCounter(sft)
+        for width in (7, 1, 30, 2, 10 ** 6, 5):
+            for height in (1, 3):
+                want = 1 if width == 1 else 0
+                assert rc.try_count(width, height) == want
+                if width < 10 ** 6:
+                    assert md.count_locally_admissible(
+                        sft, IntRect(0, width - 1, 0, height - 1)) == want
+        assert rc._strips[3].zero_from == 2 and len(rc._strips[3].ranks) == 2
 
     def test_three_dot_past_the_sweep(self, threedot):
         # 2^(2N-1) on N x N squares the sweep's state guard refuses
@@ -955,7 +1048,10 @@ class TestLinear:
     def test_guards_fire_before_elimination(self, threedot, monkeypatch):
         def no_solve(*args):
             raise AssertionError("the elimination ran")
-        monkeypatch.setattr(_LinearSpec, "_solve", no_solve)
+        # the one reducer of point sets and rank strips alike, and no strip
+        # cached by an earlier count
+        monkeypatch.setattr(_LinearSpec, "_eliminate", no_solve)
+        monkeypatch.setattr(md.subshift, "rect_counter", functools.cache(RectCounter))
         # the 300,000 x 2 rectangle may count up to 600,000 bits
         with pytest.raises(ResourceGuardError, match="bits"):
             md.count_locally_admissible(threedot, IntRect(0, 299_999, 0, 1))
@@ -1142,11 +1238,12 @@ class TestPlan:
     is built or engine runs, and an accepted one names the engine that
     ``count_locally_admissible`` then runs."""
 
-    # the engine each path runs; "empty" and "closed form" run none
-    ENGINES = {"row product": (md.subshift, "_row_product"),
-               "rank": (_LinearSpec, "count"),
-               "sweep": (_CellSweep, "total"),
-               "backtracking": (kernels, "backtrack_count")}
+    # the engines each path runs, a rank count of a rectangle its height's
+    # strip; "empty" and "closed form" run none
+    ENGINES = {"row product": ((md.subshift, "_row_product"),),
+               "rank": ((_LinearSpec, "count"), (_RankStrip, "count")),
+               "sweep": ((_CellSweep, "total"),),
+               "backtracking": ((kernels, "backtrack_count"),)}
 
     @staticmethod
     def windows():
@@ -1186,8 +1283,8 @@ class TestPlan:
             return record
 
         with pytest.MonkeyPatch.context() as mp:
-            for path, (owner, *names) in self.ENGINES.items():
-                for name in names:
+            for path, engines in self.ENGINES.items():
+                for owner, name in engines:
                     mp.setattr(owner, name, recorder(path))
             with pytest.MonkeyPatch.context() as builders:
                 builders.setattr(md.lattice, "lambda_set", recorder("lambda_set"))
