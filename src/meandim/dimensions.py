@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import EmptyLanguageError, InvertedBoundsError, MeandimError, ResourceGuardError
+from .errors import InvertedBoundsError, MeandimError, ResourceGuardError
 from .estimates import (DimensionEstimate, check_alpha, estimate_dict, estimate_table,
                         fit_limit, resolution_depth)
 from .information import (MeasureSpec, check_support, default_rdim_schedule,
@@ -76,13 +76,6 @@ class MetricValue(NamedTuple):
 
     value: float
     exact: bool
-
-
-def _log2_count(c: int) -> float:
-    if c <= 0:
-        raise EmptyLanguageError(
-            "no admissible pattern fits the window: the subshift is empty")
-    return math.log2(c)
 
 
 def metric_eval(spec: MetricSpec, p: Pattern, q: Pattern) -> MetricValue:
@@ -248,7 +241,7 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
         windows = [bowen_window(action, N, M, swept=w) for N, (w, _) in row.items()]
         counts = masses = None
         if M in Ms:
-            counts = tuple(_log2_count(how.run()) for _, how in row.values())
+            counts = tuple(how.log2() for _, how in row.values())
         if measure is not None:
             masses = tuple(-max_cylinder_log2_prob(measure, w) for w in windows)
         rows[M] = BowenRow(Ns, counts, masses)
@@ -335,8 +328,12 @@ def mhdim_bounds(table: BowenTable) -> tuple[DimensionEstimate | None, Dimension
     return lower, upper
 
 
-# largest Mmax of tame_growth_check; the full shift's count at depth M is
-# q^((2M-1)^2), whose size makes run time grow about as M^4
+# largest Mmax of tame_growth_check, which counts one (2M-1) x (2M-1) window
+# per depth M up to Mmax.  A closed form's log2 is read from its plan, but
+# any other count is formed, with up to (2M-1)^2 log2 q bits: the golden
+# row's stay under the count-bit guard past depth 256 and take about 0.2 s
+# up to it (2-core Xeon VM, Python 3.11), so this bounds the depths and
+# their counts' work where the bit guard does not
 MAX_TAME_M = 256
 
 
@@ -377,7 +374,7 @@ def tame_growth_check(sft: SftSpec, spec: MetricSpec, delta: float,
 
     plans = [at_depth(M, lambda: plan(sft, SweptWindow(1, 0, M, 1)))
              for M in range(1, Mmax + 1)]
-    rows = [(M, spec.epsilon_at(M) ** delta * _log2_count(at_depth(M, how.run)))
+    rows = [(M, spec.epsilon_at(M) ** delta * at_depth(M, how.log2))
             for M, how in enumerate(plans, 1)]
     tail = max(2, Mmax // 4)
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
@@ -408,7 +405,7 @@ def minkowski_sequence_1d(sft: SftSpec, spec: MetricSpec,
     if any(M < 1 for M in Ms):
         raise ValueError("depths must be positive")
     plans = [plan(sft, IntRect(0, M - 1, 0, 0)) for M in Ms]
-    return [(M, _log2_count(how.run()) / (M * spec.log2_alpha)) for M, how in zip(Ms, plans)]
+    return [(M, how.log2() / (M * spec.log2_alpha)) for M, how in zip(Ms, plans)]
 
 
 def minkowski_estimate_1d(sft: SftSpec, spec: MetricSpec,
@@ -434,7 +431,7 @@ def hausdorff_bracket_1d(sft: SftSpec, measure: MeasureSpec, spec: MetricSpec,
     if sft.dimension != 1:
         raise ValueError("hausdorff_bracket_1d expects a 1D spec")
     check_support(measure, sft)
-    upper = _log2_count(plan(sft, IntRect(0, M - 1, 0, 0)).run()) / (M * spec.log2_alpha)
+    upper = plan(sft, IntRect(0, M - 1, 0, 0)).log2() / (M * spec.log2_alpha)
     lower = -max_cylinder_log2_prob(measure, IntRect(0, M - 1, 0, 0)) / (M * spec.log2_alpha)
     return lower, upper
 

@@ -763,6 +763,19 @@ class CountPlan(NamedTuple):
     bits: float
     run: Callable[[], int]
 
+    def log2(self) -> float:
+        """log2 of the count.  The empty and closed-form paths count
+        q^cells, whose log2 is ``bits``, read without forming q^cells (the
+        same double when q is a power of two); any other path runs its
+        engine.  Refuses a count of 0, whose log2 no estimator can read."""
+        if self.path in ("empty", "closed form"):
+            return self.bits
+        count = self.run()
+        if count == 0:
+            raise EmptyLanguageError(
+                "no admissible pattern fits the window: the subshift is empty")
+        return math.log2(count)
+
 
 def plan(sft: SftSpec, support, algorithm: str = "auto") -> CountPlan:
     """The path ("empty", "closed form", "row product", "rank", "sweep" or
@@ -992,12 +1005,15 @@ def _walk_costs(sft: SftSpec, steps: int) -> tuple[float, float]:
     """The cost rule of ``word_count_1d`` on the block graph of the 1D spec
     ``sft``, as the costs of squaring and of iteration in units of one
     small big-int product.  Squaring makes about nodes^3 log2(steps) products, and its
-    last doublings multiply numbers of about ``bits`` bits (Karatsuba, so
-    bits^1.585); iteration makes steps * edges sums of numbers of up to
+    last doublings multiply numbers of about bits/2 bits, since its walk
+    meets in the middle (Karatsuba, so bits^1.585 up to a constant factor);
+    iteration makes steps * edges sums of numbers of up to
     ``bits`` bits, each about twice a small product.  ``bits`` is steps *
     log2(largest out-degree), which bounds the count's growth.  The
     constants are fitted to timings of both methods on 1D specs with 2 to
-    64 block nodes at 3 to 10^5 steps."""
+    64 block nodes at 3 to 10^5 steps; on the golden mean at 300 to 30,000
+    steps and on a 64-node graph at 3 to 30,000 the cheaper side is the
+    faster method."""
     nodes, edges, degree = _graph_sizes(sft)
     bits = steps * math.log2(max(degree, 1))
     return (nodes ** 3 * (steps.bit_length() + bits ** 1.585 / 10 ** 4),
@@ -1012,17 +1028,23 @@ def _graph_sizes(sft: SftSpec) -> tuple[int, int, int]:
 
 
 def _walks_by_squaring(T: np.ndarray, steps: int) -> int:
-    """1^T T^steps 1: the row vector takes T^(2^i) for each set bit i."""
-    vec, power = [1] * T.shape[0], T.tolist()
-    while steps:
-        if steps & 1:
-            vec = [sum(v * p for v, p in zip(vec, col)) for col in zip(*power)]
-        steps >>= 1
-        if steps:
-            cols = list(zip(*power))
-            power = [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                     for row in power]
-    return sum(vec)
+    """1^T T^steps 1, met in the middle as (1^T T^h)(T^(steps-h) 1) with
+    h = steps // 2: the row vector takes T^(2^i) for each set bit i of h,
+    the column vector for each of steps - h.  The squares stop at the top
+    bit of steps - h, so unless steps is 2^k - 1 the last and largest
+    square of T^steps never runs."""
+    half, rest = steps // 2, steps - steps // 2
+    row, col, power = [1] * T.shape[0], [1] * T.shape[0], T.tolist()
+    while rest:
+        cols = list(zip(*power))
+        if half & 1:
+            row = [sum(v * p for v, p in zip(row, c)) for c in cols]
+        if rest & 1:
+            col = [sum(p * v for p, v in zip(r, col)) for r in power]
+        half, rest = half >> 1, rest >> 1
+        if rest:
+            power = [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in power]
+    return sum(r * c for r, c in zip(row, col))
 
 
 def _walks_by_iteration(T: np.ndarray, steps: int) -> int:
@@ -1109,7 +1131,7 @@ def box_entropy_estimate(sft: SftSpec, Nmax: int) -> list[tuple[int, float]]:
     if Nmax < 1:
         raise ValueError("Nmax must be positive")
     plans = [plan(sft, IntRect(0, N - 1, 0, N - 1)) for N in range(Nmax, 0, -1)]
-    return [(N, math.log2(how.run()) / (N * N)) for N, how in enumerate(reversed(plans), 1)]
+    return [(N, how.log2() / (N * N)) for N, how in enumerate(reversed(plans), 1)]
 
 
 def _one_d_extendable(base: SftSpec) -> bool:

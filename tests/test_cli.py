@@ -518,6 +518,16 @@ class TestRunCommand:
         assert time.perf_counter() - t0 < 0.5
         assert code == 1 and "1000000 cells" in rep["error"]
 
+    def test_entropy_box_on_an_empty_subshift_names_it(self, tmp_path):
+        # no symbol may sit at a cell, so every box counts 0; the box
+        # estimate gave only "math domain error"
+        spec = tmp_path / "empty.sft"
+        spec.write_text("dimension: 2\nalphabet: 0 1\nforbidden:\n(0,0)=0\n(0,0)=1\n")
+        for argv in (["entropy", "--mode", "box", "--Nmax", "3"], ["tame-check"], ["mmdim"]):
+            code, rep = run_command([*argv, "--sft", str(spec)])
+            assert code == 1 and rep["error"] == \
+                "no admissible pattern fits the window: the subshift is empty"
+
     def test_entropy_transfer_on_row_lift(self, fixtures_dir):
         code, rep = run_command(["entropy", "--sft", fx(fixtures_dir, "goldenrow.sft"),
                                  "--mode", "transfer"])

@@ -9,6 +9,8 @@ import meandim as md
 from meandim import ActionSpec, IntRect, LatticeSet, MetricSpec, Pattern
 from meandim.errors import ResourceGuardError
 from meandim.estimates import estimate_dict, resolution_depth
+from meandim.lattice import SweptWindow
+from meandim.subshift import _walks_by_iteration, _walks_by_squaring, transfer_graph_1d
 
 from conftest import LOG2_PHI
 from test_subshift import linear_specs, row_specs, small_specs
@@ -453,6 +455,56 @@ class TestTameGrowth:
         res = md.tame_growth_check(md.full_shift(("0",)), spec2, 0.5, 8)
         assert all(v == 0.0 for _, v in res.table)
         assert res.verdict == "consistent"
+
+
+def binet(n):
+    """F(n) by Binet's formula, (phi^n - psi^n) / sqrt 5, in exact arithmetic:
+    (1 + sqrt 5)^n = a + b sqrt 5 gives F(n) = b / 2^(n-1)."""
+    a, b = 1, 0
+    for bit in bin(n)[2:]:
+        a, b = a * a + 5 * b * b, 2 * a * b
+        if bit == "1":
+            a, b = a + 5 * b, a + b
+    assert b % (1 << (n - 1)) == 0
+    return b >> (n - 1)
+
+
+class TestLog2WithoutTheCount:
+    """The estimators read a closed form's log2 from its plan, never forming
+    q^cells, and a long word count walks half the steps from each end."""
+
+    @pytest.fixture
+    def closed_forms_uncounted(self, monkeypatch):
+        def no_count():
+            raise AssertionError("a closed form was counted")
+
+        def planned(*args):
+            how = md.subshift.plan(*args)
+            return how._replace(run=no_count) if how.path in ("empty", "closed form") else how
+        monkeypatch.setattr(md.dimensions, "plan", planned)
+
+    def test_tame_check_on_the_full_shift(self, full2, spec2, closed_forms_uncounted):
+        res = md.tame_growth_check(full2, spec2, 0.1, 96)
+        assert res.table == tuple(
+            (M, spec2.epsilon_at(M) ** 0.1 * math.log2(2 ** ((2 * M - 1) ** 2)))
+            for M in range(1, 97))
+        assert res.verdict == "consistent"
+
+    def test_bowen_table_on_the_full_shift(self, full2, spec2, closed_forms_uncounted):
+        table = md.bowen_table(full2, None, spec2)
+        for M in table.schedule:
+            row = table.rows[M]
+            assert row.log2_counts == tuple(
+                math.log2(md.count_locally_admissible(full2, SweptWindow(1, 0, M, N)))
+                for N in row.Ns)
+
+    def test_golden_walks_meet_in_the_middle(self, golden1d):
+        # 1^T T^steps 1 counts the golden mean's words of steps + 1 letters,
+        # F(steps + 3)
+        _, T = transfer_graph_1d(golden1d)
+        for steps in (0, 1, 2, 99_999, 100_000):
+            assert _walks_by_squaring(T, steps) == _walks_by_iteration(T, steps) == \
+                binet(steps + 3)
 
 
 class TestFitLimit:

@@ -4,11 +4,12 @@ import functools
 import itertools
 import math
 import random
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import meandim as md
 from meandim import IntRect, LatticeSet, Pattern, kernels
@@ -1311,6 +1312,42 @@ class TestPlan:
             assert ran == ([] if how.path in ("empty", "closed form") else [how.path])
             assert how.cells == len(LatticeSet.of(support))
             assert how.bits == how.cells * math.log2(sft.nsymbols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_specs(symbols=(2, 5)), small_specs(dimension=1, symbols=(2, 5)),
+                     linear_specs()),
+           st.data(), st.sampled_from(["auto", "auto", "backtracking"]))
+    def test_log2_reads_the_count_it_would_run(self, sft, data, algorithm):
+        # the closed forms read bits = cells x log2 q without forming q^cells:
+        # the same double as log2 of the count when q is a power of two
+        rows = 6 if sft.dimension == 2 else 0
+        support = data.draw(st.one_of(
+            st.builds(IntRect, st.just(0), st.integers(0, 6), st.just(0), st.integers(0, rows)),
+            st.builds(IntRect, st.just(0), st.sampled_from([300, 2000]), st.just(0),
+                      st.just(0)),
+            st.builds(LatticeSet, st.sets(st.tuples(st.integers(0, 9), st.integers(0, rows)),
+                                          max_size=30))))
+        try:
+            how = md.subshift.plan(sft, support, algorithm)
+        except ResourceGuardError:
+            return
+        event(how.path)
+        try:
+            count = how.run()
+        except ResourceGuardError as err:
+            with pytest.raises(ResourceGuardError, match=re.escape(str(err))):
+                how.log2()
+            return
+        if count == 0:
+            with pytest.raises(EmptyLanguageError, match="^no admissible pattern fits the "
+                               "window: the subshift is empty$"):
+                how.log2()
+            return
+        want = math.log2(count)
+        if sft.nsymbols & (sft.nsymbols - 1) == 0:
+            assert how.log2() == want
+        else:
+            assert abs(how.log2() - want) <= 4 * math.ulp(want)
 
     def test_skew_window_refused_from_its_size(self, full2, monkeypatch):
         # 1,000,004 cells in 200,003 rows, refused without reading one row
