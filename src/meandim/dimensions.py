@@ -15,7 +15,8 @@ eps_M = alpha^-(M-1), the top of the depth-M bracket.  Per-scale
 Hausdorff exponents normalise by the cover depth M instead (their covers
 have diameter alpha^-M), which is why their extrapolation model uses the
 1/M abscissa while the metric mean dimension uses 1/(M-1).  Both read
-one ``BowenTable``, which builds and counts each window once.
+one ``BowenTable``, which counts each window once and builds one only
+to weigh it under a measure.
 
 ``verify_theorem`` runs these estimators, and the rate-distortion
 sandwich of ``meandim.information``, against the paper's identities in
@@ -133,7 +134,9 @@ def covering_number(sft: SftSpec, spec: MetricSpec, action: ActionSpec, N: int,
     M = resolution_depth(spec.alpha, epsilon)
     swept = SweptWindow(action.a, action.b, M, N)
     how = plan(sft, swept)
-    bowen_window(action, N, M, swept=swept)  # builds what the run reads
+    # builds the window inside the bowen_window span that perfbench traces;
+    # a rectangle's count never reads it
+    bowen_window(action, N, M, swept=swept)
     return how.run()
 
 
@@ -201,12 +204,13 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
                 action: ActionSpec = ActionSpec(),
                 Mschedule: Sequence[int] | None = None, Nfactor: int = 16) -> BowenTable:
     """Count, and weigh under ``measure``, each Bowen window the dimension
-    estimators read, building each window once.
+    estimators read, building a window at most once.
 
     Depth M has the windows N = Nfactor*M // 2 and Nfactor*M (8M and 16M by
     default).  The schedule is checked, or defaulted, by ``m_schedule``.
-    Every window is planned once, from its geometry, before any is built
-    by ``bowen_window``; each count runs its window's plan.  A window that
+    Every window is planned once, from its geometry, before any is
+    counted; each count runs its window's plan, and ``bowen_window``
+    builds a window only when ``measure`` weighs it.  A window that
     ``plan`` refuses is named, with its depth and N, in the error.
     """
     if sft.dimension != 2:
@@ -237,14 +241,13 @@ def bowen_table(sft: SftSpec, measure: MeasureSpec | None, spec: MetricSpec,
     for M in depths:
         # a depth's windows are let go once they are counted and weighed
         row = planned.pop(M)
-        Ns = tuple(row)
-        windows = [bowen_window(action, N, M, swept=w) for N, (w, _) in row.items()]
         counts = masses = None
         if M in Ms:
             counts = tuple(how.log2() for _, how in row.values())
         if measure is not None:
-            masses = tuple(-max_cylinder_log2_prob(measure, w) for w in windows)
-        rows[M] = BowenRow(Ns, counts, masses)
+            masses = tuple(-max_cylinder_log2_prob(measure, bowen_window(action, N, M, swept=w))
+                           for N, (w, _) in row.items())
+        rows[M] = BowenRow(tuple(row), counts, masses)
     return BowenTable(tuple(Ms), rows, spec.log2_alpha, sft.certified is not None)
 
 
@@ -453,7 +456,7 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
     and the rate-distortion sandwich against 2 h_mu / log alpha.  A lower
     bound must stay below its target, and reach it when the measure is
     maximal.  The action, --strict, the numbers and the schedules are
-    refused before any window is built.  Along any action ``plan``
+    refused before any window or word is counted.  Along any action ``plan``
     decides which Bowen windows can be counted: ``bowen_table`` plans
     them all before it counts any.  Each check is in ``checks`` or, with
     the reason it was not run, in ``skipped``; a 2D spec without a
@@ -481,8 +484,13 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
                                         delta)
     if not one_d:
         check_mmdim_start(m_schedule(action, Mschedule or None))
-    elif measure is not None:
-        check_support(measure, sft)
+    else:
+        sched = list(Mschedule or DEFAULT_M_SCHEDULE_1D)
+        if len(set(sched)) < 2:
+            raise ValueError(f"--M-schedule needs at least two distinct depths for the "
+                             f"Minkowski extrapolation, got {','.join(map(str, sched))}")
+        if measure is not None:
+            check_support(measure, sft)
 
     checks, skipped, results, tables = [], [], {}, {}
 
@@ -498,7 +506,6 @@ def verify_theorem(sft: SftSpec, measure: MeasureSpec | None, alpha: float,
     if one_d:
         h = transfer_matrix_entropy_1d(sft)
         rhs = h / spec.log2_alpha
-        sched = list(Mschedule or DEFAULT_M_SCHEDULE_1D)
         est = minkowski_estimate_1d(sft, spec, sched)
         results.update(minkowski=estimate_dict(est), entropy_bits=h, rhs=rhs)
         tables["minkowski"] = estimate_table("minkowski", est)

@@ -146,10 +146,10 @@ def slope_bytes(rho, classes=None) -> int:
     """Bytes one slope of a stacked ``ba_sweep`` run holds, on the class
     problem when ``classes`` is given: its kernel, its ring of
     ``FLUSH_EVERY`` slots for c and as many for q, its Z and the q its
-    point reads, each slice padded as ``_aligned_stack`` pads it (its
-    iteration count, gap and flag, 17 bytes, are not counted)."""
+    point reads (its iteration count, gap and flag, 17 bytes, are not
+    counted)."""
     mx, my = rho.shape if classes is None else (int(c.max()) + 1 for c in classes)
-    return 8 * (_stride(mx * my) + (2 * FLUSH_EVERY + 1) * _stride(my) + _stride(mx))
+    return 8 * (mx * my + (2 * FLUSH_EVERY + 1) * my + mx)
 
 
 def ba_solve(p, rho, beta, tol, max_iter, classes=None):
@@ -172,9 +172,7 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     point's conditional K q / Z ignores the sum anyway.  The stopping rule
     is the Csiszar bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the current
     free energy exceeds the optimum by at most gap = max_y log2 c(y), and a
-    slope stops once gap < tol.  The loop tests max_y c(y) <= m instead,
-    where m is the largest double with log2(m) < tol (``_stop_threshold``,
-    found once per call), and takes log2 only of the gap it reports.
+    slope stops once gap < tol.
 
     ``classes`` is an equitable partition (see ``RdProblem.reduced``): one
     label array for the rows and one for the columns, each numbering its
@@ -196,31 +194,30 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     arithmetic, bit for bit.
 
     The slopes iterate together as one stack of kernels while more than
-    ``LONE_SLOPES`` of them run.  Each slope's kernel and work vectors
-    start on a 64-byte boundary (the matrix-vector products run about a
-    fifth faster on an aligned K), and the stacked products call the same
-    BLAS matrix-vector routine per slope as a lone product would, so every
+    ``LONE_SLOPES`` of them run.  The stacked products call the same BLAS
+    matrix-vector routine per slope as a lone product would, so every
     slope follows the same iterates, bit for bit, whatever else is in the
-    stack.  A stacked iteration costs a fixed overhead of several lone
-    ones, so once the stack is down to ``LONE_SLOPES`` slopes (at once,
-    for every ``ba_solve`` call), each slope left runs alone, one after
-    another, from the stack's iteration count: the same loop body on plain
-    views of the stack's first slice, through the bound ``dot`` of K and
-    Z.  The caller bounds the stack's size (see ``BATCH_BYTES`` and
-    ``slope_bytes``).
+    stack and wherever its slices start.  A stacked iteration costs a
+    fixed overhead of several lone ones, so once the stack is down to
+    ``LONE_SLOPES`` slopes (at once, for every ``ba_solve`` call), each
+    slope left runs alone, one after another, from the stack's iteration
+    count: the same loop body on plain views of the stack's first slice,
+    through the bound ``dot`` of K and Z.  The caller bounds the stack's
+    size (see ``BATCH_BYTES`` and ``slope_bytes``).
 
     The loop runs in blocks of ``FLUSH_EVERY`` iterations (the last one
     shorter when ``max_iter`` is not a multiple), and each iteration
     writes its c and q into its own slot of a ring of ``FLUSH_EVERY``
     slots per slope.  The stop test runs once per block: one maximum over
-    the block's c rows gives every iteration's max_y c(y), and a slope
-    stops at the first iteration whose maximum passes, with that
-    iteration's q: the stopping iteration and the bits of a test on every
-    iteration.  A slope that stops inside a block runs on to the block's
-    end on its own kernel and slots, which changes nothing its point
-    reads, and the stack drops it there.  Every block starts at a
-    multiple of ``FLUSH_EVERY``, stacked or alone.  The points are read
-    once every slope has stopped, in stacks of slopes (``_ba_points``).
+    the block's c rows gives every iteration's max_y c(y), and its log2
+    that iteration's gap; a slope stops at the first iteration whose gap
+    passes, with that iteration's q: the stopping iteration and the bits
+    of a test on every iteration.  A slope that stops inside a block runs
+    on to the block's end on its own kernel and slots, which changes
+    nothing its point reads, and the stack drops it there.  Every block
+    starts at a multiple of ``FLUSH_EVERY``, stacked or alone.  The points
+    are read once every slope has stopped, in stacks of slopes
+    (``_ba_points``).
 
     Reproductions the source does not use lose mass geometrically, and
     their q(y) would sink into subnormal doubles, where every product
@@ -253,21 +250,20 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     F = FLUSH_EVERY
     n = len(betas)
     mx, my = len(size), len(width)
-    K = _aligned_stack(n, (mx, my))
+    K = np.empty((n, mx, my))
     for k, beta in enumerate(betas):
         # the average, not the sum, over each row class: the iterates are
         # the same, and Kbar <= 1, as the flush below needs
         np.divide(np.add.reduceat(np.exp2(-beta * rep), first, axis=0), size[:, None],
                   out=K[k])
-    qs = _aligned_stack(F * n, (my,)).reshape(F, n, my)  # ring slot, slope
-    cs = _aligned_stack(F * n, (my,)).reshape(F, n, my)
+    qs = np.empty((F, n, my))  # ring slot, slope
+    cs = np.empty((F, n, my))
     qs[0] = np.bincount(cols) / ny
-    Z = _aligned_stack(n, (mx,))
-    stop = _stop_threshold(tol)
+    Z = np.empty((n, mx))
     # per slope in the order of betas: the q its point reads, its
-    # iterations, its last tested max_y c(y) and whether it converged
-    Q = _aligned_stack(n, (my,))
-    iters, top, converged = np.empty(n, int), np.empty(n), np.empty(n, bool)
+    # iterations, its last tested gap and whether it converged
+    Q = np.empty((n, my))
+    iters, gap, converged = np.empty(n, int), np.empty(n), np.empty(n, bool)
     slot = np.arange(n)  # the index in betas of each stacked slope
     it = 0
     while len(slot) > LONE_SLOPES and it < max_iter:
@@ -285,8 +281,9 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
                 np.matmul(W3, Kv, c3)
                 np.multiply(qi, ci, qo)
             it += m
-            tops = np.maximum.reduce(cs[:m, :n], axis=-1)  # per iteration and slope
-            hit = tops <= stop
+            # per iteration and slope
+            gaps = np.log2(np.maximum.reduce(cs[:m, :n], axis=-1))
+            hit = gaps < tol
             if hit.any() or it == max_iter:
                 break
             _flush(qs[0, :n])
@@ -298,7 +295,7 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
         done = passed | (it == max_iter)
         r, k = np.flatnonzero(done), slot[done]
         Q[k] = qs[(j[r] + 1) % F, r]
-        iters[k], top[k], converged[k] = it - m + j[r] + 1, tops[j[r], r], passed[r]
+        iters[k], gap[k], converged[k] = it - m + j[r] + 1, gaps[j[r], r], passed[r]
         # move the slopes still running to the front
         keep = np.flatnonzero(~done)
         K[:len(keep)] = K[keep]
@@ -310,8 +307,8 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
         ring = [(qs[j, 0], cs[j, 0], qs[(j + 1) % F, 0]) for j in range(F)]
         for r, k in enumerate(slot.tolist()):
             K[0], qs[0, 0] = K[r], qs[0, r]
-            Q[k], iters[k], top[k], converged[k] = _run_alone(K[0], Z[0], ps, ring, cs[:, 0],
-                                                              it, max_iter, stop)
+            Q[k], iters[k], gap[k], converged[k] = _run_alone(K[0], Z[0], ps, ring, cs[:, 0],
+                                                              it, max_iter, tol)
     _flush(Q)
     lead, betas = rho[order[first]], np.asarray(betas, dtype=np.float64)
     # a reading holds at most four float arrays of lead's size per slope
@@ -319,13 +316,13 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     points = []
     for s in range(0, len(betas), step):
         points += _ba_points(ps, lead, betas[s:s + step], cols, width, Q[s:s + step])
-    runs = zip(iters.tolist(), np.log2(top).tolist(), converged.tolist())
+    runs = zip(iters.tolist(), gap.tolist(), converged.tolist())
     return [point + run for point, run in zip(points, runs)]
 
 
-def _run_alone(K, Z, ps, ring, cs, it, max_iter, stop):
+def _run_alone(K, Z, ps, ring, cs, it, max_iter, tol):
     """One slope's loop from iteration ``it`` (a block start, its q in the
-    ring's slot 0) to its stop: (q, iterations, max_y c(y), converged)."""
+    ring's slot 0) to its stop: (q, iterations, gap, converged)."""
     F = len(ring)
     Kdot, Zdot, divide, multiply = K.dot, Z.dot, np.divide, np.multiply
     while True:
@@ -336,13 +333,13 @@ def _run_alone(K, Z, ps, ring, cs, it, max_iter, stop):
             Zdot(K, ci)
             multiply(qi, ci, qo)
         it += m
-        tops = np.maximum.reduce(cs[:m], axis=-1)
-        hit = tops <= stop
+        gaps = np.log2(np.maximum.reduce(cs[:m], axis=-1))
+        hit = gaps < tol
         if hit.any():
             j = int(np.argmax(hit))
-            return ring[j][2], it - m + j + 1, tops[j], True
+            return ring[j][2], it - m + j + 1, gaps[j], True
         if it == max_iter:
-            return ring[m - 1][2], it, tops[-1], False
+            return ring[m - 1][2], it, gaps[-1], False
         _flush(ring[0][0])
 
 
@@ -360,21 +357,6 @@ def _flush(q) -> None:
 
 
 _TINY = np.finfo(np.float64).tiny
-
-
-def _stop_threshold(tol) -> float:
-    """The largest double m with log2(m) < tol.
-
-    log2 is nondecreasing, so for every double x, x <= m exactly when
-    log2(x) < tol.
-    """
-    big = np.finfo(np.float64).max
-    m = 2.0 ** tol if tol < 1024 else big
-    while np.log2(m) >= tol:
-        m = np.nextafter(m, 0.0)
-    while m < big and np.log2(np.nextafter(m, np.inf)) < tol:
-        m = np.nextafter(m, np.inf)
-    return float(m)
 
 
 def _ba_points(P, rho, betas, cols, width, Q):
@@ -405,19 +387,3 @@ def _ba_points(P, rho, betas, cols, width, Q):
     terms *= rho
     return list(zip(rates.tolist(), np.add.reduce(terms.reshape(n, -1), axis=1).tolist()))
 
-
-def _stride(size) -> int:
-    """Doubles between the starts of two slices of ``size`` doubles in an
-    ``_aligned_stack``: the size rounded up to a multiple of 8, 64 bytes."""
-    return -(-size // 8) * 8
-
-
-def _aligned_stack(n, shape) -> np.ndarray:
-    """An uninitialised float64 array of shape (n, *shape) whose n slices
-    are C-contiguous and each start on a 64-byte boundary."""
-    size = int(np.prod(shape))
-    stride = _stride(size)
-    buf = np.empty(8 * (n * stride + 8), dtype=np.uint8)
-    start = -buf.ctypes.data % 64
-    flat = buf[start:start + 8 * n * stride].view(np.float64)
-    return flat.reshape(n, stride)[:, :size].reshape((n, *shape))

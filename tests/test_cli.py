@@ -785,6 +785,21 @@ class TestVerifyTheorem:
         assert code == 1 and rep["error"] == (
             f"a 1D subshift is verified along the shift 1,0 only, got the action {action}")
 
+    @pytest.mark.parametrize("schedule", ["250000", "6,6"])
+    def test_one_dimensional_schedule_of_one_depth_refused(self, fixtures_dir, monkeypatch,
+                                                           schedule):
+        # the Minkowski fit needs two depths: a lone depth used to count its
+        # 250,000-letter words and then fail in the fit
+        def no_count(*args):
+            raise AssertionError("a count ran")
+        monkeypatch.setattr("meandim.dimensions.transfer_matrix_entropy_1d", no_count)
+        monkeypatch.setattr("meandim.dimensions.plan", no_count)
+        code, rep = run_command(["verify-theorem", "--sft", fx(fixtures_dir, "goldenmean1d.sft"),
+                                 "--alpha", "2", "--M-schedule", schedule])
+        assert code == 1 and rep["error"] == (
+            "--M-schedule needs at least two distinct depths for the Minkowski "
+            f"extrapolation, got {schedule}")
+
     @pytest.mark.parametrize("command", ["mhdim", "verify-theorem"])
     def test_action_recorded_in_inputs(self, fixtures_dir, command):
         code, rep = run_command([command, "--sft", fx(fixtures_dir, "fullshift2.sft"),
@@ -932,10 +947,11 @@ class TestVerifyTheorem:
             assert code == 1 and "M = 3" in rep["error"]
 
     def test_each_window_built_once(self, fixtures_dir, monkeypatch):
-        # five depths with two windows each, each built and planned once;
-        # when each estimator counted its own windows, three-dot took 20
-        # builds and the golden row with its measure 30, and when each
-        # count planned its window again, 20 plans
+        # five depths with two windows each, each planned once and built
+        # once where a measure weighs it; when each estimator counted its
+        # own windows, three-dot took 20 builds and the golden row with its
+        # measure 30, when each count planned its window again, 20 plans,
+        # and when every window was built, three-dot took 10 builds
         calls = {}
 
         def counted(name, fn):
@@ -947,7 +963,7 @@ class TestVerifyTheorem:
         for name in ("bowen_window", "plan", "max_cylinder_log2_prob"):
             counted(name, getattr(md.dimensions, name))
         for sft, measure, want in (
-                ("threedot.sft", None, (10, 10, 0)),
+                ("threedot.sft", None, (0, 10, 0)),
                 ("goldenrow.sft", "parry_golden.measure", (10, 10, 10)),
                 ("fullshift2.sft", "bern12.measure", (10, 10, 10))):
             calls.clear()

@@ -131,15 +131,6 @@ class TestSubnormalFlush:
         # the reference ends with subnormal reproduction mass on most seeds
         assert flushed >= 6
 
-    def test_kernel_buffer_is_cache_line_aligned(self):
-        for n in (1, 3):
-            for shape in ((1,), (1, 1), (3, 5), (125, 127), (125, 512)):
-                K = kernels._aligned_stack(n, shape)
-                assert K.shape == (n, *shape) and K.dtype == np.float64
-                for k in range(n):
-                    assert K[k].ctypes.data % 64 == 0 and K[k].flags.c_contiguous
-                    assert K[k].flags.writeable
-
     def test_golden_window_point_pinned(self, fixtures_dir):
         measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
         prob = md.rd_problem_from_measure(measure, 2, M=2)
@@ -209,13 +200,6 @@ class TestKernelBits:
         got = kernels.ba_sweep(p, rho, slopes, 1e-9, 20000, classes)
         assert got == [kernels.ba_solve(p, rho, s, 1e-9, 20000, classes) for s in slopes]
 
-    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 3.7, 1023.5, 1e6])
-    def test_stop_threshold_is_the_last_double_under_tol(self, tol):
-        m = kernels._stop_threshold(tol)
-        with np.errstate(over="ignore"):  # above the largest double is inf
-            below, above = np.nextafter(m, 0.0), np.nextafter(m, np.inf)
-        assert np.log2(below) < tol and np.log2(m) < tol
-        assert not np.log2(above) < tol
 
 
 class TestProcessLevelProblem:
@@ -494,11 +478,28 @@ class TestLoneSlopes:
         assert str(sweep.value) == str(single.value) and sweep.value.gap == single.value.gap
 
 
+@pytest.fixture
+def stacks(monkeypatch):
+    """Every array that ``kernels`` makes by ``np.empty`` from here on, in order."""
+    made = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            made.append(np.empty(*args, **kwargs))
+            return made[-1]
+
+    monkeypatch.setattr(kernels, "np", Numpy())
+    return made
+
+
 class TestSlopeBytes:
-    def test_counts_every_stacked_array_of_a_sweep(self, monkeypatch, fixtures_dir):
-        # the float arrays ba_sweep holds per slope are each an _aligned_stack
-        # of one or FLUSH_EVERY slices per slope; slope_bytes is the sum of
-        # their per-slope strides on every problem shape
+    def test_counts_every_stacked_array_of_a_sweep(self, stacks, fixtures_dir):
+        # the float arrays ba_sweep holds per slope are each a stack of one
+        # or FLUSH_EVERY slices per slope; slope_bytes is the sum of their
+        # per-slope bytes on every problem shape
         rng = np.random.default_rng(7)
         measure = md.parse_measure(fixtures_dir / "parry_golden.measure")
         p, rho, rows, cols = md.rd_problem_from_measure(measure, 2, M=2).reduced
@@ -510,22 +511,38 @@ class TestSlopeBytes:
                     (rng.dirichlet(np.ones(125)), rng.random((125, 512)), None)]
         betas = [0.5, 1.0, 2.0, 4.0, 8.0]
         assert len(betas) > kernels.LONE_SLOPES
-        stacks = []
-        aligned_stack = kernels._aligned_stack
-
-        def spy(n, shape):
-            stacks.append(aligned_stack(n, shape))
-            return stacks[-1]
-
-        monkeypatch.setattr(kernels, "_aligned_stack", spy)
         for p, rho, classes in problems:
             stacks.clear()
             kernels.ba_sweep(p, rho, betas, 1e-9, 64, classes)
-            assert {len(a) for a in stacks} == {len(betas), kernels.FLUSH_EVERY * len(betas)}
-            held = sum(len(a) // len(betas) * a.strides[0] for a in stacks)
-            assert held == kernels.slope_bytes(rho, classes)
-        # a binary slope: K, Z and Q at one 64-byte line each, 64 ring slots
-        assert kernels.slope_bytes(np.zeros((2, 2))) == 64 * (3 + 2 * kernels.FLUSH_EVERY)
+            # K, both rings, Z and Q; the iteration counts, gaps and flags are 1-D
+            held = [a for a in stacks if a.ndim > 1]
+            n, F = len(betas), kernels.FLUSH_EVERY
+            mx, my = rho.shape if classes is None else (c.max() + 1 for c in classes)
+            assert sorted(a.shape for a in held) == sorted(
+                [(n, mx, my), (F, n, my), (F, n, my), (n, mx), (n, my)])
+            assert {a.dtype for a in held} == {np.dtype(np.float64)}
+            assert sum(a.nbytes for a in held) == n * kernels.slope_bytes(rho, classes)
+        # a binary slope: K, Z and Q, 4 + 2 + 2 doubles, and 64 ring slots of 2
+        assert kernels.slope_bytes(np.zeros((2, 2))) == 8 * (8 + 4 * kernels.FLUSH_EVERY) == 1088
+
+
+class TestSliceOffsets:
+    def test_stacked_slopes_match_lone_runs_at_every_offset(self, stacks):
+        # a stacked slope's kernel slice starts wherever np.empty puts the
+        # stack: an odd number of doubles per slice puts eight consecutive
+        # slices at all eight offsets mod 64 that a double can take, and at
+        # each a slope follows its lone run bit for bit
+        rng = np.random.default_rng(5)
+        slopes = [0.3 * 1.5 ** k for k in range(10)]
+        assert len(slopes) > kernels.LONE_SLOPES + 4
+        for shape in ((1, 1), (1, 3), (3, 5), (5, 7)):
+            p, rho = rng.dirichlet(np.ones(shape[0])), rng.uniform(0.0, 3.0, shape)
+            stacks.clear()
+            runs = kernels.ba_sweep(p, rho, slopes, 1e-9, 3000)
+            K = stacks[0]
+            assert K.shape == (len(slopes), *shape)
+            assert {K[k].ctypes.data % 64 for k in range(len(slopes))} == set(range(0, 64, 8))
+            assert runs == [kernels.ba_solve(p, rho, s, 1e-9, 3000) for s in slopes]
 
 
 def ba_point(P, rho, beta, cols, width, Q):
