@@ -200,6 +200,19 @@ class TestKernelBits:
         got = kernels.ba_sweep(p, rho, slopes, 1e-9, 20000, classes)
         assert got == [kernels.ba_solve(p, rho, s, 1e-9, 20000, classes) for s in slopes]
 
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-12, 1e-9, 1e-3, 0.5, 1.0, 3.7, 1023.5, 1e6])
+    def test_stops_where_the_textbook_gap_test_stops(self, tol, monkeypatch):
+        # once per block, the loop tests the same np.log2(max c) < tol that
+        # the textbook loop tests on every iteration, alone and stacked, from
+        # a tol no gap reaches to one the first gap passes
+        p, rho, *_ = planted_problem(4)[0].reduced
+        slopes = [0.5, 2.0, 7.0]
+        want = [textbook_ba(p, rho, s, tol, 200)[0] for s in slopes]
+        assert [kernels.ba_solve(p, rho, s, tol, 200) for s in slopes] == want
+        monkeypatch.setattr(kernels, "LONE_SLOPES", 1)
+        assert kernels.ba_sweep(p, rho, slopes, tol, 200) == want
+        if tol >= 1.0:
+            assert {run[2] for run in want} == {1}
 
 
 class TestProcessLevelProblem:
