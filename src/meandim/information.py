@@ -491,17 +491,18 @@ def rd_lower_bound(measure: MeasureSpec, alpha: float, epsilon: float,
     """Lower bound on the rate-distortion function at distortion epsilon.
 
     Uses the strip of half-height M from the bracket
-    delta*alpha^-(M+1) < epsilon <= delta*alpha^-M:
-    (2M+1) * per-site entropy - H(delta) - delta (2M+1) log2 |A|,
+    delta*alpha^-(M+1) < epsilon <= delta*alpha^-M, one strip pattern read
+    as one symbol of A^(2M+1) in ``mi_lower_bound_lemma``:
+    (2M+1) * per-site entropy - H(delta) - delta log2 |A|^(2M+1),
     clamped at zero in ``.value`` (the raw value stays available as ``.raw``).
     """
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     # the smallest M >= 0 with delta * alpha^-(M+1) < epsilon
     M = resolution_depth(alpha, epsilon, delta) - 1
-    q = len(measure.alphabet)
-    h = ks_entropy(measure)
-    raw = (2 * M + 1) * h - binary_entropy(delta) - delta * (2 * M + 1) * math.log2(q)
+    width = 2 * M + 1
+    raw = mi_lower_bound_lemma(width * ks_entropy(measure), 1, delta,
+                               len(measure.alphabet) ** width)
     return RdLowerBound(max(raw, 0.0), raw, M)
 
 

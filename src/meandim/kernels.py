@@ -8,6 +8,7 @@ big-integer transfer sweep otherwise.
 """
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -136,8 +137,8 @@ BATCH_BYTES = 1 << 23
 # the smallest ring of the three (2-core Xeon VM)
 FLUSH_EVERY = 32
 
-# a stack of this many slopes or fewer runs its slopes alone, one after
-# another; 1-4 ran fastest on the Hamming sweeps and golden window sweeps,
+# a stack of this many slopes or fewer runs them as stacks of one, one
+# after another; 1-4 ran fastest on the Hamming sweeps and golden window sweeps,
 # 8 and 12 slower (2-core Xeon VM)
 LONE_SLOPES = 3
 
@@ -168,71 +169,59 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     optimal conditional for the kernel K = 2^(-beta * rho), in four numpy
     calls: Z = K q, Z <- p / Z, c = Z K, q <- q c.  q is not renormalised:
     q c sums to sum_x p(x) (K q)(x) / Z(x) = sum p = 1 whatever q sums to,
-    so every iteration resets the sum to 1 up to its own rounding, and the
-    point's conditional K q / Z ignores the sum anyway.  The stopping rule
-    is the Csiszar bound: with c(y) = sum_x p(x) K(x,y) / Z(x), the current
-    free energy exceeds the optimum by at most gap = max_y log2 c(y), and a
-    slope stops once gap < tol.
+    and the point's conditional K q / Z ignores the sum anyway.  The stop
+    rule is the Csiszar bound: the free energy exceeds the optimum by at
+    most gap = max_y log2 c(y), and a slope stops once gap < tol.
 
     ``classes`` is an equitable partition (see ``RdProblem.reduced``): one
     label array for the rows and one for the columns, each numbering its
-    classes 0, 1, ... in first-occurrence order; None means identity
-    labels, every row and column a class of its own.  p is constant on
-    every row class R, every row of R sees the same multiset of
-    distortions in each column class C, and every column of C the same
-    multiset in R.  The uniform start is constant on C, so Z(x) is
+    classes 0, 1, ... in first-occurrence order; None means every row and
+    column a class of its own.  p is constant on every row class R, and
+    every row of R sees the same multiset of distortions in each column
+    class C, every column of C the same multiset in R.  So Z(x) is
     constant on R and c(y) on C at every iteration, and the loop runs on
     the class problem: source P(R) = sum of p over R, kernel Kbar(R, C) =
-    (1/|R|) sum over x in R of K(x, y_C), y_C the first column of C, and
-    start Q0(C) = |C|/ny.  Its c(C) is the common c(y) of C, so in exact
-    arithmetic its gaps and stopping iteration are the dense run's.  The
-    point is read with q(y) = Q(C)/|C| on one row per row class, over
-    every column, weighted by P(R): the optimal output marginal, like q,
-    is constant on each C, so every row of R sees the same multiset of
-    kernel values, q and output marginal in each C, and has the same rate
-    and distortion terms.  With identity labels this is the dense
-    arithmetic, bit for bit.
+    the mean over x in R of K(x, y_C), y_C the first column of C, and
+    start Q0(C) = |C|/ny; in exact arithmetic its gaps and stopping
+    iteration are the dense run's.  The point is read with q(y) =
+    Q(C)/|C| on one row per row class, over every column, weighted by
+    P(R): every row of R has the same rate and distortion terms.  With
+    identity labels this is the dense arithmetic, bit for bit.
 
-    The slopes iterate together as one stack of kernels while more than
-    ``LONE_SLOPES`` of them run.  The stacked products call the same BLAS
-    matrix-vector routine per slope as a lone product would, so every
-    slope follows the same iterates, bit for bit, whatever else is in the
-    stack and wherever its slices start.  A stacked iteration costs a
-    fixed overhead of several lone ones, so once the stack is down to
-    ``LONE_SLOPES`` slopes (at once, for every ``ba_solve`` call), each
-    slope left runs alone, one after another, from the stack's iteration
-    count: the same loop body on plain views of the stack's first slice,
-    through the bound ``dot`` of K and Z.  The caller bounds the stack's
-    size (see ``BATCH_BYTES`` and ``slope_bytes``).
+    The slopes iterate together as one stack while more than
+    ``LONE_SLOPES`` of them run, the products through ``np.matmul`` on 3-D
+    views.  Then (at once, for every ``ba_solve`` call) each slope left
+    runs as a stack of one, one after another from the iteration where
+    the larger stack stopped, the products through the bound ``dot`` of K
+    and Z on 2-D views, a fraction of a stacked call's cost.  Both reach
+    the same BLAS matrix-vector routine per slope, so a slope follows the
+    same iterates, bit for bit, whatever else is in the stack and wherever
+    its slices start.  The caller bounds the stack's size (see
+    ``BATCH_BYTES`` and ``slope_bytes``).
 
     The loop runs in blocks of ``FLUSH_EVERY`` iterations (the last one
-    shorter when ``max_iter`` is not a multiple), and each iteration
-    writes its c and q into its own slot of a ring of ``FLUSH_EVERY``
-    slots per slope.  The stop test runs once per block: one maximum over
-    the block's c rows gives every iteration's max_y c(y), and its log2
-    that iteration's gap; a slope stops at the first iteration whose gap
-    passes, with that iteration's q: the stopping iteration and the bits
-    of a test on every iteration.  A slope that stops inside a block runs
-    on to the block's end on its own kernel and slots, which changes
-    nothing its point reads, and the stack drops it there.  Every block
-    starts at a multiple of ``FLUSH_EVERY``, stacked or alone.  The points
-    are read once every slope has stopped, in stacks of slopes
-    (``_ba_points``).
+    shorter when ``max_iter`` is not a multiple), each block starting at a
+    multiple of ``FLUSH_EVERY``, and each iteration writes its c and q
+    into its own slot of a ring of ``FLUSH_EVERY`` slots per slope.  At a
+    block's end one maximum over its c rows gives every iteration's gap,
+    and a slope stops at the first iteration whose gap passes, with that
+    iteration's q: the bits of a test on every iteration.  A slope that
+    stops inside a block runs on to its end, which changes nothing its
+    point reads, and the stack drops it there.  The points are read once
+    every slope has stopped, in stacks of slopes (``_ba_points``).
 
     Reproductions the source does not use lose mass geometrically, and
     their q(y) would sink into subnormal doubles, where every product
-    and sum costs many times the normal rate.  At the end of every block,
+    and sum costs many times the normal rate.  So at every block's end,
     and in every q a point is read from, each entry below the smallest
-    normal double is therefore set to exactly 0.  Such an entry times
-    K(x, y) <= 1 is below half an ulp of Z(x) >= min_y K(x, y) unless
-    beta * rho exceeds about 960 along a whole row, so it changes no bit
-    of Z, c, the gap, the normal entries of q or the stopping iteration,
-    whether it is flushed at once or up to ``FLUSH_EVERY`` - 1 iterations
-    later.  The one difference from no flush at all: a flushed entry stays
-    0, where a subnormal one grows back if c(y) later exceeds 1 by more
-    than its rounding step (1/(2n) for n subnormal units); that needs c(y)
-    to turn upwards after the long decay, and no problem in the tests or
-    the benchmark does it.
+    normal double is set to exactly 0.  Such an entry times K(x, y) <= 1
+    is below half an ulp of Z(x) >= min_y K(x, y) unless beta * rho
+    exceeds about 960 along a whole row, so it changes no bit of Z, c,
+    the gap, the normal entries of q or the stopping iteration, however
+    late it is flushed within a block.  Without the flush a subnormal
+    entry could grow back if c(y) later exceeded 1 by more than its
+    rounding step (1/(2n) for n subnormal units); no problem in the tests
+    or the benchmark turns c(y) upwards after the long decay.
 
     Returns one (rate_bits, distortion, iterations, gap, converged) per
     slope, in the order of ``betas``.
@@ -247,7 +236,7 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     rep = rho[np.ix_(order, col_order[col_first])]
     ps = np.add.reduceat(p[order], first)
 
-    F = FLUSH_EVERY
+    F, divide, multiply = FLUSH_EVERY, np.divide, np.multiply
     n = len(betas)
     mx, my = len(size), len(width)
     K = np.empty((n, mx, my))
@@ -264,22 +253,33 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
     # iterations, its last tested gap and whether it converged
     Q = np.empty((n, my))
     iters, gap, converged = np.empty(n, int), np.empty(n), np.empty(n, bool)
-    slot = np.arange(n)  # the index in betas of each stacked slope
-    it = 0
-    while len(slot) > LONE_SLOPES and it < max_iter:
-        n = len(slot)
-        Kv, Zv = K[:n], Z[:n]
-        Z3, W3 = Zv[:, :, None], Zv[:, None, :]
-        ring = [(qs[j, :n], qs[j, :n, :, None], cs[j, :n], cs[j, :n, None, :],
-                 qs[(j + 1) % F, :n]) for j in range(F)]
+    slot = np.arange(n)  # the index in betas of each slope still running
+    it = start = 0
+    while len(slot):
+        if len(slot) > LONE_SLOPES:
+            # one stack on 3-D views, its products through np.matmul
+            n = len(slot)
+            Kv, Zv = K[:n], Z[:n]
+            zprod, zout = partial(np.matmul, Kv), Zv[:, :, None]
+            cprod = partial(np.matmul, Zv[:, None, :])
+            ring = [(qs[j, :n], qs[j, :n, :, None], cs[j, :n], cs[j, :n, None, :],
+                     qs[(j + 1) % F, :n]) for j in range(F)]
+        else:
+            # a stack of one on 2-D views, its products through the bound
+            # dot of K and Z, from the iteration the larger stack stopped at
+            n, it = 1, start
+            Kv, Zv = K[0], Z[0]
+            zprod, zout, cprod = Kv.dot, Zv, Zv.dot
+            ring = [(qs[j, 0], qs[j, 0], cs[j, 0], cs[j, 0], qs[(j + 1) % F, 0])
+                    for j in range(F)]
         # each block starts at a multiple of F, reading its q from slot 0
         while True:
             m = min(F, max_iter - it)
-            for qi, q3, ci, c3, qo in ring[:m]:
-                np.matmul(Kv, q3, Z3)
-                np.divide(ps, Zv, Zv)
-                np.matmul(W3, Kv, c3)
-                np.multiply(qi, ci, qo)
+            for qi, qa, ci, ca, qo in ring[:m]:
+                zprod(qa, zout)
+                divide(ps, Zv, Zv)
+                cprod(Kv, ca)
+                multiply(qi, ci, qo)
             it += m
             # per iteration and slope
             gaps = np.log2(np.maximum.reduce(cs[:m, :n], axis=-1))
@@ -293,22 +293,17 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
         passed = hit[j, np.arange(n)]
         j[~passed] = m - 1
         done = passed | (it == max_iter)
-        r, k = np.flatnonzero(done), slot[done]
+        r, k = np.flatnonzero(done), slot[:n][done]
         Q[k] = qs[(j[r] + 1) % F, r]
         iters[k], gap[k], converged[k] = it - m + j[r] + 1, gaps[j[r], r], passed[r]
-        # move the slopes still running to the front
-        keep = np.flatnonzero(~done)
+        # move the slopes still running, then those not yet run, to the front
+        keep = np.concatenate((np.flatnonzero(~done), np.arange(n, len(slot))))
         K[:len(keep)] = K[keep]
         qs[0, :len(keep)] = qs[0, keep]
         slot = slot[keep]
         _flush(qs[0, :len(slot)])
-    if len(slot):
-        # the slopes left run one after another in the stack's first slice
-        ring = [(qs[j, 0], cs[j, 0], qs[(j + 1) % F, 0]) for j in range(F)]
-        for r, k in enumerate(slot.tolist()):
-            K[0], qs[0, 0] = K[r], qs[0, r]
-            Q[k], iters[k], gap[k], converged[k] = _run_alone(K[0], Z[0], ps, ring, cs[:, 0],
-                                                              it, max_iter, tol)
+        if n > 1:
+            start = it
     _flush(Q)
     lead, betas = rho[order[first]], np.asarray(betas, dtype=np.float64)
     # a reading holds at most four float arrays of lead's size per slope
@@ -318,29 +313,6 @@ def ba_sweep(p, rho, betas, tol, max_iter, classes=None):
         points += _ba_points(ps, lead, betas[s:s + step], cols, width, Q[s:s + step])
     runs = zip(iters.tolist(), gap.tolist(), converged.tolist())
     return [point + run for point, run in zip(points, runs)]
-
-
-def _run_alone(K, Z, ps, ring, cs, it, max_iter, tol):
-    """One slope's loop from iteration ``it`` (a block start, its q in the
-    ring's slot 0) to its stop: (q, iterations, gap, converged)."""
-    F = len(ring)
-    Kdot, Zdot, divide, multiply = K.dot, Z.dot, np.divide, np.multiply
-    while True:
-        m = min(F, max_iter - it)
-        for qi, ci, qo in ring[:m]:
-            Kdot(qi, Z)
-            divide(ps, Z, Z)
-            Zdot(K, ci)
-            multiply(qi, ci, qo)
-        it += m
-        gaps = np.log2(np.maximum.reduce(cs[:m], axis=-1))
-        hit = gaps < tol
-        if hit.any():
-            j = int(np.argmax(hit))
-            return ring[j][2], it - m + j + 1, gaps[j], True
-        if it == max_iter:
-            return ring[m - 1][2], it, gaps[-1], False
-        _flush(ring[0][0])
 
 
 def _runs(labels):

@@ -34,8 +34,10 @@ class RdProblem:
     """A finite source, a reproduction alphabet and a distortion matrix.
 
     ``distortion`` is kept as a read-only float64 array, copied from the
-    given one.  Two problems are equal when their sources, reproductions
-    and distortion values are; the hash leaves the array out.
+    given one unless that is read-only and owns its memory already (as
+    ``rd_problem_from_measure``'s is), so a problem never aliases a
+    writeable array.  Two problems are equal when their sources,
+    reproductions and distortion values are; the hash leaves the array out.
     """
 
     source: FiniteDistribution
@@ -43,9 +45,12 @@ class RdProblem:
     distortion: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.distortion, dtype=np.float64)
-        d.setflags(write=False)
-        object.__setattr__(self, "distortion", d)
+        d = self.distortion
+        if not (isinstance(d, np.ndarray) and d.dtype == np.float64 and d.base is None
+                and not d.flags.writeable):
+            d = np.array(d, dtype=np.float64)
+            d.setflags(write=False)
+            object.__setattr__(self, "distortion", d)
         if not self.reproductions:
             raise ValueError("the reproduction alphabet is empty")
         if d.shape != (len(self.source.outcomes), len(self.reproductions)):
@@ -115,24 +120,31 @@ class RdProblem:
 def _refine(labels, a, other) -> np.ndarray:
     """``labels`` of the rows of ``a`` refined by the multiset of values
     each row holds in each class of ``other``, the labels of a's columns.
-    The rows are compared on a copy of ``a`` whose columns are grouped by
-    class, with each row sorted within each class and -0.0 read as 0.0,
-    the only array of a's size made.  Single rows split no further, so a
-    partition into them is returned as is."""
+    The rows are compared on copies of an eighth of them at a time, the
+    columns grouped by class, each row sorted within each class and -0.0
+    read as 0.0.  Single rows split no further, so a partition into them
+    is returned as is."""
     if labels.max() + 1 == len(labels):
         return labels
     order = np.argsort(other, kind="stable")
+    ends = (np.flatnonzero(np.diff(other[order])) + 1).tolist()
+    spans = [(lo, hi) for lo, hi in zip([0] + ends, ends + [len(order)]) if hi - lo > 1]
     # labels in first-occurrence order are sorted when no class interleaves
     # another, and a plain copy is faster than a take, most of all from a
     # transposed view
     grouped = (np.diff(order) == 1).all()
-    out = np.array(a, order="C") if grouped else np.take(a, order, axis=1)
-    ends = (np.flatnonzero(np.diff(other[order])) + 1).tolist()
-    for lo, hi in zip([0] + ends, ends + [len(order)]):
-        if hi - lo > 1:
-            out[:, lo:hi].sort(axis=1)
-    out += 0.0
-    return _split(labels, out)
+
+    def rows():
+        step = -(-len(a) // 8)
+        for lo in range(0, len(a), step):
+            block = a[lo:lo + step]
+            block = np.array(block, order="C") if grouped else np.take(block, order, axis=1)
+            for s, e in spans:
+                block[:, s:e].sort(axis=1)
+            block += 0.0
+            yield from block
+
+    return _split(labels, rows())
 
 
 def _split(labels, sig) -> np.ndarray:
@@ -275,4 +287,6 @@ def rd_problem_from_measure(measure: MeasureSpec, alpha: float, M: int) -> RdPro
         code = digits[:, inside] @ place[inside]  # the restriction, as a number
         np.not_equal(code[:, None], code[None, :], out=differ)
         np.copyto(dist, table[k], where=differ)
+    # read-only, so the problem keeps this array instead of a copy
+    dist.setflags(write=False)
     return RdProblem.build(source, source.outcomes, dist)

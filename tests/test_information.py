@@ -338,6 +338,24 @@ class TestRateDistortionBounds:
         r = md.rd_lower_bound(skew, 2.0, 0.2 * 0.5, 0.2)
         assert r.value == 0.0 and r.raw < 0
 
+    def test_lower_is_the_lemma_on_strip_patterns(self, fixtures_dir):
+        # rd_lower_bound reads one strip pattern as one symbol of A^(2M+1)
+        # in the lemma; against the per-site formula (2M+1) h - H(delta) -
+        # delta (2M+1) log2 |A| it is bit for bit on the binary fixture
+        # measures and within an ulp on a ternary one
+        ternary = MeasureSpec.bernoulli(md.alphabet("0", "1", "2"), (0.5, 0.3, 0.2))
+        measures = [(md.parse_measure(fixtures_dir / name), 0)
+                    for name in ("bern12.measure", "parry_golden.measure")]
+        for measure, ulps in measures + [(ternary, 1)]:
+            h, q = md.ks_entropy(measure), len(measure.alphabet)
+            for alpha, delta in itertools.product((2.0, 3.0), (0.01, 0.2)):
+                for eps in md.default_rdim_schedule(alpha, delta=delta)[0]:
+                    r = md.rd_lower_bound(measure, alpha, eps, delta)
+                    w = 2 * r.M + 1
+                    assert r.raw == md.mi_lower_bound_lemma(w * h, 1, delta, q ** w)
+                    site = w * h - md.binary_entropy(delta) - delta * w * math.log2(q)
+                    assert abs(r.raw - site) <= ulps * math.ulp(site)
+
     def test_rd_lower_below_rd_upper(self, bern_half, parry):
         for measure in (bern_half, parry):
             for k in range(3, 10):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,36 @@ class TestProcessLevelProblem:
         other = RdProblem.build(prob.source, prob.reproductions, d * 2)
         assert other != prob
 
+    def test_window_problem_holds_one_distortion_matrix(self, bern_half):
+        # the builder's read-only matrix is kept, not copied; a caller's
+        # writeable array, or a read-only view of one, is copied
+        tracemalloc.start()
+        try:
+            prob = md.rd_problem_from_measure(bern_half, 2.0, 2)
+            _, build = tracemalloc.get_traced_memory()
+            d = prob.distortion
+            rng = np.random.default_rng(3)
+            src = FiniteDistribution(prob.source.outcomes, tuple(rng.dirichlet(np.ones(512))))
+            distinct = RdProblem.build(src, prob.reproductions, d)
+            assert distinct.distortion is d
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            # every row its own class, and 512 distinct columns to group
+            _, _, rows, cols = distinct.reduced
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.max() + 1 == cols.max() + 1 == 512
+        assert d.nbytes == 8 * 512 ** 2
+        assert build < 2 * d.nbytes
+        assert peak - held < 1.5 * d.nbytes
+        mine = np.array(d)
+        view = mine[:]
+        view.setflags(write=False)
+        for given in (mine, view):
+            assert not np.shares_memory(RdProblem.build(src, prob.reproductions, given).distortion,
+                                        mine)
+
     def test_window_problem_rate_bounds(self, bern_half):
         prob = md.rd_problem_from_measure(bern_half, 2.0, 1)
         pt = md.blahut_arimoto(prob, slope=12.0, tol=1e-10)
@@ -399,17 +430,27 @@ class TestBatchedSweep:
         # every stack of two or more slopes iterates stacked, not alone
         monkeypatch.setattr(kernels, "LONE_SLOPES", 1)
 
-    def test_matches_single_slope_runs(self, monkeypatch):
+    @pytest.mark.parametrize("lone", range(5))
+    def test_matches_single_slope_runs(self, monkeypatch, lone):
+        # with `lone` as LONE_SLOPES, every hand-off from a stack to stacks
+        # of one keeps the lone runs' bits, whatever max_iter cuts
         probs = [md.binary_hamming_problem(0.3), planted_problem(3)[0],
                  RdProblem.build(FiniteDistribution(("a", "b", "c"), (0.6, 0.3, 0.1)),
                                  ("a", "b", "c"), [[0, 2, 1], [1, 0, 3], [2, 1, 0]])]
         slopes = [4.0, 0.7, 2.5, 0.7, 9.0, 1.3, 4.0, 0.3]
+        F = kernels.FLUSH_EVERY
         for prob in probs:
+            p, rho, *classes = prob.reduced
             want = [md.blahut_arimoto(prob, s, tol=1e-10) for s in slopes]
-            assert md.rd_curve(prob, slopes, tol=1e-10) == want
-            # chunks of three slopes give the same points
-            _, rho, *classes = prob.reduced
+            cut = {max_iter: [kernels.ba_solve(p, rho, s, 1e-10, max_iter, classes)
+                              for s in slopes]
+                   for max_iter in (1, 5, F - 1, F, F + 1, 2 * F + 5, 300)}
             with monkeypatch.context() as patch:
+                patch.setattr(kernels, "LONE_SLOPES", lone)
+                assert md.rd_curve(prob, slopes, tol=1e-10) == want
+                for max_iter, runs in cut.items():
+                    assert kernels.ba_sweep(p, rho, slopes, 1e-10, max_iter, classes) == runs
+                # chunks of three slopes give the same points
                 patch.setattr(kernels, "BATCH_BYTES", 3 * kernels.slope_bytes(rho, classes))
                 assert md.rd_curve(prob, slopes, tol=1e-10) == want
         assert md.rd_curve(probs[0], []) == []
@@ -469,21 +510,43 @@ class TestLoneSlopes:
         slow = [0.62, 1.0, 0.7]
         slopes = [3.0, 0.62, 2.0, 1.0, 4.0, 5.0, 0.7, 6.0, 2.5, 8.0, 1.5, 3.5, 7.0, 9.0, 10.0]
         assert len(slow) <= kernels.LONE_SLOPES < len(slopes)
-        starts = []
-        run_alone = kernels._run_alone
+        # the shape (iterations, slopes) of every block's stop test, and the
+        # number of blocks run when each stack stops
+        blocks, stops = [], []
 
-        def spy(K, Z, ps, ring, cs, it, *rest):
-            starts.append(it)
-            return run_alone(K, Z, ps, ring, cs, it, *rest)
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(kernels, "_run_alone", spy)
-        runs = kernels.ba_sweep(p, rho, slopes, 1e-9, 300, classes)
-        assert len(starts) == len(slow) and len(set(starts)) == 1
-        assert 0 < starts[0] < 300 and starts[0] % kernels.FLUSH_EVERY == 0
+            def log2(self, x, *args, **kwargs):
+                blocks.append(x.shape)
+                return np.log2(x, *args, **kwargs)
+
+            def argmax(self, hit, axis):
+                stops.append(len(blocks))
+                return np.argmax(hit, axis=axis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "np", Numpy())
+            runs = kernels.ba_sweep(p, rho, slopes, 1e-9, 300, classes)
+        stacks = [blocks[a:b] for a, b in zip([0] + stops, stops)]
+        sizes = [{n for _, n in stack} for stack in stacks]
+        spans = [sum(m for m, _ in stack) for stack in stacks]
+        # larger stacks, then one stack of one per slow slope, in slope order
+        lone = len(slow)
+        assert sizes[-lone:] == [{1}] * lone
+        assert all(min(size) > kernels.LONE_SLOPES for size in sizes[:-lone])
+        start = sum(spans[:-lone])
+        assert 0 < start < 300 and start % kernels.FLUSH_EVERY == 0
         assert runs == [kernels.ba_solve(p, rho, s, 1e-9, 300, classes) for s in slopes]
+        # each slow slope ran from the larger stack's stop to the end of the
+        # block that holds its own stop
+        iters = [run[2] for s, run in zip(slopes, runs) if s in slow]
+        for it, span in zip(iters, spans[-lone:]):
+            assert start + span - kernels.FLUSH_EVERY < it <= start + span
         ends = {s: run[2:5:2] for s, run in zip(slopes, runs) if s in slow}
         assert ends[0.62] == ends[0.7] == (300, False)
-        assert starts[0] < ends[1.0][0] < 300 and ends[1.0][1]
+        assert start < ends[1.0][0] < 300 and ends[1.0][1]
         with pytest.raises(NonConvergenceError) as single:
             md.blahut_arimoto(prob, 0.62, max_iter=300)
         with pytest.raises(NonConvergenceError) as sweep:
